@@ -28,7 +28,7 @@ from random import Random
 
 from .axioms import AxiomId, Status
 from .errors import InputFormatError, SizeLimitError, UnfaithfulOrderError
-from .formulas import Formula, eval_formula
+from .formulas import Formula, truth_vector
 from .frames import (
     Event,
     Frame,
@@ -103,12 +103,9 @@ class WorldContext:
         return out
 
     def truth_worlds(self, formula: Formula) -> Event:
-        """Worlds at which the formula is true."""
-        out = 0
-        for w in range(self.n_worlds):
-            if eval_formula(formula, self.assignment(w)):
-                out |= 1 << w
-        return out
+        """Worlds at which the formula is true: its truth vector over the
+        atoms, since worlds are numbered in `assignments` order."""
+        return truth_vector(formula, self.atoms)
 
 
 @dataclass(frozen=True)

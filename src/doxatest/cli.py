@@ -85,10 +85,6 @@ def _resolve_max_states(flag: int | None) -> int:
 def _load(path: str):
     try:
         return load_structure(path)
-    except OSError as exc:
-        raise _fail_usage(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _fail_usage(f"{path} is not valid JSON: {exc}")
     except DoxatestError as exc:
         raise _fail_usage(f"{path}: {exc}")
 

@@ -1,11 +1,18 @@
 """Propositional language over named atoms.
 
-Formulas are immutable ASTs.  Negation and disjunction are the primitive
-connectives; conjunction, implication and equivalence are evaluated through
-their usual definitions in terms of those two, and a test pins the
-definitional identities down extensionally.  Semantic questions (tautology,
-contradiction, finite-premise consequence) are decided by exhaustive truth
-tables, which is exact at the intended scale and guarded by an atom limit.
+Formulas are immutable ASTs.  Every semantic question is answered by one
+fold, `denote`: it maps a formula to its truth set, given one column per
+atom (the set where the atom holds, as an int bitmask) and the universe
+mask.  Negation, implication and equivalence complement inside the
+universe; conjunction and disjunction are bitwise ``&`` and ``|``.
+
+The same fold serves every universe.  Over a model's states it gives truth
+sets (`doxatest.frames.truth_set`); over the assignment space of an atom
+list it gives packed truth tables (`truth_vector`), from which tautology,
+contradiction and finite-premise consequence are read off exactly
+(`classify`, `cn_member`); over a single assignment it is evaluation
+(`eval_formula`).  Truth tables are guarded by an atom limit, and the
+parser by a nesting limit.
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import MissingAtomError, ParseError, SizeLimitError
 
 DEFAULT_ATOM_LIMIT = 20
+
+# Deepest nesting of "(" and "!" the parser accepts.  The recursive-descent
+# parser spends several stack frames per level, so deeper text would exhaust
+# the interpreter stack instead of failing as a ParseError.
+NESTING_LIMIT = 100
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -110,36 +122,45 @@ def atoms(formula: Formula) -> frozenset[str]:
     return frozenset()
 
 
-def eval_formula(formula: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Evaluate under a total truth assignment.
+def denote(formula: Formula, columns: Mapping[str, int], full: int) -> int:
+    """The truth set of the formula as a bitmask inside ``full``.
 
-    Negation and disjunction are primitive; the remaining connectives are
-    evaluated so that the definitional identities
-    a & b == !(!a | !b), a -> b == !a | b, a <-> b == (a -> b) & (b -> a)
-    hold extensionally.
+    An atom denotes its column, ``columns[name]``; an atom without a column
+    raises the mapping's KeyError, which callers translate into their own
+    error.  The connectives act bitwise inside the universe mask.
     """
     if isinstance(formula, Atom):
-        try:
-            return bool(assignment[formula.name])
-        except KeyError:
-            raise MissingAtomError(
-                f"assignment does not cover atom {formula.name!r}"
-            ) from None
+        return columns[formula.name]
     if isinstance(formula, Not):
-        return not eval_formula(formula.child, assignment)
-    if isinstance(formula, Or):
-        return eval_formula(formula.left, assignment) or eval_formula(formula.right, assignment)
+        return full & ~denote(formula.child, columns, full)
     if isinstance(formula, And):
-        return eval_formula(formula.left, assignment) and eval_formula(formula.right, assignment)
+        return denote(formula.left, columns, full) & denote(formula.right, columns, full)
+    if isinstance(formula, Or):
+        return denote(formula.left, columns, full) | denote(formula.right, columns, full)
     if isinstance(formula, Implies):
-        return (not eval_formula(formula.left, assignment)) or eval_formula(formula.right, assignment)
+        return (full & ~denote(formula.left, columns, full)) | denote(
+            formula.right, columns, full
+        )
     if isinstance(formula, Iff):
-        return eval_formula(formula.left, assignment) is eval_formula(formula.right, assignment)
+        return full & ~(denote(formula.left, columns, full) ^ denote(formula.right, columns, full))
     if isinstance(formula, TrueConst):
-        return True
+        return full
     if isinstance(formula, FalseConst):
-        return False
+        return 0
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def _denote_covered(formula: Formula, columns: Mapping[str, int], full: int) -> int:
+    try:
+        return denote(formula, columns, full)
+    except KeyError as exc:
+        raise MissingAtomError(f"assignment does not cover atom {exc.args[0]!r}") from None
+
+
+def eval_formula(formula: Formula, assignment: Mapping[str, bool]) -> bool:
+    """Evaluate under a total truth assignment: the one-state universe."""
+    columns = {name: 1 if value else 0 for name, value in assignment.items()}
+    return _denote_covered(formula, columns, 1) == 1
 
 
 def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
@@ -148,6 +169,29 @@ def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
     n = len(names)
     for word in range(1 << n):
         yield {name: bool((word >> (n - 1 - i)) & 1) for i, name in enumerate(names)}
+
+
+def _assignment_space(names: Sequence[str]) -> tuple[dict[str, int], int]:
+    """Atom columns over the assignments of ``names`` (bit w is assignment w
+    in `assignments` order), and the mask of all assignments."""
+    n = len(names)
+    size = 1 << n
+    columns = {}
+    for i, name in enumerate(names):
+        width = 1 << (n - 1 - i)
+        # one period: ``width`` assignments with the atom false, then true
+        column, period = ((1 << width) - 1) << width, 2 * width
+        while period < size:
+            column |= column << period
+            period *= 2
+        columns[name] = column
+    return columns, (1 << size) - 1
+
+
+def truth_vector(formula: Formula, names: Sequence[str]) -> int:
+    """Truth table of the formula over ``names`` packed into an int, one bit
+    per assignment in `assignments` order."""
+    return _denote_covered(formula, *_assignment_space(names))
 
 
 def _check_limit(count: int, limit: int) -> None:
@@ -159,23 +203,15 @@ def classify(formula: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> Classifi
     """Decide tautology / contradiction / contingent by truth table."""
     names = sorted(atoms(formula))
     _check_limit(len(names), atom_limit)
-    seen_true = seen_false = False
-    for a in assignments(names):
-        if eval_formula(formula, a):
-            seen_true = True
-        else:
-            seen_false = True
-        if seen_true and seen_false:
-            return Classification.CONTINGENT
-    return Classification.TAUTOLOGY if seen_true else Classification.CONTRADICTION
+    columns, full = _assignment_space(names)
+    vector = denote(formula, columns, full)
+    if vector == full:
+        return Classification.TAUTOLOGY
+    return Classification.CONTRADICTION if vector == 0 else Classification.CONTINGENT
 
 
 def is_tautology(formula: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> bool:
     return classify(formula, atom_limit) is Classification.TAUTOLOGY
-
-
-def is_contradiction(formula: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> bool:
-    return classify(formula, atom_limit) is Classification.CONTRADICTION
 
 
 def cn_member(
@@ -183,7 +219,8 @@ def cn_member(
     conclusion: Formula,
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> bool:
-    """Classical consequence over finite premise sets, decided semantically.
+    """Classical consequence over finite premise sets, decided semantically:
+    no assignment satisfies every premise and falsifies the conclusion.
 
     Inconsistent premises entail everything; an empty premise set reduces to a
     tautology test on the conclusion.
@@ -194,10 +231,11 @@ def cn_member(
         names |= atoms(p)
     ordered = sorted(names)
     _check_limit(len(ordered), atom_limit)
-    for a in assignments(ordered):
-        if all(eval_formula(p, a) for p in premises) and not eval_formula(conclusion, a):
-            return False
-    return True
+    columns, full = _assignment_space(ordered)
+    satisfied = full
+    for p in premises:
+        satisfied &= denote(p, columns, full)
+    return satisfied & ~denote(conclusion, columns, full) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +274,7 @@ class _Parser:
         self.tokens = tokens
         self.text = text
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -284,15 +323,21 @@ class _Parser:
 
     def _unary(self) -> Formula:
         kind = self._peek()
-        if kind == "not":
+        if kind in ("not", "lp"):
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(
+                    f"formula nests '(' and '!' deeper than {NESTING_LIMIT} levels", self._pos()
+                )
+            self.depth += 1
             self._advance()
-            return Not(self._unary())
-        if kind == "lp":
-            self._advance()
-            f = self._iff()
-            if self._peek() != "rp":
-                raise ParseError("expected ')'", self._pos())
-            self._advance()
+            if kind == "not":
+                f = Not(self._unary())
+            else:
+                f = self._iff()
+                if self._peek() != "rp":
+                    raise ParseError("expected ')'", self._pos())
+                self._advance()
+            self.depth -= 1
             return f
         if kind == "word":
             _, word, _ = self._advance()
@@ -310,6 +355,7 @@ def parse_formula(text: str) -> Formula:
     Precedence, loosest first: ``<->``, ``->``, ``|``, ``&``, ``!``;
     implication associates to the right, ``<->``/``|``/``&`` fold to the
     left; whitespace is insignificant; ``true``/``false`` are reserved.
+    Nesting ``(`` and ``!`` deeper than `NESTING_LIMIT` is a ParseError.
     """
     return _Parser(_tokenize(text), text).parse()
 
@@ -342,18 +388,8 @@ def _render(formula: Formula, min_level: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# formula pools for exhaustive and randomized sweeps
+# formula pools for exhaustive sweeps
 # ---------------------------------------------------------------------------
-
-def truth_vector(formula: Formula, names: Sequence[str]) -> int:
-    """Truth table of the formula over ``names`` packed into an int, one bit
-    per assignment in `assignments` order."""
-    vec = 0
-    for i, a in enumerate(assignments(names)):
-        if eval_formula(formula, a):
-            vec |= 1 << i
-    return vec
-
 
 def semantic_pool(
     atom_names: Sequence[str], depth: int = 3, per_class: int = 1
@@ -386,20 +422,3 @@ def semantic_pool(
             add(Iff(f, g))
     return [f for bucket in classes.values() for f in bucket]
 
-
-def random_formula(rng, atom_names: Sequence[str], max_depth: int = 3) -> Formula:
-    """A random formula over ``atom_names``; deterministic under a seeded rng."""
-    if max_depth == 0 or rng.random() < 0.2:
-        roll = rng.random()
-        if roll < 0.05:
-            return TRUE
-        if roll < 0.1:
-            return FALSE
-        return Atom(rng.choice(list(atom_names)))
-    op = rng.choice(("not", "and", "or", "imp", "iff"))
-    if op == "not":
-        return Not(random_formula(rng, atom_names, max_depth - 1))
-    left = random_formula(rng, atom_names, max_depth - 1)
-    right = random_formula(rng, atom_names, max_depth - 1)
-    ctor = {"and": And, "or": Or, "imp": Implies, "iff": Iff}[op]
-    return ctor(left, right)

@@ -17,6 +17,7 @@ a formula is believed iff the support is contained in its truth set.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -27,20 +28,7 @@ from .errors import (
     UnknownAtomError,
     UnknownRuleError,
 )
-from .formulas import (
-    ATOM_RE,
-    Classification,
-    Formula,
-    And,
-    FalseConst,
-    Iff,
-    Implies,
-    Atom,
-    Not,
-    Or,
-    TrueConst,
-    classify,
-)
+from .formulas import ATOM_RE, Classification, Formula, Implies, classify, denote
 
 Event = int
 
@@ -228,30 +216,14 @@ def complete_selection(frame: Frame, rule: str = "default", max_states: int = 12
 # ---------------------------------------------------------------------------
 
 def truth_set(model: Model, formula: Formula) -> Event:
-    """The event where the formula holds; complement/union interpret !/|."""
-    full = model.frame.full
-    if isinstance(formula, Atom):
-        try:
-            return model.valuation[formula.name]
-        except KeyError:
-            raise UnknownAtomError(
-                f"atom {formula.name!r} is not interpreted by the model"
-            ) from None
-    if isinstance(formula, Not):
-        return full & ~truth_set(model, formula.child)
-    if isinstance(formula, Or):
-        return truth_set(model, formula.left) | truth_set(model, formula.right)
-    if isinstance(formula, And):
-        return truth_set(model, formula.left) & truth_set(model, formula.right)
-    if isinstance(formula, Implies):
-        return (full & ~truth_set(model, formula.left)) | truth_set(model, formula.right)
-    if isinstance(formula, Iff):
-        return full & ~(truth_set(model, formula.left) ^ truth_set(model, formula.right))
-    if isinstance(formula, TrueConst):
-        return full
-    if isinstance(formula, FalseConst):
-        return 0
-    raise TypeError(f"not a formula: {formula!r}")
+    """The event where the formula holds: its denotation over the states,
+    with the valuation as the atom columns."""
+    try:
+        return denote(formula, model.valuation, model.frame.full)
+    except KeyError as exc:
+        raise UnknownAtomError(
+            f"atom {exc.args[0]!r} is not interpreted by the model"
+        ) from None
 
 
 def cells(model: Model) -> tuple[Event, ...]:
@@ -354,28 +326,7 @@ def _truth_set_total(model: Model, formula: Formula) -> Event:
     """Truth set under the totalized valuation: atoms the model leaves
     uninterpreted hold nowhere.  Keeps `extended_member` total on arbitrary
     formulas while `truth_set` stays strict for every other caller."""
-    full = model.frame.full
-    if isinstance(formula, Atom):
-        return model.valuation.get(formula.name, 0)
-    if isinstance(formula, Not):
-        return full & ~_truth_set_total(model, formula.child)
-    if isinstance(formula, Or):
-        return _truth_set_total(model, formula.left) | _truth_set_total(model, formula.right)
-    if isinstance(formula, And):
-        return _truth_set_total(model, formula.left) & _truth_set_total(model, formula.right)
-    if isinstance(formula, Implies):
-        return (full & ~_truth_set_total(model, formula.left)) | _truth_set_total(
-            model, formula.right
-        )
-    if isinstance(formula, Iff):
-        return full & ~(
-            _truth_set_total(model, formula.left) ^ _truth_set_total(model, formula.right)
-        )
-    if isinstance(formula, TrueConst):
-        return full
-    if isinstance(formula, FalseConst):
-        return 0
-    raise TypeError(f"not a formula node: {formula!r}")
+    return denote(formula, defaultdict(int, model.valuation), model.frame.full)
 
 
 def extended_member(model: Model, s: int, phi: Formula, psi: Formula) -> bool:

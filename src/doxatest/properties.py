@@ -348,6 +348,8 @@ def recheck_witness(frame: Frame, witness: PropertyWitness) -> bool:
     if pid is PropertyId.PD2:
         return not b & ~e and bool(frame.sel(i, e) & ~b)
     if pid is PropertyId.PD57:
+        if not e & f:
+            return False
         sup_ef = 0
         for j in bits(b):
             sup_ef |= frame.sel(j, e & f)

@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import doxatest
 from doxatest.cli import main
 from doxatest.frames import Frame, Model, complete_selection, model_to_obj
 
@@ -370,6 +374,30 @@ def test_ri_input_errors(runner, files):
     ]
     for args in cases:
         assert runner.invoke(main, args).exit_code == 2, args
+
+
+@pytest.mark.parametrize("option", ["--formula", "--probe"])
+@pytest.mark.parametrize(
+    "deep",
+    ["(" * 600 + "p" + ")" * 600, "!(" * 190 + "p" + ")" * 190],
+    ids=["parens", "not-parens"],
+)
+def test_ri_deep_formula_exits_two_without_traceback(files, option, deep):
+    # a real process, so the interpreter's own stack limit is the one that counts
+    src = os.path.dirname(os.path.dirname(doxatest.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    formula = ["--formula", deep] if option == "--formula" else ["--formula", "p", "--probe", deep]
+    result = subprocess.run(
+        [sys.executable, "-m", "doxatest.cli", "ri", files["model2"], "--state", "s0", *formula],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "deeper than" in result.stderr
 
 
 # --- shared rendering ---

@@ -27,8 +27,10 @@ from doxatest.frames import complete_selection, frame_from_obj, validate_frame
 from doxatest.properties import (
     FrameClass,
     PropertyId,
+    PropertyWitness,
     check_class,
     check_property,
+    recheck_witness,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -180,6 +182,20 @@ def test_stale_witness_rejected():
         build_witness_model(clean, pair_for(PropertyId.PD2), w)
     with pytest.raises(InvalidWitnessError):
         build_witness_model(frame, pair_for(PropertyId.PR4), w)
+
+
+def test_disjoint_pd57_witness_rejected():
+    # with E and F disjoint there is no instance to violate, and no selection
+    # at the empty event E & F to consult
+    frame = frame_of(2, [0b01, 0b10], complete=True)
+    for pid in (PropertyId.PD57, PropertyId.PD57_STRONG):
+        assert recheck_witness(frame, PropertyWitness(pid, 0, 0, 0b01, 0b10)) is False
+    with pytest.raises(InvalidWitnessError):
+        build_witness_model(
+            frame,
+            pair_for(PropertyId.PD57),
+            PropertyWitness(PropertyId.PD57, 0, 0, 0b01, 0b10),
+        )
 
 
 # --- two-directional verdicts ---------------------------------------------

@@ -1,20 +1,25 @@
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doxatest.changegen import WorldContext, build_canonical_model, random_revision_table
 from doxatest.errors import MissingAtomError, ParseError, SizeLimitError
 from doxatest.formulas import (
     FALSE,
+    NESTING_LIMIT,
     TRUE,
     And,
     Atom,
     Classification,
+    FalseConst,
     Iff,
     Implies,
     Not,
     Or,
+    TrueConst,
     assignments,
     atoms,
     classify,
@@ -26,6 +31,7 @@ from doxatest.formulas import (
     semantic_pool,
     truth_vector,
 )
+from doxatest.frames import truth_set
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -72,6 +78,26 @@ class TestParsing:
             parse_formula(bad)
         assert exc.value.position >= 0
 
+    def test_nesting_at_the_bound_parses(self):
+        n = NESTING_LIMIT
+        assert parse_formula("(" * n + "p" + ")" * n) == p
+        half = n // 2
+        assert parse_formula("!(" * half + "p" + ")" * half) == parse_formula("!" * half + "p")
+
+    @pytest.mark.parametrize(
+        "deep",
+        [
+            "(" * (NESTING_LIMIT + 1) + "p" + ")" * (NESTING_LIMIT + 1),
+            "!" * (NESTING_LIMIT + 1) + "p",
+            "(" * 600 + "p" + ")" * 600,
+            "!(" * 190 + "p" + ")" * 190,
+        ],
+        ids=["parens-over-bound", "nots-over-bound", "parens-600", "not-parens-190"],
+    )
+    def test_nesting_beyond_the_bound_is_a_parse_error(self, deep):
+        with pytest.raises(ParseError):
+            parse_formula(deep)
+
 
 # ============================================================
 # evaluation and classification
@@ -100,6 +126,8 @@ class TestSemantics:
     def test_missing_atom_raises(self):
         with pytest.raises(MissingAtomError):
             eval_formula(And(p, q), {"p": True})
+        with pytest.raises(MissingAtomError):
+            truth_vector(And(p, q), ["p"])
 
     def test_atom_limit_enforced(self):
         wide = parse_formula(" | ".join(f"a{i}" for i in range(25)))
@@ -134,6 +162,31 @@ class TestConsequence:
 # ============================================================
 # definitional identities and round trips (property style)
 # ============================================================
+
+def reference_eval(formula, assignment):
+    """Truth at one assignment by the textbook clauses; shares no code with
+    the library's denotation, so the tests below compare against it."""
+    def ev(sub):
+        return reference_eval(sub, assignment)
+
+    if isinstance(formula, Atom):
+        return assignment[formula.name]
+    if isinstance(formula, TrueConst):
+        return True
+    if isinstance(formula, FalseConst):
+        return False
+    if isinstance(formula, Not):
+        return not ev(formula.child)
+    if isinstance(formula, And):
+        return ev(formula.left) and ev(formula.right)
+    if isinstance(formula, Or):
+        return ev(formula.left) or ev(formula.right)
+    if isinstance(formula, Implies):
+        return (not ev(formula.left)) or ev(formula.right)
+    if isinstance(formula, Iff):
+        return ev(formula.left) == ev(formula.right)
+    raise TypeError(f"not a formula: {formula!r}")
+
 
 def formula_strategy(max_depth=4):
     leaves = st.sampled_from([p, q, r, TRUE, FALSE])
@@ -173,7 +226,7 @@ def test_definitional_identities_extensional(a, b):
 @settings(max_examples=100, deadline=None)
 def test_classify_matches_eval(f):
     names = sorted(atoms(f))
-    values = {eval_formula(f, a) for a in assignments(names)}
+    values = {reference_eval(f, a) for a in assignments(names)}
     c = classify(f)
     if values == {True}:
         assert c is Classification.TAUTOLOGY
@@ -181,6 +234,27 @@ def test_classify_matches_eval(f):
         assert c is Classification.CONTRADICTION
     else:
         assert c is Classification.CONTINGENT
+
+
+# atoms deliberately unsorted: the first name is the most significant bit
+WORLD_ATOMS = ("q", "p", "r")
+WORLD_ROWS = [
+    {name: bool((w >> (len(WORLD_ATOMS) - 1 - i)) & 1) for i, name in enumerate(WORLD_ATOMS)}
+    for w in range(1 << len(WORLD_ATOMS))
+]
+CANONICAL = build_canonical_model(random_revision_table(Random(0), WorldContext(WORLD_ATOMS)))
+
+
+@given(formula_strategy())
+@settings(max_examples=200, deadline=None)
+def test_denotations_match_reference_evaluator(f):
+    values = [reference_eval(f, row) for row in WORLD_ROWS]
+    expected = sum(1 << w for w, value in enumerate(values) if value)
+    assert [eval_formula(f, row) for row in WORLD_ROWS] == values
+    assert truth_vector(f, WORLD_ATOMS) == expected
+    assert WorldContext(WORLD_ATOMS).truth_worlds(f) == expected
+    # canonical state w is world w, so the truth set is the same mask
+    assert truth_set(CANONICAL, f) == expected
 
 
 @given(st.lists(formula_strategy(), max_size=3), formula_strategy())
