@@ -15,7 +15,7 @@ see `replay_witness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -103,13 +103,12 @@ class AxiomVerdict:
 
 @dataclass
 class ModelContext:
-    """Shared per-model precomputation: cells, definable events, closures,
-    and a support cache keyed by (belief-set, event)."""
+    """Shared per-model precomputation: cells, definable events, closures.
+    Supports come from the frame's memoized `Frame.sup`."""
 
     model: Model
     cell_masks: tuple[int, ...]
     definable: tuple[int, ...]  # nonempty definable events, ascending
-    _sup: dict = field(default_factory=dict)
 
     @classmethod
     def of(cls, model: Model, max_cells: int = DEFAULT_MAX_CELLS) -> "ModelContext":
@@ -127,16 +126,6 @@ class ModelContext:
                 out |= c
         return out
 
-    def sup(self, bmask: int, event: int) -> int:
-        key = (bmask, event)
-        got = self._sup.get(key)
-        if got is None:
-            got = 0
-            for i in bits(bmask):
-                got |= self.model.frame.sel(i, event)
-            self._sup[key] = got
-        return got
-
 
 def is_complete_at(model: Model, s: int | str) -> bool:
     """True iff the beliefs at s decide every formula: B(s) fits in one cell."""
@@ -146,60 +135,66 @@ def is_complete_at(model: Model, s: int | str) -> bool:
 
 
 def _d1(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
-        if ctx.sup(b, e) & ~e:
+        if sup(b, e) & ~e:
             return AxiomWitness(e=e, g=e)
     return None
 
 
 def _d2(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
         if b & ~e:
             continue
-        sup = ctx.sup(b, e)
-        cb, cs = ctx.closure(b), ctx.closure(sup)
+        sup_e = sup(b, e)
+        cb, cs = ctx.closure(b), ctx.closure(sup_e)
         if cb == cs:
             continue
-        g = cb if sup & ~cb else cs
+        g = cb if sup_e & ~cb else cs
         return AxiomWitness(e=e, g=g)
     return None
 
 
 def _r3(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
-        cs = ctx.closure(ctx.sup(b, e))
+        cs = ctx.closure(sup(b, e))
         if b & e & ~cs:
             return AxiomWitness(e=e, g=cs)
     return None
 
 
 def _r4(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
         if not b & e:
             continue
         cb = ctx.closure(b)
-        if ctx.sup(b, e) & ~cb:
+        if sup(b, e) & ~cb:
             return AxiomWitness(e=e, g=cb)
     return None
 
 
 def _d5(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
         for f in ctx.definable:
             ef = e & f
             if not ef:
                 continue
-            c = ctx.closure(ctx.sup(b, ef))
-            if ctx.sup(b, e) & f & ~c:
+            c = ctx.closure(sup(b, ef))
+            if sup(b, e) & f & ~c:
                 return AxiomWitness(e=e, f=f, g=c)
     return None
 
 
 def _d6(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
-        sup_e = ctx.sup(b, e)
+        sup_e = sup(b, e)
         for f in ctx.definable:
-            sup_f = ctx.sup(b, f)
+            sup_f = sup(b, f)
             if sup_e & ~f or sup_f & ~e:
                 continue
             ce, cf = ctx.closure(sup_e), ctx.closure(sup_f)
@@ -211,23 +206,25 @@ def _d6(ctx, b):
 
 
 def _d7(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
         for f in ctx.definable:
-            c = ctx.closure(ctx.sup(b, e) | ctx.sup(b, f))
-            if ctx.sup(b, e | f) & ~c:
+            c = ctx.closure(sup(b, e) | sup(b, f))
+            if sup(b, e | f) & ~c:
                 return AxiomWitness(e=e, f=f, g=c)
     return None
 
 
 def _d9(ctx, b):
+    sup = ctx.model.frame.sup
     for e in ctx.definable:
-        sup_e = ctx.sup(b, e)
+        sup_e = sup(b, e)
         for f in ctx.definable:
             inter = sup_e & f
             if not inter:
                 continue
             c = ctx.closure(inter)
-            if ctx.sup(b, e & f) & ~c:
+            if sup(b, e & f) & ~c:
                 return AxiomWitness(e=e, f=f, g=c)
     return None
 
@@ -287,12 +284,7 @@ def replay_witness(
     expansion.  No cell closures are consulted."""
     i = model.frame.index(s) if isinstance(s, str) else s
     b = model.frame.belief[i]
-
-    def sup(event):
-        out = 0
-        for j in bits(b):
-            out |= model.frame.sel(j, event)
-        return out
+    sup = model.frame.sup
 
     def subset(x, y):
         return not x & ~y
@@ -300,30 +292,34 @@ def replay_witness(
     e, f, g = witness.e, witness.f, witness.g
     resolved = ALIASES.get(axiom, axiom)
     if resolved is AxiomId.D1:
-        return not subset(sup(e), e)
+        return not subset(sup(b, e), e)
     if resolved is AxiomId.D2:
-        return subset(b, e) and subset(b, g) != subset(sup(e), g)
+        return subset(b, e) and subset(b, g) != subset(sup(b, e), g)
     if resolved is AxiomId.R3:
-        return subset(sup(e), g) and not subset(b & e, g)
+        return subset(sup(b, e), g) and not subset(b & e, g)
     if resolved is AxiomId.R4:
-        return bool(b & e) and subset(b, g) and not subset(sup(e), g)
+        return bool(b & e) and subset(b, g) and not subset(sup(b, e), g)
     if resolved is AxiomId.D5:
-        return bool(e & f) and subset(sup(e & f), g) and not subset(sup(e) & f, g)
+        return (
+            bool(e & f)
+            and subset(sup(b, e & f), g)
+            and not subset(sup(b, e) & f, g)
+        )
     if resolved is AxiomId.D6:
         return (
-            subset(sup(e), f)
-            and subset(sup(f), e)
-            and subset(sup(e), g) != subset(sup(f), g)
+            subset(sup(b, e), f)
+            and subset(sup(b, f), e)
+            and subset(sup(b, e), g) != subset(sup(b, f), g)
         )
     if resolved is AxiomId.D7:
         return (
-            subset(sup(e), g)
-            and subset(sup(f), g)
-            and not subset(sup(e | f), g)
+            subset(sup(b, e), g)
+            and subset(sup(b, f), g)
+            and not subset(sup(b, e | f), g)
         )
     if resolved in (AxiomId.D9, AxiomId.R8):
-        inter = sup(e) & f
-        return bool(inter) and subset(inter, g) and not subset(sup(e & f), g)
+        inter = sup(b, e) & f
+        return bool(inter) and subset(inter, g) and not subset(sup(b, e & f), g)
     raise ValueError(f"no replay for {axiom}")
 
 
@@ -358,7 +354,7 @@ def audit_lemma_inclusion(model: Model, s: int | str) -> LemmaReport:
     b = model.frame.belief[i]
     out = []
     for e in ctx.definable:
-        cs = ctx.closure(ctx.sup(b, e))
+        cs = ctx.closure(model.frame.sup(b, e))
         if b & e & ~cs:
             out.append(AxiomWitness(e=e, g=cs))
     return LemmaReport(tuple(out))
@@ -391,7 +387,7 @@ def audit_km8(model: Model, w: int | str) -> Km8Report:
     b = frame.belief[i]
     kk = ctx.closure(b)
     for e in ctx.definable:
-        if ctx.sup(b, e) != ctx.sup(kk, e):
+        if frame.sup(b, e) != frame.sup(kk, e):
             return Km8Report(False, e)
     return Km8Report(True)
 

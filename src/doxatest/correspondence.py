@@ -214,23 +214,18 @@ def build_witness_model(
     s, i, e, f = witness.s, witness.s_prime, witness.e, witness.f
     b = frame.belief[s]
     full = frame.full
-
-    def sup(event):
-        out = 0
-        for j in bits(b):
-            out |= frame.sel(j, event)
-        return out
+    sup = frame.sup
 
     prop = pair.property
     if prop is PropertyId.PD2:
         valuation = {"p": e, "q": b}
         instance = AxiomWitness(e=e, g=b)
     elif prop is PropertyId.PD57:
-        r = sup(e & f)
+        r = sup(b, e & f)
         valuation = {"p": e, "q": f, "r": r}
         instance = AxiomWitness(e=e, f=f, g=r)
     elif prop is PropertyId.PD6:
-        sup_e, sup_f = sup(e), sup(f)
+        sup_e, sup_f = sup(b, e), sup(b, f)
         r = sup_f if sup_e & ~sup_f else sup_e
         valuation = {"p": e, "q": f, "r": r}
         instance = AxiomWitness(e=e, f=f, g=r)
@@ -247,9 +242,7 @@ def build_witness_model(
         # the separating formula is "p -> q": kept believed, lost on change
         instance = AxiomWitness(e=e, g=(~e & full) | (b & e))
     elif prop is PropertyId.PR8:
-        r = 0
-        for j in bits(b):
-            r |= frame.sel(j, e) & f
+        r = sup(b, e) & f
         valuation = {"p": e, "q": f, "r": r}
         instance = AxiomWitness(e=e, f=f, g=r)
     else:

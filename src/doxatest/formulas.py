@@ -27,9 +27,10 @@ from .errors import MissingAtomError, ParseError, SizeLimitError
 
 DEFAULT_ATOM_LIMIT = 20
 
-# Deepest nesting of "(" and "!" the parser accepts.  The recursive-descent
-# parser spends several stack frames per level, so deeper text would exhaust
-# the interpreter stack instead of failing as a ParseError.
+# Deepest nesting of "(", "!" and binary operators the parser accepts.  The
+# recursive-descent parser spends several stack frames per "(" or "!", and
+# `denote` and `render` one per tree level, so deeper text would exhaust the
+# interpreter stack instead of failing as a ParseError.
 NESTING_LIMIT = 100
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
@@ -287,65 +288,77 @@ class _Parser:
         self.i += 1
         return tok
 
+    def _bounded(self, level: int) -> int:
+        if level > NESTING_LIMIT:
+            raise ParseError(
+                f"formula nests '(', '!' and binary operators deeper than "
+                f"{NESTING_LIMIT} levels",
+                self._pos(),
+            )
+        return level
+
     def parse(self) -> Formula:
-        f = self._iff()
+        f, _ = self._iff()
         if self.i < len(self.tokens):
             raise ParseError(f"unexpected {self.tokens[self.i][1]!r}", self._pos())
         return f
 
-    def _iff(self) -> Formula:
-        left = self._imp()
-        while self._peek() == "iff":
-            self._advance()
-            left = Iff(left, self._imp())
-        return left
+    # each rule returns (formula, level): the nesting of "(", "!" and binary
+    # operators inside it, which bounds the tree height `denote` recurses on
 
-    def _imp(self) -> Formula:
-        left = self._or()
-        if self._peek() == "imp":
+    def _fold_left(self, op: str, node: type, operand) -> tuple[Formula, int]:
+        left, level = operand()
+        while self._peek() == op:
             self._advance()
-            return Implies(left, self._imp())
-        return left
+            right, right_level = operand()
+            left, level = node(left, right), self._bounded(max(level, right_level) + 1)
+        return left, level
 
-    def _or(self) -> Formula:
-        left = self._and()
-        while self._peek() == "or":
+    def _iff(self) -> tuple[Formula, int]:
+        return self._fold_left("iff", Iff, self._imp)
+
+    def _imp(self) -> tuple[Formula, int]:
+        # right-associative, folded iteratively so long chains cannot
+        # exhaust the stack before the level bound refuses them
+        operands = [self._or()]
+        while self._peek() == "imp":
             self._advance()
-            left = Or(left, self._and())
-        return left
+            operands.append(self._or())
+        right, level = operands.pop()
+        while operands:
+            left, left_level = operands.pop()
+            right, level = Implies(left, right), self._bounded(max(left_level, level) + 1)
+        return right, level
 
-    def _and(self) -> Formula:
-        left = self._unary()
-        while self._peek() == "and":
-            self._advance()
-            left = And(left, self._unary())
-        return left
+    def _or(self) -> tuple[Formula, int]:
+        return self._fold_left("or", Or, self._and)
 
-    def _unary(self) -> Formula:
+    def _and(self) -> tuple[Formula, int]:
+        return self._fold_left("and", And, self._unary)
+
+    def _unary(self) -> tuple[Formula, int]:
         kind = self._peek()
         if kind in ("not", "lp"):
-            if self.depth == NESTING_LIMIT:
-                raise ParseError(
-                    f"formula nests '(' and '!' deeper than {NESTING_LIMIT} levels", self._pos()
-                )
-            self.depth += 1
+            # refuse on the way down too: the recursion below is per level
+            self.depth = self._bounded(self.depth + 1)
             self._advance()
             if kind == "not":
-                f = Not(self._unary())
+                f, level = self._unary()
+                f = Not(f)
             else:
-                f = self._iff()
+                f, level = self._iff()
                 if self._peek() != "rp":
                     raise ParseError("expected ')'", self._pos())
                 self._advance()
             self.depth -= 1
-            return f
+            return f, self._bounded(level + 1)
         if kind == "word":
             _, word, _ = self._advance()
             if word == "true":
-                return TRUE
+                return TRUE, 0
             if word == "false":
-                return FALSE
-            return Atom(word)
+                return FALSE, 0
+            return Atom(word), 0
         raise ParseError("expected a formula", self._pos())
 
 
@@ -355,7 +368,8 @@ def parse_formula(text: str) -> Formula:
     Precedence, loosest first: ``<->``, ``->``, ``|``, ``&``, ``!``;
     implication associates to the right, ``<->``/``|``/``&`` fold to the
     left; whitespace is insignificant; ``true``/``false`` are reserved.
-    Nesting ``(`` and ``!`` deeper than `NESTING_LIMIT` is a ParseError.
+    Nesting ``(``, ``!`` and binary operators (a chain of n operands counts
+    n - 1 levels) deeper than `NESTING_LIMIT` is a ParseError.
     """
     return _Parser(_tokenize(text), text).parse()
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -63,11 +63,16 @@ def subsets_of(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Frame:
-    """States, a serial belief relation, and a partial selection table."""
+    """States, a serial belief relation, and a partial selection table.
+
+    `selection` must not be mutated after construction: `sup` memoizes the
+    belief-set supports it computes from it.
+    """
 
     states: tuple[str, ...]
     belief: tuple[int, ...]
     selection: Mapping[tuple[int, int], int]
+    _sup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.states)) != len(self.states):
@@ -94,6 +99,17 @@ class Frame:
             return self.selection[(s, event)]
         except KeyError:
             raise UndefinedSelectionError(self.states[s], self.event_ids(event)) from None
+
+    def sup(self, bmask: int, event: Event) -> Event:
+        """Sup(B, E): the union of f(i, E) over the states i in ``bmask``."""
+        key = (bmask, event)
+        got = self._sup.get(key)
+        if got is None:
+            got = 0
+            for i in bits(bmask):
+                got |= self.sel(i, event)
+            self._sup[key] = got
+        return got
 
     def has_sel(self, s: int, event: Event) -> bool:
         return (s, event) in self.selection
@@ -291,11 +307,7 @@ class BeliefRepr:
 
 def support_of(model: Model, s: int, event: Event) -> Event:
     """Union of f(s', event) over the states s' believed possible at s."""
-    frame = model.frame
-    out = 0
-    for i in bits(frame.belief[s]):
-        out |= frame.sel(i, event)
-    return out
+    return model.frame.sup(model.frame.belief[s], event)
 
 
 def belief_support(model: Model, s: int) -> BeliefRepr:
@@ -488,6 +500,6 @@ def load_structure(path: str) -> Frame | Model:
             obj = json.load(fh)
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InputFormatError(f"{path} is not valid JSON: {e}") from None
     return structure_from_obj(obj)

@@ -1,11 +1,17 @@
 """Frame-level conditions characterizing update and revision behaviour.
 
-Each property quantifies over states and events of a bare frame.  Checks are
-exhaustive over the event space (guarded by a size bound) and deterministic:
-the witness returned for a failing property is the first violation in
-canonical order — states by index, then events by ascending bitmask, then
-belief-accessible states by index.  Witnesses re-check: feeding one back into
-`recheck_witness` must confirm the violation.
+Each property quantifies over states and events of a bare frame, and its
+condition is written once, as a violation predicate in `_CONDITIONS`: given
+the frame and a belief set B(s), it maps an instance (E, F) to the mask of
+believed states s' at which the instance breaks the property.  One finder
+and `recheck_witness` both read that predicate.
+
+Checks are exhaustive over the event space (guarded by a size bound) and
+deterministic: the witness returned for a failing property is the first
+violation in canonical order — states by index, then E ascending, then F
+ascending, then s' as the lowest violating believed state.  Witnesses
+re-check: feeding one back into `recheck_witness` must confirm the violation,
+and a witness naming an s' outside B(s) never does.
 
 PD57 is decided through its quantifier-eliminated form: for every pair of
 events E, F with nonempty intersection, each selected-within-E part that
@@ -18,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import SizeLimitError
-from .frames import Frame, Violation, bits, validate_frame
+from .frames import Frame, Violation, bits, mask_of, validate_frame
 
 DEFAULT_MAX_STATES = 8
 
@@ -127,143 +133,128 @@ class ClassReport:
         }
 
 
-def _sup(frame: Frame, bmask: int, event: int, cache: dict) -> int:
-    key = (bmask, event)
-    got = cache.get(key)
-    if got is None:
-        got = 0
-        for i in bits(bmask):
-            got |= frame.sel(i, event)
-        cache[key] = got
-    return got
+# Each predicate factory takes (frame, B(s)) and returns violators(e, f): the
+# mask of believed states s' at which the instance (E, F) breaks the
+# property, 0 when it holds.  A factory returns None when no instance can
+# break at that belief set.  Conditions that read f at E∩F skip E∩F = ∅:
+# there is no selection at the empty event, even on non-conforming frames.
 
 
-def _events(frame: Frame, events: Sequence[int] | None) -> Sequence[int]:
-    if events is not None:
-        return events
-    return range(1, frame.full + 1)
+def _meeting(frame: Frame, b: int, event: int, mask: int) -> int:
+    """The believed states i whose f(i, event) meets ``mask``; the memoized
+    Sup(B, event) answers the common empty case in one lookup."""
+    if not frame.sup(b, event) & mask:
+        return 0
+    return mask_of(i for i in bits(b) if frame.sel(i, event) & mask)
 
 
-def _find_pd2(frame, events):
+def _pd2(frame, b):
+    return lambda e, f: 0 if b & ~e else _meeting(frame, b, e, ~b)
+
+
+def _pd57(frame, b):
+    sup = frame.sup
+    return lambda e, f: e & f and _meeting(frame, b, e, f & ~sup(b, e & f))
+
+
+def _pd57_strong(frame, b):
+    sel, rows = frame.sel, tuple(bits(b))
+
+    def violators(e, f):
+        ef, out = e & f, 0
+        if ef:
+            for i in rows:
+                if sel(i, e) & f & ~sel(i, ef):
+                    out |= 1 << i
+        return out
+
+    return violators
+
+
+def _pd6(frame, b):
+    sup = frame.sup
+
+    def violators(e, f):
+        sup_e = sup(b, e)
+        if sup_e & ~f:
+            return 0
+        sup_f = sup(b, f)
+        return b if not sup_f & ~e and sup_e != sup_f else 0
+
+    return violators
+
+
+def _pd7(frame, b):
+    if b.bit_count() != 1:
+        return None
+    sel, i = frame.sel, b.bit_length() - 1
+    return lambda e, f: b if sel(i, e | f) & ~(sel(i, e) | sel(i, f)) else 0
+
+
+def _pd9(frame, b):
+    if b.bit_count() != 1:
+        return None
+    sel, i = frame.sel, b.bit_length() - 1
+
+    def violators(e, f):
+        if not e & f:
+            return 0
+        inside = sel(i, e) & f
+        return b if inside and sel(i, e & f) & ~inside else 0
+
+    return violators
+
+
+def _pr4(frame, b):
+    return lambda e, f: b & e and _meeting(frame, b, e, ~(b & e))
+
+
+def _pr8(frame, b):
+    sup = frame.sup
+
+    def violators(e, f):
+        if not e & f:
+            return 0
+        inside = sup(b, e) & f
+        return inside and _meeting(frame, b, e & f, ~inside)
+
+    return violators
+
+
+# property -> (predicate factory, quantifies over pairs (E, F), witness names s')
+_CONDITIONS: dict[PropertyId, tuple[Callable, bool, bool]] = {
+    PropertyId.PD2: (_pd2, False, True),
+    PropertyId.PD57: (_pd57, True, True),
+    PropertyId.PD57_STRONG: (_pd57_strong, True, True),
+    PropertyId.PD6: (_pd6, True, False),
+    PropertyId.PD7: (_pd7, True, True),
+    PropertyId.PD9: (_pd9, True, True),
+    PropertyId.PR4: (_pr4, False, True),
+    PropertyId.PR8: (_pr8, True, True),
+}
+
+
+def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
+    """First violation in canonical order: states, then E, then F ascending;
+    s' is the lowest violating believed state."""
+    factory, pairs, reports_s_prime = _CONDITIONS[pid]
+    if events is None:
+        events = range(1, frame.full + 1)
+    seconds = events if pairs else (None,)
     for s in range(frame.n):
-        b = frame.belief[s]
-        for e in _events(frame, events):
-            if b & ~e:
-                continue
-            for i in bits(b):
-                if frame.sel(i, e) & ~b:
-                    return PropertyWitness(PropertyId.PD2, s=s, s_prime=i, e=e)
-    return None
-
-
-def _find_pd57(frame, events):
-    cache: dict = {}
-    for s in range(frame.n):
-        b = frame.belief[s]
-        for e in _events(frame, events):
-            for f in _events(frame, events):
-                ef = e & f
-                if not ef:
-                    continue
-                sup_ef = _sup(frame, b, ef, cache)
-                for i in bits(b):
-                    if frame.sel(i, e) & f & ~sup_ef:
-                        return PropertyWitness(PropertyId.PD57, s=s, s_prime=i, e=e, f=f)
-    return None
-
-
-def _find_pd57_strong(frame, events):
-    for s in range(frame.n):
-        b = frame.belief[s]
-        for e in _events(frame, events):
-            for f in _events(frame, events):
-                ef = e & f
-                if not ef:
-                    continue
-                for i in bits(b):
-                    if frame.sel(i, e) & f & ~frame.sel(i, ef):
-                        return PropertyWitness(
-                            PropertyId.PD57_STRONG, s=s, s_prime=i, e=e, f=f
-                        )
-    return None
-
-
-def _find_pd6(frame, events):
-    cache: dict = {}
-    for s in range(frame.n):
-        b = frame.belief[s]
-        for e in _events(frame, events):
-            for f in _events(frame, events):
-                ok = True
-                for i in bits(b):
-                    if frame.sel(i, e) & ~f or frame.sel(i, f) & ~e:
-                        ok = False
-                        break
-                if ok and _sup(frame, b, e, cache) != _sup(frame, b, f, cache):
-                    return PropertyWitness(PropertyId.PD6, s=s, e=e, f=f)
-    return None
-
-
-def _find_pd7(frame, events):
-    for s in range(frame.n):
-        b = frame.belief[s]
-        if b.bit_count() != 1:
+        violators = factory(frame, frame.belief[s])
+        if violators is None:
             continue
-        i = b.bit_length() - 1
-        for e in _events(frame, events):
-            for f in _events(frame, events):
-                if frame.sel(i, e | f) & ~(frame.sel(i, e) | frame.sel(i, f)):
-                    return PropertyWitness(PropertyId.PD7, s=s, s_prime=i, e=e, f=f)
+        for e in events:
+            for f in seconds:
+                m = violators(e, f)
+                if m:
+                    i = (m & -m).bit_length() - 1 if reports_s_prime else None
+                    return PropertyWitness(pid, s=s, s_prime=i, e=e, f=f)
     return None
 
 
-def _find_pd9(frame, events):
-    for s in range(frame.n):
-        b = frame.belief[s]
-        if b.bit_count() != 1:
-            continue
-        i = b.bit_length() - 1
-        for e in _events(frame, events):
-            for f in _events(frame, events):
-                inter = frame.sel(i, e) & f
-                if not inter:
-                    continue
-                if frame.sel(i, e & f) & ~inter:
-                    return PropertyWitness(PropertyId.PD9, s=s, s_prime=i, e=e, f=f)
-    return None
-
-
-def _find_pr4(frame, events):
-    for s in range(frame.n):
-        b = frame.belief[s]
-        for e in _events(frame, events):
-            be = b & e
-            if not be:
-                continue
-            for i in bits(b):
-                if frame.sel(i, e) & ~be:
-                    return PropertyWitness(PropertyId.PR4, s=s, s_prime=i, e=e)
-    return None
-
-
-def _find_pr8(frame, events):
-    for s in range(frame.n):
-        b = frame.belief[s]
-        for e in _events(frame, events):
-            for f in _events(frame, events):
-                u = 0
-                for i in bits(b):
-                    u |= frame.sel(i, e) & f
-                if not u:
-                    continue
-                ef = e & f
-                for i in bits(b):
-                    if frame.sel(i, ef) & ~u:
-                        return PropertyWitness(PropertyId.PR8, s=s, s_prime=i, e=e, f=f)
-    return None
-
-
-def _find_base(frame, events):
+def _find_base(frame: Frame) -> PropertyWitness | None:
     violations = validate_frame(frame)
     if not violations:
         return None
@@ -271,19 +262,6 @@ def _find_base(frame, events):
     s = frame.index(v.state) if v.state is not None else None
     e = frame.event_mask(v.event) if v.event else None
     return PropertyWitness(PropertyId.BASE, s=s, e=e, clause=v.clause)
-
-
-_FINDERS = {
-    PropertyId.BASE: _find_base,
-    PropertyId.PD2: _find_pd2,
-    PropertyId.PD57: _find_pd57,
-    PropertyId.PD57_STRONG: _find_pd57_strong,
-    PropertyId.PD6: _find_pd6,
-    PropertyId.PD7: _find_pd7,
-    PropertyId.PD9: _find_pd9,
-    PropertyId.PR4: _find_pr4,
-    PropertyId.PR8: _find_pr8,
-}
 
 
 def check_property(
@@ -301,7 +279,10 @@ def check_property(
         raise SizeLimitError(
             f"{frame.n} states exceeds the exhaustive property bound {max_states}"
         )
-    witness = _FINDERS[property_id](frame, events)
+    if property_id is PropertyId.BASE:
+        witness = _find_base(frame)
+    else:
+        witness = _find(frame, property_id, events)
     return PropertyVerdict(property_id, witness is None, witness)
 
 
@@ -316,7 +297,6 @@ def check_pd57_literal(
         raise SizeLimitError(
             f"{frame.n} states exceeds the exhaustive property bound {max_states}"
         )
-    cache: dict = {}
     for s in range(frame.n):
         b = frame.belief[s]
         for e in range(1, frame.full + 1):
@@ -324,7 +304,7 @@ def check_pd57_literal(
                 ef = e & f
                 if not ef:
                     continue
-                sup_ef = _sup(frame, b, ef, cache)
+                sup_ef = frame.sup(b, ef)
                 for g in range(frame.full + 1):
                     if sup_ef & ~g:
                         continue  # antecedent fails for this G
@@ -339,48 +319,17 @@ def check_pd57_literal(
 
 
 def recheck_witness(frame: Frame, witness: PropertyWitness) -> bool:
-    """Confirm that a witness describes a genuine violation of its property."""
+    """Confirm that a witness describes a genuine violation of its property:
+    the instance breaks it, at the named s' in B(s) where one is reported."""
     pid = witness.property
-    s, i, e, f = witness.s, witness.s_prime, witness.e, witness.f
     if pid is PropertyId.BASE:
         return bool(validate_frame(frame))
-    b = frame.belief[s]
-    if pid is PropertyId.PD2:
-        return not b & ~e and bool(frame.sel(i, e) & ~b)
-    if pid is PropertyId.PD57:
-        if not e & f:
-            return False
-        sup_ef = 0
-        for j in bits(b):
-            sup_ef |= frame.sel(j, e & f)
-        return bool(frame.sel(i, e) & f & ~sup_ef)
-    if pid is PropertyId.PD57_STRONG:
-        return bool(e & f) and bool(frame.sel(i, e) & f & ~frame.sel(i, e & f))
-    if pid is PropertyId.PD6:
-        ok = all(
-            not (frame.sel(j, e) & ~f or frame.sel(j, f) & ~e) for j in bits(b)
-        )
-        sup_e = sup_f = 0
-        for j in bits(b):
-            sup_e |= frame.sel(j, e)
-            sup_f |= frame.sel(j, f)
-        return ok and sup_e != sup_f
-    if pid is PropertyId.PD7:
-        return b == 1 << i and bool(
-            frame.sel(i, e | f) & ~(frame.sel(i, e) | frame.sel(i, f))
-        )
-    if pid is PropertyId.PD9:
-        inter = frame.sel(i, e) & f
-        return b == 1 << i and bool(inter) and bool(frame.sel(i, e & f) & ~inter)
-    if pid is PropertyId.PR4:
-        be = b & e
-        return bool(be) and bool(frame.sel(i, e) & ~be)
-    if pid is PropertyId.PR8:
-        u = 0
-        for j in bits(b):
-            u |= frame.sel(j, e) & f
-        return bool(u) and bool(frame.sel(i, e & f) & ~u)
-    raise ValueError(f"unknown property {pid}")
+    factory, _, reports_s_prime = _CONDITIONS[pid]
+    violators = factory(frame, frame.belief[witness.s])
+    if violators is None:
+        return False
+    m = violators(witness.e, witness.f)
+    return bool(m >> witness.s_prime & 1 if reports_s_prime else m)
 
 
 def check_class(

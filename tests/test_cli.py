@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import doxatest
 from doxatest.cli import main
-from doxatest.frames import Frame, Model, complete_selection, model_to_obj
+from doxatest.frames import Frame, Model, complete_selection, frame_to_obj, model_to_obj
 
 SEPARATION = "tests/data/pd57_separation.json"
 
@@ -61,6 +61,16 @@ def files(tmp_path_factory):
     paths["garbage"] = str(root / "garbage.json")
     with open(paths["garbage"], "w") as fh:
         fh.write("{not json")
+
+    paths["undecodable"] = str(root / "undecodable.json")
+    with open(paths["undecodable"], "wb") as fh:
+        fh.write(b"\xff\xfe{}")
+
+    # complete, but f(s0, {s1}) = {s0} breaks the success clause
+    unsuccessful = complete_selection(Frame(("s0", "s1"), (0b01, 0b10), {(0, 0b10): 0b01}))
+    paths["unsuccessful"] = str(root / "unsuccessful.json")
+    with open(paths["unsuccessful"], "w") as fh:
+        json.dump(frame_to_obj(unsuccessful), fh)
     return paths
 
 
@@ -80,7 +90,7 @@ def test_validate_reports_violating_state(runner, files):
 
 
 def test_validate_input_errors_exit_two(runner, files):
-    for path in (files["no_states"], files["garbage"], "/nonexistent.json"):
+    for path in (files["no_states"], files["garbage"], files["undecodable"], "/nonexistent.json"):
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 2, path
         assert "error:" in result.stderr
@@ -178,6 +188,24 @@ def test_check_selector_validation(runner, files):
     )
     assert both.exit_code == 2
     assert "exactly one" in both.stderr
+
+
+@pytest.mark.parametrize(
+    "frame_class", ["update", "strong-update", "revision-def12", "revision-strict"]
+)
+def test_check_class_on_unsuccessful_frame_reports_base(runner, files, frame_class):
+    # PD9 and PR8 skip E∩F = ∅ instead of asking for a selection there
+    result = runner.invoke(
+        main, ["check", files["unsuccessful"], "--class", frame_class, "--format", "json"]
+    )
+    assert result.exit_code == 1, result.output
+    base, *rest = json.loads(result.output)["properties"]
+    assert base == {
+        "property": "BASE",
+        "holds": False,
+        "witness": {"clause": "success", "s": "s0", "E": ["s1"]},
+    }
+    assert all(p["holds"] for p in rest)
 
 
 def test_check_surfaces_missing_selection_entries(runner):
@@ -379,8 +407,13 @@ def test_ri_input_errors(runner, files):
 @pytest.mark.parametrize("option", ["--formula", "--probe"])
 @pytest.mark.parametrize(
     "deep",
-    ["(" * 600 + "p" + ")" * 600, "!(" * 190 + "p" + ")" * 190],
-    ids=["parens", "not-parens"],
+    [
+        "(" * 600 + "p" + ")" * 600,
+        "!(" * 190 + "p" + ")" * 190,
+        " & ".join(["p"] * 3000),
+        " -> ".join(["p"] * 3000),
+    ],
+    ids=["parens", "not-parens", "and-chain", "imp-chain"],
 )
 def test_ri_deep_formula_exits_two_without_traceback(files, option, deep):
     # a real process, so the interpreter's own stack limit is the one that counts

@@ -196,6 +196,14 @@ def test_disjoint_pd57_witness_rejected():
             pair_for(PropertyId.PD57),
             PropertyWitness(PropertyId.PD57, 0, 0, 0b01, 0b10),
         )
+    # s' must lie in B(s): s1 breaks the instance for its own belief set, but
+    # s0 believes only s0, where PD57 holds
+    pointed = frame_of(3, [0b001, 0b010, 0b100], complete=True)
+    assert check_property(pointed, PropertyId.PD57).holds
+    outside = PropertyWitness(PropertyId.PD57, s=0, s_prime=1, e=0b011, f=0b011)
+    assert recheck_witness(pointed, outside) is False
+    with pytest.raises(InvalidWitnessError):
+        build_witness_model(pointed, pair_for(PropertyId.PD57), outside)
 
 
 # --- two-directional verdicts ---------------------------------------------

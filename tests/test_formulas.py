@@ -84,6 +84,12 @@ class TestParsing:
         half = n // 2
         assert parse_formula("!(" * half + "p" + ")" * half) == parse_formula("!" * half + "p")
 
+    def test_binary_chains_count_one_level_per_operator(self):
+        for op in (" & ", " | ", " -> ", " <-> "):
+            assert parse_formula(op.join(["p"] * (NESTING_LIMIT + 1)))
+            with pytest.raises(ParseError, match="deeper than"):
+                parse_formula(op.join(["p"] * (NESTING_LIMIT + 2)))
+
     @pytest.mark.parametrize(
         "deep",
         [
@@ -91,11 +97,20 @@ class TestParsing:
             "!" * (NESTING_LIMIT + 1) + "p",
             "(" * 600 + "p" + ")" * 600,
             "!(" * 190 + "p" + ")" * 190,
+            " & ".join(["p"] * 3000),
+            " -> ".join(["p"] * 3000),
         ],
-        ids=["parens-over-bound", "nots-over-bound", "parens-600", "not-parens-190"],
+        ids=[
+            "parens-over-bound",
+            "nots-over-bound",
+            "parens-600",
+            "not-parens-190",
+            "and-chain-3000",
+            "imp-chain-3000",
+        ],
     )
     def test_nesting_beyond_the_bound_is_a_parse_error(self, deep):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="deeper than"):
             parse_formula(deep)
 
 

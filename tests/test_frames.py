@@ -402,3 +402,7 @@ class TestJson:
         path.write_text("{nope")
         with pytest.raises(InputFormatError, match="valid JSON"):
             load_structure(str(path))
+        # a UTF-16 byte-order mark is not UTF-8 text
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(InputFormatError, match="valid JSON"):
+            load_structure(str(path))
