@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import PreconditionError, SizeLimitError
+from .errors import PreconditionError
 from .formulas import Formula, semantic_pool, truth_vector
 from .frames import Model, bits, cells, definable_events, truth_set
-
-DEFAULT_MAX_CELLS = 8
+from .limits import DEFAULT_MAX_CELLS
 
 
 class AxiomId(str, Enum):
@@ -112,12 +111,7 @@ class ModelContext:
 
     @classmethod
     def of(cls, model: Model, max_cells: int = DEFAULT_MAX_CELLS) -> "ModelContext":
-        cell_masks = cells(model)
-        if len(cell_masks) > max_cells:
-            raise SizeLimitError(
-                f"{len(cell_masks)} cells exceed the definable-event bound {max_cells}"
-            )
-        return cls(model, cell_masks, definable_events(model, max_cells=max_cells))
+        return cls(model, cells(model), definable_events(model, max_cells=max_cells))
 
     def closure(self, mask: int) -> int:
         out = 0

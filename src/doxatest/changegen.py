@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .axioms import AxiomId, Status
-from .errors import InputFormatError, SizeLimitError, UnfaithfulOrderError
+from .errors import InputFormatError, UnfaithfulOrderError
 from .formulas import Formula, truth_vector
 from .frames import (
     Event,
@@ -37,10 +37,8 @@ from .frames import (
     support_of,
     validate_frame,
 )
+from .limits import ATOM_LIMIT, DENSE_ATOM_LIMIT, refuse_beyond
 from .properties import FrameClass, check_class
-
-ATOM_LIMIT = 4
-DENSE_ATOM_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,7 @@ class WorldContext:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not self.atoms:
             raise InputFormatError("a world context needs at least one atom")
-        if len(self.atoms) > ATOM_LIMIT:
-            raise SizeLimitError(
-                f"world contexts support at most {ATOM_LIMIT} atoms, got {len(self.atoms)}"
-            )
+        refuse_beyond(len(self.atoms), ATOM_LIMIT, "atoms in a world context")
         if len(set(self.atoms)) != len(self.atoms):
             raise InputFormatError("duplicate atom in world context")
 
@@ -288,6 +283,9 @@ class ChangeFunctionTable:
         return self.result(event)
 
     def events(self) -> range:
+        """Every nonempty event; refused beyond `DENSE_ATOM_LIMIT` atoms."""
+        hint = "atoms in a table over every event (pass an explicit event list)"
+        refuse_beyond(self.ctx.k, DENSE_ATOM_LIMIT, hint)
         return range(1, self.ctx.full + 1)
 
     def as_dict(self, events: Iterable[Event] | None = None) -> dict[Event, Event]:
@@ -297,11 +295,6 @@ class ChangeFunctionTable:
 
     def to_obj(self, events: Iterable[Event] | None = None) -> dict:
         if events is None:
-            if self.ctx.k > DENSE_ATOM_LIMIT:
-                raise SizeLimitError(
-                    "a full table over more than %d atoms is too large to serialise; "
-                    "pass an explicit event list" % DENSE_ATOM_LIMIT
-                )
             events = self.events()
         return {
             "atoms": list(self.ctx.atoms),
@@ -483,11 +476,6 @@ def _events_for_audit(table: ChangeFunctionTable, events: Sequence[Event] | None
                         "explicit audit event list must be closed under intersection and union"
                     )
         return out
-    if table.ctx.k > DENSE_ATOM_LIMIT:
-        raise SizeLimitError(
-            "auditing a full table over more than %d atoms is too large; "
-            "pass an explicit event list" % DENSE_ATOM_LIMIT
-        )
     return list(table.events())
 
 
@@ -586,11 +574,6 @@ def build_canonical_model(
     """
     ctx = table.ctx
     if events is None:
-        if ctx.k > DENSE_ATOM_LIMIT:
-            raise SizeLimitError(
-                "a full structure over more than %d atoms is too large; "
-                "pass an explicit event list" % DENSE_ATOM_LIMIT
-            )
         events = list(table.events())
     states = tuple("w" + ctx.label(w) for w in range(ctx.n_worlds))
     belief = (table.k_mask,) * ctx.n_worlds
@@ -689,9 +672,7 @@ def roundtrip_verify(
         events = sorted(set(events))
     model = build_canonical_model(table, events)
     frame_valid = not validate_frame(model.frame)
-    report = check_class(
-        model.frame, frame_class, max_states=max(8, model.frame.n), events=events
-    )
+    report = check_class(model.frame, frame_class, events=events)
     scope = list(events) if events is not None else list(table.events())
     extracted = extract_table(model, scope)
     mismatched = tuple(e for e in scope if extracted[e] != table.result(e))

@@ -30,6 +30,7 @@ from .correspondence import (
     PAIRS,
     FrameGenSpec,
     build_census,
+    count_base_tables,
     enumerate_frames,
     pair_for,
 )
@@ -46,13 +47,15 @@ from .frames import (
     truth_set,
     validate_frame,
 )
-from .properties import (
+from .limits import (
     DEFAULT_MAX_STATES,
-    FrameClass,
-    PropertyId,
-    check_class,
-    check_property,
+    DENSE_ATOM_LIMIT,
+    ENUMERATION_FRAME_LIMIT,
+    EXHAUSTIVE_STATE_LIMIT,
+    VALUATION_ATOM_LIMIT,
+    refuse_beyond,
 )
+from .properties import FrameClass, PropertyId, check_class, check_property
 
 MAX_STATES_ENV = "DOXATEST_MAX_STATES"
 
@@ -180,7 +183,9 @@ def validate(path: str, fmt: str) -> None:
 @click.option("--axiom", help="Change postulate to check at --state on a model.")
 @click.option("--state", help="State id for axiom checks.")
 @click.option("--complete", "completion", help="Fill missing selection entries by rule first.")
-@click.option("--max-states", type=int, default=None, help="Exhaustive-check size bound.")
+@click.option("--max-states", type=int, default=None,
+              help="Exhaustive-check size bound: states for --property, --class "
+              "and --complete, cells for --axiom.")
 @FORMAT_OPTION
 def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
     """Check one property, one class recipe, or one postulate."""
@@ -241,11 +246,12 @@ def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
 
 @main.command()
 @click.argument("path", type=click.Path(), required=False)
-@click.option("--enumerate", "enum_states", type=int, default=None,
+@click.option("--enumerate", "enum_states", type=click.IntRange(1), default=None,
               help="Run over every frame on this many states instead of a file.")
 @click.option("--pairs", default="all", show_default=True,
               help='Comma list of pairings like "PR4:R4" (or "all").')
-@click.option("--atom-budget", type=int, default=2, show_default=True,
+@click.option("--atom-budget", type=click.IntRange(1, VALUATION_ATOM_LIMIT), default=2,
+              show_default=True,
               help="Valuation atoms used on the validity side.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @FORMAT_OPTION
@@ -260,7 +266,11 @@ def correspond(path, enum_states, pairs, atom_budget, seed, fmt):
             frame = structure.frame if isinstance(structure, Model) else structure
             frames = [frame]
         else:
-            frames = list(enumerate_frames(FrameGenSpec(states=enum_states)))
+            n = enum_states
+            refuse_beyond(n, EXHAUSTIVE_STATE_LIMIT, "states in an exhaustive enumeration")
+            frame_count = count_base_tables(n) * ((1 << n) - 1) ** n
+            refuse_beyond(frame_count, ENUMERATION_FRAME_LIMIT, "frames in an exhaustive census")
+            frames = enumerate_frames(FrameGenSpec(states=n))
         census = build_census(
             frames, atom_budget=atom_budget, seed=seed, pairs=chosen_pairs
         )
@@ -328,7 +338,7 @@ def roundtrip(atoms, kind, trials, seed, fmt):
         else:
             table = random_update_table(rng, ctx, total=total)
         events = None
-        if ctx.k > 3:
+        if ctx.k > DENSE_ATOM_LIMIT:
             events = sampled_event_algebra(ctx.n_worlds, Random(f"{seed}:{trial}:events"))
         try:
             trip = roundtrip_verify(table, frame_class, events=events)

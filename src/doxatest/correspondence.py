@@ -22,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .axioms import (
     AxiomId,
@@ -32,8 +32,15 @@ from .axioms import (
     axiom_holds,
     replay_witness,
 )
-from .errors import InvalidWitnessError, SizeLimitError
+from .errors import InvalidWitnessError
 from .frames import Frame, Model, bits, cells, frame_to_obj, relabel_frame
+from .limits import (
+    EXHAUSTIVE_STATE_LIMIT,
+    EXHAUSTIVE_VALUATION_BITS,
+    VALUATION_ATOM_LIMIT,
+    VALUATION_SAMPLES,
+    refuse_beyond,
+)
 from .properties import (
     FrameClass,
     PropertyId,
@@ -42,8 +49,6 @@ from .properties import (
     check_property,
     recheck_witness,
 )
-
-EXHAUSTIVE_STATE_LIMIT = 4
 
 
 class Scope(str, Enum):
@@ -128,10 +133,7 @@ def enumerate_frames(spec: FrameGenSpec) -> Iterator[Frame]:
 
 def _exhaustive(spec: FrameGenSpec) -> Iterator[Frame]:
     n = spec.states
-    if n > EXHAUSTIVE_STATE_LIMIT:
-        raise SizeLimitError(
-            f"exhaustive enumeration capped at {EXHAUSTIVE_STATE_LIMIT} states"
-        )
+    refuse_beyond(n, EXHAUSTIVE_STATE_LIMIT, "states in an exhaustive enumeration")
     states = tuple(f"s{i}" for i in range(n))
     full = (1 << n) - 1
     keys = [(s, e) for s in range(n) for e in range(1, full + 1)]
@@ -254,7 +256,6 @@ def build_witness_model(
 
 
 ATOM_NAMES = ("p", "q", "r")
-EXHAUSTIVE_VALUATION_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -299,20 +300,19 @@ def correspondence_verdict(
     pair: CorrespondencePair,
     atom_budget: int = 2,
     seed: int = 0,
-    samples: int = 150,
 ) -> CorrespondenceReport:
     """Play both directions of one pairing on one frame.
 
     Property holds: sweep models (exhaustive valuations while the space is
-    at most 2^12, else a seeded sample) and require the postulate at every
-    in-scope state.  Verdicts are memoized per cell partition — valuations
+    at most 2^12, else a seeded sample of 150) and require the postulate at
+    every in-scope state.  Verdicts are memoized per cell partition — valuations
     carving the states identically yield identical definable events.
 
     Property fails: the witness must convert to a countermodel on which the
     postulate demonstrably fails.
     """
-    if atom_budget < 1 or atom_budget > len(ATOM_NAMES):
-        raise ValueError("atom budget must be between 1 and 3")
+    if not 1 <= atom_budget <= VALUATION_ATOM_LIMIT:
+        raise ValueError(f"atom budget must be between 1 and {VALUATION_ATOM_LIMIT}")
     verdict = check_property(frame, pair.property)
     scope_states = _in_scope_states(frame, pair)
     if not verdict.holds:
@@ -339,7 +339,8 @@ def correspondence_verdict(
     else:
         rng = random.Random(seed)
         assignments = (
-            tuple(rng.randrange(0, 1 << n) for _ in atoms) for _ in range(samples)
+            tuple(rng.randrange(0, 1 << n) for _ in atoms)
+            for _ in range(VALUATION_SAMPLES)
         )
     checked = 0
     memo: dict = {}
@@ -349,7 +350,7 @@ def correspondence_verdict(
         key = cells(model)
         statuses = memo.get(key)
         if statuses is None:
-            ctx = ModelContext.of(model, max_cells=frame.n)
+            ctx = ModelContext.of(model)
             statuses = {
                 i: axiom_holds(model, i, pair.axiom, ctx=ctx).status
                 for i in scope_states
@@ -373,7 +374,7 @@ def correspondence_verdict(
 
 
 def build_census(
-    frames: Sequence[Frame],
+    frames: Iterable[Frame],
     atom_budget: int = 2,
     seed: int = 0,
     pairs: Sequence[CorrespondencePair] = PAIRS,

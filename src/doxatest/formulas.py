@@ -23,15 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import MissingAtomError, ParseError, SizeLimitError
-
-DEFAULT_ATOM_LIMIT = 20
-
-# Deepest nesting of "(", "!" and binary operators the parser accepts.  The
-# recursive-descent parser spends several stack frames per "(" or "!", and
-# `denote` and `render` one per tree level, so deeper text would exhaust the
-# interpreter stack instead of failing as a ParseError.
-NESTING_LIMIT = 100
+from .errors import MissingAtomError, ParseError
+from .limits import DEFAULT_ATOM_LIMIT, NESTING_LIMIT, refuse_beyond
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -195,15 +188,10 @@ def truth_vector(formula: Formula, names: Sequence[str]) -> int:
     return _denote_covered(formula, *_assignment_space(names))
 
 
-def _check_limit(count: int, limit: int) -> None:
-    if count > limit:
-        raise SizeLimitError(f"{count} atoms exceeds the truth-table limit of {limit}")
-
-
 def classify(formula: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> Classification:
     """Decide tautology / contradiction / contingent by truth table."""
     names = sorted(atoms(formula))
-    _check_limit(len(names), atom_limit)
+    refuse_beyond(len(names), atom_limit, "atoms in a truth table")
     columns, full = _assignment_space(names)
     vector = denote(formula, columns, full)
     if vector == full:
@@ -231,7 +219,7 @@ def cn_member(
     for p in premises:
         names |= atoms(p)
     ordered = sorted(names)
-    _check_limit(len(ordered), atom_limit)
+    refuse_beyond(len(ordered), atom_limit, "atoms in a truth table")
     columns, full = _assignment_space(ordered)
     satisfied = full
     for p in premises:
@@ -289,6 +277,8 @@ class _Parser:
         return tok
 
     def _bounded(self, level: int) -> int:
+        # parsing spends several stack frames per level, `denote` and `render`
+        # one: deeper text would exhaust the interpreter stack, not fail here
         if level > NESTING_LIMIT:
             raise ParseError(
                 f"formula nests '(', '!' and binary operators deeper than "

@@ -23,12 +23,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InputFormatError,
-    SizeLimitError,
     UndefinedSelectionError,
     UnknownAtomError,
     UnknownRuleError,
 )
 from .formulas import ATOM_RE, Classification, Formula, Implies, classify, denote
+from .limits import COMPLETION_STATE_LIMIT, DEFAULT_MAX_CELLS, refuse_beyond
 
 Event = int
 
@@ -207,7 +207,9 @@ def _default_rule(s: int, event: Event) -> Event:
 COMPLETION_RULES = {"default": _default_rule}
 
 
-def complete_selection(frame: Frame, rule: str = "default", max_states: int = 12) -> Frame:
+def complete_selection(
+    frame: Frame, rule: str = "default", max_states: int = COMPLETION_STATE_LIMIT
+) -> Frame:
     """Fill every missing (state, nonempty event) selection entry by rule.
 
     The ``default`` rule picks {s} when s is in the event and otherwise the
@@ -217,8 +219,7 @@ def complete_selection(frame: Frame, rule: str = "default", max_states: int = 12
         fn = COMPLETION_RULES[rule]
     except KeyError:
         raise UnknownRuleError(f"unknown completion rule {rule!r}") from None
-    if frame.n > max_states:
-        raise SizeLimitError(f"refusing to complete a {frame.n}-state frame (limit {max_states})")
+    refuse_beyond(frame.n, max_states, "states in a selection completion")
     filled = dict(frame.selection)
     for s in range(frame.n):
         for event in range(1, frame.full + 1):
@@ -264,13 +265,12 @@ def cell_closure(model: Model, event: Event, cell_masks: Sequence[Event] | None 
     return out
 
 
-def definable_events(model: Model, max_cells: int = 12) -> list[Event]:
+def definable_events(model: Model, max_cells: int = DEFAULT_MAX_CELLS) -> list[Event]:
     """All nonempty unions of cells, ascending as cell-index sets.  Within a
     model these are exactly the truth sets of formulas, so quantifying over
     them realizes quantification over formulas."""
     cs = cells(model)
-    if len(cs) > max_cells:
-        raise SizeLimitError(f"{len(cs)} cells exceeds the definable-event bound {max_cells}")
+    refuse_beyond(len(cs), max_cells, "cells in the definable events")
     out = []
     for choice in range(1, 1 << len(cs)):
         ev = 0

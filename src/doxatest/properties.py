@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import SizeLimitError
 from .frames import Frame, Violation, bits, mask_of, validate_frame
-
-DEFAULT_MAX_STATES = 8
+from .limits import DEFAULT_MAX_STATES, refuse_beyond
 
 
 class PropertyId(str, Enum):
@@ -275,10 +273,8 @@ def check_property(
     ``events`` restricts the event quantifiers to a subset (used for sampled
     verification of large frames); by default every nonempty event is tried.
     """
-    if events is None and frame.n > max_states:
-        raise SizeLimitError(
-            f"{frame.n} states exceeds the exhaustive property bound {max_states}"
-        )
+    if events is None:
+        refuse_beyond(frame.n, max_states, "states in an exhaustive property check")
     if property_id is PropertyId.BASE:
         witness = _find_base(frame)
     else:
@@ -293,10 +289,7 @@ def check_pd57_literal(
     and every event G, if all selections at E∩F land in G then every
     selected-within-E part that meets F lands in G.  Reference implementation
     for validating the quantifier-eliminated form."""
-    if frame.n > max_states:
-        raise SizeLimitError(
-            f"{frame.n} states exceeds the exhaustive property bound {max_states}"
-        )
+    refuse_beyond(frame.n, max_states, "states in an exhaustive property check")
     for s in range(frame.n):
         b = frame.belief[s]
         for e in range(1, frame.full + 1):

@@ -313,6 +313,10 @@ def test_lazy_four_atom_tables():
     assert table.to_obj(events=[0b10110])["entries"][0]["result"] == ctx.labels(first)
     with pytest.raises(SizeLimitError):
         audit_function(table, "KM")
+    with pytest.raises(SizeLimitError):
+        table.as_dict()
+    with pytest.raises(SizeLimitError):
+        build_canonical_model(table)
     algebra = sampled_event_algebra(ctx.n_worlds, Random(3))
     assert len(algebra) == 255
     assert audit_function(table, "KM", events=algebra).ok

@@ -176,6 +176,11 @@ def test_check_axiom_paths(runner, files):
     assert runner.invoke(
         main, ["check", files["model2"], "--axiom", "D5", "--state", "zz"]
     ).exit_code == 2
+    # --max-states bounds the model's cells (two here) for an axiom check
+    over = runner.invoke(
+        main, ["check", files["model2"], "--axiom", "D5", "--state", "s0", "--max-states", "1"]
+    )
+    assert over.exit_code == 2 and "cells" in over.stderr
 
 
 def test_check_selector_validation(runner, files):
@@ -279,9 +284,16 @@ def test_correspond_usage_errors(runner, files):
         ["correspond", files["model2"], "--pairs", "PD57_STRONG"],
         ["correspond", files["model2"], "--pairs", "PR4:R8"],
         ["correspond", "--enumerate", "9"],
+        ["correspond", "--enumerate", "3"],
+        ["correspond", "--enumerate", "0"],
+        ["correspond", "--enumerate", "-1"],
+        ["correspond", "--enumerate", "1", "--atom-budget", "0"],
+        ["correspond", "--enumerate", "1", "--atom-budget", "4"],
     ]
     for args in cases:
         assert runner.invoke(main, args).exit_code == 2, args
+    # 3 states would mean count_base_tables(3) * 7**3 frames: refused up front
+    assert "37933056" in runner.invoke(main, ["correspond", "--enumerate", "3"]).stderr
 
 
 def test_correspond_repeat_is_byte_identical(runner):
