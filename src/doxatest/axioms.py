@@ -110,8 +110,16 @@ class ModelContext:
     definable: tuple[int, ...]  # nonempty definable events, ascending
 
     @classmethod
-    def of(cls, model: Model, max_cells: int = DEFAULT_MAX_CELLS) -> "ModelContext":
-        return cls(model, cells(model), definable_events(model, max_cells=max_cells))
+    def of(
+        cls,
+        model: Model,
+        max_cells: int = DEFAULT_MAX_CELLS,
+        cell_masks: tuple[int, ...] | None = None,
+    ) -> "ModelContext":
+        if cell_masks is None:
+            cell_masks = cells(model)
+        definable = definable_events(model, max_cells, cell_masks=cell_masks)
+        return cls(model, cell_masks, definable)
 
     def closure(self, mask: int) -> int:
         out = 0

@@ -350,7 +350,7 @@ def correspondence_verdict(
         key = cells(model)
         statuses = memo.get(key)
         if statuses is None:
-            ctx = ModelContext.of(model)
+            ctx = ModelContext.of(model, cell_masks=key)
             statuses = {
                 i: axiom_holds(model, i, pair.axiom, ctx=ctx).status
                 for i in scope_states

@@ -49,15 +49,16 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def subsets_of(mask: int) -> list[int]:
-    """All subsets of a bitmask (the empty set included), deterministic order."""
-    positions = list(bits(mask))
-    out = []
-    for choice in range(1 << len(positions)):
-        sub = 0
-        for j, pos in enumerate(positions):
-            if (choice >> j) & 1:
-                sub |= 1 << pos
-        out.append(sub)
+    """All subsets of a bitmask in ascending order, the empty set first.
+
+    Knuth's submask step ``g = (g - mask) & mask`` (TAOCP 4A §7.1.3) moves
+    from each subset to the next larger one and wraps to 0 after ``mask``.
+    """
+    out = [0]
+    g = -mask & mask
+    while g:
+        out.append(g)
+        g = (g - mask) & mask
     return out
 
 
@@ -265,11 +266,15 @@ def cell_closure(model: Model, event: Event, cell_masks: Sequence[Event] | None 
     return out
 
 
-def definable_events(model: Model, max_cells: int = DEFAULT_MAX_CELLS) -> list[Event]:
+def definable_events(
+    model: Model,
+    max_cells: int = DEFAULT_MAX_CELLS,
+    cell_masks: Sequence[Event] | None = None,
+) -> list[Event]:
     """All nonempty unions of cells, ascending as cell-index sets.  Within a
     model these are exactly the truth sets of formulas, so quantifying over
     them realizes quantification over formulas."""
-    cs = cells(model)
+    cs = cells(model) if cell_masks is None else cell_masks
     refuse_beyond(len(cs), max_cells, "cells in the definable events")
     out = []
     for choice in range(1, 1 << len(cs)):

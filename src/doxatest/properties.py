@@ -13,6 +13,24 @@ ascending, then s' as the lowest violating believed state.  Witnesses
 re-check: feeding one back into `recheck_witness` must confirm the violation,
 and a witness naming an s' outside B(s) never does.
 
+The finder skips instances it can prove redundant, and each skip keeps the
+first witness (and, on partial frames, the first missing row) unchanged:
+
+- *One decision per belief set.*  A predicate reads s only through B(s), so
+  a later state with an already decided B(s) reads the same rows: it holds
+  there, or the earlier state already failed or raised.
+- *F through E∩F.*  When every defined selection row succeeds
+  (f(i, E) ⊆ E), PD57, PD57_STRONG, PD9 and PR8 read F only through
+  G = E∩F, so F runs over the subsets of E (3ⁿ pairs instead of 4ⁿ).  Any F
+  with E∩F = G contains G, so each G first turns up at F = G, and the G
+  values turn up in ascending order: the first hit is the same instance.
+- *Symmetric pairs.*  PD6 and PD7 are symmetric in (E, F), so the first
+  violation has E ≤ F, and F runs from E up.  A pair with F < E reads no
+  row that the scan has not read at (F, E) or at row E's first pair.
+
+An explicit ``events`` list keeps the plain ordered pair loop (a list gives
+no ordering or closure guarantee) and the belief-set dedupe.
+
 PD57 is decided through its quantifier-eliminated form: for every pair of
 events E, F with nonempty intersection, each selected-within-E part that
 meets F must sit inside the union of the selections at E∩F.  The literal
@@ -26,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .frames import Frame, Violation, bits, mask_of, validate_frame
+from .frames import Frame, Violation, bits, mask_of, subsets_of, validate_frame
 from .limits import DEFAULT_MAX_STATES, refuse_beyond
 
 
@@ -219,32 +237,57 @@ def _pr8(frame, b):
     return violators
 
 
-# property -> (predicate factory, quantifies over pairs (E, F), witness names s')
-_CONDITIONS: dict[PropertyId, tuple[Callable, bool, bool]] = {
-    PropertyId.PD2: (_pd2, False, True),
-    PropertyId.PD57: (_pd57, True, True),
-    PropertyId.PD57_STRONG: (_pd57_strong, True, True),
-    PropertyId.PD6: (_pd6, True, False),
-    PropertyId.PD7: (_pd7, True, True),
-    PropertyId.PD9: (_pd9, True, True),
-    PropertyId.PR4: (_pr4, False, True),
-    PropertyId.PR8: (_pr8, True, True),
+class _Second(Enum):
+    """How a condition quantifies its second event F."""
+
+    SINGLE = "no F"  # the condition reads E alone
+    ALL = "every F"
+    MEET = "F through E∩F"  # on frames whose defined rows all succeed
+    SYMMETRIC = "F >= E"  # violators(E, F) and violators(F, E) agree
+
+
+# property -> (predicate factory, quantifier over F, witness names s')
+_CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
+    PropertyId.PD2: (_pd2, _Second.SINGLE, True),
+    PropertyId.PD57: (_pd57, _Second.MEET, True),
+    PropertyId.PD57_STRONG: (_pd57_strong, _Second.MEET, True),
+    PropertyId.PD6: (_pd6, _Second.SYMMETRIC, False),
+    PropertyId.PD7: (_pd7, _Second.SYMMETRIC, True),
+    PropertyId.PD9: (_pd9, _Second.MEET, True),
+    PropertyId.PR4: (_pr4, _Second.SINGLE, True),
+    PropertyId.PR8: (_pr8, _Second.MEET, True),
 }
 
 
 def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
     """First violation in canonical order: states, then E, then F ascending;
     s' is the lowest violating believed state."""
-    factory, pairs, reports_s_prime = _CONDITIONS[pid]
+    factory, second, reports_s_prime = _CONDITIONS[pid]
     if events is None:
         events = range(1, frame.full + 1)
-    seconds = events if pairs else (None,)
+        if second is _Second.MEET and any(
+            value & ~event for (_, event), value in frame.selection.items()
+        ):
+            second = _Second.ALL  # success fails somewhere: F matters whole
+    elif second is not _Second.SINGLE:
+        second = _Second.ALL
+    seconds = {
+        _Second.SINGLE: lambda e: (None,),
+        _Second.ALL: lambda e: events,
+        _Second.MEET: subsets_of,
+        _Second.SYMMETRIC: lambda e: range(e, frame.full + 1),
+    }[second]
+    decided = set()
     for s in range(frame.n):
-        violators = factory(frame, frame.belief[s])
+        b = frame.belief[s]
+        if b in decided:
+            continue  # held at an earlier state with the same belief set
+        decided.add(b)
+        violators = factory(frame, b)
         if violators is None:
             continue
         for e in events:
-            for f in seconds:
+            for f in seconds(e):
                 m = violators(e, f)
                 if m:
                     i = (m & -m).bit_length() - 1 if reports_s_prime else None

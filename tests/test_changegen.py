@@ -368,3 +368,71 @@ def test_coverage_report_frozen():
         "revisionTables": 32,
     }
     assert generator_coverage_report(seed=0, k2_samples=60) == report
+
+
+# --- the collapsed audit scans against a full pair scan -------------------
+
+# Each pair postulate as an (E, F) test on the result map, written out apart
+# from the audit's own lambdas.
+_PAIR_TESTS = {
+    AxiomId.D5: lambda r, e, f: not r[e] & f & ~r[e & f] if e & f else not r[e] & f,
+    AxiomId.D6: lambda r, e, f: not (r[e] & ~f == 0 == r[f] & ~e and r[e] != r[f]),
+    AxiomId.D7: lambda r, e, f: r[e | f] & ~r[e] & ~r[f] == 0,
+    AxiomId.D9: lambda r, e, f: not (e & f and r[e] & f and r[e & f] & ~(r[e] & f)),
+}
+_PAIR_TESTS[AxiomId.R7] = _PAIR_TESTS[AxiomId.D5]
+_PAIR_TESTS[AxiomId.R8] = _PAIR_TESTS[AxiomId.D9]
+
+
+def _assert_audit_matches_full_scan(table):
+    scope = range(1, table.ctx.full + 1)
+    r = {e: table.result(e) for e in scope}
+    seen = 0
+    for suite in ("KM", "KM_STRONG", "AGM"):
+        for verdict in audit_function(table, suite).verdicts:
+            test = _PAIR_TESTS.get(verdict.axiom)
+            if test is None or verdict.status is Status.NOT_APPLICABLE:
+                continue
+            first = next(
+                ((e, f) for e in scope for f in scope if not test(r, e, f)), None
+            )
+            got = None if verdict.witness is None else (verdict.witness.e, verdict.witness.f)
+            assert got == first, (suite, verdict.axiom, table.as_dict())
+            assert (verdict.status is Status.FAILS) == (first is not None)
+            seen += first is not None
+    return seen
+
+
+def _perturbed(rng, table):
+    # a few results replaced by other subsets of their event, the empty one
+    # included: D1 still holds, the pair postulates mostly break
+    dense = table.as_dict()
+    for e in rng.sample(sorted(dense), 3):
+        dense[e] = e & rng.randrange(table.ctx.full + 1)
+    return ChangeFunctionTable(table.ctx, table.k_mask, "custom", None, dense=dense)
+
+
+def test_collapsed_audit_matches_full_pair_scan():
+    failures = 0
+    for ctx in (CTX2, WorldContext(("p", "q", "r"))):
+        rng = Random(ctx.k)
+        for _ in range(8):
+            for table in (
+                random_update_table(rng, ctx),
+                random_update_table(rng, ctx, total=True),
+                random_revision_table(rng, ctx),
+            ):
+                failures += _assert_audit_matches_full_scan(table)
+                failures += _assert_audit_matches_full_scan(_perturbed(rng, table))
+    assert failures > 50
+
+
+def test_audit_without_success_scans_every_pair():
+    # every result keeps world 00, so D1 fails and F must range over all
+    # events: the first D5 failure has F = {00}, outside E = {01}
+    table = ChangeFunctionTable(CTX2, 0b0001, "custom", lambda e: e | 0b0001)
+    km = {v.axiom: v for v in audit_function(table, "KM").verdicts}
+    assert km[AxiomId.D1].status is Status.FAILS
+    d5 = km[AxiomId.D5].witness
+    assert (d5.e, d5.f) == (0b0010, 0b0001)
+    _assert_audit_matches_full_scan(table)

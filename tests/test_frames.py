@@ -52,6 +52,10 @@ class TestBitHelpers:
         assert len(subsets_of(0b1011)) == 8
         assert set(subsets_of(0b11)) == {0, 1, 2, 3}
 
+    def test_subsets_ascend(self):
+        for mask in range(1 << 6):
+            assert subsets_of(mask) == [g for g in range(mask + 1) if g & ~mask == 0]
+
 
 # ============================================================
 # validation

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doxatest.correspondence import FrameGenSpec, enumerate_frames
-from doxatest.errors import SizeLimitError
+from doxatest.errors import SizeLimitError, UndefinedSelectionError
 from doxatest.frames import (
     complete_selection,
     frame_from_obj,
@@ -18,9 +18,13 @@ from doxatest.frames import (
     validate_frame,
 )
 from doxatest.properties import (
+    _CONDITIONS,
     CLASS_PROPERTIES,
     FrameClass,
     PropertyId,
+    PropertyVerdict,
+    PropertyWitness,
+    _Second,
     check_class,
     check_pd57_literal,
     check_property,
@@ -339,3 +343,73 @@ def test_first_witnesses_are_frozen():
     assert digest.hexdigest() == (
         "c95b33604fb2c2080144e3d78696a361e68315af5db8683635bca93f10af8181"
     )
+
+
+# --- the collapsed finder against a plain scan ----------------------------
+
+
+def _reference_verdict(frame, pid, events=None):
+    # Every state and every (E, F) pair in canonical order, straight over the
+    # shared predicates: no belief-set dedupe, no E∩F or symmetric collapse.
+    factory, second, reports_s_prime = _CONDITIONS[pid]
+    if events is None:
+        events = range(1, frame.full + 1)
+    seconds = (None,) if second is _Second.SINGLE else events
+    for s in range(frame.n):
+        violators = factory(frame, frame.belief[s])
+        if violators is None:
+            continue
+        for e in events:
+            for f in seconds:
+                m = violators(e, f)
+                if m:
+                    i = (m & -m).bit_length() - 1 if reports_s_prime else None
+                    witness = PropertyWitness(pid, s=s, s_prime=i, e=e, f=f)
+                    return PropertyVerdict(pid, False, witness)
+    return PropertyVerdict(pid, True)
+
+
+def _outcome(frame, decide):
+    try:
+        return json.dumps(decide().to_obj(frame), sort_keys=True)
+    except UndefinedSelectionError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
+def _sweep_frames(rng, kind, n):
+    fr = random_frame(rng, n, pointed=rng.random() < 0.3)
+    full = fr.full
+    if kind == "uniform":
+        b = 1 << rng.randrange(n) if rng.random() < 0.4 else rng.randrange(1, full + 1)
+        return frame_of(n, [b] * n, fr.selection), None
+    selection = dict(fr.selection)
+    if kind == "nonconforming":
+        for key in rng.sample(sorted(selection), min(len(selection), rng.randint(1, 3))):
+            # a state outside the event, or one beyond the frame at n = 1
+            selection[key] |= (full & ~key[1]) or 1 << n
+    elif kind == "partial":
+        for key in rng.sample(sorted(selection), max(1, len(selection) // 6)):
+            del selection[key]
+    events = None
+    if kind == "explicit":
+        events = [rng.randrange(1, full + 1) for _ in range(4)]
+    return frame_of(n, fr.belief, selection), events
+
+
+def test_collapsed_finder_matches_plain_scan():
+    rng = random.Random(5)
+    kinds = ("per-state", "uniform", "nonconforming", "partial", "explicit")
+    tally = {"holds": 0, "fails": 0, "raises": 0}
+    for kind in kinds:
+        for n in range(1, 6):
+            for _ in range(25):
+                frame, events = _sweep_frames(rng, kind, n)
+                for pid in _CONDITIONS:
+                    want = _outcome(frame, lambda: _reference_verdict(frame, pid, events))
+                    got = _outcome(frame, lambda: check_property(frame, pid, events=events))
+                    assert got == want, (kind, frame, events, pid)
+                    if isinstance(want, tuple):
+                        tally["raises"] += 1
+                    else:
+                        tally["holds" if '"holds": true' in want else "fails"] += 1
+    assert min(tally.values()) > 500, tally
