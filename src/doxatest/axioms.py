@@ -3,9 +3,11 @@
 Within one model, every formula denotes a definable event (a union of
 valuation cells), so quantifying over "all formulas" collapses to quantifying
 over definable events, and equality of two belief sets collapses to equality
-of the cell closures of their supports.  Each postulate is decided through
-such an event-level reduction; `axiom_status_via_formulas` re-decides it by
-direct quantification over a formula pool, as an independent cross-check.
+of the cell closures of their supports.  Each postulate is written once, as
+an instance function in `_INSTANCES`, and three readers share it: the
+event-level reduction behind `axiom_holds`, `replay_witness`, and the lemma
+audit.  `axiom_status_via_formulas` re-decides each postulate by direct
+quantification over a formula pool, as an independent cross-check.
 
 A failing verdict carries a witness: the events playing the two formula roles
 plus a distinguishing definable event G.  Replaying the witness through the
@@ -17,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .formulas import Formula, semantic_pool, truth_vector
-from .frames import Model, bits, cells, definable_events, truth_set
+from .frames import Model, bits, cell_closure, cells, definable_events, truth_set
 from .limits import DEFAULT_MAX_CELLS
 
 
@@ -102,7 +104,7 @@ class AxiomVerdict:
 
 @dataclass
 class ModelContext:
-    """Shared per-model precomputation: cells, definable events, closures.
+    """Shared per-model precomputation: cells and definable events.
     Supports come from the frame's memoized `Frame.sup`."""
 
     model: Model
@@ -121,13 +123,6 @@ class ModelContext:
         definable = definable_events(model, max_cells, cell_masks=cell_masks)
         return cls(model, cell_masks, definable)
 
-    def closure(self, mask: int) -> int:
-        out = 0
-        for c in self.cell_masks:
-            if c & mask:
-                out |= c
-        return out
-
 
 def is_complete_at(model: Model, s: int | str) -> bool:
     """True iff the beliefs at s decide every formula: B(s) fits in one cell."""
@@ -136,112 +131,66 @@ def is_complete_at(model: Model, s: int | str) -> bool:
     return any(not b & ~c for c in cells(model))
 
 
-def _d1(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        if sup(b, e) & ~e:
-            return AxiomWitness(e=e, g=e)
-    return None
+# Each postulate is written once, as an instance function
+# instance(sup, b, e, f) over the formula slots (E, F) at belief set b.  It
+# returns None when the instance cannot break the postulate; otherwise
+# (y, x, both): the instance breaks at every G that contains y but not x,
+# or, when `both` is set, x but not y.  The reduction tests the cell closure
+# of y (of x in the `both` case), the strongest definable G; the replay
+# tests the witness's G directly.  Every Sup is read in the order the
+# verdicts depend on: a partial frame must report the same first missing
+# row, and no instance asks for Sup at the empty event.
 
 
-def _d2(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        if b & ~e:
-            continue
-        sup_e = sup(b, e)
-        cb, cs = ctx.closure(b), ctx.closure(sup_e)
-        if cb == cs:
-            continue
-        g = cb if sup_e & ~cb else cs
-        return AxiomWitness(e=e, g=g)
-    return None
+def _d6_instance(sup, b, e, f):
+    # both before the guard: a partial frame's first missing row depends on it
+    sup_e, sup_f = sup(b, e), sup(b, f)
+    if sup_e & ~f or sup_f & ~e:
+        return None
+    return sup_e, sup_f, True
 
 
-def _r3(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        cs = ctx.closure(sup(b, e))
-        if b & e & ~cs:
-            return AxiomWitness(e=e, g=cs)
-    return None
+def _d9_instance(sup, b, e, f):
+    inter = sup(b, e) & f
+    return (inter, sup(b, e & f), False) if inter else None
 
 
-def _r4(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        if not b & e:
-            continue
-        cb = ctx.closure(b)
-        if sup(b, e) & ~cb:
-            return AxiomWitness(e=e, g=cb)
-    return None
-
-
-def _d5(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        for f in ctx.definable:
-            ef = e & f
-            if not ef:
-                continue
-            c = ctx.closure(sup(b, ef))
-            if sup(b, e) & f & ~c:
-                return AxiomWitness(e=e, f=f, g=c)
-    return None
-
-
-def _d6(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        sup_e = sup(b, e)
-        for f in ctx.definable:
-            sup_f = sup(b, f)
-            if sup_e & ~f or sup_f & ~e:
-                continue
-            ce, cf = ctx.closure(sup_e), ctx.closure(sup_f)
-            if ce == cf:
-                continue
-            g = ce if sup_f & ~ce else cf
-            return AxiomWitness(e=e, f=f, g=g)
-    return None
-
-
-def _d7(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        for f in ctx.definable:
-            c = ctx.closure(sup(b, e) | sup(b, f))
-            if sup(b, e | f) & ~c:
-                return AxiomWitness(e=e, f=f, g=c)
-    return None
-
-
-def _d9(ctx, b):
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        sup_e = sup(b, e)
-        for f in ctx.definable:
-            inter = sup_e & f
-            if not inter:
-                continue
-            c = ctx.closure(inter)
-            if sup(b, e & f) & ~c:
-                return AxiomWitness(e=e, f=f, g=c)
-    return None
-
-
-_REDUCTIONS: dict[AxiomId, Callable] = {
-    AxiomId.D1: _d1,
-    AxiomId.D2: _d2,
-    AxiomId.R3: _r3,
-    AxiomId.R4: _r4,
-    AxiomId.D5: _d5,
-    AxiomId.D6: _d6,
-    AxiomId.D7: _d7,
-    AxiomId.D9: _d9,
-    AxiomId.R8: _d9,  # same event shape; scope differs (R8: every state)
+# axiom -> (quantifies over pairs (E, F), instance)
+_INSTANCES: dict[AxiomId, tuple[bool, Callable]] = {
+    AxiomId.D1: (False, lambda sup, b, e, f: (e, sup(b, e), False)),
+    AxiomId.D2: (False, lambda sup, b, e, f: None if b & ~e else (b, sup(b, e), True)),
+    AxiomId.R3: (False, lambda sup, b, e, f: (sup(b, e), b & e, False)),
+    AxiomId.R4: (False, lambda sup, b, e, f: (b, sup(b, e), False) if b & e else None),
+    AxiomId.D5: (
+        True,
+        lambda sup, b, e, f: (sup(b, e & f), sup(b, e) & f, False) if e & f else None,
+    ),
+    AxiomId.D6: (True, _d6_instance),
+    AxiomId.D7: (True, lambda sup, b, e, f: (sup(b, e) | sup(b, f), sup(b, e | f), False)),
+    AxiomId.D9: (True, _d9_instance),
+    AxiomId.R8: (True, _d9_instance),  # same event shape; scope differs (R8: every state)
 }
+
+
+def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitness]:
+    """The failing instances of a postulate at belief set b, E ascending over
+    the definable events, then F, each with its closure witness G."""
+    pairs, instance = _INSTANCES[axiom]
+    sup = ctx.model.frame.sup
+    for e in ctx.definable:
+        for f in ctx.definable if pairs else (None,):
+            found = instance(sup, b, e, f)
+            if found is None:
+                continue
+            y, x, both = found
+            g = cell_closure(ctx.model, y, ctx.cell_masks)
+            if x & ~g:
+                yield AxiomWitness(e=e, f=f, g=g)
+            elif both:
+                g = cell_closure(ctx.model, x, ctx.cell_masks)
+                if y & ~g:
+                    yield AxiomWitness(e=e, f=f, g=g)
+
 
 _COMPLETE_ONLY = frozenset({AxiomId.D7, AxiomId.D9})
 _STRUCTURAL = frozenset({AxiomId.D0, AxiomId.D4})
@@ -272,7 +221,7 @@ def axiom_holds(
         return AxiomVerdict(axiom, Status.HOLDS)
     if ctx is None:
         ctx = ModelContext.of(model, max_cells=max_cells)
-    witness = _REDUCTIONS[resolved](ctx, model.frame.belief[i])
+    witness = next(_violations(ctx, resolved, model.frame.belief[i]), None)
     if witness is None:
         return AxiomVerdict(axiom, Status.HOLDS)
     return AxiomVerdict(axiom, Status.FAILS, witness)
@@ -285,44 +234,19 @@ def replay_witness(
     primitives: Sup for the change operation, intersection-with-belief for
     expansion.  No cell closures are consulted."""
     i = model.frame.index(s) if isinstance(s, str) else s
-    b = model.frame.belief[i]
-    sup = model.frame.sup
-
-    def subset(x, y):
-        return not x & ~y
-
-    e, f, g = witness.e, witness.f, witness.g
     resolved = ALIASES.get(axiom, axiom)
-    if resolved is AxiomId.D1:
-        return not subset(sup(b, e), e)
-    if resolved is AxiomId.D2:
-        return subset(b, e) and subset(b, g) != subset(sup(b, e), g)
-    if resolved is AxiomId.R3:
-        return subset(sup(b, e), g) and not subset(b & e, g)
-    if resolved is AxiomId.R4:
-        return bool(b & e) and subset(b, g) and not subset(sup(b, e), g)
-    if resolved is AxiomId.D5:
-        return (
-            bool(e & f)
-            and subset(sup(b, e & f), g)
-            and not subset(sup(b, e) & f, g)
-        )
-    if resolved is AxiomId.D6:
-        return (
-            subset(sup(b, e), f)
-            and subset(sup(b, f), e)
-            and subset(sup(b, e), g) != subset(sup(b, f), g)
-        )
-    if resolved is AxiomId.D7:
-        return (
-            subset(sup(b, e), g)
-            and subset(sup(b, f), g)
-            and not subset(sup(b, e | f), g)
-        )
-    if resolved in (AxiomId.D9, AxiomId.R8):
-        inter = sup(b, e) & f
-        return bool(inter) and subset(inter, g) and not subset(sup(b, e & f), g)
-    raise ValueError(f"no replay for {axiom}")
+    if resolved not in _INSTANCES:
+        raise ValueError(f"no replay for {axiom}")
+    frame, g = model.frame, witness.g
+    found = _INSTANCES[resolved][1](frame.sup, frame.belief[i], witness.e, witness.f)
+    if found is None:
+        return False
+    y, x, both = found
+
+    def breaks(y, x):
+        return not y & ~g and bool(x & ~g)
+
+    return breaks(y, x) or (both and breaks(x, y))
 
 
 # --- audits ---------------------------------------------------------------
@@ -353,13 +277,7 @@ def audit_lemma_inclusion(model: Model, s: int | str) -> LemmaReport:
     and contains everything)."""
     i = model.frame.index(s) if isinstance(s, str) else s
     ctx = ModelContext.of(model)
-    b = model.frame.belief[i]
-    out = []
-    for e in ctx.definable:
-        cs = ctx.closure(model.frame.sup(b, e))
-        if b & e & ~cs:
-            out.append(AxiomWitness(e=e, g=cs))
-    return LemmaReport(tuple(out))
+    return LemmaReport(tuple(_violations(ctx, AxiomId.R3, model.frame.belief[i])))
 
 
 @dataclass(frozen=True)
@@ -387,7 +305,7 @@ def audit_km8(model: Model, w: int | str) -> Km8Report:
     i = frame.index(w) if isinstance(w, str) else w
     ctx = ModelContext.of(model)
     b = frame.belief[i]
-    kk = ctx.closure(b)
+    kk = cell_closure(model, b, ctx.cell_masks)
     for e in ctx.definable:
         if frame.sup(b, e) != frame.sup(kk, e):
             return Km8Report(False, e)

@@ -78,7 +78,7 @@ class WorldContext:
         return format(w, f"0{self.k}b")
 
     def world(self, label: str) -> int:
-        if len(label) != self.k or set(label) - {"0", "1"}:
+        if not isinstance(label, str) or len(label) != self.k or set(label) - {"0", "1"}:
             raise InputFormatError(
                 f"world label {label!r} is not a {self.k}-character 0/1 string"
             )
@@ -320,17 +320,24 @@ def table_from_obj(obj: dict) -> ChangeFunctionTable:
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"table document is missing field: {exc}") from exc
-    k_mask = 0
-    for label in k_labels:
-        k_mask |= 1 << ctx.world(label)
+
+    def to_mask(labels, what: str) -> Event:
+        if not isinstance(labels, list):
+            raise InputFormatError(f"{what} must be a list of world labels")
+        out = 0
+        for label in labels:
+            out |= 1 << ctx.world(label)
+        return out
+
+    k_mask = to_mask(k_labels, "'K'")
+    if not isinstance(entries, list):
+        raise InputFormatError("'entries' must be a list of table entries")
     dense: dict[Event, Event] = {}
-    for entry in entries:
-        event = 0
-        for label in entry["event"]:
-            event |= 1 << ctx.world(label)
-        result = 0
-        for label in entry["result"]:
-            result |= 1 << ctx.world(label)
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not {"event", "result"} <= set(entry):
+            raise InputFormatError(f"table entry {k} needs 'event' and 'result'")
+        event = to_mask(entry["event"], f"table entry {k} event")
+        result = to_mask(entry["result"], f"table entry {k} result")
         if event == 0:
             raise InputFormatError("table entry has an empty event")
         if event in dense:

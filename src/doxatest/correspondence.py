@@ -33,7 +33,7 @@ from .axioms import (
     replay_witness,
 )
 from .errors import InvalidWitnessError
-from .frames import Frame, Model, bits, cells, frame_to_obj, relabel_frame
+from .frames import Frame, Model, _default_rule, cells, frame_to_obj, relabel_frame, subsets_of
 from .limits import (
     EXHAUSTIVE_STATE_LIMIT,
     EXHAUSTIVE_VALUATION_BITS,
@@ -97,17 +97,8 @@ class FrameGenSpec:
 def _entry_choices(s: int, event: int) -> list[int]:
     """Selections allowed at (s, event) by the base clauses: nonempty
     subsets of the event, containing s whenever s lies in the event."""
-    rest = [i for i in bits(event) if i != s]
-    fixed = 1 << s if (1 << s) & event else 0
-    out = []
-    for k in range(1 << len(rest)):
-        sub = fixed
-        for j, i in enumerate(rest):
-            if (k >> j) & 1:
-                sub |= 1 << i
-        if sub:
-            out.append(sub)
-    return sorted(out)
+    fixed = event & (1 << s)
+    return [x | fixed for x in subsets_of(event & ~fixed) if x | fixed]
 
 
 def canonical_key(frame: Frame):
@@ -478,9 +469,7 @@ def _pointed_uniform_candidates(n: int) -> Iterator[Frame]:
         selection.update(dict(zip([(0, e) for e in free_events], picks)))
         for s in range(1, n):
             for e in range(1, full + 1):
-                selection[(s, e)] = (
-                    1 << s if (1 << s) & e else (e & -e)
-                )
+                selection[(s, e)] = _default_rule(s, e)
         yield Frame(states, (1,) * n, selection)
 
 

@@ -465,6 +465,8 @@ def frame_from_obj(obj: dict) -> Frame:
         if not isinstance(entry, dict) or not {"s", "event", "selects"} <= set(entry):
             raise InputFormatError(f"selection entry {k} needs 's', 'event' and 'selects'")
         sid = entry["s"]
+        if not isinstance(sid, str):
+            raise InputFormatError(f"selection entry {k} 's' must be a state id")
         if sid not in index:
             raise InputFormatError(f"selection entry {k} names unknown state {sid!r}")
         event = to_mask(entry["event"], f"selection entry {k} event")

@@ -286,6 +286,19 @@ def test_custom_table_rejects_bad_documents():
         table_from_obj(hollow)
     with pytest.raises(InputFormatError, match="missing field"):
         table_from_obj({"atoms": ["p"]})
+    first = obj["entries"][0]
+    # not an object, no event, no result
+    for bad in (["00"], {"result": first["result"]}, {"event": first["event"]}):
+        with pytest.raises(InputFormatError, match="table entry 0 needs"):
+            table_from_obj(dict(obj, entries=[bad] + obj["entries"][1:]))
+    for label in (1, None, ["0", "1"]):
+        broken = dict(first, event=[label])
+        with pytest.raises(InputFormatError, match="world label"):
+            table_from_obj(dict(obj, entries=[broken] + obj["entries"][1:]))
+    with pytest.raises(InputFormatError, match="list of world labels"):
+        table_from_obj(dict(obj, entries=[dict(first, result="01")] + obj["entries"][1:]))
+    with pytest.raises(InputFormatError, match="list of table entries"):
+        table_from_obj(dict(obj, entries={"event": first["event"]}))
 
 
 def test_corrupted_custom_table_fails_roundtrip():

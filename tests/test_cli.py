@@ -66,6 +66,19 @@ def files(tmp_path_factory):
     with open(paths["undecodable"], "wb") as fh:
         fh.write(b"\xff\xfe{}")
 
+    for name, sid in (("list_s", ["a"]), ("object_s", {"id": "a"})):
+        paths[name] = str(root / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(
+                {
+                    "states": ["a", "b"],
+                    "belief": {"a": ["a"], "b": ["b"]},
+                    "selection": [{"s": sid, "event": ["a"], "selects": ["a"]}],
+                    "valuation": {"p": ["a"]},
+                },
+                fh,
+            )
+
     # complete, but f(s0, {s1}) = {s0} breaks the success clause
     unsuccessful = complete_selection(Frame(("s0", "s1"), (0b01, 0b10), {(0, 0b10): 0b01}))
     paths["unsuccessful"] = str(root / "unsuccessful.json")
@@ -211,6 +224,19 @@ def test_check_class_on_unsuccessful_frame_reports_base(runner, files, frame_cla
         "witness": {"clause": "success", "s": "s0", "E": ["s1"]},
     }
     assert all(p["holds"] for p in rest)
+
+
+@pytest.mark.parametrize("name", ["list_s", "object_s"])
+def test_non_string_selection_state_exits_two(runner, files, name):
+    for args in (
+        ["check", files[name], "--class", "update"],
+        ["correspond", files[name]],
+        ["ri", files[name], "--state", "a", "--formula", "p"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert "'s' must be a state id" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_check_surfaces_missing_selection_entries(runner):

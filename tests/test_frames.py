@@ -384,6 +384,13 @@ class TestJson:
         with pytest.raises(InputFormatError, match="unknown state"):
             frame_from_obj(obj)
 
+    @pytest.mark.parametrize("sid", [["s0"], {"id": "s0"}, 0, None])
+    def test_non_string_selection_state_rejected(self, sid):
+        obj = self.frame_obj()
+        obj["selection"][0]["s"] = sid
+        with pytest.raises(InputFormatError, match="'s' must be a state id"):
+            frame_from_obj(obj)
+
     def test_empty_event_rejected(self):
         obj = self.frame_obj()
         obj["selection"][0]["event"] = []
