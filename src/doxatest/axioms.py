@@ -6,8 +6,17 @@ over definable events, and equality of two belief sets collapses to equality
 of the cell closures of their supports.  Each postulate is written once, as
 an instance function in `_INSTANCES`, and three readers share it: the
 event-level reduction behind `axiom_holds`, `replay_witness`, and the lemma
-audit.  `axiom_status_via_formulas` re-decides each postulate by direct
-quantification over a formula pool, as an independent cross-check.
+audit.  `axiom_holds` keeps the first witness per (belief set, postulate)
+on its `ModelContext`, so states with equal beliefs and the aliases R1, R2,
+R6, R7 are decided once.
+
+`axiom_status_via_formulas` re-decides each postulate by direct
+quantification over a formula pool, as an independent cross-check.  It
+reads no cells and no closures, and it shares no memo or predicate with the
+reductions.  Its own state lives on the model, one context per (model,
+pool): the pool's truth sets and truth vectors, and per belief set one
+membership table and one status per postulate, so each postulate is decided
+once per (model, belief set).
 
 A failing verdict carries a witness: the events playing the two formula roles
 plus a distinguishing definable event G.  Replaying the witness through the
@@ -17,13 +26,14 @@ see `replay_witness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .formulas import Formula, semantic_pool, truth_vector
-from .frames import Model, bits, cell_closure, cells, definable_events, truth_set
+from .frames import Frame, Model, bits, cell_closure, cells, definable_events, truth_set
 from .limits import DEFAULT_MAX_CELLS
 
 
@@ -104,12 +114,15 @@ class AxiomVerdict:
 
 @dataclass
 class ModelContext:
-    """Shared per-model precomputation: cells and definable events.
-    Supports come from the frame's memoized `Frame.sup`."""
+    """Shared per-model precomputation: cells and definable events, and the
+    first witness (None when it holds) per (belief set, resolved postulate)
+    that `axiom_holds` has found.  Supports come from the frame's memoized
+    `Frame.sup`."""
 
     model: Model
     cell_masks: tuple[int, ...]
     definable: tuple[int, ...]  # nonempty definable events, ascending
+    found: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(
@@ -125,10 +138,11 @@ class ModelContext:
 
 
 def is_complete_at(model: Model, s: int | str) -> bool:
-    """True iff the beliefs at s decide every formula: B(s) fits in one cell."""
+    """True iff the beliefs at s decide every formula: B(s) fits in one cell,
+    that is, every atom holds at all of B(s) or at none of it."""
     i = model.frame.index(s) if isinstance(s, str) else s
     b = model.frame.belief[i]
-    return any(not b & ~c for c in cells(model))
+    return all(not b & m or not b & ~m for m in model.valuation.values())
 
 
 # Each postulate is written once, as an instance function
@@ -221,7 +235,11 @@ def axiom_holds(
         return AxiomVerdict(axiom, Status.HOLDS)
     if ctx is None:
         ctx = ModelContext.of(model, max_cells=max_cells)
-    witness = next(_violations(ctx, resolved, model.frame.belief[i]), None)
+    key = (model.frame.belief[i], resolved)
+    if key in ctx.found:
+        witness = ctx.found[key]
+    else:
+        witness = ctx.found[key] = next(_violations(ctx, resolved, key[0]), None)
     if witness is None:
         return AxiomVerdict(axiom, Status.HOLDS)
     return AxiomVerdict(axiom, Status.FAILS, witness)
@@ -315,8 +333,43 @@ def audit_km8(model: Model, w: int | str) -> Km8Report:
 # --- independent formula-level oracle -------------------------------------
 
 
-def _pool_masks(model: Model, formulas: Sequence[Formula]) -> list[tuple[Formula, int]]:
-    return [(f, truth_set(model, f)) for f in formulas]
+@functools.lru_cache(maxsize=16)
+def _default_pool(atom_names: tuple[str, ...], depth: int) -> tuple[Formula, ...]:
+    # two spellings per truth-function so congruence has real work to do
+    return tuple(semantic_pool(atom_names, depth=depth, per_class=2))
+
+
+class _OracleContext:
+    """The oracle's state for one model and one formula pool: the pool's
+    truth sets and truth vectors, the distinct targets, and per belief set b
+    a membership table and the status of each resolved postulate.
+
+    It holds no reference to the model, so a model and its contexts are
+    freed together without the cycle collector.  `formulas` is the pool as
+    it was when the context was built; a context is reused only while the
+    pool still equals it.
+    """
+
+    __slots__ = ("formulas", "chi_masks", "nonempty", "d0_vecs", "d4_groups",
+                 "members", "statuses")
+
+    def __init__(self, model: Model, formulas: Sequence[Formula]):
+        self.formulas = tuple(formulas)
+        pool = [(f, truth_set(model, f)) for f in self.formulas]
+        # quantification targets: membership depends only on the truth set,
+        # so each distinct truth set needs checking once
+        self.chi_masks = sorted({m for _, m in pool})
+        self.nonempty = [m for m in self.chi_masks if m]
+        names = model.atom_names
+        self.d0_vecs: dict[int, int] = {}  # truth vector -> truth set, pool order
+        self.d4_groups: dict[int, list[int]] = {}
+        for f, m in pool:
+            v = truth_vector(f, names)
+            self.d0_vecs.setdefault(v, m)
+            if m:
+                self.d4_groups.setdefault(v, []).append(m)
+        self.members: dict[int, dict[int, bool]] = {}
+        self.statuses: dict[tuple[int, AxiomId], Status] = {}
 
 
 def axiom_status_via_formulas(
@@ -333,6 +386,11 @@ def axiom_status_via_formulas(
     closure postulate runs over full truth vectors of the model's atoms.
     This route never looks at cells or closures, so agreement with
     `axiom_holds` is a meaningful cross-check.
+
+    The pool defaults to `semantic_pool` over the model's atoms at `depth`,
+    two spellings per truth function.  One context per (model, pool) keeps
+    the pool's truth sets and one verdict per (belief set, postulate), so
+    states with equal beliefs and the aliases R1, R2, R6, R7 cost a lookup.
     """
     frame = model.frame
     i = frame.index(s) if isinstance(s, str) else s
@@ -343,22 +401,34 @@ def axiom_status_via_formulas(
     if resolved in _COMPLETE_ONLY and not is_complete_at(model, i):
         return Status.NOT_APPLICABLE
     if formulas is None:
-        # two spellings per truth-function so congruence has real work to do
-        formulas = semantic_pool(model.atom_names, depth=depth, per_class=2)
-    pool = _pool_masks(model, formulas)
-    # quantification targets: membership depends only on the truth set, so
-    # each distinct truth set needs checking once
-    chi_masks = sorted({m for _, m in pool})
-    nonempty = [m for m in chi_masks if m]
+        formulas = _default_pool(model.atom_names, depth)
+    ctx = model._oracle.get(id(formulas))
+    # a pool mutated in place, or a new pool at a recycled id, rebuilds
+    if ctx is None or ctx.formulas != tuple(formulas):
+        ctx = model._oracle[id(formulas)] = _OracleContext(model, formulas)
+    key = (b, resolved)
+    # a plain string equal to an axiom id hashes like it but has no branch
+    status = ctx.statuses.get(key) if isinstance(resolved, AxiomId) else None
+    if status is None:
+        status = ctx.statuses[key] = _decide(ctx, frame, b, resolved)
+    return status
 
+
+def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Status:
+    """One postulate at belief set b, quantified over the context's pool."""
+    chi_masks, nonempty = ctx.chi_masks, ctx.nonempty
     rows = list(bits(b))
-    _member: dict[tuple[int, int], bool] = {}
+    # membership is a pure function of (frame, b, event, target) that returns
+    # or raises; only returned values are kept, keyed by the pair packed
+    # into one int (both masks lie inside the frame's n states)
+    _member = ctx.members.setdefault(b, {})
+    width = frame.n
 
     def member(event: int, target: int) -> bool:
-        got = _member.get((event, target))
+        key = event << width | target
+        got = _member.get(key)
         if got is None:
-            got = all(not frame.sel(j, event) & ~target for j in rows)
-            _member[(event, target)] = got
+            got = _member[key] = all(not frame.sel(j, event) & ~target for j in rows)
         return got
 
     def sup(event: int) -> int:
@@ -372,25 +442,17 @@ def axiom_status_via_formulas(
 
     if resolved is AxiomId.D0:
         # sampled deductive closure: singleton and pair premise sets drawn
-        # from the believed formulas, consequence over full truth vectors
-        names = model.atom_names
-        pairs = [(truth_vector(f, names), m) for f, m in pool]
-        seen = set()
-        vecs = []
-        for v, m in pairs:
-            if v not in seen:
-                seen.add(v)
-                vecs.append((v, m))
+        # from the believed formulas, consequence over full truth vectors;
+        # a pair's premise is the meet v1 & v2, so each meet is tried once
         for ep in nonempty:
-            inside = [(v, member(ep, m)) for v, m in vecs]
+            inside = [(v, member(ep, m)) for v, m in ctx.d0_vecs.items()]
             member_vecs = [v for v, isin in inside if isin]
             outside = [v for v, isin in inside if not isin]
-            for v1 in member_vecs:
-                for v2 in member_vecs:
-                    premise = v1 & v2
-                    for vc in outside:
-                        if not premise & ~vc:
-                            return Status.FAILS
+            premises = {v1 & v2 for v1 in member_vecs for v2 in member_vecs}
+            for premise in premises:
+                for vc in outside:
+                    if not premise & ~vc:
+                        return Status.FAILS
         return Status.HOLDS
 
     if resolved is AxiomId.D1:
@@ -424,12 +486,7 @@ def axiom_status_via_formulas(
     if resolved is AxiomId.D4:
         # tautologically equivalent inputs (equal truth vectors) must change
         # belief identically; the pool carries two spellings per function
-        names = model.atom_names
-        groups: dict[int, list[int]] = {}
-        for f, m in pool:
-            if m:
-                groups.setdefault(truth_vector(f, names), []).append(m)
-        for group in groups.values():
+        for group in ctx.d4_groups.values():
             first = group[0]
             for other in group[1:]:
                 for mc in chi_masks:
@@ -478,4 +535,4 @@ def axiom_status_via_formulas(
                         return Status.FAILS
         return Status.HOLDS
 
-    raise ValueError(f"no formula-level check for {axiom}")
+    raise ValueError(f"no formula-level check for {resolved}")

@@ -28,7 +28,7 @@ from random import Random
 
 from .axioms import AxiomId, Status
 from .errors import InputFormatError, UnfaithfulOrderError
-from .formulas import Formula, truth_vector
+from .formulas import ATOM_RE, Formula, truth_vector
 from .frames import (
     Event,
     Frame,
@@ -315,10 +315,15 @@ def table_from_obj(obj: dict) -> ChangeFunctionTable:
     if not isinstance(obj, dict):
         raise InputFormatError("table document must be an object")
     try:
-        ctx = WorldContext(tuple(obj["atoms"]))
+        atoms = obj["atoms"]
+        if not isinstance(atoms, list) or not all(
+            isinstance(a, str) and ATOM_RE.match(a) for a in atoms
+        ):
+            raise InputFormatError(f"'atoms' must be a list of atom names, not {atoms!r}")
+        ctx = WorldContext(tuple(atoms))
         k_labels = obj["K"]
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputFormatError(f"table document is missing field: {exc}") from exc
 
     def to_mask(labels, what: str) -> Event:

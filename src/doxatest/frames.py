@@ -124,10 +124,16 @@ class Frame:
 
 @dataclass(frozen=True)
 class Model:
-    """A frame plus a valuation: atom name -> event where the atom is true."""
+    """A frame plus a valuation: atom name -> event where the atom is true.
+
+    `valuation` must not be mutated after construction: `_oracle` holds the
+    formula oracle's per-pool state (see `axioms.axiom_status_via_formulas`),
+    computed from it.
+    """
 
     frame: Frame
     valuation: Mapping[str, int]
+    _oracle: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         full = self.frame.full

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -20,8 +21,14 @@ from doxatest.axioms import (
     is_complete_at,
     replay_witness,
 )
-from doxatest.errors import PreconditionError, SizeLimitError, UndefinedSelectionError
-from doxatest.frames import Frame, Model, complete_selection, frame_from_obj
+from doxatest.errors import (
+    DoxatestError,
+    PreconditionError,
+    SizeLimitError,
+    UndefinedSelectionError,
+)
+from doxatest.formulas import FALSE, TRUE, Atom, semantic_pool
+from doxatest.frames import Frame, Model, cells, complete_selection, frame_from_obj
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,6 +54,19 @@ def test_completeness_follows_cells():
     assert is_complete_at(m, 0)
     split = model_on(3, [0b110] * 3, {"p": 0b110, "q": 0b100})
     assert not is_complete_at(split, 0)
+
+
+def test_completeness_reads_atom_columns_as_cells():
+    # every belief set and valuation at 1-3 states and 0-3 atoms: the
+    # column test agrees with "some cell contains B(s)"
+    for n in range(1, 4):
+        full = (1 << n) - 1
+        for k in range(4):
+            for columns in itertools.product(range(full + 1), repeat=k):
+                valuation = dict(zip("pqr", columns))
+                for b in range(full + 1):
+                    m = Model(frame_of(n, [b] * n), valuation)
+                    assert is_complete_at(m, 0) == any(not b & ~c for c in cells(m))
 
 
 # --- postulates valid on every frame --------------------------------------
@@ -350,3 +370,81 @@ def test_formula_route_flags_the_worked_failures():
     )
     assert axiom_status_via_formulas(pointed, 0, AxiomId.D9) is Status.FAILS
     assert axiom_status_via_formulas(pointed, 0, AxiomId.D1) is Status.HOLDS
+
+
+def test_oracle_refuses_plain_string_ids():
+    # a decided status is not handed to a string that merely equals its id
+    m = model_on(2, [0b01, 0b10], {"p": 0b01})
+    assert axiom_status_via_formulas(m, 0, AxiomId.D2) is Status.HOLDS
+    with pytest.raises(ValueError, match="no formula-level check for D2"):
+        axiom_status_via_formulas(m, 0, "D2")
+
+
+def test_oracle_statuses_are_frozen():
+    # Every oracle status, or the error it raises, on seeded models of 1-4
+    # states over two or three atoms.  A third of the frames have about a
+    # tenth of their selection rows dropped; another third have some rows
+    # replaced by arbitrary nonempty events, most of them outside the row's
+    # event.  Each model is asked in a shuffled (state, axiom) order, one
+    # pool list serves every call, and the default pool and a pool naming
+    # an atom the model lacks are asked too.  The digest was recorded by
+    # running this body on the commit before the oracle kept per-model
+    # state, so any change to a status or to the first error shows here.
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    pool = semantic_pool(("p", "q"), depth=2, per_class=2)
+    foreign = pool[:6] + [Atom("r")] + pool[6:]
+
+    def status(m, s, axiom, formulas):
+        try:
+            return axiom_status_via_formulas(m, s, axiom, formulas=formulas).value
+        except DoxatestError as exc:
+            return [type(exc).__name__, str(exc)]
+
+    def record(out):
+        digest.update(json.dumps(out).encode())
+
+    for n in range(1, 5):
+        for k in range(18):
+            fr = random_frame(rng, n, pointed=rng.random() < 0.3)
+            selection = dict(fr.selection)
+            for key in rng.sample(sorted(selection), max(1, len(selection) // 10)):
+                if k % 3 == 0:
+                    del selection[key]
+                elif k % 3 == 1:
+                    selection[key] = rng.randrange(1, fr.full + 1)
+            fr = frame_of(n, fr.belief, selection)
+            atoms = ("p", "q", "r") if k % 4 == 3 else ("p", "q")
+            m = Model(fr, {a: rng.randrange(fr.full + 1) for a in atoms})
+            calls = [(s, axiom) for s in range(n) for axiom in AxiomId]
+            rng.shuffle(calls)
+            for s, axiom in calls:
+                record(status(m, s, axiom, pool))
+            for s, axiom in calls[:: 3 + k % 2]:
+                if len(atoms) == 2:
+                    record(status(m, s, axiom, None))
+                record(status(m, s, axiom, foreign))
+
+    # a pool mutated in place between two calls on one model answers as it
+    # would on a fresh model
+    changed = 0
+    for n in range(2, 4):
+        for _ in range(6):
+            fr = random_frame(rng, n)
+            valuation = {a: rng.randrange(fr.full + 1) for a in ("p", "q")}
+            m = Model(fr, valuation)
+            calls = [(s, axiom) for s in range(n) for axiom in AxiomId]
+            mutable = list(pool)
+            before = [status(m, s, axiom, mutable) for s, axiom in calls]
+            mutable[:] = [TRUE, FALSE, Atom("p")]
+            after = [status(m, s, axiom, mutable) for s, axiom in calls]
+            fresh = Model(fr, valuation)
+            assert after == [status(fresh, s, axiom, mutable) for s, axiom in calls]
+            changed += before != after
+            mutable[:] = pool
+            assert [status(m, s, axiom, mutable) for s, axiom in calls] == before
+            record([before, after])
+    assert changed
+    assert digest.hexdigest() == (
+        "794f663568b97f660791bcde7aff21d0c02c6f76793ef5456b5a3a1194971cf0"
+    )

@@ -299,6 +299,10 @@ def test_custom_table_rejects_bad_documents():
         table_from_obj(dict(obj, entries=[dict(first, result="01")] + obj["entries"][1:]))
     with pytest.raises(InputFormatError, match="list of table entries"):
         table_from_obj(dict(obj, entries={"event": first["event"]}))
+    # a string of letters, non-string names, a missing name
+    for atoms in ("pq", [1, 2], ["p", None]):
+        with pytest.raises(InputFormatError, match="'atoms' must be a list of atom names"):
+            table_from_obj(dict(obj, atoms=atoms))
 
 
 def test_corrupted_custom_table_fails_roundtrip():
