@@ -406,11 +406,13 @@ def axiom_status_via_formulas(
     # a pool mutated in place, or a new pool at a recycled id, rebuilds
     if ctx is None or ctx.formulas != tuple(formulas):
         ctx = model._oracle[id(formulas)] = _OracleContext(model, formulas)
-    key = (b, resolved)
+    # R8 runs D9's branch; D9's gate depends only on b, so past it they
+    # share one status
+    key = (b, AxiomId.D9 if resolved is AxiomId.R8 else resolved)
     # a plain string equal to an axiom id hashes like it but has no branch
     status = ctx.statuses.get(key) if isinstance(resolved, AxiomId) else None
     if status is None:
-        status = ctx.statuses[key] = _decide(ctx, frame, b, resolved)
+        status = ctx.statuses[key] = _decide(ctx, frame, *key)
     return status
 
 
@@ -524,7 +526,7 @@ def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Sta
                         return Status.FAILS
         return Status.HOLDS
 
-    if resolved in (AxiomId.D9, AxiomId.R8):
+    if resolved is AxiomId.D9:
         for ep in nonempty:
             sup_p = sup(ep)
             for eq in nonempty:

@@ -523,6 +523,18 @@ def test_07_containment_consistency_closure_audits(seeded_reps, fleet):
 
 
 def test_08_reduction_vs_formula_oracle_agreement(census_corpus):
+    """Every postulate at every state of every two-atom model of the census
+    corpus, decided by the reductions and by the formula-pool oracle, must
+    get the same status; then the pairwise PD57 finder must match the
+    literal three-event form.
+
+    The oracle's D0 and D4 branches can never return FAILS: the formulas
+    believed after a change are the truth sets containing the pooled
+    selection, a filter closed under intersection, so no premise v1 & v2 of
+    two believed formulas implies one that is not; and D4 groups formulas
+    with equal truth vectors, whose truth sets are equal.  So the D0, R1, D4
+    and R6 comparisons here test only which missing row raises.
+    """
     pool = semantic_pool(("p", "q"), depth=3, per_class=2)
 
     t0 = time.monotonic()

@@ -378,6 +378,25 @@ def test_oracle_refuses_plain_string_ids():
     assert axiom_status_via_formulas(m, 0, AxiomId.D2) is Status.HOLDS
     with pytest.raises(ValueError, match="no formula-level check for D2"):
         axiom_status_via_formulas(m, 0, "D2")
+    with pytest.raises(ValueError, match="no formula-level check for R8"):
+        axiom_status_via_formulas(m, 0, "R8")
+
+
+def test_oracle_decides_d9_and_r8_once_per_complete_belief_set():
+    # R8 runs D9's branch, and D9's gate depends only on the belief set, so
+    # past the gate the two share one status, whichever is asked first
+    selection = {(0, 0b0110): 0b0100}
+    for order in ((AxiomId.D9, AxiomId.R8), (AxiomId.R8, AxiomId.D9)):
+        m = model_on(4, [0b0001, 0b0010, 0b0100, 0b1000], {"p": 0b1100, "q": 0b1010}, selection)
+        assert [axiom_status_via_formulas(m, 0, ax) for ax in order] == [Status.FAILS] * 2
+        (ctx,) = m._oracle.values()
+        assert list(ctx.statuses) == [(0b0001, AxiomId.D9)]
+    # at an incomplete belief set D9 stops at its gate and R8 is decided
+    fat = model_on(2, [0b11, 0b11], {"p": 0b01})
+    assert axiom_status_via_formulas(fat, 0, AxiomId.D9) is Status.NOT_APPLICABLE
+    assert axiom_status_via_formulas(fat, 0, AxiomId.R8) is Status.HOLDS
+    (ctx,) = fat._oracle.values()
+    assert list(ctx.statuses) == [(0b11, AxiomId.D9)]
 
 
 def test_oracle_statuses_are_frozen():

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -320,6 +321,23 @@ def test_correspond_usage_errors(runner, files):
         assert runner.invoke(main, args).exit_code == 2, args
     # 3 states would mean count_base_tables(3) * 7**3 frames: refused up front
     assert "37933056" in runner.invoke(main, ["correspond", "--enumerate", "3"]).stderr
+
+
+@pytest.mark.parametrize(
+    "budget, digest",
+    [
+        (1, "a22a615091dcfaecd8b0b4cef75311e0"),
+        (2, "237b97dff8d25e995db5aa71bfd8107c"),
+        (3, "3f4427a327f45b4075dab8f58d9e366d"),
+    ],
+)
+def test_correspond_enumerate_two_bytes_are_frozen(runner, budget, digest):
+    # the census bytes as the valuation sweep wrote them, before it was
+    # decided per cell partition
+    args = ["correspond", "--enumerate", "2", "--atom-budget", str(budget), "--format", "json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert hashlib.md5(result.stdout_bytes).hexdigest() == digest
 
 
 def test_correspond_repeat_is_byte_identical(runner):

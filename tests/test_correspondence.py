@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 from conftest import frame_of
 
-from doxatest.axioms import AxiomId, Status, axiom_holds, replay_witness
+from doxatest.axioms import AxiomId, ModelContext, Status, axiom_holds, replay_witness
 from doxatest.correspondence import (
+    ATOM_NAMES,
     PAIRS,
     CorrespondencePair,
+    CorrespondenceReport,
     FrameGenSpec,
     GapReport,
     Scope,
@@ -21,9 +23,12 @@ from doxatest.correspondence import (
     def12_gap_probe,
     enumerate_frames,
     pair_for,
+    _cells_of,
+    _partitions,
 )
-from doxatest.errors import InvalidWitnessError, SizeLimitError
-from doxatest.frames import complete_selection, frame_from_obj, validate_frame
+from doxatest.errors import DoxatestError, InvalidWitnessError, SizeLimitError
+from doxatest.frames import Frame, Model, cells, complete_selection, frame_from_obj, validate_frame
+from doxatest.limits import EXHAUSTIVE_VALUATION_BITS, VALUATION_SAMPLES
 from doxatest.properties import (
     FrameClass,
     PropertyId,
@@ -276,6 +281,144 @@ def test_atom_budget_bounds():
         correspondence_verdict(frame, PAIRS[0], atom_budget=0)
     with pytest.raises(ValueError):
         correspondence_verdict(frame, PAIRS[0], atom_budget=4)
+
+
+def literal_verdict(frame, pair, atom_budget, seed=0):
+    """The holds side swept one valuation at a time: a `Model` and `cells`
+    per valuation, one decision per partition, stopping at the first
+    failing valuation.  None when the property fails."""
+    if not check_property(frame, pair.property).holds:
+        return None
+    atoms = ATOM_NAMES[:atom_budget]
+    n = frame.n
+    if n * atom_budget <= EXHAUSTIVE_VALUATION_BITS:
+        assignments = itertools.product(range(1 << n), repeat=atom_budget)
+    else:
+        rng = random.Random(seed)
+        assignments = (
+            tuple(rng.randrange(0, 1 << n) for _ in atoms)
+            for _ in range(VALUATION_SAMPLES)
+        )
+    scope = [
+        i for i in range(n)
+        if pair.scope is Scope.ALL_STATES or frame.belief[i].bit_count() == 1
+    ]
+    checked = 0
+    memo: dict = {}
+    for masks in assignments:
+        model = Model(frame, dict(zip(atoms, masks)))
+        checked += 1
+        key = cells(model)
+        if key not in memo:
+            ctx = ModelContext.of(model, cell_masks=key)
+            memo[key] = {i: axiom_holds(model, i, pair.axiom, ctx=ctx).status for i in scope}
+        for i, status in memo[key].items():
+            if status is Status.FAILS:
+                return CorrespondenceReport(
+                    pair, True, False, checked, counterexample=(dict(zip(atoms, masks)), i)
+                )
+    return CorrespondenceReport(pair, True, True, checked)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except DoxatestError as exc:
+        return (type(exc), str(exc))
+
+
+MISMATCHED = (
+    CorrespondencePair(PropertyId.PD2, AxiomId.D9),
+    CorrespondencePair(PropertyId.PR4, AxiomId.R8),
+    CorrespondencePair(PropertyId.PD6, AxiomId.D5),
+    CorrespondencePair(PropertyId.PD57, AxiomId.D6),
+    CorrespondencePair(PropertyId.PD9, AxiomId.D7, Scope.POINTED_STATES),
+    CorrespondencePair(PropertyId.PR8, AxiomId.R4),
+    CorrespondencePair(PropertyId.PD7, AxiomId.D2),
+    CorrespondencePair(PropertyId.PD2, AxiomId.D7),
+)
+
+
+def test_partition_sweep_matches_the_literal_valuation_sweep():
+    # Registered and mismatched pairs at budgets 1-3 on every 1-state frame,
+    # a slice of the 2-state enumeration, seeded 3- to 5-state frames (5
+    # states at budget 3 is the seeded sample), and copies of some of them
+    # with a quarter of their rows dropped: the report, or the first error,
+    # must be the literal sweep's.  Mismatched pairs fail on some models, so
+    # the ordered scan has to find the literal first counterexample; dropped
+    # rows make some partitions raise after the property held.
+    frames = list(enumerate_frames(FrameGenSpec(states=1)))
+    frames += list(enumerate_frames(FrameGenSpec(states=2)))[:60:3]
+    seeded = []
+    for n, count in ((3, 6), (4, 6), (5, 1)):
+        spec = FrameGenSpec(states=n, mode="random", seed=40 + n, count=count)
+        seeded += list(enumerate_frames(spec))
+    rng = random.Random(3)
+    for fr in seeded + frames[1:21:2]:
+        keep = [k for k in sorted(fr.selection) if rng.random() > 0.25]
+        frames.append(Frame(fr.states, fr.belief, {k: fr.selection[k] for k in keep}))
+    frames += seeded
+    early_stops = sweep_errors = 0
+    for frame in frames:
+        for pair in PAIRS + MISMATCHED:
+            if _outcome(lambda: check_property(frame, pair.property).holds) is not True:
+                continue  # the witness leg sweeps nothing
+            for budget in (1, 2, 3):
+                got = _outcome(lambda: correspondence_verdict(frame, pair, budget, seed=9))
+                want = _outcome(lambda: literal_verdict(frame, pair, budget, seed=9))
+                if isinstance(want, tuple):
+                    assert got == want, (frame, pair, budget)
+                    sweep_errors += 1
+                    continue
+                assert got.to_obj(frame) == want.to_obj(frame), (frame, pair, budget)
+                early_stops += want.models_checked < 1 << (frame.n * budget)
+    assert early_stops > 50 and sweep_errors > 5, (early_stops, sweep_errors)
+
+
+def test_a_holding_frame_decides_each_partition_once(monkeypatch):
+    decided = []
+    of = ModelContext.of
+
+    def spy(model, **kwargs):
+        decided.append(kwargs["cell_masks"])
+        return of(model, **kwargs)
+
+    monkeypatch.setattr(ModelContext, "of", staticmethod(spy))
+    frame = frame_of(4, [0b0001, 0b0010, 0b0100, 0b1000], complete=True)
+    for budget, partitions in ((1, 8), (2, 15), (3, 15)):
+        for pair in PAIRS:
+            decided.clear()
+            report = correspondence_verdict(frame, pair, atom_budget=budget)
+            assert report.property_holds and report.agrees
+            assert report.models_checked == 1 << (4 * budget)
+            assert decided == list(_partitions(4, 1 << budget))
+            assert len(decided) == partitions
+
+
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if not k or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_partitions_are_the_cells_of_every_valuation():
+    counts = {}
+    for n in range(1, 5):
+        frame = frame_of(n, [(1 << n) - 1] * n)
+        for budget in (1, 2, 3):
+            got = list(_partitions(n, 1 << budget))
+            seen = set()
+            for masks in itertools.product(range(1 << n), repeat=budget):
+                key = cells(Model(frame, dict(zip(ATOM_NAMES, masks))))
+                assert _cells_of(masks, frame.full) == key
+                seen.add(key)
+            assert len(got) == len(set(got)) and set(got) == seen
+            assert len(got) == sum(_stirling2(n, k) for k in range(1, (1 << budget) + 1))
+            counts[n, budget] = len(got)
+    assert [counts[4, b] for b in (1, 2, 3)] == [8, 15, 15]
+    assert [counts[3, b] for b in (1, 2, 3)] == [4, 5, 5]
 
 
 # --- census ---------------------------------------------------------------
