@@ -255,8 +255,11 @@ def replay_witness(
     resolved = ALIASES.get(axiom, axiom)
     if resolved not in _INSTANCES:
         raise ValueError(f"no replay for {axiom}")
+    pairs, instance = _INSTANCES[resolved]
+    if pairs and witness.f is None:
+        return False  # a one-event witness names no instance of a pair postulate
     frame, g = model.frame, witness.g
-    found = _INSTANCES[resolved][1](frame.sup, frame.belief[i], witness.e, witness.f)
+    found = instance(frame.sup, frame.belief[i], witness.e, witness.f)
     if found is None:
         return False
     y, x, both = found

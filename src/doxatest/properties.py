@@ -27,6 +27,16 @@ first witness (and, on partial frames, the first missing row) unchanged:
 - *Symmetric pairs.*  PD6 and PD7 are symmetric in (E, F), so the first
   violation has E ≤ F, and F runs from E up.  A pair with F < E reads no
   row that the scan has not read at (F, E) or at row E's first pair.
+- *A holds test before the scan.*  Under the same success condition, each
+  MEET property at a belief set fits one of two shapes over a row table
+  r(E), either Sup(B, E) or one f(i, E).  Inside (PD57, PD57_STRONG): no
+  G ⊆ E with r(E) ∩ G ⊄ r(G).  Gated (PD9, PR8): no G ⊆ E with r(E)
+  meeting G and r(G) ⊄ r(E).  One OR over supersets (the zeta transform of
+  the subset lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E) over
+  E ⊇ G for the inside shape; for the gated one, per state x, the union of
+  ¬r(E) over E ⊇ G with x in r(E).  The test reads every nonempty event's
+  row, as a scan that ends without error does, so its "holds" is the
+  scan's; when it fails or meets a missing row the scan runs and reports.
 
 An explicit ``events`` list keeps the plain ordered pair loop (a list gives
 no ordering or closure guarantee) and the belief-set dedupe.
@@ -44,6 +54,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+from .errors import DoxatestError
 from .frames import Frame, Violation, bits, mask_of, subsets_of, validate_frame
 from .limits import DEFAULT_MAX_STATES, refuse_beyond
 
@@ -259,6 +270,64 @@ _CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
 }
 
 
+# Holds tests for the MEET properties at one belief set, over a row table
+# r[E] for E = 0..full (r[0] = 0).  Only their "holds" is trusted.
+
+
+def _rows(frame: Frame, states) -> list[int]:
+    """r(E): the union of f(i, E) over ``states``, at every event, read
+    from the rows themselves (no `Frame.sup` memo entries)."""
+    sel, rows = frame.sel, [0] * (frame.full + 1)
+    for i in states:
+        for e in range(1, frame.full + 1):
+            rows[e] |= sel(i, e)
+    return rows
+
+
+def _up(table: list[int]) -> list[int]:
+    """OR every entry into the entries at its subsets, in place: table[G]
+    becomes the union over E ⊇ G (one pass per bit)."""
+    bit = 1
+    while bit < len(table):
+        for g in range(len(table)):
+            if not g & bit:
+                table[g] |= table[g | bit]
+        bit <<= 1
+    return table
+
+
+def _inside(rows: list[int]) -> bool:
+    up = _up(rows[:])
+    return not any(up[g] & g & ~rows[g] for g in range(1, len(rows)))
+
+
+def _gated(rows: list[int], n: int) -> bool:
+    # Field x of a packed value is its n bits from bit n·x; spread[m] puts a
+    # 1 in the field of each x in m, so v * spread[m] copies v into them.
+    # Field x of up[G] is the union of ¬r(E) over E ⊇ G with x in r(E).
+    full, spread = len(rows) - 1, [0] * len(rows)
+    for m in range(1, len(rows)):
+        low = m & -m
+        spread[m] = spread[m ^ low] | 1 << n * (low.bit_length() - 1)
+    up = _up([(full ^ r) * spread[r] for r in rows])
+    return not any(up[g] & rows[g] * spread[g] for g in range(1, len(rows)))
+
+
+_HOLDS: dict[PropertyId, Callable[[Frame, int], bool]] = {
+    PropertyId.PD57: lambda frame, b: _inside(_rows(frame, bits(b))),
+    PropertyId.PD57_STRONG: lambda frame, b: all(_inside(_rows(frame, (i,))) for i in bits(b)),
+    PropertyId.PD9: lambda frame, b: _gated(_rows(frame, bits(b)), frame.n),
+    PropertyId.PR8: lambda frame, b: _gated(_rows(frame, bits(b)), frame.n),
+}
+
+
+def _holds(frame: Frame, pid: PropertyId, b: int) -> bool:
+    try:
+        return _HOLDS[pid](frame, b)
+    except DoxatestError:
+        return False  # a missing row: the scan raises it or finds a violation first
+
+
 def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
     """First violation in canonical order: states, then E, then F ascending;
     s' is the lowest violating believed state."""
@@ -286,6 +355,8 @@ def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
         violators = factory(frame, b)
         if violators is None:
             continue
+        if second is _Second.MEET and _holds(frame, pid, b):
+            continue  # the scan would find nothing
         for e in events:
             for f in seconds(e):
                 m = violators(e, f)

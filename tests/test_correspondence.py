@@ -286,9 +286,14 @@ def test_atom_budget_bounds():
 def literal_verdict(frame, pair, atom_budget, seed=0):
     """The holds side swept one valuation at a time: a `Model` and `cells`
     per valuation, one decision per partition, stopping at the first
-    failing valuation.  None when the property fails."""
-    if not check_property(frame, pair.property).holds:
-        return None
+    failing valuation.  When the property fails, its witness's countermodel
+    must fail the postulate and replay the converted instance."""
+    verdict = check_property(frame, pair.property)
+    if not verdict.holds:
+        wm = build_witness_model(frame, pair, verdict.witness)
+        fails = axiom_holds(wm.model, wm.state, pair.axiom).status is Status.FAILS
+        agrees = fails and replay_witness(wm.model, wm.state, wm.axiom, wm.instance)
+        return CorrespondenceReport(pair, False, agrees, 1, property_witness=verdict.witness)
     atoms = ATOM_NAMES[:atom_budget]
     n = frame.n
     if n * atom_budget <= EXHAUSTIVE_VALUATION_BITS:
@@ -358,11 +363,22 @@ def test_partition_sweep_matches_the_literal_valuation_sweep():
         keep = [k for k in sorted(fr.selection) if rng.random() > 0.25]
         frames.append(Frame(fr.states, fr.belief, {k: fr.selection[k] for k in keep}))
     frames += seeded
-    early_stops = sweep_errors = 0
+    early_stops = sweep_errors = refuted = 0
     for frame in frames:
         for pair in PAIRS + MISMATCHED:
-            if _outcome(lambda: check_property(frame, pair.property).holds) is not True:
-                continue  # the witness leg sweeps nothing
+            holds = _outcome(lambda: check_property(frame, pair.property).holds)
+            if holds is False:
+                # the witness leg sweeps nothing and ignores the budget
+                got = _outcome(lambda: correspondence_verdict(frame, pair, seed=9))
+                want = _outcome(lambda: literal_verdict(frame, pair, 1))
+                if isinstance(want, tuple):
+                    assert got == want, (frame, pair)
+                    continue
+                assert got.to_obj(frame) == want.to_obj(frame), (frame, pair)
+                refuted += pair in MISMATCHED and not got.agrees
+                continue
+            if holds is not True:
+                continue
             for budget in (1, 2, 3):
                 got = _outcome(lambda: correspondence_verdict(frame, pair, budget, seed=9))
                 want = _outcome(lambda: literal_verdict(frame, pair, budget, seed=9))
@@ -372,7 +388,31 @@ def test_partition_sweep_matches_the_literal_valuation_sweep():
                     continue
                 assert got.to_obj(frame) == want.to_obj(frame), (frame, pair, budget)
                 early_stops += want.models_checked < 1 << (frame.n * budget)
-    assert early_stops > 50 and sweep_errors > 5, (early_stops, sweep_errors)
+    assert early_stops > 50 and sweep_errors > 5 and refuted > 20, (
+        early_stops, sweep_errors, refuted
+    )
+
+
+def test_a_one_event_witness_never_replays_a_pair_postulate():
+    # PD2 and PR4 witnesses name no F, while D7, D9 and R8 quantify over
+    # (E, F): each report says the countermodel does not agree, on frames
+    # where the postulate does fail on the witness model as well.
+    frames = list(itertools.islice(enumerate_frames(FrameGenSpec(states=3, mode="random", seed=43)), 6))
+    pairs = (
+        CorrespondencePair(PropertyId.PD2, AxiomId.D9),
+        CorrespondencePair(PropertyId.PR4, AxiomId.R8),
+        CorrespondencePair(PropertyId.PD2, AxiomId.D7),
+    )
+    postulate_fails = 0
+    for frame in frames:
+        for pair in pairs:
+            report = correspondence_verdict(frame, pair)
+            assert not report.property_holds and not report.agrees
+            assert report.property_witness.f is None
+            wm = build_witness_model(frame, pair, report.property_witness)
+            postulate_fails += axiom_holds(wm.model, wm.state, pair.axiom).status is Status.FAILS
+            assert not replay_witness(wm.model, wm.state, wm.axiom, wm.instance)
+    assert postulate_fails >= 8, postulate_fails
 
 
 def test_a_holding_frame_decides_each_partition_once(monkeypatch):

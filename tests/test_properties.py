@@ -9,11 +9,14 @@ from conftest import frame_of, random_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doxatest import properties
 from doxatest.correspondence import FrameGenSpec, enumerate_frames
 from doxatest.errors import SizeLimitError, UndefinedSelectionError
 from doxatest.frames import (
+    bits,
     complete_selection,
     frame_from_obj,
+    mask_of,
     relabel_frame,
     validate_frame,
 )
@@ -413,3 +416,138 @@ def test_collapsed_finder_matches_plain_scan():
                     else:
                         tally["holds" if '"holds": true' in want else "fails"] += 1
     assert min(tally.values()) > 500, tally
+
+
+# --- the holds tests against the scan --------------------------------------
+
+MEET = [pid for pid, (_, second, _) in _CONDITIONS.items() if second is _Second.MEET]
+
+
+def _rank_min(ranks, event):
+    best = min(ranks[i] for i in bits(event))
+    return mask_of(i for i in bits(event) if ranks[i] == best)
+
+
+def _centered_order_frame(rng, n):
+    # per-state rankings with the own state strictly minimal and belief sets
+    # of sizes 1..n-1: UPDATE and STRONG_UPDATE hold by construction
+    belief = [mask_of(rng.sample(range(n), 1 + s % (n - 1))) for s in range(n)]
+    selection = {}
+    for s in range(n):
+        ranks = [rng.randrange(1, n + 1) for _ in range(n)]
+        ranks[s] = 0
+        for e in range(1, 1 << n):
+            selection[(s, e)] = _rank_min(ranks, e)
+    return frame_of(n, belief, selection)
+
+
+def _uniform_revision_frame(rng, n, k_size):
+    # one belief set K and a ranking faithful to it: every class holds
+    k = mask_of(rng.sample(range(n), k_size))
+    ranks = [0 if k >> i & 1 else rng.randrange(1, n + 1) for i in range(n)]
+    selection = {}
+    for s in range(n):
+        for e in range(1, 1 << n):
+            ranked = k >> s & 1 or not e >> s & 1
+            selection[(s, e)] = _rank_min(ranks, e) if ranked else 1 << s
+    return frame_of(n, [k] * n, selection)
+
+
+def _believed_row(rng, frame, pointed=False):
+    # pointed: a row of a state that some state believes alone, if any
+    sets = [b for b in frame.belief if b.bit_count() == 1 or not pointed]
+    believed = sorted(set().union(*(bits(b) for b in sets or frame.belief)))
+    while True:
+        key = (rng.choice(believed), rng.randrange(1, frame.full + 1))
+        if key[1].bit_count() > 1:
+            return key
+
+
+def _perturbed(rng, frame, pointed=False):
+    # one believed row moved to another nonempty part of its event
+    selection = dict(frame.selection)
+    s, e = _believed_row(rng, frame, pointed)
+    while selection[(s, e)] == frame.selection[(s, e)]:
+        selection[(s, e)] = rng.randrange(1, e + 1) & e or e & -e
+    return frame_of(frame.n, frame.belief, selection)
+
+
+def _without_a_row(rng, frame):
+    selection = dict(frame.selection)
+    del selection[_believed_row(rng, frame)]
+    return frame_of(frame.n, frame.belief, selection)
+
+
+def _emptied(rng, frame):
+    # a believed row at a one-state event selects nothing: success still holds
+    s, _ = _believed_row(rng, frame)
+    return frame_of(frame.n, frame.belief, {**frame.selection, (s, 1 << rng.randrange(frame.n)): 0})
+
+
+def _scan_only(monkeypatch):
+    monkeypatch.setattr(properties, "_holds", lambda frame, pid, b: False)
+
+
+def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
+    # Frames that hold by construction, one-row perturbations of them that
+    # break some property, copies missing one believed row and copies with
+    # one empty row: each MEET verdict (or first error) equals the scan's
+    # without the holds test.
+    rng = random.Random(17)
+    frames = []
+    for n, count in ((5, 24), (6, 12), (7, 2)):
+        for _ in range(count):
+            for base in (
+                _centered_order_frame(rng, n),
+                _uniform_revision_frame(rng, n, 1),
+                _uniform_revision_frame(rng, n, rng.randint(2, n - 1)),
+            ):
+                frames += [base, _perturbed(rng, base), _without_a_row(rng, base), _emptied(rng, base)]
+                frames += [_perturbed(rng, base, pointed=True) for _ in range(2)]
+    got = [[_outcome(fr, lambda: check_property(fr, pid)) for pid in MEET] for fr in frames]
+    _scan_only(monkeypatch)
+    want = [[_outcome(fr, lambda: check_property(fr, pid)) for pid in MEET] for fr in frames]
+    assert got == want
+    for column, pid in enumerate(MEET):
+        outcomes = [row[column] for row in want]
+        holds = sum('"holds": true' in o for o in outcomes if isinstance(o, str))
+        fails = sum('"holds": false' in o for o in outcomes if isinstance(o, str))
+        assert holds > 100 and fails > 100, (pid, holds, fails)
+
+
+def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
+    calls = dict.fromkeys(MEET, 0)
+
+    def spying(pid, factory):
+        def spy_factory(frame, b):
+            violators = factory(frame, b)
+            if violators is None:
+                return None
+
+            def spy(e, f):
+                calls[pid] += 1
+                return violators(e, f)
+
+            return spy
+
+        return spy_factory
+
+    for pid in MEET:
+        factory, second, reports_s_prime = _CONDITIONS[pid]
+        monkeypatch.setitem(_CONDITIONS, pid, (spying(pid, factory), second, reports_s_prime))
+    rng = random.Random(4)
+    frame = _uniform_revision_frame(rng, 7, 1)  # a pointed belief set: PD9 applies
+    for pid in MEET:
+        assert check_property(frame, pid).holds
+    assert calls == dict.fromkeys(MEET, 0)
+    for pid in MEET:
+        broken = _perturbed(rng, frame)
+        while check_property(broken, pid).holds:
+            broken = _perturbed(rng, frame)
+        calls[pid] = 0
+        verdict = check_property(broken, pid)
+        assert calls[pid] > 0
+        with monkeypatch.context() as scan:
+            _scan_only(scan)
+            assert verdict == check_property(broken, pid)
+        assert recheck_witness(broken, verdict.witness)
