@@ -28,7 +28,7 @@ from random import Random
 
 from .axioms import AxiomId, Status
 from .errors import InputFormatError, UnfaithfulOrderError
-from .formulas import ATOM_RE, Formula, truth_vector
+from .formulas import ATOM_RE, Atom, Formula, truth_vector
 from .frames import (
     Event,
     Frame,
@@ -92,11 +92,7 @@ class WorldContext:
 
     def atom_worlds(self, i: int) -> Event:
         """Worlds at which atom number i is true."""
-        out = 0
-        for w in range(self.n_worlds):
-            if (w >> (self.k - 1 - i)) & 1:
-                out |= 1 << w
-        return out
+        return self.truth_worlds(Atom(self.atoms[i]))
 
     def truth_worlds(self, formula: Formula) -> Event:
         """Worlds at which the formula is true: its truth vector over the
@@ -119,14 +115,35 @@ class TotalPreOrder:
 
     def minimum(self) -> Event:
         """The globally most plausible worlds."""
-        lowest = min(self.ranks)
-        return sum(1 << w for w, r in enumerate(self.ranks) if r == lowest)
+        return self.min_of((1 << self.n_worlds) - 1)
 
     def min_of(self, event: Event) -> Event:
         if event == 0:
             return 0
         lowest = min(self.ranks[w] for w in bits(event))
         return sum(1 << w for w in bits(event) if self.ranks[w] == lowest)
+
+
+def _order_fault(rows: Sequence[int], w: int, n: int) -> str | None:
+    """Why ``rows`` is not a preorder on n worlds with w strictly lowest, or
+    None when it is one."""
+    full = (1 << n) - 1
+    if len(rows) != n:
+        return f"has {len(rows)} rows, expected {n}"
+    for x, above in enumerate(rows):
+        if above & ~full:
+            return f"relates world {x} to a world out of range"
+        if not (above >> x) & 1:
+            return f"is not reflexive at world {x}"
+        for y in bits(above):
+            if rows[y] & ~above:
+                return f"is not transitive through {x} <= {y}"
+    if rows[w] != full:
+        return "does not place its own world below every other"
+    for y in range(n):
+        if y != w and (rows[y] >> w) & 1:
+            return f"allows world {y} to tie its own world"
+    return None
 
 
 @dataclass(frozen=True)
@@ -152,36 +169,10 @@ class PreOrderFamily:
         return bool((self.le[w][x] >> y) & 1)
 
     def validate(self) -> None:
-        n = self.n_worlds
-        full = (1 << n) - 1
         for w, rows in enumerate(self.le):
-            if len(rows) != n:
-                raise UnfaithfulOrderError(
-                    f"order at world {w} has {len(rows)} rows, expected {n}"
-                )
-            for x, above in enumerate(rows):
-                if above & ~full:
-                    raise UnfaithfulOrderError(
-                        f"order at world {w} relates world {x} to a world out of range"
-                    )
-                if not (above >> x) & 1:
-                    raise UnfaithfulOrderError(
-                        f"order at world {w} is not reflexive at world {x}"
-                    )
-                for y in bits(above):
-                    if rows[y] & ~above:
-                        raise UnfaithfulOrderError(
-                            f"order at world {w} is not transitive through {x} <= {y}"
-                        )
-            if rows[w] != full:
-                raise UnfaithfulOrderError(
-                    f"order at world {w} does not place its own world below every other"
-                )
-            for y in range(n):
-                if y != w and (rows[y] >> w) & 1:
-                    raise UnfaithfulOrderError(
-                        f"order at world {w} allows world {y} to tie its own world"
-                    )
+            fault = _order_fault(rows, w, self.n_worlds)
+            if fault is not None:
+                raise UnfaithfulOrderError(f"order at world {w} {fault}")
 
     def is_total_at(self, w: int) -> bool:
         rows = self.le[w]
@@ -203,16 +194,7 @@ class PreOrderFamily:
     @classmethod
     def from_rankings(cls, rankings: Sequence[Sequence[int]]) -> "PreOrderFamily":
         """Total orders, one ranking vector per world."""
-        n = len(rankings)
-        le = []
-        for ranks in rankings:
-            le.append(
-                tuple(
-                    sum(1 << y for y in range(n) if ranks[x] <= ranks[y])
-                    for x in range(n)
-                )
-            )
-        return cls(tuple(le))
+        return cls.pareto([(ranks, ranks) for ranks in rankings])
 
     @classmethod
     def pareto(
@@ -238,11 +220,11 @@ class PreOrderFamily:
 class ChangeFunctionTable:
     """The input-to-result table of one belief-change function.
 
-    K and all results are world masks.  Tables over at most three atoms are
-    materialised eagerly; four-atom tables compute rows on demand and memoise
-    them.  ``row(w, event)`` exposes the per-believed-world contribution used
-    when rebuilding a pointed structure; for functions without one (parsed
-    tables), every believed world's row is the full result.
+    K and all results are world masks.  Results are computed on demand and
+    memoised; parsed tables start with every entry.  ``row(w, event)``
+    exposes the per-believed-world contribution used when rebuilding a
+    pointed structure; for functions without one (parsed tables), every
+    believed world's row is the full result.
     """
 
     def __init__(
@@ -262,9 +244,6 @@ class ChangeFunctionTable:
         self._fn = fn
         self._row_fn = row_fn
         self._dense = dict(dense) if dense is not None else {}
-        if fn is not None and ctx.k <= DENSE_ATOM_LIMIT:
-            for event in range(1, ctx.full + 1):
-                self._dense[event] = fn(event)
 
     def result(self, event: Event) -> Event:
         if not 0 < event <= self.ctx.full:
@@ -680,7 +659,6 @@ def roundtrip_verify(
     table: ChangeFunctionTable,
     frame_class: FrameClass,
     events: Sequence[Event] | None = None,
-    seed: int = 0,
 ) -> RoundtripReport:
     """Rebuild a structure from the table and verify three things.
 
@@ -689,12 +667,9 @@ def roundtrip_verify(
     3. reading conditional supports back off the structure reproduces the
        table on every checked event.
 
-    Tables over four atoms are checked on a seeded random event subalgebra
-    instead of all events.
+    Tables over four atoms need an explicit event list closed under
+    intersection and union, such as a `sampled_event_algebra`.
     """
-    ctx = table.ctx
-    if events is None and ctx.k > DENSE_ATOM_LIMIT:
-        events = sampled_event_algebra(ctx.n_worlds, Random(seed))
     if events is not None:
         events = sorted(set(events))
     model = build_canonical_model(table, events)
@@ -750,19 +725,8 @@ def random_revision_table(rng: Random, ctx: WorldContext) -> ChangeFunctionTable
 
 def _valid_single_orders(n_worlds: int, w: int) -> list[tuple[int, ...]]:
     """All reflexive transitive orders on a tiny world set with w strictly lowest."""
-    full = (1 << n_worlds) - 1
-    out = []
-    for rows in itertools.product(range(full + 1), repeat=n_worlds):
-        if not all((rows[x] >> x) & 1 for x in range(n_worlds)):
-            continue
-        if rows[w] != full:
-            continue
-        if any((rows[y] >> w) & 1 for y in range(n_worlds) if y != w):
-            continue
-        if any(rows[y] & ~rows[x] for x in range(n_worlds) for y in bits(rows[x])):
-            continue
-        out.append(rows)
-    return out
+    candidates = itertools.product(range(1 << n_worlds), repeat=n_worlds)
+    return [rows for rows in candidates if _order_fault(rows, w, n_worlds) is None]
 
 
 def _all_centered_families(n_worlds: int) -> list[PreOrderFamily]:
@@ -774,16 +738,12 @@ def _all_centered_families(n_worlds: int) -> list[PreOrderFamily]:
 def _all_order_types(n_worlds: int) -> list[TotalPreOrder]:
     """Every ranking shape on a small world set (ranks are order types)."""
     out = []
-    seen = set()
     for ranks in itertools.product(range(n_worlds), repeat=n_worlds):
         if min(ranks) != 0:
             continue
         levels = tuple(sorted(set(ranks)))
         if levels != tuple(range(len(levels))):
             continue
-        if ranks in seen:
-            continue
-        seen.add(ranks)
         out.append(TotalPreOrder(ranks))
     return out
 

@@ -48,6 +48,7 @@ from .frames import (
     validate_frame,
 )
 from .limits import (
+    ATOM_LIMIT,
     DEFAULT_MAX_STATES,
     DENSE_ATOM_LIMIT,
     ENUMERATION_FRAME_LIMIT,
@@ -154,7 +155,18 @@ FORMAT_OPTION = click.option(
 )
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: a `DoxatestError` from any command is an input
+    error, reported on stderr with exit code 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DoxatestError as exc:
+            raise _fail_usage(str(exc))
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Check belief-change postulates on finite pointed structures."""
 
@@ -196,50 +208,44 @@ def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
     structure = _load(path)
     frame = structure.frame if isinstance(structure, Model) else structure
     if completion is not None:
-        try:
-            frame = complete_selection(frame, rule=completion, max_states=bound)
-        except DoxatestError as exc:
-            raise _fail_usage(str(exc))
+        frame = complete_selection(frame, rule=completion, max_states=bound)
         if isinstance(structure, Model):
             structure = Model(frame, structure.valuation)
 
-    try:
-        if prop is not None:
-            name = _norm(prop)
-            if name not in PropertyId.__members__:
-                raise _fail_usage(f"unknown property {prop!r}")
-            verdict = check_property(frame, PropertyId[name], max_states=bound)
-            report = {"command": "check", "mode": "property", **verdict.to_obj(frame)}
-            ok = verdict.holds
-        elif frame_class is not None:
-            name = _norm(frame_class)
-            if name not in FrameClass.__members__:
-                raise _fail_usage(f"unknown frame class {frame_class!r}")
-            result = check_class(frame, FrameClass[name], max_states=bound)
-            report = {"command": "check", "mode": "class", **result.to_obj(frame)}
-            ok = result.holds
-        else:
-            name = _norm(axiom)
-            if name not in AxiomId.__members__:
-                raise _fail_usage(f"unknown axiom {axiom!r}")
-            if not isinstance(structure, Model):
-                raise _fail_usage("axiom checks need a model file with a valuation")
-            if state is None:
-                raise _fail_usage("axiom checks need --state")
-            if state not in frame.states:
-                raise _fail_usage(f"unknown state {state!r}")
-            verdict = axiom_holds(
-                structure, frame.index(state), AxiomId[name], max_cells=bound
-            )
-            report = {
-                "command": "check",
-                "mode": "axiom",
-                "state": state,
-                **verdict.to_obj(structure),
-            }
-            ok = verdict.status is not Status.FAILS
-    except DoxatestError as exc:
-        raise _fail_usage(str(exc))
+    if prop is not None:
+        name = _norm(prop)
+        if name not in PropertyId.__members__:
+            raise _fail_usage(f"unknown property {prop!r}")
+        verdict = check_property(frame, PropertyId[name], max_states=bound)
+        report = {"command": "check", "mode": "property", **verdict.to_obj(frame)}
+        ok = verdict.holds
+    elif frame_class is not None:
+        name = _norm(frame_class)
+        if name not in FrameClass.__members__:
+            raise _fail_usage(f"unknown frame class {frame_class!r}")
+        result = check_class(frame, FrameClass[name], max_states=bound)
+        report = {"command": "check", "mode": "class", **result.to_obj(frame)}
+        ok = result.holds
+    else:
+        name = _norm(axiom)
+        if name not in AxiomId.__members__:
+            raise _fail_usage(f"unknown axiom {axiom!r}")
+        if not isinstance(structure, Model):
+            raise _fail_usage("axiom checks need a model file with a valuation")
+        if state is None:
+            raise _fail_usage("axiom checks need --state")
+        if state not in frame.states:
+            raise _fail_usage(f"unknown state {state!r}")
+        verdict = axiom_holds(
+            structure, frame.index(state), AxiomId[name], max_cells=bound
+        )
+        report = {
+            "command": "check",
+            "mode": "axiom",
+            "state": state,
+            **verdict.to_obj(structure),
+        }
+        ok = verdict.status is not Status.FAILS
     _emit(report, fmt)
     raise SystemExit(0 if ok else 1)
 
@@ -260,22 +266,19 @@ def correspond(path, enum_states, pairs, atom_budget, seed, fmt):
     if (path is None) == (enum_states is None):
         raise _fail_usage("pass a frame file or --enumerate N, not both")
     chosen_pairs = _parse_pairs(pairs)
-    try:
-        if path is not None:
-            structure = _load(path)
-            frame = structure.frame if isinstance(structure, Model) else structure
-            frames = [frame]
-        else:
-            n = enum_states
-            refuse_beyond(n, EXHAUSTIVE_STATE_LIMIT, "states in an exhaustive enumeration")
-            frame_count = count_base_tables(n) * ((1 << n) - 1) ** n
-            refuse_beyond(frame_count, ENUMERATION_FRAME_LIMIT, "frames in an exhaustive census")
-            frames = enumerate_frames(FrameGenSpec(states=n))
-        census = build_census(
-            frames, atom_budget=atom_budget, seed=seed, pairs=chosen_pairs
-        )
-    except DoxatestError as exc:
-        raise _fail_usage(str(exc))
+    if path is not None:
+        structure = _load(path)
+        frame = structure.frame if isinstance(structure, Model) else structure
+        frames = [frame]
+    else:
+        n = enum_states
+        refuse_beyond(n, EXHAUSTIVE_STATE_LIMIT, "states in an exhaustive enumeration")
+        frame_count = count_base_tables(n) * ((1 << n) - 1) ** n
+        refuse_beyond(frame_count, ENUMERATION_FRAME_LIMIT, "frames in an exhaustive census")
+        frames = enumerate_frames(FrameGenSpec(states=n))
+    census = build_census(
+        frames, atom_budget=atom_budget, seed=seed, pairs=chosen_pairs
+    )
     report = {"command": "correspond", **census}
     _emit(report, fmt)
     raise SystemExit(0 if census["summary"]["disagreements"] == 0 else 1)
@@ -323,8 +326,8 @@ def roundtrip(atoms, kind, trials, seed, fmt):
     kind_name = _norm(kind)
     if kind_name not in KIND_SETTINGS:
         raise _fail_usage(f"unknown kind {kind!r}; expected update, strong-update or revision")
-    if not 1 <= atoms <= len(ATOM_NAMES):
-        raise _fail_usage(f"--atoms must be between 1 and {len(ATOM_NAMES)}")
+    if not 1 <= atoms <= ATOM_LIMIT:
+        raise _fail_usage(f"--atoms must be between 1 and {ATOM_LIMIT}")
     if trials < 1:
         raise _fail_usage("--trials must be positive")
     frame_class, total = KIND_SETTINGS[kind_name]
@@ -340,11 +343,8 @@ def roundtrip(atoms, kind, trials, seed, fmt):
         events = None
         if ctx.k > DENSE_ATOM_LIMIT:
             events = sampled_event_algebra(ctx.n_worlds, Random(f"{seed}:{trial}:events"))
-        try:
-            trip = roundtrip_verify(table, frame_class, events=events)
-            audit = audit_function(table, suite, events=events)
-        except DoxatestError as exc:
-            raise _fail_usage(str(exc))
+        trip = roundtrip_verify(table, frame_class, events=events)
+        audit = audit_function(table, suite, events=events)
         if not (trip.ok and audit.ok):
             failures.append(
                 {
@@ -381,47 +381,38 @@ def ri(path, state, formula_text, probes, completion, fmt):
     if not isinstance(structure, Model):
         raise _fail_usage("conditional-belief reports need a model file with a valuation")
     if completion is not None:
-        try:
-            structure = Model(
-                complete_selection(structure.frame, rule=completion), structure.valuation
-            )
-        except DoxatestError as exc:
-            raise _fail_usage(str(exc))
+        structure = Model(
+            complete_selection(structure.frame, rule=completion), structure.valuation
+        )
     frame = structure.frame
     if state not in frame.states:
         raise _fail_usage(f"unknown state {state!r}")
     s = frame.index(state)
-    try:
-        phi = parse_formula(formula_text)
-        phi_worlds = truth_set(structure, phi)
-        probe_formulas = [parse_formula(text) for text in probes]
-    except DoxatestError as exc:
-        raise _fail_usage(str(exc))
+    phi = parse_formula(formula_text)
+    phi_worlds = truth_set(structure, phi)
+    probe_formulas = [parse_formula(text) for text in probes]
 
-    try:
-        if phi_worlds:
-            support = ri_support(structure, s, phi_worlds)
-            conditional = {
-                "formula": render(phi),
-                "branch": "selection",
-                "support": list(support.support_ids()),
-            }
-        else:
-            conditional = {
-                "formula": render(phi),
-                "branch": "empty-input",
-                "support": None,
-            }
-        probe_objs = []
-        for probe in probe_formulas:
-            member = extended_member(structure, s, phi, probe)
-            entry = {"formula": render(probe), "member": member}
-            if phi_worlds and not member:
-                outside = support.support & ~truth_set(structure, probe)
-                entry["separatingState"] = frame.states[next(bits(outside))]
-            probe_objs.append(entry)
-    except DoxatestError as exc:
-        raise _fail_usage(str(exc))
+    if phi_worlds:
+        support = ri_support(structure, s, phi_worlds)
+        conditional = {
+            "formula": render(phi),
+            "branch": "selection",
+            "support": list(support.support_ids()),
+        }
+    else:
+        conditional = {
+            "formula": render(phi),
+            "branch": "empty-input",
+            "support": None,
+        }
+    probe_objs = []
+    for probe in probe_formulas:
+        member = extended_member(structure, s, phi, probe)
+        entry = {"formula": render(probe), "member": member}
+        if phi_worlds and not member:
+            outside = support.support & ~truth_set(structure, probe)
+            entry["separatingState"] = frame.states[next(bits(outside))]
+        probe_objs.append(entry)
     report = {
         "command": "ri",
         "state": state,

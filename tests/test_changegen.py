@@ -1,22 +1,30 @@
 """Tests for the syntax-side change-function generators and their audits."""
 
+import hashlib
+import itertools
+import json
 from random import Random
 
 import pytest
 
 from doxatest.axioms import AxiomId, Status
 from doxatest.changegen import (
+    SUITES,
     ChangeFunctionTable,
     PreOrderFamily,
     TotalPreOrder,
     WorldContext,
+    _all_order_types,
+    _valid_single_orders,
     audit_function,
     build_canonical_model,
     extract_table,
     gen_revision,
     gen_update,
     generator_coverage_report,
+    random_family,
     random_revision_table,
+    random_total_order,
     random_update_table,
     roundtrip_verify,
     sampled_event_algebra,
@@ -30,6 +38,7 @@ from doxatest.errors import (
 )
 from doxatest.formulas import parse_formula
 from doxatest.frames import cells, validate_frame
+from doxatest.limits import DENSE_ATOM_LIMIT
 from doxatest.properties import FrameClass, PropertyId, check_class
 
 CTX2 = WorldContext(("p", "q"))
@@ -331,13 +340,15 @@ def test_lazy_four_atom_tables():
     with pytest.raises(SizeLimitError):
         audit_function(table, "KM")
     with pytest.raises(SizeLimitError):
+        roundtrip_verify(table, FrameClass.UPDATE)
+    with pytest.raises(SizeLimitError):
         table.as_dict()
     with pytest.raises(SizeLimitError):
         build_canonical_model(table)
     algebra = sampled_event_algebra(ctx.n_worlds, Random(3))
     assert len(algebra) == 255
     assert audit_function(table, "KM", events=algebra).ok
-    report = roundtrip_verify(table, FrameClass.UPDATE, seed=3)
+    report = roundtrip_verify(table, FrameClass.UPDATE, events=algebra)
     assert report.ok and report.events_checked == 255
 
 
@@ -453,3 +464,84 @@ def test_audit_without_success_scans_every_pair():
     d5 = km[AxiomId.D5].witness
     assert (d5.e, d5.f) == (0b0010, 0b0001)
     _assert_audit_matches_full_scan(table)
+
+
+def test_generator_outputs_are_frozen():
+    # Seeded tables at 1-4 atoms: their entries, their audits against every
+    # suite and their round-trips, for the generated tables and (up to 3
+    # atoms) for perturbed copies that break postulates and drift from their
+    # rows.  Then every order-family validation message over the row tuples
+    # of 1- and 2-world families with values up to one past the full mask and
+    # over seeded 3- and 4-world families, the brute-force single orders up
+    # to 3 worlds, and every ranking shape up to 4 worlds with its minimum.
+    # The digest was recorded on the commit before the order check, the
+    # total-ranking constructor and the table fill were each written once,
+    # so any change to a table, a verdict, a message or an order list shows.
+    digest = hashlib.sha256()
+
+    def record(out):
+        digest.update(json.dumps(out, sort_keys=True).encode())
+
+    def validation(le):
+        try:
+            PreOrderFamily(le).validate()
+        except UnfaithfulOrderError as exc:
+            return str(exc)
+        return None
+
+    for k in range(1, 5):
+        ctx = WorldContext(("p", "q", "r", "s")[:k])
+        rng = Random(k)
+        record([ctx.atom_worlds(i) for i in range(k)])
+        for _ in range(4 if k <= DENSE_ATOM_LIMIT else 1):
+            record(random_family(rng, ctx, total=True).le)
+            record(random_total_order(rng, ctx, rng.randrange(1, ctx.full + 1)).minimum())
+            for table, frame_class in (
+                (random_update_table(rng, ctx), FrameClass.UPDATE),
+                (random_update_table(rng, ctx, total=True), FrameClass.STRONG_UPDATE),
+                (random_revision_table(rng, ctx), FrameClass.REVISION_STRICT),
+            ):
+                events = None
+                if k > DENSE_ATOM_LIMIT:
+                    events = sampled_event_algebra(ctx.n_worlds, rng)
+                    tables = [table]
+                else:
+                    tables = [table, _perturbed(rng, table)]
+                for t in tables:
+                    record(sorted(t.as_dict(events).items()))
+                    for suite in SUITES:
+                        record(audit_function(t, suite, events=events).to_obj(ctx))
+                    record(roundtrip_verify(t, frame_class, events=events).to_obj(ctx))
+
+    for n in (1, 2):
+        full = (1 << n) - 1
+        rows = list(itertools.product(range(full + 2), repeat=n))
+        for le in itertools.product(rows, repeat=n):
+            record([le, validation(le)])
+        record(validation(((full,) * (n + 1),) * n))
+    rng = Random(5)
+    for n in (3, 4):
+        full = (1 << n) - 1
+        for _ in range(300):
+            if n == 4 and rng.random() < 0.5:
+                # a valid partial family with one bit flipped
+                le = [list(row) for row in random_family(rng, CTX2).le]
+                w, x = rng.randrange(n), rng.randrange(n)
+                le[w][x] ^= 1 << rng.randrange(n + 1)
+            else:
+                # arbitrary rows, one world's made reflexive and centered
+                le = [[rng.randrange(full + 2) for _ in range(n)] for _ in range(n)]
+                w = rng.randrange(n)
+                le[w] = [full if x == w else row | 1 << x for x, row in enumerate(le[w])]
+            if rng.random() < 0.05:
+                le[rng.randrange(n)].pop()
+            record([le, validation(le)])
+
+    for n in (1, 2, 3):
+        record([_valid_single_orders(n, w) for w in range(n)])
+    for n in (1, 2, 3, 4):
+        record([[order.ranks, order.minimum()] for order in _all_order_types(n)])
+    assert digest.hexdigest() == (
+        "7a9e402bb1ba57658771a0b30b3c215e605c20057846195029163f795b1d9977"
+    )
+
