@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from .axioms import AxiomId, Status
@@ -153,9 +153,12 @@ class PreOrderFamily:
     ``le[w][x]`` is the mask of worlds y with x at least as plausible as y
     from the standpoint of world w.  Orders may be genuinely partial; each
     must be reflexive and transitive and have w as its strict minimum.
+    `min_of` memoizes its answers, so a table's result and its per-world rows
+    scan each (w, event) once.
     """
 
     le: tuple[tuple[int, ...], ...]
+    _min: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "le", tuple(tuple(row) for row in self.le))
@@ -184,11 +187,15 @@ class PreOrderFamily:
 
     def min_of(self, w: int, event: Event) -> Event:
         """The most plausible worlds of the event, from the standpoint of w."""
-        out = 0
-        members = list(bits(event))
-        for x in members:
-            if not any(y != x and self.leq(w, y, x) and not self.leq(w, x, y) for y in members):
-                out |= 1 << x
+        key = (w, event)
+        out = self._min.get(key)
+        if out is None:
+            out = 0
+            members = list(bits(event))
+            for x in members:
+                if not any(y != x and self.leq(w, y, x) and not self.leq(w, x, y) for y in members):
+                    out |= 1 << x
+            self._min[key] = out
         return out
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Frame-level conditions characterizing update and revision behaviour.
+r"""Frame-level conditions characterizing update and revision behaviour.
 
 Each property quantifies over states and events of a bare frame, and its
 condition is written once, as a violation predicate in `_CONDITIONS`: given
@@ -24,19 +24,39 @@ first witness (and, on partial frames, the first missing row) unchanged:
   G = E∩F, so F runs over the subsets of E (3ⁿ pairs instead of 4ⁿ).  Any F
   with E∩F = G contains G, so each G first turns up at F = G, and the G
   values turn up in ascending order: the first hit is the same instance.
-- *Symmetric pairs.*  PD6 and PD7 are symmetric in (E, F), so the first
-  violation has E ≤ F, and F runs from E up.  A pair with F < E reads no
-  row that the scan has not read at (F, E) or at row E's first pair.
-- *A holds test before the scan.*  Under the same success condition, each
-  MEET property at a belief set fits one of two shapes over a row table
-  r(E), either Sup(B, E) or one f(i, E).  Inside (PD57, PD57_STRONG): no
-  G ⊆ E with r(E) ∩ G ⊄ r(G).  Gated (PD9, PR8): no G ⊆ E with r(E)
-  meeting G and r(G) ⊄ r(E).  One OR over supersets (the zeta transform of
-  the subset lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E) over
-  E ⊇ G for the inside shape; for the gated one, per state x, the union of
-  ¬r(E) over E ⊇ G with x in r(E).  The test reads every nonempty event's
-  row, as a scan that ends without error does, so its "holds" is the
-  scan's; when it fails or meets a missing row the scan runs and reports.
+- *A holds test, else the scan.*  One rule covers the six pair
+  properties.  When no ``events`` list is given and every defined
+  selection row succeeds, each belief set first runs an exact test over a
+  row table r(E), either Sup(B, E) or one f(i, E), and a "holds" skips the
+  scan.  The test reads every nonempty event's row, as a scan that ends
+  without error does, so its "holds" is the scan's.  When it fails or
+  meets a missing row, the scan runs and alone reports.  There PD6 and
+  PD7, symmetric in (E, F), run F from E up with or without success: their
+  first violation has E ≤ F, and a pair with F < E reads no row that the
+  scan has not read at (F, E) or at row E's first pair.  The shapes of the
+  tests:
+
+  - Inside (PD57; PD57_STRONG per believed state): no G ⊆ E with
+    r(E) ∩ G ⊄ r(G).  Gated (PD9, PR8): no G ⊆ E with r(E) meeting G and
+    r(G) ⊄ r(E).  One OR over supersets (the zeta transform of the subset
+    lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E) over E ⊇ G
+    for the inside shape; for the gated one, per state x, the union of
+    ¬r(E) over E ⊇ G with x in r(E).
+  - Cumulative (PD6, r = Sup(B, ·)): PD6 is reciprocity, r(E) ⊆ F and
+    r(F) ⊆ E imply r(E) = r(F).  Under success it is equivalent to
+    cumulativity, r(E) ⊆ G ⊆ E implies r(G) = r(E) (Kraus, Lehmann &
+    Magidor 1990): take F = G one way; the other way, r(E) and r(F) both
+    lie in G = E∩F, so both equal r(G) (or are ∅ when G is).  Cumulativity
+    follows from its one-element steps by removing E \ G one state at a
+    time: r(E \ {x}) = r(E) for each x ∈ E \ r(E) with E \ {x} ≠ ∅, at
+    most n·2ⁿ row comparisons.
+  - Union-closed (PD7, r = f(i, ·) at B = {i}): PD7 fails iff some x and
+    G with x ∈ r(G) have G = E ∪ F for nonempty E, F with x in neither
+    r(E) nor r(F).  For each x the number of such pairs at every G is the
+    union product of the indicator [E ≠ ∅, x ∉ r(E)] with itself: the
+    Möbius transform of its squared zeta transform (Björklund, Husfeldt,
+    Kaski & Koivisto, "Fourier meets Möbius", STOC 2007), n·2ⁿ steps per x
+    in exact integers.
 
 An explicit ``events`` list keeps the plain ordered pair loop (a list gives
 no ordering or closure guarantee) and the belief-set dedupe.
@@ -270,8 +290,8 @@ _CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
 }
 
 
-# Holds tests for the MEET properties at one belief set, over a row table
-# r[E] for E = 0..full (r[0] = 0).  Only their "holds" is trusted.
+# Holds tests at one belief set, over a row table r[E] for E = 0..full
+# (r[0] = 0).  Only their "holds" is trusted.
 
 
 def _rows(frame: Frame, states) -> list[int]:
@@ -313,9 +333,49 @@ def _gated(rows: list[int], n: int) -> bool:
     return not any(up[g] & rows[g] * spread[g] for g in range(1, len(rows)))
 
 
+def _cumulative(rows: list[int]) -> bool:
+    # One-step cumulativity: r(E \ {x}) = r(E) at each x in E outside r(E),
+    # unless E = {x}.
+    bit = 1
+    while bit < len(rows):
+        for e in range(bit + 1, len(rows)):
+            if e & bit and not rows[e] & bit and rows[e ^ bit] != rows[e]:
+                return False
+        bit <<= 1
+    return True
+
+
+def _sums(table: list[int], sign: int) -> list[int]:
+    """Add (sign 1) or subtract (sign -1) every entry into the entries at its
+    supersets, in place: with sign 1, table[G] becomes the sum over E ⊆ G
+    (the zeta transform); sign -1 inverts it (the Möbius transform)."""
+    bit = 1
+    while bit < len(table):
+        for g in range(bit, len(table)):
+            if g & bit:
+                table[g] += sign * table[g ^ bit]
+        bit <<= 1
+    return table
+
+
+def _union_closed(rows: list[int], n: int) -> bool:
+    # Per state x, pairs[G] counts the pairs (E, F) of nonempty events without
+    # x in their rows and with E ∪ F = G: the union product of that
+    # indicator with itself, the Möbius transform of its squared zeta.
+    for x in range(n):
+        bit = 1 << x
+        zeta = _sums([0] + [0 if r & bit else 1 for r in rows[1:]], 1)
+        pairs = _sums([z * z for z in zeta], -1)
+        if any(pairs[g] for g in range(1, len(rows)) if rows[g] & bit):
+            return False
+    return True
+
+
 _HOLDS: dict[PropertyId, Callable[[Frame, int], bool]] = {
     PropertyId.PD57: lambda frame, b: _inside(_rows(frame, bits(b))),
     PropertyId.PD57_STRONG: lambda frame, b: all(_inside(_rows(frame, (i,))) for i in bits(b)),
+    PropertyId.PD6: lambda frame, b: _cumulative(_rows(frame, bits(b))),
+    PropertyId.PD7: lambda frame, b: _union_closed(_rows(frame, bits(b)), frame.n),
     PropertyId.PD9: lambda frame, b: _gated(_rows(frame, bits(b)), frame.n),
     PropertyId.PR8: lambda frame, b: _gated(_rows(frame, bits(b)), frame.n),
 }
@@ -332,11 +392,14 @@ def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
     """First violation in canonical order: states, then E, then F ascending;
     s' is the lowest violating believed state."""
     factory, second, reports_s_prime = _CONDITIONS[pid]
+    tested = False
     if events is None:
         events = range(1, frame.full + 1)
-        if second is _Second.MEET and any(
+        # one gate for every holds test, and every MEET property has one
+        tested = pid in _HOLDS and not any(
             value & ~event for (_, event), value in frame.selection.items()
-        ):
+        )
+        if second is _Second.MEET and not tested:
             second = _Second.ALL  # success fails somewhere: F matters whole
     elif second is not _Second.SINGLE:
         second = _Second.ALL
@@ -355,7 +418,7 @@ def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
         violators = factory(frame, b)
         if violators is None:
             continue
-        if second is _Second.MEET and _holds(frame, pid, b):
+        if tested and _holds(frame, pid, b):
             continue  # the scan would find nothing
         for e in events:
             for f in seconds(e):

@@ -244,6 +244,20 @@ def test_canonical_model_shape():
     assert extract_table(model) == table.as_dict()
 
 
+def test_canonical_model_reuses_the_update_rows(monkeypatch):
+    # An update table's results and the canonical model's rows read one memo
+    # of order minima: once the table is filled, the rows compare no worlds.
+    table = random_update_table(Random(6), WorldContext(("p", "q", "r")))
+    results = table.as_dict()
+    leq, compared = PreOrderFamily.leq, []
+    monkeypatch.setattr(
+        PreOrderFamily, "leq", lambda self, *args: compared.append(args) or leq(self, *args)
+    )
+    model = build_canonical_model(table)
+    assert compared == []
+    assert extract_table(model) == results
+
+
 def test_roundtrip_reports():
     update = total_update_table()
     report = roundtrip_verify(update, FrameClass.UPDATE)

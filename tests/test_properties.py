@@ -420,7 +420,7 @@ def test_collapsed_finder_matches_plain_scan():
 
 # --- the holds tests against the scan --------------------------------------
 
-MEET = [pid for pid, (_, second, _) in _CONDITIONS.items() if second is _Second.MEET]
+TESTED = list(properties._HOLDS)
 
 
 def _rank_min(ranks, event):
@@ -491,8 +491,8 @@ def _scan_only(monkeypatch):
 def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
     # Frames that hold by construction, one-row perturbations of them that
     # break some property, copies missing one believed row and copies with
-    # one empty row: each MEET verdict (or first error) equals the scan's
-    # without the holds test.
+    # one empty row: each verdict (or first error) of a property with a holds
+    # test equals the scan's without the test.
     rng = random.Random(17)
     frames = []
     for n, count in ((5, 24), (6, 12), (7, 2)):
@@ -504,11 +504,11 @@ def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
             ):
                 frames += [base, _perturbed(rng, base), _without_a_row(rng, base), _emptied(rng, base)]
                 frames += [_perturbed(rng, base, pointed=True) for _ in range(2)]
-    got = [[_outcome(fr, lambda: check_property(fr, pid)) for pid in MEET] for fr in frames]
+    got = [[_outcome(fr, lambda: check_property(fr, pid)) for pid in TESTED] for fr in frames]
     _scan_only(monkeypatch)
-    want = [[_outcome(fr, lambda: check_property(fr, pid)) for pid in MEET] for fr in frames]
+    want = [[_outcome(fr, lambda: check_property(fr, pid)) for pid in TESTED] for fr in frames]
     assert got == want
-    for column, pid in enumerate(MEET):
+    for column, pid in enumerate(TESTED):
         outcomes = [row[column] for row in want]
         holds = sum('"holds": true' in o for o in outcomes if isinstance(o, str))
         fails = sum('"holds": false' in o for o in outcomes if isinstance(o, str))
@@ -516,7 +516,7 @@ def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
 
 
 def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
-    calls = dict.fromkeys(MEET, 0)
+    calls = dict.fromkeys(TESTED, 0)
 
     def spying(pid, factory):
         def spy_factory(frame, b):
@@ -532,15 +532,15 @@ def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
 
         return spy_factory
 
-    for pid in MEET:
+    for pid in TESTED:
         factory, second, reports_s_prime = _CONDITIONS[pid]
         monkeypatch.setitem(_CONDITIONS, pid, (spying(pid, factory), second, reports_s_prime))
     rng = random.Random(4)
     frame = _uniform_revision_frame(rng, 7, 1)  # a pointed belief set: PD9 applies
-    for pid in MEET:
+    for pid in TESTED:
         assert check_property(frame, pid).holds
-    assert calls == dict.fromkeys(MEET, 0)
-    for pid in MEET:
+    assert calls == dict.fromkeys(TESTED, 0)
+    for pid in TESTED:
         broken = _perturbed(rng, frame)
         while check_property(broken, pid).holds:
             broken = _perturbed(rng, frame)
@@ -551,3 +551,63 @@ def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
             _scan_only(scan)
             assert verdict == check_property(broken, pid)
         assert recheck_witness(broken, verdict.witness)
+
+
+# --- the PD6 and PD7 kernels against their definitions ---------------------
+
+
+def _row_table(rng, n):
+    # Success-respecting rows r[E] ⊆ E: the union of one or two rankings'
+    # minima (both kernels hold), then up to three entries redrawn inside
+    # their event, some of them empty.
+    full = (1 << n) - 1
+    rankings = [[rng.randrange(n) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+    rows = [0] + [mask_of(i for r in rankings for i in bits(_rank_min(r, e))) for e in range(1, full + 1)]
+    for _ in range(rng.randint(0, 3)):
+        e = rng.randrange(1, full + 1)
+        rows[e] = 0 if rng.random() < 0.3 else e & rng.randrange(full + 1)
+    return rows
+
+
+def _reciprocal(rows):
+    # PD6 literally: r(E) ⊆ F and r(F) ⊆ E imply r(E) = r(F), E∩F = ∅ included
+    events = range(1, len(rows))
+    return all(
+        rows[e] == rows[f]
+        for e in events
+        for f in events
+        if not rows[e] & ~f and not rows[f] & ~e
+    )
+
+
+def _union_splits(rows):
+    # PD7 literally: r(E ∪ F) ⊆ r(E) ∪ r(F)
+    events = range(1, len(rows))
+    return all(not rows[e | f] & ~(rows[e] | rows[f]) for e in events for f in events)
+
+
+def test_pd6_and_pd7_kernels_match_their_definitions():
+    rng = random.Random(23)
+    tally = {"PD6": [0, 0], "PD7": [0, 0]}
+    for n in range(1, 6):
+        for _ in range(160):
+            rows = _row_table(rng, n)
+            pd6 = _reciprocal(rows)
+            pd7 = _union_splits(rows)
+            assert properties._cumulative(rows[:]) == pd6, rows
+            assert properties._union_closed(rows[:], n) == pd7, rows
+            tally["PD6"][pd6] += 1
+            tally["PD7"][pd7] += 1
+    assert min(min(counts) for counts in tally.values()) > 100, tally
+
+
+def test_update_failure_fixtures():
+    # The CI pins these reports' bytes: PD6 fails alone; PD7 fails with
+    # PD57, which under success implies PD7 at a one-state belief set.
+    for name, failed in (("pd6_failure", {"PD6"}), ("pd7_failure", {"PD57", "PD7"})):
+        with open(DATA / f"{name}.json") as fh:
+            frame = frame_from_obj(json.load(fh))
+        report = check_class(frame, FrameClass.UPDATE)
+        assert {v.property.value for v in report.verdicts if not v.holds} == failed
+        for verdict in report.verdicts:
+            assert verdict.holds or recheck_witness(frame, verdict.witness)
