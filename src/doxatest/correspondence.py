@@ -33,7 +33,7 @@ from .axioms import (
     replay_witness,
 )
 from .errors import DoxatestError, InvalidWitnessError
-from .frames import Frame, Model, _default_rule, frame_to_obj, relabel_frame, subsets_of
+from .frames import Frame, Model, _default_rule, cells_of, frame_to_obj, relabel_frame, subsets_of
 from .limits import (
     EXHAUSTIVE_STATE_LIMIT,
     EXHAUSTIVE_VALUATION_BITS,
@@ -307,15 +307,6 @@ def _partitions(n: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
     return grow(0)
 
 
-def _cells_of(masks: Sequence[int], full: int) -> tuple[int, ...]:
-    """The tuple `cells` returns for a valuation with these atom masks: the
-    nonempty meets of signed columns, sorted by lowest bit."""
-    blocks = [full]
-    for m in masks:
-        blocks = [c for b in blocks for c in (b & m, b & ~m) if c]
-    return tuple(sorted(blocks, key=lambda c: c & -c))
-
-
 def correspondence_verdict(
     frame: Frame,
     pair: CorrespondencePair,
@@ -400,7 +391,7 @@ def correspondence_verdict(
     checked = 0
     for masks in assignments:
         checked += 1
-        for i, status in statuses_of(masks, _cells_of(masks, frame.full)).items():
+        for i, status in statuses_of(masks, cells_of(masks, frame.full)).items():
             if status is Status.FAILS:
                 return CorrespondenceReport(
                     pair,

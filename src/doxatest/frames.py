@@ -186,22 +186,22 @@ def validate_frame(frame: Frame) -> list[Violation]:
             out.append(Violation("seriality", frame.states[s], None, "belief set is empty"))
         elif b & ~full:
             out.append(Violation("belief-range", frame.states[s], None, "belief set outside the state set"))
+
+    def flag(clause: str, s: int, event: Event, detail: str) -> None:
+        out.append(Violation(clause, frame.states[s], frame.event_ids(event & full), detail))
+
     for (s, event), value in sorted(frame.selection.items()):
-        sid = frame.states[s]
-        ev_ids = frame.event_ids(event & full)
         if event == 0:
-            out.append(Violation("event-nonempty", sid, (), "selection keyed on the empty event"))
-            continue
-        if event & ~full:
-            out.append(Violation("event-range", sid, ev_ids, "event outside the state set"))
-            continue
-        if value == 0:
-            out.append(Violation("consistency", sid, ev_ids, "f(s,E) is empty"))
-            continue
-        if value & ~event:
-            out.append(Violation("success", sid, ev_ids, "f(s,E) is not contained in E"))
-        if (event >> s) & 1 and not (value >> s) & 1:
-            out.append(Violation("weak-centering", sid, ev_ids, "s in E but s not in f(s,E)"))
+            flag("event-nonempty", s, event, "selection keyed on the empty event")
+        elif event & ~full:
+            flag("event-range", s, event, "event outside the state set")
+        elif value == 0:
+            flag("consistency", s, event, "f(s,E) is empty")
+        else:
+            if value & ~event:
+                flag("success", s, event, "f(s,E) is not contained in E")
+            if (event >> s) & 1 and not (value >> s) & 1:
+                flag("weak-centering", s, event, "s in E but s not in f(s,E)")
     return out
 
 
@@ -250,14 +250,19 @@ def truth_set(model: Model, formula: Formula) -> Event:
         ) from None
 
 
+def cells_of(masks: Iterable[Event], full: Event) -> tuple[Event, ...]:
+    """Partition of the states in ``full`` by their profile over the atom
+    columns ``masks``: the nonempty meets of signed columns, ordered by
+    lowest member."""
+    blocks = [full] if full else []
+    for m in masks:
+        blocks = [c for b in blocks for c in (b & m, b & ~m) if c]
+    return tuple(sorted(blocks, key=lambda c: c & -c))
+
+
 def cells(model: Model) -> tuple[Event, ...]:
     """Partition of the states by atom profile, ordered by lowest member."""
-    names = model.atom_names
-    groups: dict[tuple[bool, ...], int] = {}
-    for i in range(model.frame.n):
-        profile = tuple(bool((model.valuation[a] >> i) & 1) for a in names)
-        groups[profile] = groups.get(profile, 0) | (1 << i)
-    return tuple(sorted(groups.values(), key=lambda m: m & -m))
+    return cells_of(model.valuation.values(), model.frame.full)
 
 
 def cell_closure(model: Model, event: Event, cell_masks: Sequence[Event] | None = None) -> Event:
@@ -513,6 +518,6 @@ def load_structure(path: str) -> Frame | Model:
             obj = json.load(fh)
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputFormatError(f"{path} is not valid JSON: {e}") from None
     return structure_from_obj(obj)

@@ -14,6 +14,7 @@ from doxatest.changegen import (
     PreOrderFamily,
     TotalPreOrder,
     WorldContext,
+    _all_centered_families,
     _all_order_types,
     _valid_single_orders,
     audit_function,
@@ -133,6 +134,31 @@ def test_pareto_builds_genuinely_partial_orders():
     assert family.min_of(0, 0b1111) == 0b0001
 
 
+def test_min_of_matches_the_literal_order_definition():
+    # min_of(w, E) at every (w, E) against its definition: the x in E with no
+    # y in E that is at least as plausible as x while x is not as plausible
+    # as y, from the standpoint of w
+    families = [f for n in (1, 2, 3) for f in _all_centered_families(n)]
+    ctx3 = WorldContext(("p", "q", "r"))
+    rng = Random(12)
+    for _ in range(4):
+        families += [random_family(rng, ctx3), random_family(rng, ctx3, total=True)]
+    partial = 0
+    for family in families:
+        n = family.n_worlds
+        for w in range(n):
+            partial += not family.is_total_at(w)
+            for event in range(1 << n):
+                members = [x for x in range(n) if (event >> x) & 1]
+                literal = sum(
+                    1 << x
+                    for x in members
+                    if not any(family.leq(w, y, x) and not family.leq(w, x, y) for y in members)
+                )
+                assert family.min_of(w, event) == literal, (family.le, w, event)
+    assert len(families) > 60 and partial > 30
+
+
 # --- generated tables ---
 
 
@@ -242,20 +268,6 @@ def test_canonical_model_shape():
     assert cells(model) == (1, 2, 4, 8)
     assert check_class(frame, FrameClass.REVISION_STRICT).holds
     assert extract_table(model) == table.as_dict()
-
-
-def test_canonical_model_reuses_the_update_rows(monkeypatch):
-    # An update table's results and the canonical model's rows read one memo
-    # of order minima: once the table is filled, the rows compare no worlds.
-    table = random_update_table(Random(6), WorldContext(("p", "q", "r")))
-    results = table.as_dict()
-    leq, compared = PreOrderFamily.leq, []
-    monkeypatch.setattr(
-        PreOrderFamily, "leq", lambda self, *args: compared.append(args) or leq(self, *args)
-    )
-    model = build_canonical_model(table)
-    assert compared == []
-    assert extract_table(model) == results
 
 
 def test_roundtrip_reports():
@@ -412,37 +424,62 @@ def test_coverage_report_frozen():
     assert generator_coverage_report(seed=0, k2_samples=60) == report
 
 
-# --- the collapsed audit scans against a full pair scan -------------------
+# --- the audit against a literal reference --------------------------------
 
-# Each pair postulate as an (E, F) test on the result map, written out apart
-# from the audit's own lambdas.
-_PAIR_TESTS = {
-    AxiomId.D5: lambda r, e, f: not r[e] & f & ~r[e & f] if e & f else not r[e] & f,
-    AxiomId.D6: lambda r, e, f: not (r[e] & ~f == 0 == r[f] & ~e and r[e] != r[f]),
-    AxiomId.D7: lambda r, e, f: r[e | f] & ~r[e] & ~r[f] == 0,
-    AxiomId.D9: lambda r, e, f: not (e & f and r[e] & f and r[e & f] & ~(r[e] & f)),
+# Each postulate as a test on K, the result map r and the events E and F,
+# written out apart from the audit's own table; pair tests read F, the rest
+# get F = None.  The empty event's result is empty.
+_LITERAL = {
+    AxiomId.D1: (False, lambda k, r, e, f: r[e] & ~e == 0),
+    AxiomId.D2: (False, lambda k, r, e, f: k & ~e or r[e] == k),
+    AxiomId.D3: (False, lambda k, r, e, f: r[e] != 0),
+    AxiomId.R3: (False, lambda k, r, e, f: k & e & ~r[e] == 0),
+    AxiomId.R4: (False, lambda k, r, e, f: not k & e or r[e] & ~k == 0),
+    AxiomId.D5: (True, lambda k, r, e, f: r[e] & f & ~r.get(e & f, 0) == 0),
+    AxiomId.D6: (True, lambda k, r, e, f: not (r[e] & ~f == 0 == r[f] & ~e and r[e] != r[f])),
+    AxiomId.D7: (True, lambda k, r, e, f: r[e | f] & ~r[e] & ~r[f] == 0),
+    AxiomId.D9: (True, lambda k, r, e, f: not (e & f and r[e] & f and r[e & f] & ~(r[e] & f))),
 }
-_PAIR_TESTS[AxiomId.R7] = _PAIR_TESTS[AxiomId.D5]
-_PAIR_TESTS[AxiomId.R8] = _PAIR_TESTS[AxiomId.D9]
+_LITERAL[AxiomId.R2] = _LITERAL[AxiomId.D1]
+_LITERAL[AxiomId.R5] = _LITERAL[AxiomId.D3]
+_LITERAL[AxiomId.R7] = _LITERAL[AxiomId.D5]
+_LITERAL[AxiomId.R8] = _LITERAL[AxiomId.D9]
 
 
-def _assert_audit_matches_full_scan(table):
-    scope = range(1, table.ctx.full + 1)
+def _literal_audit(table, suite, events=None):
+    """The audit's report object by a plain E×F scan over the scope."""
+    ctx, k = table.ctx, table.k_mask
+    scope = sorted(set(events)) if events is not None else range(1, ctx.full + 1)
     r = {e: table.result(e) for e in scope}
-    seen = 0
-    for suite in ("KM", "KM_STRONG", "AGM"):
-        for verdict in audit_function(table, suite).verdicts:
-            test = _PAIR_TESTS.get(verdict.axiom)
-            if test is None or verdict.status is Status.NOT_APPLICABLE:
-                continue
+    axioms = []
+    for axiom in SUITES[suite]:
+        entry = {"axiom": axiom.value, "holds": True, "applicable": True}
+        if axiom in (AxiomId.D7, AxiomId.D9) and k & (k - 1):
+            entry.update(holds=None, applicable=False)
+        elif axiom in _LITERAL:
+            pair, test = _LITERAL[axiom]
+            seconds = scope if pair else [None]
             first = next(
-                ((e, f) for e in scope for f in scope if not test(r, e, f)), None
+                ((e, f) for e in scope for f in seconds if not test(k, r, e, f)), None
             )
-            got = None if verdict.witness is None else (verdict.witness.e, verdict.witness.f)
-            assert got == first, (suite, verdict.axiom, table.as_dict())
-            assert (verdict.status is Status.FAILS) == (first is not None)
-            seen += first is not None
-    return seen
+            if first is not None:
+                entry["holds"] = False
+                entry["witness"] = {"E": ctx.labels(first[0])}
+                if pair:
+                    entry["witness"]["F"] = ctx.labels(first[1])
+        axioms.append(entry)
+    return {"suite": suite, "ok": all(a["holds"] is not False for a in axioms), "axioms": axioms}
+
+
+def _assert_audit_matches_literal(table, events=None):
+    """Compare every suite; return how many verdicts failed on a pair."""
+    failed_pairs = 0
+    for suite in SUITES:
+        want = _literal_audit(table, suite, events)
+        got = audit_function(table, suite, events=events).to_obj(table.ctx)
+        assert got == want, (suite, table.k_mask, table.as_dict(events))
+        failed_pairs += sum("F" in a.get("witness", {}) for a in want["axioms"])
+    return failed_pairs
 
 
 def _perturbed(rng, table):
@@ -454,19 +491,39 @@ def _perturbed(rng, table):
     return ChangeFunctionTable(table.ctx, table.k_mask, "custom", None, dense=dense)
 
 
+def _unsuccessful(rng, table, events=None):
+    # a few results replaced by arbitrary world sets: D1 mostly breaks, so F
+    # must run over the whole scope
+    dense = table.as_dict(events)
+    for e in rng.sample(sorted(dense), 3):
+        dense[e] = rng.randrange(table.ctx.full + 1)
+    return ChangeFunctionTable(table.ctx, table.k_mask, "custom", None, dense=dense)
+
+
 def test_collapsed_audit_matches_full_pair_scan():
-    failures = 0
-    for ctx in (CTX2, WorldContext(("p", "q", "r"))):
-        rng = Random(ctx.k)
-        for _ in range(8):
+    # generated tables and perturbed copies with and without D1 at 1-3
+    # atoms, and 4-atom tables over a sampled event algebra
+    seen = {"D1 fails": 0, "fat K": 0, "pair fails": 0}
+    for k in (1, 2, 3, 4):
+        ctx = WorldContext(("p", "q", "r", "s")[:k])
+        rng = Random(k)
+        for _ in range(8 if k <= DENSE_ATOM_LIMIT else 2):
             for table in (
                 random_update_table(rng, ctx),
                 random_update_table(rng, ctx, total=True),
                 random_revision_table(rng, ctx),
             ):
-                failures += _assert_audit_matches_full_scan(table)
-                failures += _assert_audit_matches_full_scan(_perturbed(rng, table))
-    assert failures > 50
+                if k > DENSE_ATOM_LIMIT:
+                    events = sampled_event_algebra(ctx.n_worlds, rng)
+                    tables = [table, _unsuccessful(rng, table, events)]
+                else:
+                    events = None
+                    tables = [table, _perturbed(rng, table), _unsuccessful(rng, table)]
+                for t in tables:
+                    seen["pair fails"] += _assert_audit_matches_literal(t, events)
+                    seen["fat K"] += bool(t.k_mask & (t.k_mask - 1))
+                    seen["D1 fails"] += any(r & ~e for e, r in t.as_dict(events).items())
+    assert seen["pair fails"] > 50 and seen["fat K"] > 10 and seen["D1 fails"] > 10, seen
 
 
 def test_audit_without_success_scans_every_pair():
@@ -477,7 +534,7 @@ def test_audit_without_success_scans_every_pair():
     assert km[AxiomId.D1].status is Status.FAILS
     d5 = km[AxiomId.D5].witness
     assert (d5.e, d5.f) == (0b0010, 0b0001)
-    _assert_audit_matches_full_scan(table)
+    _assert_audit_matches_literal(table)
 
 
 def test_generator_outputs_are_frozen():

@@ -110,6 +110,34 @@ def test_validate_input_errors_exit_two(runner, files):
         assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate"],
+        ["check", "--class", "update"],
+        ["correspond"],
+        ["ri", "--state", "s0", "--formula", "p"],
+    ],
+    ids=["validate", "check", "correspond", "ri"],
+)
+def test_deeply_nested_json_exits_two_without_traceback(tmp_path, args):
+    # a real process, so the interpreter's own stack limit is the one that counts
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    src = os.path.dirname(os.path.dirname(doxatest.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "doxatest.cli", args[0], str(deep), *args[1:]],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # --- check ---
 
 
