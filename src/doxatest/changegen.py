@@ -18,7 +18,9 @@ worlds, so each (world, input) costs O(|input|) mask operations.
 postulates by direct set arithmetic on the table, deliberately sharing no
 checking code with the frame-side route in :mod:`doxatest.axioms`.  One
 check table, ``_TABLE_CHECKS``, gives each postulate its test and how F
-runs against E, and one scan reads it for every suite.
+runs against E, and one scan reads it for every suite.  On a table over
+every event, the pair checks D5, D6 and D9 first try an exact one-step
+holds test (``_ONE_STEP``) and scan only when it fails.
 ``build_canonical_model`` and ``roundtrip_verify`` close the loop: rebuild a
 pointed structure from a table and confirm the frame-side machinery classifies
 it as expected and reads the same table back off.
@@ -26,6 +28,7 @@ it as expected and reads the same table back off.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -261,9 +264,10 @@ class ChangeFunctionTable:
         self._fn = fn
         self._row_fn = row_fn
         self._dense = dict(dense) if dense is not None else {}
+        self._full = ctx.full
 
     def result(self, event: Event) -> Event:
-        if not 0 < event <= self.ctx.full:
+        if not 0 < event <= self._full:
             raise ValueError(f"event {event:#x} is not a nonempty set of worlds")
         got = self._dense.get(event)
         if got is None:
@@ -419,13 +423,16 @@ SUITES = {"KM": KM_SUITE, "KM_STRONG": KM_STRONG_SUITE, "AGM": AGM_SUITE}
 
 # How F runs in a check: not at all (a check on E alone), over F >= E (the
 # check is symmetric in E and F, so its first failing pair in the ascending
-# scope has E <= F), or over the scope; the last narrows to the subsets of E
-# when every event is in scope and D1 holds (each result inside its event),
-# since those checks then read F only through E∩F, which first turns up at
-# F = E∩F in ascending order, so the first failing pair is the same.
+# scope has E <= F), or over the scope; the last narrows to the members of
+# the scope inside E when D1 holds (each result inside its event), since
+# those checks then read F only through E∩F, which is in the intersection-
+# closed scope (an empty E∩F passes) and no later than F in ascending order,
+# so the first failing pair is the same.
 _NO_F, _F_FROM_E, _F_IN_E = range(3)
 
 # Each check reads K, the result map r and the events E, F (None for _NO_F).
+# On a table over every event with D1 holding, D5, D6 and D9 first try the
+# exact one-step holds tests of `_ONE_STEP` below, and scan only on a fail.
 _TABLE_CHECKS = {
     AxiomId.D1: (_NO_F, lambda k, r, e, f: not r[e] & ~e),
     AxiomId.D2: (_NO_F, lambda k, r, e, f: k & ~e != 0 or r[e] == k),
@@ -459,6 +466,42 @@ _BY_REPRESENTATION = {AxiomId.D0, AxiomId.R1, AxiomId.D4, AxiomId.R6}
 # Postulates that bind only complete belief states: checked when K is a
 # singleton, not applicable otherwise.
 _SINGLETON_GATED = {AxiomId.D7, AxiomId.D9}
+# Exact holds tests for three pair checks on a table over every event with
+# D1 holding.  Each rule reads r(E), r(G), G and the bit x of one step
+# G = E∖{x} ≠ ∅, and is tried only when the gate check holds; when every
+# step passes the check holds, otherwise its scan decides and reports.
+# * D5: r(E)∖{x} ⊆ r(G).  Any F ⊆ E is reached from E by single removals,
+#   and each y ∈ r(E)∩F survives every step.
+# * D6: x ∉ r(E) implies r(G) = r(E).  Chaining the steps from E down to
+#   any nonempty F with r(E) ⊆ F ⊆ E gives cumulativity, r(F) = r(E).  With
+#   D1 that yields reciprocity: if r(E) ⊆ F and r(F) ⊆ E, both results are
+#   inside E∩F, so they both equal r(E∩F), or both are empty when E∩F is.
+# * D9 (gate D5): r(E)∩G ≠ ∅ implies r(G) ⊆ r(E)∩G.  With D5 each step
+#   down a chain from E to F keeps r(Eᵢ) = r(E)∩Eᵢ while r(E)∩F ≠ ∅, so
+#   r(F) = r(E)∩F.  Without D5 the steps are not enough: a 2-atom table can
+#   pass every D9 step and still fail D9.
+# Each rule is also one instance of its check, so a failing step means the
+# check fails too, and the scan finds its first witness.
+_ONE_STEP = {
+    AxiomId.D5: (None, lambda r_e, r_g, g, x: not r_e & g & ~r_g),
+    AxiomId.D6: (None, lambda r_e, r_g, g, x: r_e & x != 0 or r_g == r_e),
+    AxiomId.D9: (AxiomId.D5, lambda r_e, r_g, g, x: not r_e & g or not r_g & ~(r_e & g)),
+}
+
+
+def _every_step_holds(step, res: dict[Event, Event], full: Event) -> bool:
+    """Whether a one-step rule holds at every event E and world x ∈ E with
+    E∖{x} nonempty; ``res`` holds the result of every nonempty event."""
+    for e in range(1, full + 1):
+        r_e = res[e]
+        rest = e
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            g = e ^ x
+            if g and not step(r_e, res[g], g, x):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -539,6 +582,15 @@ def audit_function(
     then be closed under intersection and union.  The two postulates that
     only bind complete belief states (D7, D9) are checked when K is a
     singleton and reported as not applicable otherwise.
+
+    When D1 holds, F runs only over the events of the scope inside E for
+    D5/R7 and D9/R8.  When, in addition, every event is in scope, D5/R7,
+    D6 and D9/R8 first run the one-step holds tests of ``_ONE_STEP`` in
+    n·2ⁿ steps for n worlds, each comparing r(E) with r(E∖{x}): D5 and D6
+    need nothing more, while D9's steps count only when D5 holds, without
+    which passing them proves nothing.  A check whose test passes holds;
+    otherwise the pair scan decides it, so verdicts and first witnesses are
+    those of the scan.
     """
     suite_key = suite.upper().replace("-", "_")
     if suite_key not in SUITES:
@@ -546,22 +598,39 @@ def audit_function(
     scope = _events_for_audit(table, events)
     k = table.k_mask
     res = {event: table.result(event) for event in scope}
+    successful = all(not res[e] & ~e for e in scope)
+    dense = successful and events is None
     in_e = lambda i, e: scope
-    if events is None and all(not res[e] & ~e for e in scope):
+    if dense:
         in_e = lambda i, e: subsets_of(e)
+    elif successful:
+        in_e = lambda i, e: [f for f in scope if not f & ~e]
     seconds = {_NO_F: lambda i, e: (None,), _F_FROM_E: lambda i, e: scope[i:], _F_IN_E: in_e}
+
+    @functools.cache
+    def first_failure(check_id: AxiomId) -> tuple[Event, Event | None] | None:
+        """The first (E, F) failing a check in scope order, or None."""
+        if dense and check_id in _ONE_STEP:
+            gate, step = _ONE_STEP[check_id]
+            gate_holds = gate is None or first_failure(gate) is None
+            if gate_holds and _every_step_holds(step, res, table.ctx.full):
+                return None
+        runs, check = _TABLE_CHECKS[check_id]
+        for i, e in enumerate(scope):
+            for f in seconds[runs](i, e):
+                if not check(k, res, e, f):
+                    return e, f
+        return None
 
     def decide(axiom: AxiomId) -> TableVerdict:
         if axiom in _BY_REPRESENTATION:
             return TableVerdict(axiom, Status.HOLDS)
         if axiom in _SINGLETON_GATED and k & (k - 1):
             return TableVerdict(axiom, Status.NOT_APPLICABLE)
-        runs, check = _TABLE_CHECKS[_ALIASES.get(axiom, axiom)]
-        for i, e in enumerate(scope):
-            for f in seconds[runs](i, e):
-                if not check(k, res, e, f):
-                    return TableVerdict(axiom, Status.FAILS, TableWitness(e, f))
-        return TableVerdict(axiom, Status.HOLDS)
+        witness = first_failure(_ALIASES.get(axiom, axiom))
+        if witness is None:
+            return TableVerdict(axiom, Status.HOLDS)
+        return TableVerdict(axiom, Status.FAILS, TableWitness(*witness))
 
     return AuditReport(suite_key, tuple(decide(a) for a in SUITES[suite_key]))
 

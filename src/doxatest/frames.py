@@ -450,13 +450,22 @@ def frame_from_obj(obj: dict) -> Frame:
         raise InputFormatError("duplicate state ids")
     index = {sid: i for i, sid in enumerate(states)}
 
-    def to_mask(ids: list[str], what: str) -> int:
-        out = 0
-        for sid in _expect_list_of_str(ids, what):
-            if sid not in index:
-                raise InputFormatError(f"{what} mentions unknown state {sid!r}")
-            out |= 1 << index[sid]
-        return out
+    def to_mask(ids: list[str], what: str, *args) -> int:
+        """The mask of a list of known state ids.  An error names the field
+        as ``what.format(*args)``, built only when raising; a non-id anywhere
+        in the list is reported before an unknown id."""
+        if isinstance(ids, list):
+            out = 0
+            try:
+                for sid in ids:
+                    out |= 1 << index[sid]
+                return out
+            except (KeyError, TypeError):
+                pass
+        label = what.format(*args)
+        _expect_list_of_str(ids, label)
+        unknown = next(sid for sid in ids if sid not in index)
+        raise InputFormatError(f"{label} mentions unknown state {unknown!r}")
 
     belief_obj = obj.get("belief", {})
     if not isinstance(belief_obj, dict):
@@ -465,7 +474,7 @@ def frame_from_obj(obj: dict) -> Frame:
         if sid not in index:
             raise InputFormatError(f"'belief' mentions unknown state {sid!r}")
     belief = tuple(
-        to_mask(belief_obj.get(sid, []), f"belief[{sid}]") for sid in states
+        to_mask(belief_obj.get(sid, []), "belief[{}]", sid) for sid in states
     )
 
     selection: dict[tuple[int, int], int] = {}
@@ -480,7 +489,7 @@ def frame_from_obj(obj: dict) -> Frame:
             raise InputFormatError(f"selection entry {k} 's' must be a state id")
         if sid not in index:
             raise InputFormatError(f"selection entry {k} names unknown state {sid!r}")
-        event = to_mask(entry["event"], f"selection entry {k} event")
+        event = to_mask(entry["event"], "selection entry {} event", k)
         if event == 0:
             raise InputFormatError(f"selection entry {k} has an empty event")
         key = (index[sid], event)
@@ -488,7 +497,7 @@ def frame_from_obj(obj: dict) -> Frame:
             raise InputFormatError(
                 f"duplicate selection entry for state {sid!r} and event {sorted(entry['event'])}"
             )
-        selection[key] = to_mask(entry["selects"], f"selection entry {k} selects")
+        selection[key] = to_mask(entry["selects"], "selection entry {} selects", k)
     return Frame(tuple(states), belief, selection)
 
 

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from doxatest import changegen
 from doxatest.axioms import AxiomId, Status
 from doxatest.changegen import (
     SUITES,
@@ -482,10 +483,10 @@ def _assert_audit_matches_literal(table, events=None):
     return failed_pairs
 
 
-def _perturbed(rng, table):
+def _perturbed(rng, table, events=None):
     # a few results replaced by other subsets of their event, the empty one
     # included: D1 still holds, the pair postulates mostly break
-    dense = table.as_dict()
+    dense = table.as_dict(events)
     for e in rng.sample(sorted(dense), 3):
         dense[e] = e & rng.randrange(table.ctx.full + 1)
     return ChangeFunctionTable(table.ctx, table.k_mask, "custom", None, dense=dense)
@@ -502,8 +503,9 @@ def _unsuccessful(rng, table, events=None):
 
 def test_collapsed_audit_matches_full_pair_scan():
     # generated tables and perturbed copies with and without D1 at 1-3
-    # atoms, and 4-atom tables over a sampled event algebra
-    seen = {"D1 fails": 0, "fat K": 0, "pair fails": 0}
+    # atoms, and at 4 atoms over a sampled event algebra, where the copies
+    # that keep D1 run F only over the algebra's events inside E
+    seen = {"D1 fails": 0, "fat K": 0, "pair fails": 0, "algebra pair fails with D1": 0}
     for k in (1, 2, 3, 4):
         ctx = WorldContext(("p", "q", "r", "s")[:k])
         rng = Random(k)
@@ -513,17 +515,103 @@ def test_collapsed_audit_matches_full_pair_scan():
                 random_update_table(rng, ctx, total=True),
                 random_revision_table(rng, ctx),
             ):
+                events = None
                 if k > DENSE_ATOM_LIMIT:
                     events = sampled_event_algebra(ctx.n_worlds, rng)
-                    tables = [table, _unsuccessful(rng, table, events)]
-                else:
-                    events = None
-                    tables = [table, _perturbed(rng, table), _unsuccessful(rng, table)]
+                tables = [
+                    table,
+                    _perturbed(rng, table, events),
+                    _unsuccessful(rng, table, events),
+                ]
                 for t in tables:
-                    seen["pair fails"] += _assert_audit_matches_literal(t, events)
+                    pair_fails = _assert_audit_matches_literal(t, events)
+                    d1_fails = any(r & ~e for e, r in t.as_dict(events).items())
+                    seen["pair fails"] += pair_fails
                     seen["fat K"] += bool(t.k_mask & (t.k_mask - 1))
-                    seen["D1 fails"] += any(r & ~e for e, r in t.as_dict(events).items())
+                    seen["D1 fails"] += d1_fails
+                    if events is not None and not d1_fails:
+                        seen["algebra pair fails with D1"] += pair_fails
     assert seen["pair fails"] > 50 and seen["fat K"] > 10 and seen["D1 fails"] > 10, seen
+    assert seen["algebra pair fails with D1"] > 5, seen
+
+
+def _emptied(rng, table):
+    # a few results emptied: D1 still holds, D3 breaks
+    dense = table.as_dict()
+    for e in rng.sample(sorted(dense), 2):
+        dense[e] = 0
+    return ChangeFunctionTable(table.ctx, table.k_mask, "custom", None, dense=dense)
+
+
+def test_audit_holds_tests_match_the_scan():
+    # Tables over every event with D1 holding run the one-step holds tests
+    # for D5/R7, D6 and D9/R8; their reports must equal the literal scan's
+    # whether a test passes, fails, or is skipped because D5 fails (D9),
+    # on tables with and without D3.  D9's tally reads R8, which no
+    # singleton gate hides.
+    tally = {check: {"holds": 0, "fails": 0} for check in ("D5", "D6", "D9")}
+    for k in (1, 2, 3):
+        ctx = WorldContext(("p", "q", "r")[:k])
+        rng = Random(50 + k)
+        for _ in range((4, 40, 6)[k - 1]):
+            for table in (
+                random_update_table(rng, ctx),
+                random_update_table(rng, ctx, total=True),
+                random_revision_table(rng, ctx),
+            ):
+                for t in (table, _perturbed(rng, table), _emptied(rng, table)):
+                    _assert_audit_matches_literal(t)
+                    km = {v.axiom: v.status for v in audit_function(t, "KM").verdicts}
+                    agm = {v.axiom: v.status for v in audit_function(t, "AGM").verdicts}
+                    for check, status in (
+                        ("D5", km[AxiomId.D5]),
+                        ("D6", km[AxiomId.D6]),
+                        ("D9", agm[AxiomId.R8]),
+                    ):
+                        tally[check]["holds" if status is Status.HOLDS else "fails"] += 1
+    assert all(n >= 50 for counts in tally.values() for n in counts.values()), tally
+
+
+def _d9_steps_without_d5():
+    # Every D9 step E -> E∖{x} passes, but D5 fails, and so does D9 itself:
+    # r({00,01,10,11}) = {00,01,10} while r({10,11}) = {10,11}.
+    r = [0, 1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 12, 1, 2, 7]
+    dense = {e: r[e] for e in range(1, CTX2.full + 1)}
+    return ChangeFunctionTable(CTX2, 0b0111, "custom", None, dense=dense)
+
+
+def test_d9_steps_are_trusted_only_when_d5_holds():
+    table = _d9_steps_without_d5()
+    agm = {v.axiom: v for v in audit_function(table, "AGM").verdicts}
+    assert agm[AxiomId.R7].status is Status.FAILS
+    assert agm[AxiomId.R7].witness.to_obj(CTX2) == {
+        "E": ["00", "01", "10", "11"], "F": ["00", "01"],
+    }
+    assert agm[AxiomId.R8].status is Status.FAILS
+    assert agm[AxiomId.R8].witness.to_obj(CTX2) == {
+        "E": ["00", "01", "10", "11"], "F": ["10", "11"],
+    }
+    _assert_audit_matches_literal(table)
+
+
+def test_holding_tables_skip_the_pair_scans(monkeypatch):
+    def boom(*args):  # pragma: no cover - called means a scan ran
+        raise AssertionError("pair scan ran on a table whose holds test passed")
+
+    for check in (AxiomId.D5, AxiomId.D6, AxiomId.D9):
+        runs, _ = changegen._TABLE_CHECKS[check]
+        monkeypatch.setitem(changegen._TABLE_CHECKS, check, (runs, boom))
+    ctx = WorldContext(("p", "q", "r"))
+    for seed in range(5):
+        rng = Random(seed)
+        assert audit_function(random_update_table(rng, ctx), "KM").ok
+        strong = gen_update(ctx, 1 << rng.randrange(8), random_family(rng, ctx, total=True))
+        report = audit_function(strong, "KM_STRONG")
+        assert report.ok and report.verdicts[-1].status is Status.HOLDS
+        assert audit_function(random_revision_table(rng, ctx), "AGM").ok
+    # a failing table still reaches the scan
+    with pytest.raises(AssertionError, match="pair scan ran"):
+        audit_function(_d9_steps_without_d5(), "AGM")
 
 
 def test_audit_without_success_scans_every_pair():

@@ -384,6 +384,31 @@ class TestJson:
         with pytest.raises(InputFormatError, match="unknown state"):
             frame_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("event", ["s0", "zz"], "selection entry 0 event mentions unknown state 'zz'"),
+            ("selects", ["zz"], "selection entry 0 selects mentions unknown state 'zz'"),
+            ("event", "s0", "selection entry 0 event must be a list of state ids"),
+            ("selects", ["s1", 1], "selection entry 0 selects must be a list of state ids"),
+            # a non-id anywhere in the list outranks an unknown id before it
+            ("event", ["zz", None], "selection entry 0 event must be a list of state ids"),
+            ("selects", [["s1"]], "selection entry 0 selects must be a list of state ids"),
+            ("s0", ["s1", "zz"], "belief[s0] mentions unknown state 'zz'"),
+            ("s1", {"s1": True}, "belief[s1] must be a list of state ids"),
+            ("s0", ["zz", 0], "belief[s0] must be a list of state ids"),
+        ],
+    )
+    def test_state_list_errors_name_their_field(self, where, value, message):
+        obj = self.frame_obj()
+        if where in obj["belief"]:
+            obj["belief"][where] = value
+        else:
+            obj["selection"][0][where] = value
+        with pytest.raises(InputFormatError) as info:
+            frame_from_obj(obj)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("sid", [["s0"], {"id": "s0"}, 0, None])
     def test_non_string_selection_state_rejected(self, sid):
         obj = self.frame_obj()
