@@ -7,16 +7,18 @@ of the cell closures of their supports.  Each postulate is written once, as
 an instance function in `_INSTANCES`, and three readers share it: the
 event-level reduction behind `axiom_holds`, `replay_witness`, and the lemma
 audit.  `axiom_holds` keeps the first witness per (belief set, postulate)
-on its `ModelContext`, so states with equal beliefs and the aliases R1, R2,
-R6, R7 are decided once.
+on its `ModelContext`, so states with equal beliefs and the aliases R2 and
+R7 are decided once.  A belief set is the set of formulas true throughout
+one support event, so closure (D0/R1) and irrelevance of syntax (D4/R6)
+hold by representation on every route, without a search.
 
 `axiom_status_via_formulas` re-decides each postulate by direct
 quantification over a formula pool, as an independent cross-check.  It
 reads no cells and no closures, and it shares no memo or predicate with the
 reductions.  Its own state lives on the model, one context per (model,
-pool): the pool's truth sets and truth vectors, and per belief set one
-membership table and one status per postulate, so each postulate is decided
-once per (model, belief set).
+pool): the pool's truth sets, and per belief set one membership table and
+one status per postulate, so each postulate is decided once per (model,
+belief set).
 
 A failing verdict carries a witness: the events playing the two formula roles
 plus a distinguishing definable event G.  Replaying the witness through the
@@ -32,7 +34,7 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from .errors import PreconditionError
-from .formulas import Formula, semantic_pool, truth_vector
+from .formulas import Formula, semantic_pool
 from .frames import Frame, Model, bits, cell_closure, cells, definable_events, truth_set
 from .limits import DEFAULT_MAX_CELLS
 
@@ -338,14 +340,13 @@ def audit_km8(model: Model, w: int | str) -> Km8Report:
 
 @functools.lru_cache(maxsize=16)
 def _default_pool(atom_names: tuple[str, ...], depth: int) -> tuple[Formula, ...]:
-    # two spellings per truth-function so congruence has real work to do
-    return tuple(semantic_pool(atom_names, depth=depth, per_class=2))
+    return tuple(semantic_pool(atom_names, depth=depth))
 
 
 class _OracleContext:
     """The oracle's state for one model and one formula pool: the pool's
-    truth sets and truth vectors, the distinct targets, and per belief set b
-    a membership table and the status of each resolved postulate.
+    distinct truth sets, and per belief set b a membership table and the
+    status of each resolved postulate.
 
     It holds no reference to the model, so a model and its contexts are
     freed together without the cycle collector.  `formulas` is the pool as
@@ -353,24 +354,14 @@ class _OracleContext:
     pool still equals it.
     """
 
-    __slots__ = ("formulas", "chi_masks", "nonempty", "d0_vecs", "d4_groups",
-                 "members", "statuses")
+    __slots__ = ("formulas", "chi_masks", "nonempty", "members", "statuses")
 
     def __init__(self, model: Model, formulas: Sequence[Formula]):
         self.formulas = tuple(formulas)
-        pool = [(f, truth_set(model, f)) for f in self.formulas]
         # quantification targets: membership depends only on the truth set,
         # so each distinct truth set needs checking once
-        self.chi_masks = sorted({m for _, m in pool})
+        self.chi_masks = sorted({truth_set(model, f) for f in self.formulas})
         self.nonempty = [m for m in self.chi_masks if m]
-        names = model.atom_names
-        self.d0_vecs: dict[int, int] = {}  # truth vector -> truth set, pool order
-        self.d4_groups: dict[int, list[int]] = {}
-        for f, m in pool:
-            v = truth_vector(f, names)
-            self.d0_vecs.setdefault(v, m)
-            if m:
-                self.d4_groups.setdefault(v, []).append(m)
         self.members: dict[int, dict[int, bool]] = {}
         self.statuses: dict[tuple[int, AxiomId], Status] = {}
 
@@ -385,15 +376,16 @@ def axiom_status_via_formulas(
     """Decide a postulate by quantifying over an explicit formula pool.
 
     Membership after change is per-believed-row selection containment;
-    expansion membership is belief∩event containment; consequence for the
-    closure postulate runs over full truth vectors of the model's atoms.
-    This route never looks at cells or closures, so agreement with
-    `axiom_holds` is a meaningful cross-check.
+    expansion membership is belief∩event containment.  This route never
+    looks at cells or closures, so agreement with `axiom_holds` is a
+    meaningful cross-check.  D0/R1 and D4/R6 hold by representation once
+    the pool has been read, so a pool naming an atom the model lacks still
+    raises `UnknownAtomError`.
 
     The pool defaults to `semantic_pool` over the model's atoms at `depth`,
-    two spellings per truth function.  One context per (model, pool) keeps
+    one formula per truth function.  One context per (model, pool) keeps
     the pool's truth sets and one verdict per (belief set, postulate), so
-    states with equal beliefs and the aliases R1, R2, R6, R7 cost a lookup.
+    states with equal beliefs and the aliases R2, R7 cost a lookup.
     """
     frame = model.frame
     i = frame.index(s) if isinstance(s, str) else s
@@ -409,10 +401,13 @@ def axiom_status_via_formulas(
     # a pool mutated in place, or a new pool at a recycled id, rebuilds
     if ctx is None or ctx.formulas != tuple(formulas):
         ctx = model._oracle[id(formulas)] = _OracleContext(model, formulas)
+    # a plain string equal to an axiom id hashes like it but has no branch,
+    # so ids are tested by identity and only real ids reach the memo
+    if resolved is AxiomId.D0 or resolved is AxiomId.D4:
+        return Status.HOLDS
     # R8 runs D9's branch; D9's gate depends only on b, so past it they
     # share one status
     key = (b, AxiomId.D9 if resolved is AxiomId.R8 else resolved)
-    # a plain string equal to an axiom id hashes like it but has no branch
     status = ctx.statuses.get(key) if isinstance(resolved, AxiomId) else None
     if status is None:
         status = ctx.statuses[key] = _decide(ctx, frame, *key)
@@ -442,26 +437,8 @@ def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Sta
             out |= frame.sel(j, event)
         return out
 
-    def ok(condition: bool) -> Status:
-        return Status.HOLDS if condition else Status.FAILS
-
-    if resolved is AxiomId.D0:
-        # sampled deductive closure: singleton and pair premise sets drawn
-        # from the believed formulas, consequence over full truth vectors;
-        # a pair's premise is the meet v1 & v2, so each meet is tried once
-        for ep in nonempty:
-            inside = [(v, member(ep, m)) for v, m in ctx.d0_vecs.items()]
-            member_vecs = [v for v, isin in inside if isin]
-            outside = [v for v, isin in inside if not isin]
-            premises = {v1 & v2 for v1 in member_vecs for v2 in member_vecs}
-            for premise in premises:
-                for vc in outside:
-                    if not premise & ~vc:
-                        return Status.FAILS
-        return Status.HOLDS
-
     if resolved is AxiomId.D1:
-        return ok(all(member(ep, ep) for ep in nonempty))
+        return Status.HOLDS if all(member(ep, ep) for ep in nonempty) else Status.FAILS
 
     if resolved is AxiomId.D2:
         for ep in nonempty:
@@ -486,17 +463,6 @@ def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Sta
             for mc in chi_masks:
                 if not b & ~mc and not member(ep, mc):
                     return Status.FAILS
-        return Status.HOLDS
-
-    if resolved is AxiomId.D4:
-        # tautologically equivalent inputs (equal truth vectors) must change
-        # belief identically; the pool carries two spellings per function
-        for group in ctx.d4_groups.values():
-            first = group[0]
-            for other in group[1:]:
-                for mc in chi_masks:
-                    if member(first, mc) != member(other, mc):
-                        return Status.FAILS
         return Status.HOLDS
 
     if resolved is AxiomId.D5:

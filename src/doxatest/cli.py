@@ -391,6 +391,8 @@ def ri(path, state, formula_text, probes, completion, fmt):
     phi = parse_formula(formula_text)
     phi_worlds = truth_set(structure, phi)
     probe_formulas = [parse_formula(text) for text in probes]
+    # probe atoms are checked as strictly as phi's, before any work
+    probe_worlds = [truth_set(structure, probe) for probe in probe_formulas]
 
     if phi_worlds:
         support = ri_support(structure, s, phi_worlds)
@@ -406,11 +408,11 @@ def ri(path, state, formula_text, probes, completion, fmt):
             "support": None,
         }
     probe_objs = []
-    for probe in probe_formulas:
+    for probe, worlds in zip(probe_formulas, probe_worlds):
         member = extended_member(structure, s, phi, probe)
         entry = {"formula": render(probe), "member": member}
         if phi_worlds and not member:
-            outside = support.support & ~truth_set(structure, probe)
+            outside = support.support & ~worlds
             entry["separatingState"] = frame.states[next(bits(outside))]
         probe_objs.append(entry)
     report = {

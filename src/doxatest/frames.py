@@ -440,6 +440,24 @@ def _expect_list_of_str(value, what: str) -> list[str]:
     return value
 
 
+def _state_mask(index: Mapping[str, int], ids: list[str], what: str, *args) -> int:
+    """The mask of a list of state ids known to ``index`` (id -> position).
+    An error names the field as ``what.format(*args)``, built only when
+    raising; a non-id anywhere in the list is reported before an unknown id."""
+    if isinstance(ids, list):
+        out = 0
+        try:
+            for sid in ids:
+                out |= 1 << index[sid]
+            return out
+        except (KeyError, TypeError):
+            pass
+    label = what.format(*args)
+    _expect_list_of_str(ids, label)
+    unknown = next(sid for sid in ids if sid not in index)
+    raise InputFormatError(f"{label} mentions unknown state {unknown!r}")
+
+
 def frame_from_obj(obj: dict) -> Frame:
     if not isinstance(obj, dict):
         raise InputFormatError("top level must be an object")
@@ -450,23 +468,6 @@ def frame_from_obj(obj: dict) -> Frame:
         raise InputFormatError("duplicate state ids")
     index = {sid: i for i, sid in enumerate(states)}
 
-    def to_mask(ids: list[str], what: str, *args) -> int:
-        """The mask of a list of known state ids.  An error names the field
-        as ``what.format(*args)``, built only when raising; a non-id anywhere
-        in the list is reported before an unknown id."""
-        if isinstance(ids, list):
-            out = 0
-            try:
-                for sid in ids:
-                    out |= 1 << index[sid]
-                return out
-            except (KeyError, TypeError):
-                pass
-        label = what.format(*args)
-        _expect_list_of_str(ids, label)
-        unknown = next(sid for sid in ids if sid not in index)
-        raise InputFormatError(f"{label} mentions unknown state {unknown!r}")
-
     belief_obj = obj.get("belief", {})
     if not isinstance(belief_obj, dict):
         raise InputFormatError("'belief' must be an object keyed by state id")
@@ -474,7 +475,7 @@ def frame_from_obj(obj: dict) -> Frame:
         if sid not in index:
             raise InputFormatError(f"'belief' mentions unknown state {sid!r}")
     belief = tuple(
-        to_mask(belief_obj.get(sid, []), "belief[{}]", sid) for sid in states
+        _state_mask(index, belief_obj.get(sid, []), "belief[{}]", sid) for sid in states
     )
 
     selection: dict[tuple[int, int], int] = {}
@@ -489,7 +490,7 @@ def frame_from_obj(obj: dict) -> Frame:
             raise InputFormatError(f"selection entry {k} 's' must be a state id")
         if sid not in index:
             raise InputFormatError(f"selection entry {k} names unknown state {sid!r}")
-        event = to_mask(entry["event"], "selection entry {} event", k)
+        event = _state_mask(index, entry["event"], "selection entry {} event", k)
         if event == 0:
             raise InputFormatError(f"selection entry {k} has an empty event")
         key = (index[sid], event)
@@ -497,7 +498,7 @@ def frame_from_obj(obj: dict) -> Frame:
             raise InputFormatError(
                 f"duplicate selection entry for state {sid!r} and event {sorted(entry['event'])}"
             )
-        selection[key] = to_mask(entry["selects"], "selection entry {} selects", k)
+        selection[key] = _state_mask(index, entry["selects"], "selection entry {} selects", k)
     return Frame(tuple(states), belief, selection)
 
 
@@ -506,11 +507,12 @@ def model_from_obj(obj: dict) -> Model:
     val_obj = obj.get("valuation")
     if not isinstance(val_obj, dict):
         raise InputFormatError("'valuation' must be an object keyed by atom name")
+    index = {sid: i for i, sid in enumerate(frame.states)}
     valuation: dict[str, int] = {}
     for atom, ids in val_obj.items():
         if not isinstance(atom, str) or not ATOM_RE.match(atom):
             raise InputFormatError(f"bad atom name {atom!r}")
-        valuation[atom] = frame.event_mask(_expect_list_of_str(ids, f"valuation[{atom}]"))
+        valuation[atom] = _state_mask(index, ids, "valuation[{}]", atom)
     return Model(frame, valuation)
 
 

@@ -528,12 +528,11 @@ def test_08_reduction_vs_formula_oracle_agreement(census_corpus):
     get the same status; then the pairwise PD57 finder must match the
     literal three-event form.
 
-    The oracle's D0 and D4 branches can never return FAILS: the formulas
-    believed after a change are the truth sets containing the pooled
-    selection, a filter closed under intersection, so no premise v1 & v2 of
-    two believed formulas implies one that is not; and D4 groups formulas
-    with equal truth vectors, whose truth sets are equal.  So the D0, R1, D4
-    and R6 comparisons here test only which missing row raises.
+    D0/R1 and D4/R6 hold by representation on both routes: a belief set is
+    the set of formulas true throughout one support event, so it is closed
+    under consequence and formulas with equal truth sets change it alike.
+    Their comparisons here are agreement by construction; the other
+    postulates carry the cross-check.
     """
     pool = semantic_pool(("p", "q"), depth=3, per_class=2)
 

@@ -26,6 +26,7 @@ from doxatest.errors import (
     PreconditionError,
     SizeLimitError,
     UndefinedSelectionError,
+    UnknownAtomError,
 )
 from doxatest.formulas import FALSE, TRUE, Atom, semantic_pool
 from doxatest.frames import Frame, Model, cells, complete_selection, frame_from_obj
@@ -380,6 +381,44 @@ def test_oracle_refuses_plain_string_ids():
         axiom_status_via_formulas(m, 0, "D2")
     with pytest.raises(ValueError, match="no formula-level check for R8"):
         axiom_status_via_formulas(m, 0, "R8")
+    # nor does the holds-by-representation answer of D0 and D4
+    assert axiom_status_via_formulas(m, 0, AxiomId.D0) is Status.HOLDS
+    for plain in ("D0", "D4"):
+        with pytest.raises(ValueError, match=f"no formula-level check for {plain}"):
+            axiom_status_via_formulas(m, 0, plain)
+
+
+STRUCTURAL = [AxiomId.D0, AxiomId.R1, AxiomId.D4, AxiomId.R6]
+
+
+def test_structural_postulates_hold_on_frames_with_dropped_rows():
+    # a belief set is the set of formulas true throughout one support event,
+    # so both routes answer D0/R1/D4/R6 without reading a selection row
+    rng = random.Random(11)
+    for n in range(1, 4):
+        fr = random_frame(rng, n)
+        selection = dict(fr.selection)
+        for key in rng.sample(sorted(selection), max(1, len(selection) // 3)):
+            del selection[key]
+        for m in (
+            Model(frame_of(n, fr.belief, selection), {"p": rng.randrange(fr.full + 1)}),
+            Model(frame_of(n, fr.belief, {}), {"p": 1, "q": fr.full}),
+        ):
+            with pytest.raises(UndefinedSelectionError):
+                axiom_status_via_formulas(m, 0, AxiomId.D1)
+            for s in range(n):
+                for axiom in STRUCTURAL:
+                    assert axiom_holds(m, s, axiom).status is Status.HOLDS
+                    assert axiom_status_via_formulas(m, s, axiom) is Status.HOLDS
+
+
+def test_structural_postulates_still_read_the_pool():
+    # the oracle answers only after reading its pool: a foreign atom raises
+    m = model_on(2, [0b01, 0b10], {"p": 0b01})
+    foreign = [TRUE, Atom("p"), Atom("r")]
+    for axiom in STRUCTURAL:
+        with pytest.raises(UnknownAtomError, match="atom 'r'"):
+            axiom_status_via_formulas(m, 0, axiom, formulas=foreign)
 
 
 def test_oracle_decides_d9_and_r8_once_per_complete_belief_set():
@@ -408,7 +447,10 @@ def test_oracle_statuses_are_frozen():
     # pool list serves every call, and the default pool and a pool naming
     # an atom the model lacks are asked too.  The digest was recorded by
     # running this body on the commit before the oracle kept per-model
-    # state, so any change to a status or to the first error shows here.
+    # state, and re-recorded when D0/R1/D4/R6 came to hold by representation
+    # (only those four moved, on frames with dropped rows, from
+    # UndefinedSelectionError to "holds"), so any other change to a status
+    # or to the first error shows here.
     rng = random.Random(7)
     digest = hashlib.sha256()
     pool = semantic_pool(("p", "q"), depth=2, per_class=2)
@@ -465,5 +507,5 @@ def test_oracle_statuses_are_frozen():
             record([before, after])
     assert changed
     assert digest.hexdigest() == (
-        "794f663568b97f660791bcde7aff21d0c02c6f76793ef5456b5a3a1194971cf0"
+        "96eea78977020442ab1a97b209f9371fb1eb7558c8d6a6f9107795a42f60074f"
     )

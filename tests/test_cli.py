@@ -111,6 +111,20 @@ def test_validate_input_errors_exit_two(runner, files):
 
 
 @pytest.mark.parametrize(
+    "name, message",
+    [
+        ("bad_selection_event", "selection entry 1 event mentions unknown state 's3'"),
+        ("bad_valuation_state", "valuation[q] mentions unknown state 's9'"),
+    ],
+)
+def test_validate_names_the_field_with_an_unknown_state(runner, name, message):
+    path = f"tests/data/{name}.json"
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["validate"],
@@ -486,6 +500,12 @@ def test_ri_input_errors(runner, files):
     ]
     for args in cases:
         assert runner.invoke(main, args).exit_code == 2, args
+    # a probe's atoms are checked before any work, whatever the answer
+    for probe in ("r", "r | !r"):
+        args = ["ri", files["model2"], "--state", "s0", "--formula", "p", "--probe", probe]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.stderr == "error: atom 'r' is not interpreted by the model\n"
 
 
 @pytest.mark.parametrize("option", ["--formula", "--probe"])

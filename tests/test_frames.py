@@ -422,6 +422,21 @@ class TestJson:
         with pytest.raises(InputFormatError, match="empty event"):
             frame_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["s0", "s9"], "valuation[p] mentions unknown state 's9'"),
+            (["s0", 1], "valuation[p] must be a list of state ids"),
+            ("s0", "valuation[p] must be a list of state ids"),
+        ],
+    )
+    def test_valuation_errors_name_their_field(self, ids, message):
+        obj = self.frame_obj()
+        obj["valuation"] = {"p": ids}
+        with pytest.raises(InputFormatError) as info:
+            model_from_obj(obj)
+        assert str(info.value) == message
+
     def test_bad_atom_name_rejected(self):
         obj = self.frame_obj()
         obj["valuation"] = {"Q": ["s0"]}
