@@ -556,18 +556,22 @@ class AuditReport:
 
 
 def _events_for_audit(table: ChangeFunctionTable, events: Sequence[Event] | None) -> list[Event]:
-    if events is not None:
-        out = sorted(set(events))
-        have = set(out)
-        for i, e in enumerate(out):
-            for f in out[i:]:
-                meet = e & f
-                if (meet and meet not in have) or (e | f) not in have:
-                    raise InputFormatError(
-                        "explicit audit event list must be closed under intersection and union"
-                    )
-        return out
-    return list(table.events())
+    if events is None:
+        return list(table.events())
+    out = sorted(set(events))
+    # With m(x) the meet of the members containing world x, the list is closed
+    # under nonempty meets and unions iff it holds every m(x) and E ∪ m(x):
+    # each member, and each nonempty meet of two, is the union of its m(x).
+    meets: dict[int, Event] = {}
+    for e in out:
+        for x in bits(e):
+            meets[x] = meets.get(x, e) & e
+    have = set(out)
+    if any(m not in have or any((e | m) not in have for e in out) for m in set(meets.values())):
+        raise InputFormatError(
+            "explicit audit event list must be closed under intersection and union"
+        )
+    return out
 
 
 def audit_function(
@@ -738,15 +742,14 @@ def roundtrip_verify(
        table on every checked event.
 
     Tables over four atoms need an explicit event list closed under
-    intersection and union, such as a `sampled_event_algebra`.
+    intersection and union, such as a `sampled_event_algebra`; a list that
+    is not closed is refused with `InputFormatError`, as in `audit_function`.
     """
-    if events is not None:
-        events = sorted(set(events))
-    model = build_canonical_model(table, events)
-    report = check_class(model.frame, frame_class, events=events)
+    scope = _events_for_audit(table, events)
+    model = build_canonical_model(table, scope)
+    report = check_class(model.frame, frame_class, events=None if events is None else scope)
     # every class recipe starts with BASE, which is `validate_frame`
     frame_valid = report.verdicts[0].holds
-    scope = list(events) if events is not None else list(table.events())
     extracted = extract_table(model, scope)
     mismatched = tuple(e for e in scope if extracted[e] != table.result(e))
     failed = tuple(v.property for v in report.verdicts if not v.holds)

@@ -197,6 +197,22 @@ class WitnessModel:
     instance: AxiomWitness
 
 
+def _pd6_third(frame, b, i, e, f):
+    sup_e, sup_f = frame.sup(b, e), frame.sup(b, f)
+    return sup_f if sup_e & ~sup_f else sup_e
+
+
+# property -> R(frame, B(s), s', E, F): its countermodel is p = E, q = F, r = R
+# with the instance (E, F, G = R)
+_THIRD_EVENT = {
+    PropertyId.PD57: lambda frame, b, i, e, f: frame.sup(b, e & f),
+    PropertyId.PD6: _pd6_third,
+    PropertyId.PD7: lambda frame, b, i, e, f: frame.sel(i, e) | frame.sel(i, f),
+    PropertyId.PD9: lambda frame, b, i, e, f: frame.sel(i, e) & f,
+    PropertyId.PR8: lambda frame, b, i, e, f: frame.sup(b, e) & f,
+}
+
+
 def build_witness_model(
     frame: Frame, pair: CorrespondencePair, witness: PropertyWitness
 ) -> WitnessModel:
@@ -206,36 +222,16 @@ def build_witness_model(
         )
     s, i, e, f = witness.s, witness.s_prime, witness.e, witness.f
     b = frame.belief[s]
-    full = frame.full
-    sup = frame.sup
-
     prop = pair.property
     if prop is PropertyId.PD2:
         valuation = {"p": e, "q": b}
         instance = AxiomWitness(e=e, g=b)
-    elif prop is PropertyId.PD57:
-        r = sup(b, e & f)
-        valuation = {"p": e, "q": f, "r": r}
-        instance = AxiomWitness(e=e, f=f, g=r)
-    elif prop is PropertyId.PD6:
-        sup_e, sup_f = sup(b, e), sup(b, f)
-        r = sup_f if sup_e & ~sup_f else sup_e
-        valuation = {"p": e, "q": f, "r": r}
-        instance = AxiomWitness(e=e, f=f, g=r)
-    elif prop is PropertyId.PD7:
-        r = frame.sel(i, e) | frame.sel(i, f)
-        valuation = {"p": e, "q": f, "r": r}
-        instance = AxiomWitness(e=e, f=f, g=r)
-    elif prop is PropertyId.PD9:
-        r = frame.sel(i, e) & f
-        valuation = {"p": e, "q": f, "r": r}
-        instance = AxiomWitness(e=e, f=f, g=r)
     elif prop is PropertyId.PR4:
         valuation = {"p": e, "q": b & e}
         # the separating formula is "p -> q": kept believed, lost on change
-        instance = AxiomWitness(e=e, g=(~e & full) | (b & e))
-    elif prop is PropertyId.PR8:
-        r = sup(b, e) & f
+        instance = AxiomWitness(e=e, g=(~e & frame.full) | (b & e))
+    elif prop in _THIRD_EVENT:
+        r = _THIRD_EVENT[prop](frame, b, i, e, f)
         valuation = {"p": e, "q": f, "r": r}
         instance = AxiomWitness(e=e, f=f, g=r)
     else:

@@ -103,13 +103,18 @@ class Frame:
 
     def sup(self, bmask: int, event: Event) -> Event:
         """Sup(B, E): the union of f(i, E) over the states i in ``bmask``."""
-        key = (bmask, event)
-        got = self._sup.get(key)
+        row = self._sup.get(bmask)
+        if row is None:
+            row = self._sup[bmask] = {}
+        got = row.get(event)
         if got is None:
-            got = 0
-            for i in bits(bmask):
-                got |= self.sel(i, event)
-            self._sup[key] = got
+            got, rest, selection = 0, bmask, self.selection
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                value = selection.get((i, event))
+                got |= self.sel(i, event) if value is None else value  # sel raises if missing
+                rest &= rest - 1
+            row[event] = got
         return got
 
     def has_sel(self, s: int, event: Event) -> bool:

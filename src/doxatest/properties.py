@@ -19,22 +19,23 @@ first witness (and, on partial frames, the first missing row) unchanged:
 - *One decision per belief set.*  A predicate reads s only through B(s), so
   a later state with an already decided B(s) reads the same rows: it holds
   there, or the earlier state already failed or raised.
-- *F through E∩F.*  When every defined selection row succeeds
-  (f(i, E) ⊆ E), PD57, PD57_STRONG, PD9 and PR8 read F only through
-  G = E∩F, so F runs over the subsets of E (3ⁿ pairs instead of 4ⁿ).  Any F
-  with E∩F = G contains G, so each G first turns up at F = G, and the G
-  values turn up in ascending order: the first hit is the same instance.
-- *A holds test, else the scan.*  One rule covers the six pair
-  properties.  When no ``events`` list is given and every defined
-  selection row succeeds, each belief set first runs an exact test over a
-  row table r(E), either Sup(B, E) or one f(i, E), and a "holds" skips the
-  scan.  The test reads every nonempty event's row, as a scan that ends
-  without error does, so its "holds" is the scan's.  When it fails or
-  meets a missing row, the scan runs and alone reports.  There PD6 and
-  PD7, symmetric in (E, F), run F from E up with or without success: their
-  first violation has E ≤ F, and a pair with F < E reads no row that the
-  scan has not read at (F, E) or at row E's first pair.  The shapes of the
-  tests:
+- *One row table per belief set.*  A predicate reads only believed rows
+  f(i, ·).  Without an ``events`` list, a property with a holds test reads
+  B's table r(E) = Sup(B, E) through `Frame.sup`, the memo its scan reads.
+  Its gate (every believed row is defined, and r(E) ⊆ E at every E) decides
+  at each belief set alone whether the next two skips apply.
+- *F through E∩F.*  Past the gate, PD57, PD57_STRONG, PD9 and PR8 read F
+  only through G = E∩F, so F runs over the subsets of E (3ⁿ pairs, not
+  4ⁿ).  Each G first turns up at F = G (any F with E∩F = G contains G), in
+  ascending order: the first hit is the same instance.
+- *A holds test, else the scan.*  Past the gate, each of the six pair
+  properties first runs an exact test on the table (PD57_STRONG: on each
+  Sup({i}, ·)).  It reads every nonempty event's believed rows, as a scan
+  that ends without error does, so its "holds" skips the scan; otherwise
+  the scan alone reports.  PD6 and PD7, symmetric in (E, F), always run F
+  from E up: their first violation has E ≤ F, and a pair with F < E reads
+  no row that the scan has not read at (F, E) or at row E's first pair.
+  The shapes of the tests:
 
   - Inside (PD57; PD57_STRONG per believed state): no G ⊆ E with
     r(E) ∩ G ⊄ r(G).  Gated (PD9, PR8): no G ⊆ E with r(E) meeting G and
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import DoxatestError
+from .errors import UndefinedSelectionError
 from .frames import Frame, Violation, bits, mask_of, subsets_of, validate_frame
 from .limits import DEFAULT_MAX_STATES, refuse_beyond
 
@@ -205,17 +206,8 @@ def _pd57(frame, b):
 
 
 def _pd57_strong(frame, b):
-    sel, rows = frame.sel, tuple(bits(b))
-
-    def violators(e, f):
-        ef, out = e & f, 0
-        if ef:
-            for i in rows:
-                if sel(i, e) & f & ~sel(i, ef):
-                    out |= 1 << i
-        return out
-
-    return violators
+    sel = frame.sel
+    return lambda e, f: e & f and mask_of(i for i in bits(b) if sel(i, e) & f & ~sel(i, e & f))
 
 
 def _pd6(frame, b):
@@ -273,7 +265,7 @@ class _Second(Enum):
 
     SINGLE = "no F"  # the condition reads E alone
     ALL = "every F"
-    MEET = "F through E∩F"  # on frames whose defined rows all succeed
+    MEET = "F through E∩F"  # past the belief set's success gate
     SYMMETRIC = "F >= E"  # violators(E, F) and violators(F, E) agree
 
 
@@ -294,14 +286,14 @@ _CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
 # (r[0] = 0).  Only their "holds" is trusted.
 
 
-def _rows(frame: Frame, states) -> list[int]:
-    """r(E): the union of f(i, E) over ``states``, at every event, read
-    from the rows themselves (no `Frame.sup` memo entries)."""
-    sel, rows = frame.sel, [0] * (frame.full + 1)
-    for i in states:
-        for e in range(1, frame.full + 1):
-            rows[e] |= sel(i, e)
-    return rows
+def _rows(frame: Frame, b: int) -> list[int] | None:
+    """r(E) = Sup(B, E) at every event, through the `Frame.sup` memo that the
+    scan reads too; None unless every believed row is there and succeeds."""
+    try:
+        rows = [0] + [frame.sup(b, e) for e in range(1, frame.full + 1)]
+    except UndefinedSelectionError:
+        return None  # a missing row: the scan raises it or finds a violation first
+    return None if any(r & ~e for e, r in enumerate(rows)) else rows
 
 
 def _up(table: list[int]) -> list[int]:
@@ -371,36 +363,25 @@ def _union_closed(rows: list[int], n: int) -> bool:
     return True
 
 
-_HOLDS: dict[PropertyId, Callable[[Frame, int], bool]] = {
-    PropertyId.PD57: lambda frame, b: _inside(_rows(frame, bits(b))),
-    PropertyId.PD57_STRONG: lambda frame, b: all(_inside(_rows(frame, (i,))) for i in bits(b)),
-    PropertyId.PD6: lambda frame, b: _cumulative(_rows(frame, bits(b))),
-    PropertyId.PD7: lambda frame, b: _union_closed(_rows(frame, bits(b)), frame.n),
-    PropertyId.PD9: lambda frame, b: _gated(_rows(frame, bits(b)), frame.n),
-    PropertyId.PR8: lambda frame, b: _gated(_rows(frame, bits(b)), frame.n),
+_HOLDS: dict[PropertyId, Callable[[Frame, int, list[int]], bool]] = {
+    PropertyId.PD57: lambda frame, b, rows: _inside(rows),
+    PropertyId.PD57_STRONG: lambda frame, b, rows: all(
+        _inside(_rows(frame, 1 << i)) for i in bits(b)
+    ),
+    PropertyId.PD6: lambda frame, b, rows: _cumulative(rows),
+    PropertyId.PD7: lambda frame, b, rows: _union_closed(rows, frame.n),
+    PropertyId.PD9: lambda frame, b, rows: _gated(rows, frame.n),
+    PropertyId.PR8: lambda frame, b, rows: _gated(rows, frame.n),
 }
-
-
-def _holds(frame: Frame, pid: PropertyId, b: int) -> bool:
-    try:
-        return _HOLDS[pid](frame, b)
-    except DoxatestError:
-        return False  # a missing row: the scan raises it or finds a violation first
 
 
 def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
     """First violation in canonical order: states, then E, then F ascending;
     s' is the lowest violating believed state."""
     factory, second, reports_s_prime = _CONDITIONS[pid]
-    tested = False
+    tested = events is None and pid in _HOLDS
     if events is None:
         events = range(1, frame.full + 1)
-        # one gate for every holds test, and every MEET property has one
-        tested = pid in _HOLDS and not any(
-            value & ~event for (_, event), value in frame.selection.items()
-        )
-        if second is _Second.MEET and not tested:
-            second = _Second.ALL  # success fails somewhere: F matters whole
     elif second is not _Second.SINGLE:
         second = _Second.ALL
     seconds = {
@@ -408,7 +389,7 @@ def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
         _Second.ALL: lambda e: events,
         _Second.MEET: subsets_of,
         _Second.SYMMETRIC: lambda e: range(e, frame.full + 1),
-    }[second]
+    }
     decided = set()
     for s in range(frame.n):
         b = frame.belief[s]
@@ -418,10 +399,12 @@ def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
         violators = factory(frame, b)
         if violators is None:
             continue
-        if tested and _holds(frame, pid, b):
+        rows = _rows(frame, b) if tested else None
+        if rows is not None and _HOLDS[pid](frame, b, rows):
             continue  # the scan would find nothing
+        walk = seconds[_Second.ALL if second is _Second.MEET and rows is None else second]
         for e in events:
-            for f in seconds(e):
+            for f in walk(e):
                 m = violators(e, f)
                 if m:
                     i = (m & -m).bit_length() - 1 if reports_s_prime else None

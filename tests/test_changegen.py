@@ -254,6 +254,47 @@ def test_audit_rejects_unknown_suite_and_unclosed_events():
         audit_function(table, "KM", events=[0b0011, 0b0101])
 
 
+def test_both_routes_refuse_an_unclosed_list_at_four_atoms():
+    table = random_update_table(Random(1), WorldContext(("p", "q", "r", "s")))
+    events = [0b11, 0b110, 0xFFFF]  # {w0001} = 0b11 ∩ 0b110 is missing
+    with pytest.raises(InputFormatError, match="closed under"):
+        audit_function(table, "KM", events=events)
+    with pytest.raises(InputFormatError, match="closed under"):
+        roundtrip_verify(table, FrameClass.UPDATE, events=events)
+
+
+def _closed_pairwise(events):
+    have = set(events)
+    return all((not e & f or e & f in have) and e | f in have for e in have for f in have)
+
+
+def test_closure_check_matches_the_pairwise_definition():
+    # Block algebras, the same with one member removed or a random event
+    # added, short random lists (the empty one included) and lists holding 0.
+    rng = Random(11)
+    tally = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        events = sampled_event_algebra(n, rng, blocks=rng.randint(1, n))
+        pick = rng.randrange(4)
+        if pick == 1:
+            events.remove(rng.choice(events))
+        elif pick == 2:
+            events.append(rng.randrange(1 << n))
+        elif pick == 3:
+            events = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.2:
+            events.append(0)
+        want = _closed_pairwise(events)
+        try:
+            got = changegen._events_for_audit(None, events) == sorted(set(events))
+        except InputFormatError:
+            got = False
+        assert got == want, events
+        tally[want] += 1
+    assert min(tally.values()) > 300, tally
+
+
 # --- canonical structures and roundtrips ---
 
 

@@ -385,9 +385,15 @@ def _sweep_frames(rng, kind, n):
     if kind == "uniform":
         b = 1 << rng.randrange(n) if rng.random() < 0.4 else rng.randrange(1, full + 1)
         return frame_of(n, [b] * n, fr.selection), None
-    selection = dict(fr.selection)
-    if kind == "nonconforming":
-        for key in rng.sample(sorted(selection), min(len(selection), rng.randint(1, 3))):
+    selection, belief, keys = dict(fr.selection), fr.belief, sorted(fr.selection)
+    if kind == "unbelieved" and n > 1:
+        # only rows of a state outside every belief set leave their events (at
+        # n = 1 every state is believed, and the kind is "nonconforming")
+        out = 1 << rng.randrange(n)
+        belief = [b & ~out or full & ~out for b in belief]
+        keys = [key for key in keys if 1 << key[0] == out]
+    if kind in ("nonconforming", "unbelieved"):
+        for key in rng.sample(keys, min(len(keys), rng.randint(1, 3))):
             # a state outside the event, or one beyond the frame at n = 1
             selection[key] |= (full & ~key[1]) or 1 << n
     elif kind == "partial":
@@ -396,12 +402,12 @@ def _sweep_frames(rng, kind, n):
     events = None
     if kind == "explicit":
         events = [rng.randrange(1, full + 1) for _ in range(4)]
-    return frame_of(n, fr.belief, selection), events
+    return frame_of(n, belief, selection), events
 
 
 def test_collapsed_finder_matches_plain_scan():
     rng = random.Random(5)
-    kinds = ("per-state", "uniform", "nonconforming", "partial", "explicit")
+    kinds = ("per-state", "uniform", "nonconforming", "unbelieved", "partial", "explicit")
     tally = {"holds": 0, "fails": 0, "raises": 0}
     for kind in kinds:
         for n in range(1, 6):
@@ -485,7 +491,7 @@ def _emptied(rng, frame):
 
 
 def _scan_only(monkeypatch):
-    monkeypatch.setattr(properties, "_holds", lambda frame, pid, b: False)
+    monkeypatch.setattr(properties, "_HOLDS", dict.fromkeys(TESTED, lambda frame, b, rows: False))
 
 
 def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
@@ -537,8 +543,12 @@ def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
         monkeypatch.setitem(_CONDITIONS, pid, (spying(pid, factory), second, reports_s_prime))
     rng = random.Random(4)
     frame = _uniform_revision_frame(rng, 7, 1)  # a pointed belief set: PD9 applies
-    for pid in TESTED:
-        assert check_property(frame, pid).holds
+    with open(DATA / "unsuccessful_unbelieved_row.json") as fh:
+        # every state believes {s0}; a row of s3 leaves its event
+        leaky = complete_selection(frame_from_obj(json.load(fh)))
+    for fr in (frame, leaky):
+        for pid in TESTED:
+            assert check_property(fr, pid).holds
     assert calls == dict.fromkeys(TESTED, 0)
     for pid in TESTED:
         broken = _perturbed(rng, frame)
