@@ -11,16 +11,16 @@ input/result are masks over worlds.  Two constructions are provided:
 * revision from a single ranking whose minimal worlds are exactly K: the
   result is the set of minimal input-worlds.
 
-Update minima come from a per-world table of strictly-more-plausible
-worlds, so each (world, input) costs O(|input|) mask operations.
+Every table is filled once, when it is built: one pass per order over the
+events (`_fill_minima`) gives the most plausible worlds of each event.
 
 ``audit_function`` then checks the produced table against the change
 postulates by direct set arithmetic on the table, deliberately sharing no
 checking code with the frame-side route in :mod:`doxatest.axioms`.  One
 check table, ``_TABLE_CHECKS``, gives each postulate its test and how F
-runs against E, and one scan reads it for every suite.  On a table over
-every event, the pair checks D5, D6 and D9 first try an exact one-step
-holds test (``_ONE_STEP``) and scan only when it fails.
+runs against E, and one scan reads it for every suite.  When every result
+lies inside its event, the pair checks D5, D6, D7 and D9 first try an exact
+holds test (``_HOLDS_TESTS``) and scan only when it fails.
 ``build_canonical_model`` and ``roundtrip_verify`` close the loop: rebuild a
 pointed structure from a table and confirm the frame-side machinery classifies
 it as expected and reads the same table back off.
@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from random import Random
 
@@ -42,10 +43,11 @@ from .frames import (
     Frame,
     Model,
     bits,
+    mask_of,
     subsets_of,
     support_of,
 )
-from .limits import ATOM_LIMIT, DENSE_ATOM_LIMIT, refuse_beyond
+from .limits import ATOM_LIMIT, CUSTOM_ATOM_LIMIT, refuse_beyond
 from .properties import FrameClass, check_class
 
 
@@ -107,6 +109,24 @@ class WorldContext:
         return truth_vector(formula, self.atoms)
 
 
+def _fill_minima(below: Sequence[int]) -> list[Event]:
+    """The most plausible worlds of every event under one order, indexed by
+    the event's mask (entry 0 is 0); ``below[x]`` is the mask of worlds
+    strictly more plausible than x.
+
+    One pass in mask order: with x the highest world of E and G = E∖{x},
+    min(E) = (min(G) ∖ above(x)) ∪ ({x} if nothing in G is below x), where
+    above(x) holds the worlds x is strictly more plausible than.
+    """
+    n = len(below)
+    above = [mask_of(y for y in range(n) if below[y] >> x & 1) for x in range(n)]
+    out = [0]
+    for x in range(n):
+        bit, keep, under = 1 << x, ~above[x], below[x]
+        out += [out[g] & keep | (0 if under & g else bit) for g in range(bit)]
+    return out
+
+
 @dataclass(frozen=True)
 class TotalPreOrder:
     """A ranking of all worlds; lower rank means more plausible."""
@@ -122,13 +142,12 @@ class TotalPreOrder:
 
     def minimum(self) -> Event:
         """The globally most plausible worlds."""
-        return self.min_of((1 << self.n_worlds) - 1)
+        return self.minima()[-1]
 
-    def min_of(self, event: Event) -> Event:
-        if event == 0:
-            return 0
-        lowest = min(self.ranks[w] for w in bits(event))
-        return sum(1 << w for w in bits(event) if self.ranks[w] == lowest)
+    def minima(self) -> list[Event]:
+        """The most plausible worlds of every event, indexed by its mask."""
+        ranks = self.ranks
+        return _fill_minima([mask_of(y for y, r in enumerate(ranks) if r < rank) for rank in ranks])
 
 
 def _order_fault(rows: Sequence[int], w: int, n: int) -> str | None:
@@ -161,8 +180,7 @@ class PreOrderFamily:
     from the standpoint of world w.  Orders may be genuinely partial; each
     must be reflexive and transitive and have w as its strict minimum.
     ``_below[w][x]`` is the mask of worlds strictly more plausible than x
-    from w's standpoint, so `min_of` keeps the members of an event with no
-    member strictly below them in O(|E|) mask operations.
+    from w's standpoint, the table `minima` fills from.
     """
 
     le: tuple[tuple[int, ...], ...]
@@ -202,14 +220,10 @@ class PreOrderFamily:
             for y in range(x + 1, len(rows))
         )
 
-    def min_of(self, w: int, event: Event) -> Event:
-        """The most plausible worlds of the event, from the standpoint of w."""
-        below = self._below[w]
-        out = 0
-        for x in bits(event):
-            if not below[x] & event:
-                out |= 1 << x
-        return out
+    def minima(self, w: int) -> list[Event]:
+        """The most plausible worlds of every event from the standpoint of w,
+        indexed by the event's mask."""
+        return _fill_minima(self._below[w])
 
     @classmethod
     def from_rankings(cls, rankings: Sequence[Sequence[int]]) -> "PreOrderFamily":
@@ -240,11 +254,14 @@ class PreOrderFamily:
 class ChangeFunctionTable:
     """The input-to-result table of one belief-change function.
 
-    K and all results are world masks.  Results are computed on demand and
-    memoised; parsed tables start with every entry.  ``row(w, event)``
-    exposes the per-believed-world contribution used when rebuilding a
-    pointed structure; for functions without one (parsed tables), every
-    believed world's row is the full result.
+    K and all results are world masks, and ``results[E]`` is the result at
+    every nonempty event E (entry 0 is unused).  ``rows[w]``, laid out the
+    same way, is believed world w's own contribution, used when rebuilding a
+    pointed structure; without ``rows`` (revision and parsed tables) every
+    believed world's row is the full result.  A parsed ("custom") table is
+    refused beyond `CUSTOM_ATOM_LIMIT` atoms: only order-generated tables,
+    which pass every holds test of their suite's audit and their class's
+    check, may be larger, since a failing test starts a pair scan.
     """
 
     def __init__(
@@ -252,66 +269,46 @@ class ChangeFunctionTable:
         ctx: WorldContext,
         k_mask: Event,
         kind: str,
-        fn: Callable[[Event], Event] | None,
-        row_fn: Callable[[int, Event], Event] | None = None,
-        dense: dict[Event, Event] | None = None,
+        results: Sequence[Event],
+        rows: Mapping[int, Sequence[Event]] | None = None,
     ):
+        if kind == "custom":
+            refuse_beyond(ctx.k, CUSTOM_ATOM_LIMIT, "atoms in a custom change table")
         if not 0 < k_mask <= ctx.full:
             raise InputFormatError("K must be a nonempty set of worlds")
+        if len(results) != ctx.full + 1:
+            raise ValueError(f"a table over {ctx.k} atoms needs {ctx.full + 1} results")
         self.ctx = ctx
         self.k_mask = k_mask
         self.kind = kind
-        self._fn = fn
-        self._row_fn = row_fn
-        self._dense = dict(dense) if dense is not None else {}
-        self._full = ctx.full
-
-    def result(self, event: Event) -> Event:
-        if not 0 < event <= self._full:
-            raise ValueError(f"event {event:#x} is not a nonempty set of worlds")
-        got = self._dense.get(event)
-        if got is None:
-            if self._fn is None:
-                raise InputFormatError(
-                    f"table has no entry for event {{{', '.join(self.ctx.labels(event))}}}"
-                )
-            got = self._dense[event] = self._fn(event)
-        return got
-
-    def row(self, w: int, event: Event) -> Event:
-        if self._row_fn is not None:
-            return self._row_fn(w, event)
-        return self.result(event)
+        self.results = tuple(results)
+        self.rows = dict(rows) if rows is not None else dict.fromkeys(bits(k_mask), self.results)
 
     def events(self) -> range:
-        """Every nonempty event; refused beyond `DENSE_ATOM_LIMIT` atoms."""
-        hint = "atoms in a table over every event (pass an explicit event list)"
-        refuse_beyond(self.ctx.k, DENSE_ATOM_LIMIT, hint)
+        """Every nonempty event, ascending."""
         return range(1, self.ctx.full + 1)
 
-    def as_dict(self, events: Iterable[Event] | None = None) -> dict[Event, Event]:
-        if events is None:
-            events = self.events()
-        return {event: self.result(event) for event in events}
+    def as_dict(self) -> dict[Event, Event]:
+        return {event: self.results[event] for event in self.events()}
 
-    def to_obj(self, events: Iterable[Event] | None = None) -> dict:
-        if events is None:
-            events = self.events()
+    def to_obj(self) -> dict:
         return {
             "atoms": list(self.ctx.atoms),
             "K": self.ctx.labels(self.k_mask),
             "entries": [
                 {
                     "event": self.ctx.labels(event),
-                    "result": self.ctx.labels(self.result(event)),
+                    "result": self.ctx.labels(self.results[event]),
                 }
-                for event in sorted(events)
+                for event in self.events()
             ],
         }
 
 
 def table_from_obj(obj: dict) -> ChangeFunctionTable:
-    """Parse a serialised table; entries must cover every nonempty event."""
+    """Parse a serialised (custom) table; entries must cover every nonempty
+    event.  Beyond `CUSTOM_ATOM_LIMIT` atoms it is refused before the
+    entries are read."""
     if not isinstance(obj, dict):
         raise InputFormatError("table document must be an object")
     try:
@@ -321,6 +318,7 @@ def table_from_obj(obj: dict) -> ChangeFunctionTable:
         ):
             raise InputFormatError(f"'atoms' must be a list of atom names, not {atoms!r}")
         ctx = WorldContext(tuple(atoms))
+        refuse_beyond(ctx.k, CUSTOM_ATOM_LIMIT, "atoms in a custom change table")
         k_labels = obj["K"]
         entries = obj["entries"]
     except KeyError as exc:
@@ -337,7 +335,7 @@ def table_from_obj(obj: dict) -> ChangeFunctionTable:
     k_mask = to_mask(k_labels, "'K'")
     if not isinstance(entries, list):
         raise InputFormatError("'entries' must be a list of table entries")
-    dense: dict[Event, Event] = {}
+    results: list[Event | None] = [0] + [None] * ctx.full
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or not {"event", "result"} <= set(entry):
             raise InputFormatError(f"table entry {k} needs 'event' and 'result'")
@@ -345,16 +343,17 @@ def table_from_obj(obj: dict) -> ChangeFunctionTable:
         result = to_mask(entry["result"], f"table entry {k} result")
         if event == 0:
             raise InputFormatError("table entry has an empty event")
-        if event in dense:
+        if results[event] is not None:
             raise InputFormatError(
                 f"duplicate table entry for event {{{', '.join(entry['event'])}}}"
             )
-        dense[event] = result
-    if len(dense) != ctx.full:
+        results[event] = result
+    missing = results.count(None)
+    if missing:
         raise InputFormatError(
-            f"table covers {len(dense)} of {ctx.full} nonempty events"
+            f"table covers {ctx.full - missing} of {ctx.full} nonempty events"
         )
-    return ChangeFunctionTable(ctx, k_mask, "custom", fn=None, dense=dense)
+    return ChangeFunctionTable(ctx, k_mask, "custom", results)
 
 
 def gen_update(ctx: WorldContext, k_mask: Event, family: PreOrderFamily) -> ChangeFunctionTable:
@@ -364,14 +363,11 @@ def gen_update(ctx: WorldContext, k_mask: Event, family: PreOrderFamily) -> Chan
             f"order family covers {family.n_worlds} worlds, context has {ctx.n_worlds}"
         )
     family.validate()
-
-    def fn(event: Event) -> Event:
-        out = 0
-        for w in bits(k_mask):
-            out |= family.min_of(w, event)
-        return out
-
-    return ChangeFunctionTable(ctx, k_mask, "update", fn, row_fn=family.min_of)
+    rows = {w: family.minima(w) for w in bits(k_mask)}
+    results = [0] * (ctx.full + 1)
+    for row in rows.values():
+        results = list(map(operator.or_, results, row))
+    return ChangeFunctionTable(ctx, k_mask, "update", results, rows)
 
 
 def gen_revision(ctx: WorldContext, k_mask: Event, order: TotalPreOrder) -> ChangeFunctionTable:
@@ -380,12 +376,13 @@ def gen_revision(ctx: WorldContext, k_mask: Event, order: TotalPreOrder) -> Chan
         raise InputFormatError(
             f"ranking covers {order.n_worlds} worlds, context has {ctx.n_worlds}"
         )
-    if order.minimum() != k_mask:
+    results = order.minima()
+    if results[-1] != k_mask:
         raise UnfaithfulOrderError(
             "ranking is not faithful: its minimal worlds are {%s}, K is {%s}"
-            % (", ".join(ctx.labels(order.minimum())), ", ".join(ctx.labels(k_mask)))
+            % (", ".join(ctx.labels(results[-1])), ", ".join(ctx.labels(k_mask)))
         )
-    return ChangeFunctionTable(ctx, k_mask, "revision", order.min_of)
+    return ChangeFunctionTable(ctx, k_mask, "revision", results)
 
 
 # --- postulate audit on the bare table (independent of the frame route) ---
@@ -422,17 +419,17 @@ AGM_SUITE = (
 SUITES = {"KM": KM_SUITE, "KM_STRONG": KM_STRONG_SUITE, "AGM": AGM_SUITE}
 
 # How F runs in a check: not at all (a check on E alone), over F >= E (the
-# check is symmetric in E and F, so its first failing pair in the ascending
-# scope has E <= F), or over the scope; the last narrows to the members of
-# the scope inside E when D1 holds (each result inside its event), since
-# those checks then read F only through E∩F, which is in the intersection-
-# closed scope (an empty E∩F passes) and no later than F in ascending order,
-# so the first failing pair is the same.
+# check is symmetric in E and F, so its first failing pair in ascending
+# order has E <= F), or over every event; the last narrows to the subsets
+# of E when D1 holds (each result inside its event), since those checks
+# then read F only through E∩F, which is a subset of E no later than F in
+# ascending order (an empty E∩F passes), so the first failing pair is the
+# same.
 _NO_F, _F_FROM_E, _F_IN_E = range(3)
 
 # Each check reads K, the result map r and the events E, F (None for _NO_F).
-# On a table over every event with D1 holding, D5, D6 and D9 first try the
-# exact one-step holds tests of `_ONE_STEP` below, and scan only on a fail.
+# With D1 holding, D5, D6, D7 and D9 first try the exact holds tests of
+# `_HOLDS_TESTS` below, and scan only on a fail.
 _TABLE_CHECKS = {
     AxiomId.D1: (_NO_F, lambda k, r, e, f: not r[e] & ~e),
     AxiomId.D2: (_NO_F, lambda k, r, e, f: k & ~e != 0 or r[e] == k),
@@ -466,32 +463,36 @@ _BY_REPRESENTATION = {AxiomId.D0, AxiomId.R1, AxiomId.D4, AxiomId.R6}
 # Postulates that bind only complete belief states: checked when K is a
 # singleton, not applicable otherwise.
 _SINGLETON_GATED = {AxiomId.D7, AxiomId.D9}
-# Exact holds tests for three pair checks on a table over every event with
-# D1 holding.  Each rule reads r(E), r(G), G and the bit x of one step
-# G = E∖{x} ≠ ∅, and is tried only when the gate check holds; when every
-# step passes the check holds, otherwise its scan decides and reports.
+# Exact holds tests for four pair checks, tried only when D1 holds: the
+# check holds when its gate check holds and its one-step rule (if any)
+# passes at every step; otherwise its scan decides and reports.  A rule
+# reads r(E), r(G), G and the bit x of one step G = E∖{x} ≠ ∅.
 # * D5: r(E)∖{x} ⊆ r(G).  Any F ⊆ E is reached from E by single removals,
 #   and each y ∈ r(E)∩F survives every step.
 # * D6: x ∉ r(E) implies r(G) = r(E).  Chaining the steps from E down to
 #   any nonempty F with r(E) ⊆ F ⊆ E gives cumulativity, r(F) = r(E).  With
 #   D1 that yields reciprocity: if r(E) ⊆ F and r(F) ⊆ E, both results are
 #   inside E∩F, so they both equal r(E∩F), or both are empty when E∩F is.
+# * D7 (gate D5, no steps): D5 at (E∪F, E) and at (E∪F, F) puts
+#   r(E∪F)∩E inside r(E) and r(E∪F)∩F inside r(F), and D1 puts r(E∪F)
+#   inside E∪F, so r(E∪F) ⊆ r(E) ∪ r(F).
 # * D9 (gate D5): r(E)∩G ≠ ∅ implies r(G) ⊆ r(E)∩G.  With D5 each step
 #   down a chain from E to F keeps r(Eᵢ) = r(E)∩Eᵢ while r(E)∩F ≠ ∅, so
 #   r(F) = r(E)∩F.  Without D5 the steps are not enough: a 2-atom table can
 #   pass every D9 step and still fail D9.
 # Each rule is also one instance of its check, so a failing step means the
 # check fails too, and the scan finds its first witness.
-_ONE_STEP = {
+_HOLDS_TESTS = {
     AxiomId.D5: (None, lambda r_e, r_g, g, x: not r_e & g & ~r_g),
     AxiomId.D6: (None, lambda r_e, r_g, g, x: r_e & x != 0 or r_g == r_e),
+    AxiomId.D7: (AxiomId.D5, None),
     AxiomId.D9: (AxiomId.D5, lambda r_e, r_g, g, x: not r_e & g or not r_g & ~(r_e & g)),
 }
 
 
-def _every_step_holds(step, res: dict[Event, Event], full: Event) -> bool:
+def _every_step_holds(step, res: Sequence[Event], full: Event) -> bool:
     """Whether a one-step rule holds at every event E and world x ∈ E with
-    E∖{x} nonempty; ``res`` holds the result of every nonempty event."""
+    E∖{x} nonempty; ``res`` holds the result of every event."""
     for e in range(1, full + 1):
         r_e = res[e]
         rest = e
@@ -555,73 +556,47 @@ class AuditReport:
         }
 
 
-def _events_for_audit(table: ChangeFunctionTable, events: Sequence[Event] | None) -> list[Event]:
-    if events is None:
-        return list(table.events())
-    out = sorted(set(events))
-    # With m(x) the meet of the members containing world x, the list is closed
-    # under nonempty meets and unions iff it holds every m(x) and E ∪ m(x):
-    # each member, and each nonempty meet of two, is the union of its m(x).
-    meets: dict[int, Event] = {}
-    for e in out:
-        for x in bits(e):
-            meets[x] = meets.get(x, e) & e
-    have = set(out)
-    if any(m not in have or any((e | m) not in have for e in out) for m in set(meets.values())):
-        raise InputFormatError(
-            "explicit audit event list must be closed under intersection and union"
-        )
-    return out
-
-
-def audit_function(
-    table: ChangeFunctionTable,
-    suite: str = "KM",
-    events: Sequence[Event] | None = None,
-) -> AuditReport:
-    """Check a table against one postulate suite by direct set arithmetic.
+def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport:
+    """Check a table against one postulate suite by direct set arithmetic
+    over every event.
 
     This is the syntax-side route: it never consults the frame-side axiom
-    checker.  ``events`` restricts the quantifiers for large tables and must
-    then be closed under intersection and union.  The two postulates that
-    only bind complete belief states (D7, D9) are checked when K is a
-    singleton and reported as not applicable otherwise.
+    checker.  The two postulates that only bind complete belief states (D7,
+    D9) are checked when K is a singleton and reported as not applicable
+    otherwise.
 
-    When D1 holds, F runs only over the events of the scope inside E for
-    D5/R7 and D9/R8.  When, in addition, every event is in scope, D5/R7,
-    D6 and D9/R8 first run the one-step holds tests of ``_ONE_STEP`` in
-    n·2ⁿ steps for n worlds, each comparing r(E) with r(E∖{x}): D5 and D6
-    need nothing more, while D9's steps count only when D5 holds, without
-    which passing them proves nothing.  A check whose test passes holds;
-    otherwise the pair scan decides it, so verdicts and first witnesses are
-    those of the scan.
+    When D1 holds, F runs only over the subsets of E for D5/R7 and D9/R8,
+    and D5/R7, D6, D7 and D9/R8 first run the holds tests of
+    ``_HOLDS_TESTS``: one-step rules in n·2ⁿ steps for n worlds, each
+    comparing r(E) with r(E∖{x}).  D5 and D6 need nothing more; D7 and D9
+    count only when D5 holds, D7 then holding outright.  A check whose test
+    passes holds; otherwise the pair scan decides it, so verdicts and first
+    witnesses are those of the scan.
     """
     suite_key = suite.upper().replace("-", "_")
     if suite_key not in SUITES:
         raise ValueError(f"unknown audit suite {suite!r}; expected one of {sorted(SUITES)}")
-    scope = _events_for_audit(table, events)
-    k = table.k_mask
-    res = {event: table.result(event) for event in scope}
+    k, res, full = table.k_mask, table.results, table.ctx.full
+    scope = table.events()
     successful = all(not res[e] & ~e for e in scope)
-    dense = successful and events is None
-    in_e = lambda i, e: scope
-    if dense:
-        in_e = lambda i, e: subsets_of(e)
-    elif successful:
-        in_e = lambda i, e: [f for f in scope if not f & ~e]
-    seconds = {_NO_F: lambda i, e: (None,), _F_FROM_E: lambda i, e: scope[i:], _F_IN_E: in_e}
+    seconds = {
+        _NO_F: lambda e: (None,),
+        _F_FROM_E: lambda e: range(e, full + 1),
+        _F_IN_E: subsets_of if successful else lambda e: scope,
+    }
 
     @functools.cache
     def first_failure(check_id: AxiomId) -> tuple[Event, Event | None] | None:
-        """The first (E, F) failing a check in scope order, or None."""
-        if dense and check_id in _ONE_STEP:
-            gate, step = _ONE_STEP[check_id]
-            gate_holds = gate is None or first_failure(gate) is None
-            if gate_holds and _every_step_holds(step, res, table.ctx.full):
+        """The first (E, F) failing a check in ascending order, or None."""
+        if successful and check_id in _HOLDS_TESTS:
+            gate, step = _HOLDS_TESTS[check_id]
+            if (gate is None or first_failure(gate) is None) and (
+                step is None or _every_step_holds(step, res, full)
+            ):
                 return None
         runs, check = _TABLE_CHECKS[check_id]
-        for i, e in enumerate(scope):
-            for f in seconds[runs](i, e):
+        for e in scope:
+            for f in seconds[runs](e):
                 if not check(k, res, e, f):
                     return e, f
         return None
@@ -642,9 +617,7 @@ def audit_function(
 # --- back to frames: canonical pointed structure and the roundtrip ---
 
 
-def build_canonical_model(
-    table: ChangeFunctionTable, events: Sequence[Event] | None = None
-) -> Model:
+def build_canonical_model(table: ChangeFunctionTable) -> Model:
     """Rebuild a pointed structure whose conditional supports match the table.
 
     States are the worlds, every state believes exactly K, and selection rows
@@ -653,45 +626,18 @@ def build_canonical_model(
     each atom off the world labels, so distinct states never share a profile.
     """
     ctx = table.ctx
-    if events is None:
-        events = list(table.events())
     states = tuple("w" + ctx.label(w) for w in range(ctx.n_worlds))
     belief = (table.k_mask,) * ctx.n_worlds
     selection = {
-        (w, event): table.row(w, event)
-        for w in bits(table.k_mask)
-        for event in events
+        (w, event): row[event] for w, row in table.rows.items() for event in table.events()
     }
     valuation = {atom: ctx.atom_worlds(i) for i, atom in enumerate(ctx.atoms)}
     return Model(Frame(states, belief, selection), valuation)
 
 
-def extract_table(model: Model, events: Sequence[Event] | None = None) -> dict[Event, Event]:
+def extract_table(model: Model) -> dict[Event, Event]:
     """Read the change function back off a structure with uniform belief."""
-    if events is None:
-        events = range(1, model.frame.full + 1)
-    return {event: support_of(model, 0, event) for event in events}
-
-
-def sampled_event_algebra(n_worlds: int, rng: Random, blocks: int = 8) -> list[Event]:
-    """A random subalgebra of events: all unions of a random block partition.
-
-    The result is closed under intersection and union, so quantifier
-    restrictions stay meaningful for checks that combine events.
-    """
-    blocks = min(blocks, n_worlds)
-    worlds = list(range(n_worlds))
-    rng.shuffle(worlds)
-    masks = [0] * blocks
-    for i, w in enumerate(worlds):
-        masks[i % blocks] |= 1 << w
-    out = []
-    for pick in range(1, 1 << blocks):
-        event = 0
-        for b in bits(pick):
-            event |= masks[b]
-        out.append(event)
-    return sorted(out)
+    return {event: support_of(model, 0, event) for event in range(1, model.frame.full + 1)}
 
 
 EXPECTED_SUITE = {
@@ -729,29 +675,24 @@ class RoundtripReport:
         }
 
 
-def roundtrip_verify(
-    table: ChangeFunctionTable,
-    frame_class: FrameClass,
-    events: Sequence[Event] | None = None,
-) -> RoundtripReport:
+def roundtrip_verify(table: ChangeFunctionTable, frame_class: FrameClass) -> RoundtripReport:
     """Rebuild a structure from the table and verify three things.
 
     1. the structure is well formed;
     2. its frame falls in the expected class;
     3. reading conditional supports back off the structure reproduces the
-       table on every checked event.
+       table on every nonempty event.
 
-    Tables over four atoms need an explicit event list closed under
-    intersection and union, such as a `sampled_event_algebra`; a list that
-    is not closed is refused with `InputFormatError`, as in `audit_function`.
+    The canonical frame has one state per world, so its class check runs at
+    ``max_states`` = the number of worlds: up to 16, by `ATOM_LIMIT`.
     """
-    scope = _events_for_audit(table, events)
-    model = build_canonical_model(table, scope)
-    report = check_class(model.frame, frame_class, events=None if events is None else scope)
+    model = build_canonical_model(table)
+    report = check_class(model.frame, frame_class, max_states=table.ctx.n_worlds)
     # every class recipe starts with BASE, which is `validate_frame`
     frame_valid = report.verdicts[0].holds
-    extracted = extract_table(model, scope)
-    mismatched = tuple(e for e in scope if extracted[e] != table.result(e))
+    extracted = extract_table(model)
+    scope = table.events()
+    mismatched = tuple(e for e in scope if extracted[e] != table.results[e])
     failed = tuple(v.property for v in report.verdicts if not v.holds)
     return RoundtripReport(
         frame_class, frame_valid, report.holds, failed, mismatched, len(scope)

@@ -24,7 +24,6 @@ from .changegen import (
     random_revision_table,
     random_update_table,
     roundtrip_verify,
-    sampled_event_algebra,
 )
 from .correspondence import (
     PAIRS,
@@ -50,7 +49,6 @@ from .frames import (
 from .limits import (
     ATOM_LIMIT,
     DEFAULT_MAX_STATES,
-    DENSE_ATOM_LIMIT,
     ENUMERATION_FRAME_LIMIT,
     EXHAUSTIVE_STATE_LIMIT,
     VALUATION_ATOM_LIMIT,
@@ -340,11 +338,8 @@ def roundtrip(atoms, kind, trials, seed, fmt):
             table = random_revision_table(rng, ctx)
         else:
             table = random_update_table(rng, ctx, total=total)
-        events = None
-        if ctx.k > DENSE_ATOM_LIMIT:
-            events = sampled_event_algebra(ctx.n_worlds, Random(f"{seed}:{trial}:events"))
-        trip = roundtrip_verify(table, frame_class, events=events)
-        audit = audit_function(table, suite, events=events)
+        trip = roundtrip_verify(table, frame_class)
+        audit = audit_function(table, suite)
         if not (trip.ok and audit.ok):
             failures.append(
                 {

@@ -20,8 +20,8 @@ first witness (and, on partial frames, the first missing row) unchanged:
   a later state with an already decided B(s) reads the same rows: it holds
   there, or the earlier state already failed or raised.
 - *One row table per belief set.*  A predicate reads only believed rows
-  f(i, ·).  Without an ``events`` list, a property with a holds test reads
-  B's table r(E) = Sup(B, E) through `Frame.sup`, the memo its scan reads.
+  f(i, ·).  A property with a holds test reads B's table r(E) = Sup(B, E)
+  through `Frame.sup`, the memo its scan reads.
   Its gate (every believed row is defined, and r(E) ⊆ E at every E) decides
   at each belief set alone whether the next two skips apply.
 - *F through E∩F.*  Past the gate, PD57, PD57_STRONG, PD9 and PR8 read F
@@ -59,9 +59,6 @@ first witness (and, on partial frames, the first missing row) unchanged:
     Kaski & Koivisto, "Fourier meets Möbius", STOC 2007), n·2ⁿ steps per x
     in exact integers.
 
-An explicit ``events`` list keeps the plain ordered pair loop (a list gives
-no ordering or closure guarantee) and the belief-set dedupe.
-
 PD57 is decided through its quantifier-eliminated form: for every pair of
 events E, F with nonempty intersection, each selected-within-E part that
 meets F must sit inside the union of the selections at E∩F.  The literal
@@ -73,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import UndefinedSelectionError
 from .frames import Frame, Violation, bits, mask_of, subsets_of, validate_frame
@@ -375,15 +372,11 @@ _HOLDS: dict[PropertyId, Callable[[Frame, int, list[int]], bool]] = {
 }
 
 
-def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
+def _find(frame: Frame, pid: PropertyId) -> PropertyWitness | None:
     """First violation in canonical order: states, then E, then F ascending;
     s' is the lowest violating believed state."""
     factory, second, reports_s_prime = _CONDITIONS[pid]
-    tested = events is None and pid in _HOLDS
-    if events is None:
-        events = range(1, frame.full + 1)
-    elif second is not _Second.SINGLE:
-        second = _Second.ALL
+    events = range(1, frame.full + 1)
     seconds = {
         _Second.SINGLE: lambda e: (None,),
         _Second.ALL: lambda e: events,
@@ -399,7 +392,7 @@ def _find(frame: Frame, pid: PropertyId, events) -> PropertyWitness | None:
         violators = factory(frame, b)
         if violators is None:
             continue
-        rows = _rows(frame, b) if tested else None
+        rows = _rows(frame, b) if pid in _HOLDS else None
         if rows is not None and _HOLDS[pid](frame, b, rows):
             continue  # the scan would find nothing
         walk = seconds[_Second.ALL if second is _Second.MEET and rows is None else second]
@@ -423,22 +416,15 @@ def _find_base(frame: Frame) -> PropertyWitness | None:
 
 
 def check_property(
-    frame: Frame,
-    property_id: PropertyId,
-    max_states: int = DEFAULT_MAX_STATES,
-    events: Sequence[int] | None = None,
+    frame: Frame, property_id: PropertyId, max_states: int = DEFAULT_MAX_STATES
 ) -> PropertyVerdict:
-    """Exhaustively decide one property on the frame.
-
-    ``events`` restricts the event quantifiers to a subset (used for sampled
-    verification of large frames); by default every nonempty event is tried.
-    """
-    if events is None:
-        refuse_beyond(frame.n, max_states, "states in an exhaustive property check")
+    """Exhaustively decide one property on the frame, over every nonempty
+    event."""
+    refuse_beyond(frame.n, max_states, "states in an exhaustive property check")
     if property_id is PropertyId.BASE:
         witness = _find_base(frame)
     else:
-        witness = _find(frame, property_id, events)
+        witness = _find(frame, property_id)
     return PropertyVerdict(property_id, witness is None, witness)
 
 
@@ -486,14 +472,11 @@ def recheck_witness(frame: Frame, witness: PropertyWitness) -> bool:
 
 
 def check_class(
-    frame: Frame,
-    frame_class: FrameClass,
-    max_states: int = DEFAULT_MAX_STATES,
-    events: Sequence[int] | None = None,
+    frame: Frame, frame_class: FrameClass, max_states: int = DEFAULT_MAX_STATES
 ) -> ClassReport:
     """Check every property in a frame-class recipe; all must hold."""
     verdicts = tuple(
-        check_property(frame, pid, max_states=max_states, events=events)
+        check_property(frame, pid, max_states=max_states)
         for pid in CLASS_PROPERTIES[frame_class]
     )
     return ClassReport(frame_class, all(v.holds for v in verdicts), verdicts)

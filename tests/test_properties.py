@@ -247,8 +247,6 @@ def test_size_guard():
         check_property(fr, PropertyId.PD2)
     with pytest.raises(SizeLimitError):
         check_pd57_literal(fr)
-    # restricting the event quantifiers lifts the guard
-    assert check_property(fr, PropertyId.PD2, events=[0b1, 0b11]).holds
     assert check_property(fr, PropertyId.PD2, max_states=9).holds
 
 
@@ -351,12 +349,11 @@ def test_first_witnesses_are_frozen():
 # --- the collapsed finder against a plain scan ----------------------------
 
 
-def _reference_verdict(frame, pid, events=None):
+def _reference_verdict(frame, pid):
     # Every state and every (E, F) pair in canonical order, straight over the
     # shared predicates: no belief-set dedupe, no E∩F or symmetric collapse.
     factory, second, reports_s_prime = _CONDITIONS[pid]
-    if events is None:
-        events = range(1, frame.full + 1)
+    events = range(1, frame.full + 1)
     seconds = (None,) if second is _Second.SINGLE else events
     for s in range(frame.n):
         violators = factory(frame, frame.belief[s])
@@ -384,7 +381,7 @@ def _sweep_frames(rng, kind, n):
     full = fr.full
     if kind == "uniform":
         b = 1 << rng.randrange(n) if rng.random() < 0.4 else rng.randrange(1, full + 1)
-        return frame_of(n, [b] * n, fr.selection), None
+        return frame_of(n, [b] * n, fr.selection)
     selection, belief, keys = dict(fr.selection), fr.belief, sorted(fr.selection)
     if kind == "unbelieved" and n > 1:
         # only rows of a state outside every belief set leave their events (at
@@ -399,24 +396,21 @@ def _sweep_frames(rng, kind, n):
     elif kind == "partial":
         for key in rng.sample(sorted(selection), max(1, len(selection) // 6)):
             del selection[key]
-    events = None
-    if kind == "explicit":
-        events = [rng.randrange(1, full + 1) for _ in range(4)]
-    return frame_of(n, belief, selection), events
+    return frame_of(n, belief, selection)
 
 
 def test_collapsed_finder_matches_plain_scan():
     rng = random.Random(5)
-    kinds = ("per-state", "uniform", "nonconforming", "unbelieved", "partial", "explicit")
+    kinds = ("per-state", "uniform", "nonconforming", "unbelieved", "partial")
     tally = {"holds": 0, "fails": 0, "raises": 0}
     for kind in kinds:
         for n in range(1, 6):
             for _ in range(25):
-                frame, events = _sweep_frames(rng, kind, n)
+                frame = _sweep_frames(rng, kind, n)
                 for pid in _CONDITIONS:
-                    want = _outcome(frame, lambda: _reference_verdict(frame, pid, events))
-                    got = _outcome(frame, lambda: check_property(frame, pid, events=events))
-                    assert got == want, (kind, frame, events, pid)
+                    want = _outcome(frame, lambda: _reference_verdict(frame, pid))
+                    got = _outcome(frame, lambda: check_property(frame, pid))
+                    assert got == want, (kind, frame, pid)
                     if isinstance(want, tuple):
                         tally["raises"] += 1
                     else:
