@@ -192,10 +192,12 @@ def validate_frame(frame: Frame) -> list[Violation]:
         elif b & ~full:
             out.append(Violation("belief-range", frame.states[s], None, "belief set outside the state set"))
 
-    def flag(clause: str, s: int, event: Event, detail: str) -> None:
-        out.append(Violation(clause, frame.states[s], frame.event_ids(event & full), detail))
+    broken: list[tuple[int, Event, str, str]] = []
 
-    for (s, event), value in sorted(frame.selection.items()):
+    def flag(clause: str, s: int, event: Event, detail: str) -> None:
+        broken.append((s, event, clause, detail))
+
+    for (s, event), value in frame.selection.items():
         if event == 0:
             flag("event-nonempty", s, event, "selection keyed on the empty event")
         elif event & ~full:
@@ -207,6 +209,10 @@ def validate_frame(frame: Frame) -> list[Violation]:
                 flag("success", s, event, "f(s,E) is not contained in E")
             if (event >> s) & 1 and not (value >> s) & 1:
                 flag("weak-centering", s, event, "s in E but s not in f(s,E)")
+    # Only the entries that break a clause are sorted, by (s, E); the sort is
+    # stable, so the clauses of one entry keep their order.
+    broken.sort(key=lambda v: v[:2])
+    out += [Violation(c, frame.states[s], frame.event_ids(e & full), d) for s, e, c, d in broken]
     return out
 
 

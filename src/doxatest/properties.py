@@ -37,12 +37,12 @@ first witness (and, on partial frames, the first missing row) unchanged:
   no row that the scan has not read at (F, E) or at row E's first pair.
   The shapes of the tests:
 
-  - Inside (PD57; PD57_STRONG per believed state): no G ⊆ E with
-    r(E) ∩ G ⊄ r(G).  Gated (PD9, PR8): no G ⊆ E with r(E) meeting G and
-    r(G) ⊄ r(E).  One OR over supersets (the zeta transform of the subset
-    lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E) over E ⊇ G
-    for the inside shape; for the gated one, per state x, the union of
-    ¬r(E) over E ⊇ G with x in r(E).
+  - Inside (PD57, and PD7 at B = {i}; PD57_STRONG per believed state): no
+    G ⊆ E with r(E) ∩ G ⊄ r(G).  Gated (PD9, PR8): no G ⊆ E with r(E)
+    meeting G and r(G) ⊄ r(E).  One OR over supersets (the zeta transform
+    of the subset lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E)
+    over E ⊇ G for the inside shape; for the gated one, per state x, the
+    union of ¬r(E) over E ⊇ G with x in r(E).
   - Cumulative (PD6, r = Sup(B, ·)): PD6 is reciprocity, r(E) ⊆ F and
     r(F) ⊆ E imply r(E) = r(F).  Under success it is equivalent to
     cumulativity, r(E) ⊆ G ⊆ E implies r(G) = r(E) (Kraus, Lehmann &
@@ -51,13 +51,6 @@ first witness (and, on partial frames, the first missing row) unchanged:
     follows from its one-element steps by removing E \ G one state at a
     time: r(E \ {x}) = r(E) for each x ∈ E \ r(E) with E \ {x} ≠ ∅, at
     most n·2ⁿ row comparisons.
-  - Union-closed (PD7, r = f(i, ·) at B = {i}): PD7 fails iff some x and
-    G with x ∈ r(G) have G = E ∪ F for nonempty E, F with x in neither
-    r(E) nor r(F).  For each x the number of such pairs at every G is the
-    union product of the indicator [E ≠ ∅, x ∉ r(E)] with itself: the
-    Möbius transform of its squared zeta transform (Björklund, Husfeldt,
-    Kaski & Koivisto, "Fourier meets Möbius", STOC 2007), n·2ⁿ steps per x
-    in exact integers.
 
 PD57 is decided through its quantifier-eliminated form: for every pair of
 events E, F with nonempty intersection, each selected-within-E part that
@@ -334,39 +327,17 @@ def _cumulative(rows: list[int]) -> bool:
     return True
 
 
-def _sums(table: list[int], sign: int) -> list[int]:
-    """Add (sign 1) or subtract (sign -1) every entry into the entries at its
-    supersets, in place: with sign 1, table[G] becomes the sum over E ⊆ G
-    (the zeta transform); sign -1 inverts it (the Möbius transform)."""
-    bit = 1
-    while bit < len(table):
-        for g in range(bit, len(table)):
-            if g & bit:
-                table[g] += sign * table[g ^ bit]
-        bit <<= 1
-    return table
-
-
-def _union_closed(rows: list[int], n: int) -> bool:
-    # Per state x, pairs[G] counts the pairs (E, F) of nonempty events without
-    # x in their rows and with E ∪ F = G: the union product of that
-    # indicator with itself, the Möbius transform of its squared zeta.
-    for x in range(n):
-        bit = 1 << x
-        zeta = _sums([0] + [0 if r & bit else 1 for r in rows[1:]], 1)
-        pairs = _sums([z * z for z in zeta], -1)
-        if any(pairs[g] for g in range(1, len(rows)) if rows[g] & bit):
-            return False
-    return True
-
-
 _HOLDS: dict[PropertyId, Callable[[Frame, int, list[int]], bool]] = {
     PropertyId.PD57: lambda frame, b, rows: _inside(rows),
     PropertyId.PD57_STRONG: lambda frame, b, rows: all(
         _inside(_rows(frame, 1 << i)) for i in bits(b)
     ),
     PropertyId.PD6: lambda frame, b, rows: _cumulative(rows),
-    PropertyId.PD7: lambda frame, b, rows: _union_closed(rows, frame.n),
+    # PD7 at B = {i}, past the gate, is PD57 on r = f(i, ·).  ⇐: x ∈ r(E∪F)
+    # lies in E∪F, say in E, so PD57 at (E∪F, E) puts x in r(E).  ⇒: for
+    # G ⊂ E, PD7 at (G, E∖G) gives r(E) ⊆ r(G) ∪ r(E∖G), and r(E∖G) ⊆ E∖G
+    # misses G, so r(E) ∩ G ⊆ r(G).
+    PropertyId.PD7: lambda frame, b, rows: _inside(rows),
     PropertyId.PD9: lambda frame, b, rows: _gated(rows, frame.n),
     PropertyId.PR8: lambda frame, b, rows: _gated(rows, frame.n),
 }

@@ -373,16 +373,19 @@ def test_corrupted_custom_table_fails_roundtrip():
 
 def test_four_atom_tables_are_checked_over_every_event():
     # one generated table per kind round-trips into its 16-state class and
-    # passes its suite over all 65,535 events (the singleton K runs PD9's
-    # and D9's holds tests); a custom table is refused when it is built
+    # passes its suite over all 65,535 events (the singleton Ks run PD9's and
+    # D9's holds tests, and PD7's and D7's); a custom table is refused when
+    # it is built
     ctx = WorldContext(("p", "q", "r", "s"))
     rng = Random(11)
     strong = gen_update(ctx, 1 << rng.randrange(16), random_family(rng, ctx, total=True))
-    for table, frame_class in (
+    tables = (
         (random_update_table(rng, ctx), FrameClass.UPDATE),
         (strong, FrameClass.STRONG_UPDATE),
         (random_revision_table(rng, ctx), FrameClass.REVISION_STRICT),
-    ):
+    )
+    pointed = gen_update(ctx, 1 << rng.randrange(16), random_family(rng, ctx))
+    for table, frame_class in (*tables, (pointed, FrameClass.UPDATE)):
         trip = roundtrip_verify(table, frame_class)
         assert trip.ok and trip.events_checked == 65535
         assert audit_function(table, changegen.EXPECTED_SUITE[frame_class]).ok

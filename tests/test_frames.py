@@ -95,6 +95,55 @@ class TestValidateFrame:
         f = frame_of(3, [0b111, 0b010, 0b100], {(0, 0b101): 0b001})
         assert validate_frame(f) == []
 
+    @staticmethod
+    def _sorted_loop(frame):
+        # The reference: belief clauses, then every selection entry in (s, E)
+        # order with its clauses in a fixed order.
+        out, full = [], frame.full
+        for s, b in enumerate(frame.belief):
+            if b == 0:
+                out.append(("seriality", frame.states[s], None))
+            elif b & ~full:
+                out.append(("belief-range", frame.states[s], None))
+        for (s, event), value in sorted(frame.selection.items()):
+            clauses = []
+            if event == 0:
+                clauses = ["event-nonempty"]
+            elif event & ~full:
+                clauses = ["event-range"]
+            elif value == 0:
+                clauses = ["consistency"]
+            else:
+                if value & ~event:
+                    clauses.append("success")
+                if event >> s & 1 and not value >> s & 1:
+                    clauses.append("weak-centering")
+            out += [(c, frame.states[s], frame.event_ids(event & full)) for c in clauses]
+        return out
+
+    def test_violations_come_in_state_and_event_order(self):
+        rng = random.Random(8)
+        for n in range(1, 6):
+            full = (1 << n) - 1
+            selection = {}
+            for s in range(n):
+                for e in range(1, full + 1):
+                    selection[(s, e)] = e & rng.randrange(1, full + 1) | (e & 1 << s) or e & -e
+            broken = rng.sample(sorted(selection), min(len(selection), 6))
+            for s, e in broken:
+                # empty, outside the event, without s, or both of the last two
+                selection[(s, e)] = rng.choice([0, e | 1 << n, e & ~(1 << s) or 1 << n, 1 << n])
+            selection[(rng.randrange(n), 0)] = 1
+            selection[(rng.randrange(n), full + 1)] = 1
+            belief = [rng.choice([0, 1 << n, rng.randrange(1, full + 1)]) for _ in range(n)]
+            items = list(selection.items())
+            rng.shuffle(items)
+            want = self._sorted_loop(frame_of(n, belief, dict(sorted(items))))
+            assert sum(c in ("success", "weak-centering") for c, _, _ in want) >= 2
+            for order in (items, sorted(items)):
+                got = validate_frame(frame_of(n, belief, dict(order)))
+                assert [(v.clause, v.state, v.event) for v in got] == want
+
 
 class TestCompleteSelection:
     def test_member_state_selects_itself(self):

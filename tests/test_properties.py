@@ -18,6 +18,7 @@ from doxatest.frames import (
     frame_from_obj,
     mask_of,
     relabel_frame,
+    subsets_of,
     validate_frame,
 )
 from doxatest.properties import (
@@ -590,25 +591,60 @@ def _union_splits(rows):
     return all(not rows[e | f] & ~(rows[e] | rows[f]) for e in events for f in events)
 
 
+def _success_tables(n):
+    # every table with r[E] ⊆ E, empty rows included
+    full = (1 << n) - 1
+    choices = [subsets_of(e) for e in range(1, full + 1)]
+    return ([0, *rows] for rows in itertools.product(*choices))
+
+
 def test_pd6_and_pd7_kernels_match_their_definitions():
     rng = random.Random(23)
     tally = {"PD6": [0, 0], "PD7": [0, 0]}
-    for n in range(1, 6):
-        for _ in range(160):
-            rows = _row_table(rng, n)
-            pd6 = _reciprocal(rows)
-            pd7 = _union_splits(rows)
-            assert properties._cumulative(rows[:]) == pd6, rows
-            assert properties._union_closed(rows[:], n) == pd7, rows
-            tally["PD6"][pd6] += 1
-            tally["PD7"][pd7] += 1
+    tables = [_row_table(rng, n) for n in range(1, 6) for _ in range(160)]
+    for rows in itertools.chain(tables, *map(_success_tables, range(1, 4))):
+        pd6 = _reciprocal(rows)
+        pd7 = _union_splits(rows)
+        assert properties._cumulative(rows[:]) == pd6, rows
+        assert properties._inside(rows) == pd7, rows
+        tally["PD6"][pd6] += 1
+        tally["PD7"][pd7] += 1
     assert min(min(counts) for counts in tally.values()) > 100, tally
+
+
+def test_pd7_is_pd57_at_one_state_belief_sets(monkeypatch):
+    # Every base-valid frame on 1-2 states whose belief sets have one state,
+    # then seeded ones on 3-5 states: random frames (PD57 mostly fails) and
+    # centered-order frames (it holds).  PD7's scan alone agrees too.
+    frames = [
+        fr
+        for n in (1, 2)
+        for fr in enumerate_frames(FrameGenSpec(n))
+        if all(b.bit_count() == 1 for b in fr.belief)
+    ]
+    assert len(frames) == 17
+    rng = random.Random(31)
+    for n in range(3, 6):
+        for _ in range(50):
+            frames.append(random_frame(rng, n, pointed=True))
+            ordered = _centered_order_frame(rng, n).selection
+            frames.append(frame_of(n, [1 << rng.randrange(n) for _ in range(n)], ordered))
+    pd57 = [check_property(fr, PropertyId.PD57).holds for fr in frames]
+    assert [check_property(fr, PropertyId.PD7).holds for fr in frames] == pd57
+    _scan_only(monkeypatch)
+    assert [check_property(fr, PropertyId.PD7).holds for fr in frames] == pd57
+    assert min(pd57.count(True), pd57.count(False)) >= 100, pd57.count(True)
 
 
 def test_update_failure_fixtures():
     # The CI pins these reports' bytes: PD6 fails alone; PD7 fails with
-    # PD57, which under success implies PD7 at a one-state belief set.
-    for name, failed in (("pd6_failure", {"PD6"}), ("pd7_failure", {"PD57", "PD7"})):
+    # PD57, which under success is PD7 at a one-state belief set; PD57 fails
+    # at a two-state belief set alone, and PD7 holds at the one-state ones.
+    for name, failed in (
+        ("pd6_failure", {"PD6"}),
+        ("pd7_failure", {"PD57", "PD7"}),
+        ("pd57_fails_unpointed", {"PD57"}),
+    ):
         with open(DATA / f"{name}.json") as fh:
             frame = frame_from_obj(json.load(fh))
         report = check_class(frame, FrameClass.UPDATE)
