@@ -16,9 +16,9 @@ hold by representation on every route, without a search.
 quantification over a formula pool, as an independent cross-check.  It
 reads no cells and no closures, and it shares no memo or predicate with the
 reductions.  Its own state lives on the model, one context per (model,
-pool): the pool's truth sets, and per belief set one membership table and
-one status per postulate, so each postulate is decided once per (model,
-belief set).
+pool): the pool's distinct truth sets, and per belief set one membership
+bitset over them per event and one status per postulate, so each postulate
+is decided once per (model, belief set).
 
 A failing verdict carries a witness: the events playing the two formula roles
 plus a distinguishing definable event G.  Replaying the witness through the
@@ -240,6 +240,15 @@ def axiom_holds(
     key = (model.frame.belief[i], resolved)
     if key in ctx.found:
         witness = ctx.found[key]
+    elif resolved is AxiomId.D7 and all(
+        ctx.found.get((key[0], known), False) is None for known in (AxiomId.D1, AxiomId.D5)
+    ):
+        # D7 holds once D1 and D5 are known to hold at b (never scanned for
+        # here).  With G = E∪F, D1 gives Sup(G) ⊆ G, and D5 at (G, E) and at
+        # (G, F) puts Sup(G)∩E in cl(Sup(E)) and Sup(G)∩F in cl(Sup(F)), so
+        # Sup(G) ⊆ cl(Sup(E) ∪ Sup(F)).  D1 also read Sup(b, ·) at every
+        # definable event, so on a partial frame D7's scan could not raise.
+        witness = ctx.found[key] = None
     else:
         witness = ctx.found[key] = next(_violations(ctx, resolved, key[0]), None)
     if witness is None:
@@ -344,9 +353,16 @@ def _default_pool(atom_names: tuple[str, ...], depth: int) -> tuple[Formula, ...
 
 
 class _OracleContext:
-    """The oracle's state for one model and one formula pool: the pool's
-    distinct truth sets, and per belief set b a membership table and the
-    status of each resolved postulate.
+    """The oracle's state for one model and one formula pool: the targets,
+    the pool's distinct truth sets `chi_masks`, sorted, so that bit k of a
+    bitset stands for `chi_masks[k]`; the memoized `up(X)`, the targets
+    containing X; per belief set b and event E, one row table (inn, raises,
+    sup, missing) in `rows[b][E]`; and one status per (b, postulate).  The
+    believed rows f(j, E) are read in ascending j up to the first missing
+    one (-1 if none), `sup` is their union and inn = up(sup).  Membership
+    after E at a target is false at the first row outside it, so it is false
+    outside inn; inside inn it is true, or raises when a row is missing:
+    `raises` is inn then, else 0.
 
     It holds no reference to the model, so a model and its contexts are
     freed together without the cycle collector.  `formulas` is the pool as
@@ -354,16 +370,23 @@ class _OracleContext:
     pool still equals it.
     """
 
-    __slots__ = ("formulas", "chi_masks", "nonempty", "members", "statuses")
+    __slots__ = ("formulas", "chi_masks", "nonempty", "ups", "rows", "statuses")
 
     def __init__(self, model: Model, formulas: Sequence[Formula]):
         self.formulas = tuple(formulas)
-        # quantification targets: membership depends only on the truth set,
-        # so each distinct truth set needs checking once
+        # membership depends only on the truth set, so each distinct truth
+        # set is one target
         self.chi_masks = sorted({truth_set(model, f) for f in self.formulas})
-        self.nonempty = [m for m in self.chi_masks if m]
-        self.members: dict[int, dict[int, bool]] = {}
+        # the events quantified over, each with its bit as a target
+        self.nonempty = [(1 << k, m) for k, m in enumerate(self.chi_masks) if m]
+        self.ups: dict[int, int] = {}
+        self.rows: dict[int, dict[int, tuple[int, int, int, int]]] = {}
         self.statuses: dict[tuple[int, AxiomId], Status] = {}
+
+    def up(self, x: int) -> int:
+        if x not in self.ups:
+            self.ups[x] = sum(1 << k for k, m in enumerate(self.chi_masks) if not x & ~m)
+        return self.ups[x]
 
 
 def axiom_status_via_formulas(
@@ -405,105 +428,121 @@ def axiom_status_via_formulas(
     # so ids are tested by identity and only real ids reach the memo
     if resolved is AxiomId.D0 or resolved is AxiomId.D4:
         return Status.HOLDS
+    if not isinstance(resolved, AxiomId):
+        raise ValueError(f"no formula-level check for {resolved}")
     # R8 runs D9's branch; D9's gate depends only on b, so past it they
     # share one status
     key = (b, AxiomId.D9 if resolved is AxiomId.R8 else resolved)
-    status = ctx.statuses.get(key) if isinstance(resolved, AxiomId) else None
+    status = ctx.statuses.get(key)
     if status is None:
         status = ctx.statuses[key] = _decide(ctx, frame, *key)
     return status
 
 
-def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Status:
-    """One postulate at belief set b, quantified over the context's pool."""
-    chi_masks, nonempty = ctx.chi_masks, ctx.nonempty
-    rows = list(bits(b))
-    # membership is a pure function of (frame, b, event, target) that returns
-    # or raises; only returned values are kept, keyed by the pair packed
-    # into one int (both masks lie inside the frame's n states)
-    _member = ctx.members.setdefault(b, {})
-    width = frame.n
+def _at_lowest(frame: Frame, fail: int, *raises: tuple[int, int, int]) -> Status:
+    """Settle an event or pair at its lowest decided target: the first raise
+    set (targets, missing row, event), in the order memberships are tested
+    at a target, that holds it re-raises that row's error; else the targets
+    in `fail`, where the instance breaks, make the postulate fail."""
+    low = fail
+    for targets, _, _ in raises:
+        low |= targets
+    low &= -low
+    for targets, j, event in raises:
+        if targets & low:
+            frame.sel(j, event)  # missing: raises UndefinedSelectionError
+    return Status.FAILS
 
-    def member(event: int, target: int) -> bool:
-        key = event << width | target
-        got = _member.get(key)
+
+def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Status:
+    """One postulate at belief set b, quantified over the context's pool:
+    the loop "for every event (pair), for every target", the target loop
+    done as bit operations on the row tables, so statuses and first errors
+    are the literal loop's, on partial frames too."""
+    up, nonempty, selection = ctx.up, ctx.nonempty, frame.selection
+    table = ctx.rows.setdefault(b, {})
+    believed = list(bits(b))
+
+    def row(event: int) -> tuple[int, int, int, int]:
+        got = table.get(event)
         if got is None:
-            got = _member[key] = all(not frame.sel(j, event) & ~target for j in rows)
+            out, missing = 0, -1
+            for j in believed:
+                r = selection.get((j, event))
+                if r is None:
+                    missing = j
+                    break
+                out |= r
+            inn = up(out)
+            got = table[event] = (inn, inn if missing >= 0 else 0, out, missing)
         return got
 
-    def sup(event: int) -> int:
-        out = 0
-        for j in rows:
-            out |= frame.sel(j, event)
-        return out
-
-    if resolved is AxiomId.D1:
-        return Status.HOLDS if all(member(ep, ep) for ep in nonempty) else Status.FAILS
-
-    if resolved is AxiomId.D2:
-        for ep in nonempty:
-            if b & ~ep:
-                continue
-            for mc in chi_masks:
-                if member(ep, mc) != (not b & ~mc):
-                    return Status.FAILS
+    if resolved in (AxiomId.D1, AxiomId.D2, AxiomId.R3, AxiomId.R4):
+        up_b = up(b)
+        for bit, ep in nonempty:
+            inn, raises, _, j = row(ep)
+            if resolved is AxiomId.D1:  # E's own target is a member
+                tested, fail = bit, bit & ~inn
+            elif resolved is AxiomId.D2:  # when b ⊆ E, members are up(b)
+                tested, fail = (0, 0) if b & ~ep else (-1, inn ^ up_b)
+            elif resolved is AxiomId.R3:  # members contain b∩E
+                tested, fail = -1, inn & ~up(b & ep)
+            else:  # R4: when b meets E, up(b) are members
+                tested = up_b if b & ep else 0
+                fail = tested & ~inn
+            if fail or raises & tested:
+                return _at_lowest(frame, fail, (raises & tested, j, ep))
         return Status.HOLDS
 
-    if resolved is AxiomId.R3:
-        for ep in nonempty:
-            for mc in chi_masks:
-                if member(ep, mc) and b & ep & ~mc:
-                    return Status.FAILS
-        return Status.HOLDS
-
-    if resolved is AxiomId.R4:
-        for ep in nonempty:
-            if not b & ep:
-                continue
-            for mc in chi_masks:
-                if not b & ~mc and not member(ep, mc):
-                    return Status.FAILS
-        return Status.HOLDS
-
-    if resolved is AxiomId.D5:
-        for ep in nonempty:
-            sup_p = sup(ep)
-            for eq in nonempty:
-                both = ep & eq
-                if not both:
+    if resolved is AxiomId.D5 or resolved is AxiomId.D9:
+        d5 = resolved is AxiomId.D5
+        for _, ep in nonempty:
+            _, _, sup_p, j = row(ep)
+            if j >= 0:
+                frame.sel(j, ep)  # Sup(b, E) reads every believed row: raises
+            for _, eq in nonempty:
+                both, hit = ep & eq, sup_p & eq
+                if not (both if d5 else hit):
                     continue
-                for mc in chi_masks:
-                    if member(both, mc) and sup_p & eq & ~mc:
-                        return Status.FAILS
+                inn, raises, _, j = row(both)
+                # D5: members after E∩F contain hit; D9, tested only at the
+                # targets containing hit: the converse
+                tested = -1 if d5 else up(hit)
+                fail = inn & ~up(hit) if d5 else tested & ~inn
+                if fail or raises & tested:
+                    return _at_lowest(frame, fail, (raises & tested, j, both))
         return Status.HOLDS
 
     if resolved is AxiomId.D6:
-        for ep in nonempty:
-            for eq in nonempty:
-                if not (member(ep, eq) and member(eq, ep)):
+        for bit_p, ep in nonempty:
+            inn_p, raises_p, _, j_p = row(ep)
+            for bit_q, eq in nonempty:
+                # the gate tests eq after ep, then ep after eq; past it both
+                # events read every row, so their memberships decide alone
+                if raises_p & bit_q:
+                    frame.sel(j_p, ep)  # reaches the missing row: raises
+                if not inn_p & bit_q:
                     continue
-                for mc in chi_masks:
-                    if member(ep, mc) != member(eq, mc):
-                        return Status.FAILS
+                inn_q, raises_q, _, j_q = row(eq)
+                if raises_q & bit_p:
+                    frame.sel(j_q, eq)
+                if inn_q & bit_p and inn_p ^ inn_q:
+                    return Status.FAILS
         return Status.HOLDS
 
     if resolved is AxiomId.D7:
-        for ep in nonempty:
-            for eq in nonempty:
-                for mc in chi_masks:
-                    if member(ep, mc) and member(eq, mc) and not member(ep | eq, mc):
-                        return Status.FAILS
-        return Status.HOLDS
-
-    if resolved is AxiomId.D9:
-        for ep in nonempty:
-            sup_p = sup(ep)
-            for eq in nonempty:
-                if not sup_p & eq:
-                    continue
-                for mc in chi_masks:
-                    if not sup_p & eq & ~mc and not member(ep & eq, mc):
-                        return Status.FAILS
+        for _, ep in nonempty:
+            inn_p, raises_p, _, j_p = row(ep)
+            for _, eq in nonempty:
+                inn_q, raises_q, _, j_q = row(eq)
+                # F is tested only where E holds, E∪F only where both do
+                live, fail, raises_u, j_u = inn_p & inn_q, 0, 0, -1
+                if live:
+                    inn_u, raises_u, _, j_u = row(ep | eq)
+                    fail, raises_u = live & ~inn_u, live & raises_u
+                if fail or raises_p or raises_q & inn_p or raises_u:
+                    return _at_lowest(frame, fail, (raises_p, j_p, ep),
+                                      (raises_q & inn_p, j_q, eq), (raises_u, j_u, ep | eq))
         return Status.HOLDS
 
     raise ValueError(f"no formula-level check for {resolved}")

@@ -9,6 +9,7 @@ from conftest import frame_of, random_frame, random_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doxatest import axioms
 from doxatest.axioms import (
     ALIASES,
     AxiomId,
@@ -29,7 +30,15 @@ from doxatest.errors import (
     UnknownAtomError,
 )
 from doxatest.formulas import FALSE, TRUE, Atom, semantic_pool
-from doxatest.frames import Frame, Model, cells, complete_selection, frame_from_obj
+from doxatest.frames import (
+    Frame,
+    Model,
+    bits,
+    cells,
+    complete_selection,
+    frame_from_obj,
+    truth_set,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -509,3 +518,201 @@ def test_oracle_statuses_are_frozen():
     assert digest.hexdigest() == (
         "96eea78977020442ab1a97b209f9371fb1eb7558c8d6a6f9107795a42f60074f"
     )
+
+
+def _per_target_status(model, s, axiom, formulas, lazy):
+    # The oracle as a loop over every target per event (pair): membership
+    # after change tests the believed rows in ascending order and is false
+    # at the first row outside the target, so it can return before reaching
+    # a missing row.  `lazy` gets one entry per membership test that returns
+    # although its event has a missing believed row.
+    frame = model.frame
+    b = frame.belief[s]
+    resolved = ALIASES.get(axiom, axiom)
+    if resolved in (AxiomId.D3, AxiomId.R5):
+        return Status.NOT_APPLICABLE
+    if resolved in (AxiomId.D7, AxiomId.D9) and not is_complete_at(model, s):
+        return Status.NOT_APPLICABLE
+    chi_masks = sorted({truth_set(model, f) for f in formulas})
+    if resolved in (AxiomId.D0, AxiomId.D4):
+        return Status.HOLDS
+    nonempty = [m for m in chi_masks if m]
+    rows = list(bits(b))
+
+    memo = {}
+
+    def member(event, target):
+        got = memo.get((event, target))
+        if got is None:
+            got = memo[event, target] = all(not frame.sel(j, event) & ~target for j in rows)
+            if not all(frame.has_sel(j, event) for j in rows):
+                lazy.append((event, target))
+        return got
+
+    def sup(event):
+        out = 0
+        for j in rows:
+            out |= frame.sel(j, event)
+        return out
+
+    if resolved is AxiomId.D1:
+        fails = not all(member(ep, ep) for ep in nonempty)
+    elif resolved is AxiomId.D2:
+        fails = any(
+            member(ep, mc) != (not b & ~mc)
+            for ep in nonempty if not b & ~ep for mc in chi_masks
+        )
+    elif resolved is AxiomId.R3:
+        fails = any(
+            member(ep, mc) and b & ep & ~mc for ep in nonempty for mc in chi_masks
+        )
+    elif resolved is AxiomId.R4:
+        fails = any(
+            not b & ~mc and not member(ep, mc)
+            for ep in nonempty if b & ep for mc in chi_masks
+        )
+    elif resolved is AxiomId.D5:
+        for ep in nonempty:
+            sup_p = sup(ep)
+            fails = any(
+                member(ep & eq, mc) and sup_p & eq & ~mc
+                for eq in nonempty if ep & eq for mc in chi_masks
+            )
+            if fails:
+                break
+    elif resolved is AxiomId.D6:
+        fails = any(
+            member(ep, mc) != member(eq, mc)
+            for ep in nonempty for eq in nonempty
+            if member(ep, eq) and member(eq, ep)
+            for mc in chi_masks
+        )
+    elif resolved is AxiomId.D7:
+        fails = any(
+            member(ep, mc) and member(eq, mc) and not member(ep | eq, mc)
+            for ep in nonempty for eq in nonempty for mc in chi_masks
+        )
+    else:  # D9 and R8
+        for ep in nonempty:
+            sup_p = sup(ep)
+            fails = any(
+                not sup_p & eq & ~mc and not member(ep & eq, mc)
+                for eq in nonempty if sup_p & eq for mc in chi_masks
+            )
+            if fails:
+                break
+    return Status.FAILS if fails else Status.HOLDS
+
+
+def test_bitset_oracle_matches_the_per_target_loop():
+    # Every (state, axiom) on seeded 1-4-state frames over two and three
+    # atoms: a third with a tenth of their rows dropped, a third with a
+    # tenth replaced by arbitrary nonempty events, and a third where the
+    # last state loses about half its rows and a quarter of the others are
+    # replaced, so that a membership test often returns at a row outside
+    # its target before it reaches a missing one.  The oracle's status, or
+    # its error's type and text, is the per-target loop's, for the default
+    # pool and for a pool whose truth sets are not closed under union.
+    rng = random.Random(18)
+    small = [TRUE, Atom("p"), Atom("q")]
+    default = {atoms: semantic_pool(atoms, depth=3) for atoms in (("p", "q"), ("p", "q", "r"))}
+    lazy_returns = raised = calls = 0
+
+    def outcome(decide):
+        try:
+            return decide().value
+        except DoxatestError as exc:
+            return [type(exc).__name__, str(exc)]
+
+    for n in range(1, 5):
+        for k in range(36):
+            fr = random_frame(rng, n, pointed=k % 3 < 2 and rng.random() < 0.3)
+            selection = dict(fr.selection)
+            if k % 3 < 2:
+                for key in rng.sample(sorted(selection), max(1, len(selection) // 10)):
+                    if k % 3:
+                        selection[key] = rng.randrange(1, fr.full + 1)
+                    else:
+                        del selection[key]
+            else:
+                for key in sorted(selection):
+                    if key[0] == n - 1 and rng.random() < 0.5:
+                        del selection[key]
+                    elif rng.random() < 0.25:
+                        selection[key] = rng.randrange(1, fr.full + 1)
+            fr = frame_of(n, fr.belief, selection)
+            atoms = ("p", "q", "r") if k % 2 else ("p", "q")
+            m = Model(fr, {a: rng.randrange(fr.full + 1) for a in atoms})
+            for formulas in (None, small):
+                pool = formulas or default[atoms]
+                for s in range(n):
+                    for axiom in AxiomId:
+                        lazy = []
+                        want = outcome(lambda: _per_target_status(m, s, axiom, pool, lazy))
+                        got = outcome(
+                            lambda: axiom_status_via_formulas(m, s, axiom, formulas=formulas)
+                        )
+                        assert got == want, (n, k, s, axiom, formulas)
+                        calls += 1
+                        raised += isinstance(want, list)
+                        lazy_returns += bool(lazy) and not isinstance(want, list)
+    assert calls == 2 * 36 * 10 * len(AxiomId)
+    assert lazy_returns >= 60 and raised >= 1500, (lazy_returns, raised)
+
+
+def test_oracle_reads_no_cells_closures_or_frame_supports(monkeypatch):
+    # the oracle's seam: on complete models it decides every postulate
+    # without cells, cell closures, definable events or Frame.sup
+    rng = random.Random(5)
+    models = [random_model(rng, n, pointed=k % 2 == 0) for n in (1, 2, 3) for k in range(6)]
+
+    def statuses():
+        return [
+            axiom_status_via_formulas(Model(m.frame, m.valuation), s, axiom)
+            for m in models
+            for s in range(m.frame.n)
+            for axiom in AxiomId
+        ]
+
+    want = statuses()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle read a reduction primitive")
+
+    for name in ("cells", "cell_closure", "definable_events"):
+        monkeypatch.setattr(axioms, name, forbidden)
+    monkeypatch.setattr(Frame, "sup", forbidden)
+    assert statuses() == want
+    assert Status.FAILS in want and Status.HOLDS in want
+
+
+def test_d7_holds_without_a_scan_once_d1_and_d5_hold():
+    # at a complete state, D1 and D5 recorded as holding decide D7; the
+    # verdict equals a forced scan, and a failing D7 keeps its first witness
+    rng = random.Random(29)
+    gated = scanned_fails = 0
+    for k in range(240):
+        n = 2 + k % 3
+        m = random_model(rng, n, pointed=k % 2 == 0)
+        if k % 4 == 1:  # default-rule rows make D1 and D5 hold more often
+            m = Model(frame_of(n, m.frame.belief, complete=True), m.valuation)
+        ctx = ModelContext.of(m)
+        for s in range(n):
+            b = m.frame.belief[s]
+            for axiom in AxiomId:
+                known = (b, axiom) not in ctx.found and all(
+                    ctx.found.get((b, ax), False) is None for ax in (AxiomId.D1, AxiomId.D5)
+                )
+                verdict = axiom_holds(m, s, axiom, ctx=ctx)
+                if axiom is not AxiomId.D7 or verdict.status is Status.NOT_APPLICABLE:
+                    continue
+                forced = next(axioms._violations(ModelContext.of(m), AxiomId.D7, b), None)
+                assert verdict.witness == forced, (k, s)
+                gated += known
+                scanned_fails += forced is not None
+    assert gated >= 250 and scanned_fails >= 70, (gated, scanned_fails)
+    # asked first, D7 runs its own scan and records nothing about D1 or D5
+    m = model_on(2, [0b01, 0b10], {"p": 0b01})
+    ctx = ModelContext.of(m)
+    assert axiom_holds(m, 0, AxiomId.D7, ctx=ctx).holds
+    assert list(ctx.found) == [(0b01, AxiomId.D7)]
