@@ -6,11 +6,16 @@ over definable events, and equality of two belief sets collapses to equality
 of the cell closures of their supports.  Each postulate is written once, as
 an instance function in `_INSTANCES`, and three readers share it: the
 event-level reduction behind `axiom_holds`, `replay_witness`, and the lemma
-audit.  `axiom_holds` keeps the first witness per (belief set, postulate)
-on its `ModelContext`, so states with equal beliefs and the aliases R2 and
-R7 are decided once.  A belief set is the set of formulas true throughout
-one support event, so closure (D0/R1) and irrelevance of syntax (D4/R6)
-hold by representation on every route, without a search.
+audit.  The reduction walks only the pairs (E, F) that can hold a
+postulate's first failing instance: F >= E for D6 and D7, and the definable
+subsets of E for D5/R7, D9 and R8 wherever Sup(b, E) ⊆ E (`_violations`
+has the proof), so of a pair postulate only the first violation is exact.
+`axiom_holds` keeps the first witness per (belief set, postulate) on its
+`ModelContext`, so states with equal beliefs, the aliases R2 and R7, and R8
+next to D9 at a complete belief set are decided once.  A belief set is the
+set of formulas true throughout one support event, so closure (D0/R1) and
+irrelevance of syntax (D4/R6) hold by representation on every route,
+without a search.
 
 `axiom_status_via_formulas` re-decides each postulate by direct
 quantification over a formula pool, as an independent cross-check.  It
@@ -35,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .formulas import Formula, semantic_pool
-from .frames import Frame, Model, bits, cell_closure, cells, definable_events, truth_set
+from .frames import Frame, Model, bits, cell_closure, cells, definable_events, subsets_of, truth_set
 from .limits import DEFAULT_MAX_CELLS
 
 
@@ -171,30 +176,63 @@ def _d9_instance(sup, b, e, f):
     return (inter, sup(b, e & f), False) if inter else None
 
 
-# axiom -> (quantifies over pairs (E, F), instance)
-_INSTANCES: dict[AxiomId, tuple[bool, Callable]] = {
-    AxiomId.D1: (False, lambda sup, b, e, f: (e, sup(b, e), False)),
-    AxiomId.D2: (False, lambda sup, b, e, f: None if b & ~e else (b, sup(b, e), True)),
-    AxiomId.R3: (False, lambda sup, b, e, f: (sup(b, e), b & e, False)),
-    AxiomId.R4: (False, lambda sup, b, e, f: (b, sup(b, e), False) if b & e else None),
+# How F runs in a postulate's scan: not at all (a postulate on E alone),
+# over F >= E, or over the definable subsets of E when Sup(b, E) ⊆ E and
+# over every F otherwise (see `_violations`).
+_NO_F, _F_FROM_E, _F_IN_E = range(3)
+
+# axiom -> (how F runs, instance)
+_INSTANCES: dict[AxiomId, tuple[int, Callable]] = {
+    AxiomId.D1: (_NO_F, lambda sup, b, e, f: (e, sup(b, e), False)),
+    AxiomId.D2: (_NO_F, lambda sup, b, e, f: None if b & ~e else (b, sup(b, e), True)),
+    AxiomId.R3: (_NO_F, lambda sup, b, e, f: (sup(b, e), b & e, False)),
+    AxiomId.R4: (_NO_F, lambda sup, b, e, f: (b, sup(b, e), False) if b & e else None),
     AxiomId.D5: (
-        True,
+        _F_IN_E,
         lambda sup, b, e, f: (sup(b, e & f), sup(b, e) & f, False) if e & f else None,
     ),
-    AxiomId.D6: (True, _d6_instance),
-    AxiomId.D7: (True, lambda sup, b, e, f: (sup(b, e) | sup(b, f), sup(b, e | f), False)),
-    AxiomId.D9: (True, _d9_instance),
-    AxiomId.R8: (True, _d9_instance),  # same event shape; scope differs (R8: every state)
+    AxiomId.D6: (_F_FROM_E, _d6_instance),
+    AxiomId.D7: (_F_FROM_E, lambda sup, b, e, f: (sup(b, e) | sup(b, f), sup(b, e | f), False)),
+    AxiomId.D9: (_F_IN_E, _d9_instance),
+    AxiomId.R8: (_F_IN_E, _d9_instance),  # same event shape; scope differs (R8: every state)
 }
 
 
 def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitness]:
     """The failing instances of a postulate at belief set b, E ascending over
-    the definable events, then F, each with its closure witness G."""
-    pairs, instance = _INSTANCES[axiom]
-    sup = ctx.model.frame.sup
-    for e in ctx.definable:
-        for f in ctx.definable if pairs else (None,):
+    the definable events, then F, each with its closure witness G.
+
+    F runs only over the pairs that can hold the first failing instance, so
+    for a pair postulate the first witness, and on a partial frame the first
+    missing row, are those of the scan over every pair; the later witnesses
+    are some of that scan's, not all.  The one-event postulates list every
+    instance (R3's in `audit_lemma_inclusion`).
+
+    - F >= E (D6, D7): both instances are symmetric in (E, F), so a failing
+      (E, F) with F < E comes after the failing (F, E).  The first E's row is
+      the full row and reads Sup at every definable event; after it, a
+      skipped pair (E, F < E) reads only the Sups read at (F, E).
+    - F inside E (D5/R7, D9, R8), when Sup(b, E) ⊆ E: the instance reads F
+      only through E∩F and Sup(b, E)∩F = Sup(b, E)∩(E∩F), so (E, F) is the
+      instance (E, E∩F), and E∩F is definable and no later than F (an empty
+      E∩F gives none).  Otherwise F runs over every event.  The gate reads
+      Sup(b, E) first, the first Sup the full scan at E has not read yet:
+      every proper definable subset of E comes earlier and had its Sup read
+      at its own E.  Past the gate, the pairs the subset walk skips read
+      only Sups of subsets of E, all read by then.
+    """
+    walk, instance = _INSTANCES[axiom]
+    sup, definable = ctx.model.frame.sup, ctx.definable
+    for k, e in enumerate(definable):
+        if walk == _NO_F:
+            seconds = (None,)
+        elif walk == _F_FROM_E:
+            seconds = definable[k:]
+        elif sup(b, e) & ~e:
+            seconds = definable
+        else:  # index k holds cell choice k + 1, and E's subsets are its subchoices
+            seconds = [definable[t - 1] for t in subsets_of(k + 1)[1:]]
+        for f in seconds:
             found = instance(sup, b, e, f)
             if found is None:
                 continue
@@ -237,7 +275,9 @@ def axiom_holds(
         return AxiomVerdict(axiom, Status.HOLDS)
     if ctx is None:
         ctx = ModelContext.of(model, max_cells=max_cells)
-    key = (model.frame.belief[i], resolved)
+    # R8 runs D9's scan, and D9 is asked only at complete belief sets, so
+    # the two share one witness
+    key = (model.frame.belief[i], AxiomId.D9 if resolved is AxiomId.R8 else resolved)
     if key in ctx.found:
         witness = ctx.found[key]
     elif resolved is AxiomId.D7 and all(
@@ -266,8 +306,8 @@ def replay_witness(
     resolved = ALIASES.get(axiom, axiom)
     if resolved not in _INSTANCES:
         raise ValueError(f"no replay for {axiom}")
-    pairs, instance = _INSTANCES[resolved]
-    if pairs and witness.f is None:
+    walk, instance = _INSTANCES[resolved]
+    if walk != _NO_F and witness.f is None:
         return False  # a one-event witness names no instance of a pair postulate
     frame, g = model.frame, witness.g
     found = instance(frame.sup, frame.belief[i], witness.e, witness.f)

@@ -34,6 +34,7 @@ from doxatest.frames import (
     Frame,
     Model,
     bits,
+    cell_closure,
     cells,
     complete_selection,
     frame_from_obj,
@@ -293,16 +294,36 @@ def test_d3_r5_live_in_the_extension_layer():
     assert axiom_holds(m, 0, AxiomId.R5).status is Status.NOT_APPLICABLE
 
 
-def test_d9_matches_r8_at_complete_states():
+def test_d9_matches_r8_at_complete_states(monkeypatch):
+    # at a complete belief set R8 is D9's scan: one verdict, one witness and
+    # one scan, whichever is asked first
+    scans = []
+    scan = axioms._violations
+
+    def counted(ctx, axiom, b):
+        scans.append((b, axiom))
+        return scan(ctx, axiom, b)
+
+    monkeypatch.setattr(axioms, "_violations", counted)
+    fails = 0
     for seed in range(40):
         m = random_model(random.Random(seed), 3, pointed=True)
+        order = (AxiomId.D9, AxiomId.R8) if seed % 2 else (AxiomId.R8, AxiomId.D9)
         ctx = ModelContext.of(m)
         for s in range(3):
-            if not is_complete_at(m, s):
-                continue
-            d9 = axiom_holds(m, s, AxiomId.D9, ctx=ctx)
-            r8 = axiom_holds(m, s, AxiomId.R8, ctx=ctx)
-            assert d9.status == r8.status
+            assert is_complete_at(m, s)
+            scans.clear()
+            first, second = (axiom_holds(m, s, ax, ctx=ctx) for ax in order)
+            assert (first.status, first.witness) == (second.status, second.witness)
+            assert len(scans) <= 1
+            fails += first.status is Status.FAILS
+    assert fails >= 10, fails
+    # at an incomplete belief set D9 is not applicable and R8 scans alone
+    m = model_on(3, [0b011] * 3, {"p": 0b001})
+    scans.clear()
+    assert axiom_holds(m, 0, AxiomId.D9).status is Status.NOT_APPLICABLE
+    assert axiom_holds(m, 0, AxiomId.R8).status is not Status.NOT_APPLICABLE
+    assert scans == [(0b011, AxiomId.R8)]
 
 
 def test_structural_postulates_hold():
@@ -716,3 +737,78 @@ def test_d7_holds_without_a_scan_once_d1_and_d5_hold():
     ctx = ModelContext.of(m)
     assert axiom_holds(m, 0, AxiomId.D7, ctx=ctx).holds
     assert list(ctx.found) == [(0b01, AxiomId.D7)]
+
+
+def _first_of_full_scan(model, axiom, b, every_f):
+    # The reduction's pair scan as it was before the walks: E ascending over
+    # the definable events, F over every one of them, first failing pair.
+    # `every_f` gets one entry per E visited whose Sup(b, E), with all its
+    # rows present, leaves E, where the subset walk must fall back to this.
+    ctx = ModelContext.of(model)
+    frame = model.frame
+    instance = axioms._INSTANCES[axiom][1]
+    for e in ctx.definable:
+        rows = [frame.selection.get((j, e)) for j in bits(b)]
+        if None not in rows and any(r & ~e for r in rows):
+            every_f.append(e)
+        for f in ctx.definable:
+            found = instance(frame.sup, b, e, f)
+            if found is None:
+                continue
+            y, x, both = found
+            for y, x in ((y, x), (x, y)) if both else ((y, x),):
+                g = cell_closure(model, y, ctx.cell_masks)
+                if x & ~g:
+                    return axioms.AxiomWitness(e=e, f=f, g=g)
+    return None
+
+
+def test_pair_walks_find_the_full_scans_first_witness():
+    # D5, D6, D7, D9 and R8 at every state of seeded 1-5-state frames over
+    # two and three atoms: a third with a tenth of their rows dropped, a
+    # third with a quarter replaced by arbitrary nonempty events, so that
+    # Sup(b, E) leaves E and the subset walk runs F over every event, and a
+    # third left whole.  The first witness, or the error's type and text,
+    # is the full scan's; each route reads a fresh copy of the frame.
+    rng = random.Random(19)
+    pair_axioms = (AxiomId.D5, AxiomId.D6, AxiomId.D7, AxiomId.D9, AxiomId.R8)
+    fails = raised = calls = every_f = 0
+
+    def outcome(first):
+        try:
+            return first()
+        except UndefinedSelectionError as exc:
+            return [type(exc).__name__, str(exc)]
+
+    for n in range(1, 6):
+        for k in range(18):
+            fr = random_frame(rng, n, pointed=rng.random() < 0.3)
+            selection = dict(fr.selection)
+            if k % 3 == 0:
+                for key in rng.sample(sorted(selection), max(1, len(selection) // 10)):
+                    del selection[key]
+            elif k % 3 == 1:
+                for key in rng.sample(sorted(selection), max(1, len(selection) // 4)):
+                    selection[key] = rng.randrange(1, fr.full + 1)
+            atoms = ("p", "q", "r") if k % 2 else ("p", "q")
+            valuation = {a: rng.randrange(fr.full + 1) for a in atoms}
+
+            def model():
+                return Model(frame_of(n, fr.belief, selection), valuation)
+
+            for s in range(n):
+                b = fr.belief[s]
+                for axiom in pair_axioms:
+                    outside = []
+                    want = outcome(lambda: _first_of_full_scan(model(), axiom, b, outside))
+                    if axiom not in (AxiomId.D6, AxiomId.D7):
+                        every_f += len(outside)
+                    got = outcome(
+                        lambda: next(axioms._violations(ModelContext.of(model()), axiom, b), None)
+                    )
+                    assert got == want, (n, k, s, axiom)
+                    calls += 1
+                    raised += isinstance(want, list)
+                    fails += isinstance(want, axioms.AxiomWitness)
+    assert calls == 18 * 15 * len(pair_axioms)
+    assert fails >= 300 and raised >= 280 and every_f >= 170, (fails, raised, every_f)
