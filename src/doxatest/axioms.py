@@ -160,7 +160,9 @@ def is_complete_at(model: Model, s: int | str) -> bool:
 # of y (of x in the `both` case), the strongest definable G; the replay
 # tests the witness's G directly.  Every Sup is read in the order the
 # verdicts depend on: a partial frame must report the same first missing
-# row, and no instance asks for Sup at the empty event.
+# row.  Only D9/R8 ask for Sup at the empty event, at (E, F) with
+# Sup(b, E) ⊄ E, E∩F = ∅ and Sup(b, E)∩F ≠ ∅, a frame without success; the
+# selection has no row there, so it raises, as the oracle's D9 branch does.
 
 
 def _d6_instance(sup, b, e, f):

@@ -45,7 +45,6 @@ from .frames import (
     bits,
     mask_of,
     subsets_of,
-    support_of,
 )
 from .limits import ATOM_LIMIT, CUSTOM_ATOM_LIMIT, refuse_beyond
 from .properties import FrameClass, check_class
@@ -637,7 +636,10 @@ def build_canonical_model(table: ChangeFunctionTable) -> Model:
 
 def extract_table(model: Model) -> dict[Event, Event]:
     """Read the change function back off a structure with uniform belief."""
-    return {event: support_of(model, 0, event) for event in range(1, model.frame.full + 1)}
+    frame = model.frame
+    b = frame.belief[0]
+    # a missing row (-1) raises through `Frame.sup`, at the first such event
+    return {e: frame.sup(b, e) if r < 0 else r for e, r in enumerate(frame.sup_table(b)) if e}
 
 
 EXPECTED_SUITE = {

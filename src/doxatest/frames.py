@@ -66,8 +66,8 @@ def subsets_of(mask: int) -> list[int]:
 class Frame:
     """States, a serial belief relation, and a partial selection table.
 
-    `selection` must not be mutated after construction: `sup` memoizes the
-    belief-set supports it computes from it.
+    `selection` must not be mutated after construction: the Sup tables of
+    `sup_table` are built from it once and kept.
     """
 
     states: tuple[str, ...]
@@ -101,20 +101,46 @@ class Frame:
         except KeyError:
             raise UndefinedSelectionError(self.states[s], self.event_ids(event)) from None
 
+    def sup_table(self, bmask: int) -> list[int]:
+        """Sup(B, E) for every event E = 0..full, -1 where a state of
+        ``bmask`` has no row at E (so at E = 0, unless the selection keys the
+        empty event).  Memoized and shared: callers must not mutate it.
+
+        A one-state table is read off `selection`; a larger B's table is the
+        elementwise OR of its states' tables, and -1 | x = -1 carries a
+        missing row through.
+        """
+        table = self._sup.get(bmask)
+        if table is None:
+            low = bmask & -bmask
+            if bmask != low:
+                table = self.sup_table(low)
+                for i in bits(bmask ^ low):
+                    table = list(map(int.__or__, table, self.sup_table(1 << i)))
+            elif bmask:
+                i, get = low.bit_length() - 1, self.selection.get
+                table = [get((i, e), -1) for e in range(self.full + 1)]
+            else:
+                table = [0] * (self.full + 1)
+            self._sup[bmask] = table
+        return table
+
     def sup(self, bmask: int, event: Event) -> Event:
         """Sup(B, E): the union of f(i, E) over the states i in ``bmask``."""
-        row = self._sup.get(bmask)
-        if row is None:
-            row = self._sup[bmask] = {}
-        got = row.get(event)
-        if got is None:
-            got, rest, selection = 0, bmask, self.selection
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                value = selection.get((i, event))
-                got |= self.sel(i, event) if value is None else value  # sel raises if missing
-                rest &= rest - 1
-            row[event] = got
+        try:
+            got = self._sup[bmask][event]
+        except KeyError:  # the first read at bmask builds its table
+            self.sup_table(bmask)
+            return self.sup(bmask, event)
+        except IndexError:  # an event beyond full
+            got = -1
+        if got >= 0 <= event:
+            return got
+        # A missing row raises in `sel`, at the lowest believed state that
+        # lacks it; an event outside 0..full is read off `selection`.
+        got = 0
+        for i in bits(bmask):
+            got |= self.sel(i, event)
         return got
 
     def has_sel(self, s: int, event: Event) -> bool:
@@ -494,23 +520,43 @@ def frame_from_obj(obj: dict) -> Frame:
     if not isinstance(entries, list):
         raise InputFormatError("'selection' must be a list of entries")
     for k, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not {"s", "event", "selects"} <= set(entry):
-            raise InputFormatError(f"selection entry {k} needs 's', 'event' and 'selects'")
-        sid = entry["s"]
-        if not isinstance(sid, str):
-            raise InputFormatError(f"selection entry {k} 's' must be a state id")
-        if sid not in index:
-            raise InputFormatError(f"selection entry {k} names unknown state {sid!r}")
-        event = _state_mask(index, entry["event"], "selection entry {} event", k)
-        if event == 0:
-            raise InputFormatError(f"selection entry {k} has an empty event")
-        key = (index[sid], event)
-        if key in selection:
-            raise InputFormatError(
-                f"duplicate selection entry for state {sid!r} and event {sorted(entry['event'])}"
-            )
-        selection[key] = _state_mask(index, entry["selects"], "selection entry {} selects", k)
+        # One pass decodes a well-formed entry; any fault, an empty or repeated
+        # event included, sends it through the checks in `_checked_entry`.
+        try:
+            s, ids, chosen = index[entry["s"]], entry["event"], entry["selects"]
+            if not (isinstance(entry, dict) and isinstance(ids, list) and isinstance(chosen, list)):
+                raise TypeError
+            event = value = 0
+            for sid in ids:
+                event |= 1 << index[sid]
+            for sid in chosen:
+                value |= 1 << index[sid]
+            if event == 0 or (s, event) in selection:
+                raise KeyError
+        except (KeyError, TypeError):
+            s, event, value = _checked_entry(index, selection, k, entry)
+        selection[(s, event)] = value
     return Frame(tuple(states), belief, selection)
+
+
+def _checked_entry(index: Mapping[str, int], selection: Mapping, k: int, entry) -> tuple[int, int, int]:
+    """(s, event, selects) of selection entry k, each field checked in the
+    order the error messages rank them; the first fault raises."""
+    if not isinstance(entry, dict) or not {"s", "event", "selects"} <= set(entry):
+        raise InputFormatError(f"selection entry {k} needs 's', 'event' and 'selects'")
+    sid = entry["s"]
+    if not isinstance(sid, str):
+        raise InputFormatError(f"selection entry {k} 's' must be a state id")
+    if sid not in index:
+        raise InputFormatError(f"selection entry {k} names unknown state {sid!r}")
+    event = _state_mask(index, entry["event"], "selection entry {} event", k)
+    if event == 0:
+        raise InputFormatError(f"selection entry {k} has an empty event")
+    if (index[sid], event) in selection:
+        raise InputFormatError(
+            f"duplicate selection entry for state {sid!r} and event {sorted(entry['event'])}"
+        )
+    return index[sid], event, _state_mask(index, entry["selects"], "selection entry {} selects", k)
 
 
 def model_from_obj(obj: dict) -> Model:

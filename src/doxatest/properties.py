@@ -20,8 +20,9 @@ first witness (and, on partial frames, the first missing row) unchanged:
   a later state with an already decided B(s) reads the same rows: it holds
   there, or the earlier state already failed or raised.
 - *One row table per belief set.*  A predicate reads only believed rows
-  f(i, ·).  A property with a holds test reads B's table r(E) = Sup(B, E)
-  through `Frame.sup`, the memo its scan reads.
+  f(i, ·).  A property with a holds test copies B's table r(E) = Sup(B, E),
+  one list over the events, from `Frame.sup_table`: the memo its scan reads
+  through `Frame.sup`, built once per frame and belief set.
   Its gate (every believed row is defined, and r(E) ⊆ E at every E) decides
   at each belief set alone whether the next two skips apply.
 - *F through E∩F.*  Past the gate, PD57, PD57_STRONG, PD9 and PR8 read F
@@ -65,7 +66,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import UndefinedSelectionError
 from .frames import Frame, Violation, bits, mask_of, subsets_of, validate_frame
 from .limits import DEFAULT_MAX_STATES, refuse_beyond
 
@@ -277,12 +277,12 @@ _CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
 
 
 def _rows(frame: Frame, b: int) -> list[int] | None:
-    """r(E) = Sup(B, E) at every event, through the `Frame.sup` memo that the
-    scan reads too; None unless every believed row is there and succeeds."""
-    try:
-        rows = [0] + [frame.sup(b, e) for e in range(1, frame.full + 1)]
-    except UndefinedSelectionError:
-        return None  # a missing row: the scan raises it or finds a violation first
+    """r(E) = Sup(B, E) at every event, a copy of the `Frame.sup_table` that
+    the scan reads too; None unless every believed row is there and succeeds.
+    A missing row reads -1, which no event contains: the scan raises it or
+    finds a violation first."""
+    rows = frame.sup_table(b)[:]
+    rows[0] = 0
     return None if any(r & ~e for e, r in enumerate(rows)) else rows
 
 

@@ -683,7 +683,7 @@ def test_bitset_oracle_matches_the_per_target_loop():
 
 def test_oracle_reads_no_cells_closures_or_frame_supports(monkeypatch):
     # the oracle's seam: on complete models it decides every postulate
-    # without cells, cell closures, definable events or Frame.sup
+    # without cells, cell closures, definable events or Frame's Sup tables
     rng = random.Random(5)
     models = [random_model(rng, n, pointed=k % 2 == 0) for n in (1, 2, 3) for k in range(6)]
 
@@ -703,6 +703,7 @@ def test_oracle_reads_no_cells_closures_or_frame_supports(monkeypatch):
     for name in ("cells", "cell_closure", "definable_events"):
         monkeypatch.setattr(axioms, name, forbidden)
     monkeypatch.setattr(Frame, "sup", forbidden)
+    monkeypatch.setattr(Frame, "sup_table", forbidden)
     assert statuses() == want
     assert Status.FAILS in want and Status.HOLDS in want
 
@@ -812,3 +813,18 @@ def test_pair_walks_find_the_full_scans_first_witness():
                     fails += isinstance(want, axioms.AxiomWitness)
     assert calls == 18 * 15 * len(pair_axioms)
     assert fails >= 300 and raised >= 280 and every_f >= 170, (fails, raised, every_f)
+
+
+def test_d9_and_r8_raise_at_the_empty_event_on_a_frame_without_success():
+    # f(s0, {s0}) = {s1} leaves its event; at E = {s0}, F = {s1}: E∩F = ∅ and
+    # Sup(b, E)∩F ≠ ∅, so the instance reads Sup(b, ∅), which has no row.
+    # The reduction raises through the Sup table's index-0 entry (-1), the
+    # oracle through its own row read, with the same error.
+    frame = frame_of(2, [0b01, 0b10], {(0, 0b01): 0b10})
+    assert frame.sup_table(0b01)[0] == -1
+    for axiom in (AxiomId.D9, AxiomId.R8):
+        for route in (axiom_holds, axiom_status_via_formulas):
+            model = Model(frame_of(2, frame.belief, frame.selection), {"p": 0b01})
+            with pytest.raises(UndefinedSelectionError) as exc:
+                route(model, 0, axiom)
+            assert str(exc.value) == "selection undefined at state 's0' for event {}"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_of, model_of
+from conftest import frame_of, model_of, random_frame
 from doxatest.errors import (
     InputFormatError,
     SizeLimitError,
@@ -303,6 +303,52 @@ class TestSupports:
                 if cn_member(members, chi):
                     assert k.member(chi)
 
+    def test_sup_matches_the_per_event_loop(self):
+        # Frame.sup against the loop it replaced, on seeded 1-5-state frames
+        # with rows dropped, rows replaced by arbitrary values (empty, or
+        # outside their event), and extra keys at (s, 0) and beyond full.
+        # Every belief mask and every event 0..full + 3 gives the same value,
+        # or the same exception type and text (an event beyond full names a
+        # state that is not there).
+        def loop_sup(frame, bmask, event):
+            got, rest = 0, bmask
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                value = frame.selection.get((i, event))
+                got |= frame.sel(i, event) if value is None else value
+                rest &= rest - 1
+            return got
+
+        def outcome(read):
+            try:
+                return read()
+            except (UndefinedSelectionError, IndexError) as exc:
+                return type(exc).__name__, str(exc)
+
+        rng = random.Random(20)
+        raised = 0
+        for n in range(1, 6):
+            for k in range(8):
+                full = (1 << n) - 1
+                selection = dict(random_frame(rng, n).selection)
+                for key in rng.sample(sorted(selection), len(selection) // (2 + k % 3)):
+                    if k % 2:
+                        del selection[key]
+                    else:
+                        selection[key] = rng.randrange(full + 1)
+                for s in rng.sample(range(n), (n + 1) // 2):
+                    selection[(s, 0)] = rng.randrange(full + 1)
+                    selection[(s, full + 1 + rng.randrange(3))] = rng.randrange(1, 2 * full + 2)
+                belief = [rng.randrange(1, full + 1) for _ in range(n)]
+                reference = frame_of(n, belief, selection)
+                frame = frame_of(n, belief, selection)
+                for event in rng.sample(range(full + 4), full + 4):
+                    for bmask in range(full + 1):
+                        want = outcome(lambda: loop_sup(reference, bmask, event))
+                        assert outcome(lambda: frame.sup(bmask, event)) == want, (n, k, bmask, event)
+                        raised += isinstance(want, tuple)
+        assert raised > 1000, raised
+
 
 class TestExpansion:
     def test_member(self):
@@ -506,3 +552,115 @@ class TestJson:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(InputFormatError, match="valid JSON"):
             load_structure(str(path))
+
+
+def _reference_frame_from_obj(obj):
+    """The field-by-field loader that `frame_from_obj` replaced, kept as the
+    reference for its entry checks and error texts."""
+
+    def state_mask(index, ids, label):
+        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+            raise InputFormatError(f"{label} must be a list of state ids")
+        for sid in ids:
+            if sid not in index:
+                raise InputFormatError(f"{label} mentions unknown state {sid!r}")
+        return mask_of(index[sid] for sid in ids)
+
+    if not isinstance(obj, dict):
+        raise InputFormatError("top level must be an object")
+    states = obj.get("states")
+    if not isinstance(states, list) or not states or not all(isinstance(s, str) for s in states):
+        raise InputFormatError("'states' must be a nonempty list of ids")
+    if len(set(states)) != len(states):
+        raise InputFormatError("duplicate state ids")
+    index = {sid: i for i, sid in enumerate(states)}
+    belief_obj = obj.get("belief", {})
+    if not isinstance(belief_obj, dict):
+        raise InputFormatError("'belief' must be an object keyed by state id")
+    for sid in belief_obj:
+        if sid not in index:
+            raise InputFormatError(f"'belief' mentions unknown state {sid!r}")
+    belief = tuple(state_mask(index, belief_obj.get(sid, []), f"belief[{sid}]") for sid in states)
+    selection = {}
+    entries = obj.get("selection", [])
+    if not isinstance(entries, list):
+        raise InputFormatError("'selection' must be a list of entries")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not {"s", "event", "selects"} <= set(entry):
+            raise InputFormatError(f"selection entry {k} needs 's', 'event' and 'selects'")
+        sid = entry["s"]
+        if not isinstance(sid, str):
+            raise InputFormatError(f"selection entry {k} 's' must be a state id")
+        if sid not in index:
+            raise InputFormatError(f"selection entry {k} names unknown state {sid!r}")
+        event = state_mask(index, entry["event"], f"selection entry {k} event")
+        if event == 0:
+            raise InputFormatError(f"selection entry {k} has an empty event")
+        key = (index[sid], event)
+        if key in selection:
+            raise InputFormatError(
+                f"duplicate selection entry for state {sid!r} and event {sorted(entry['event'])}"
+            )
+        selection[key] = state_mask(index, entry["selects"], f"selection entry {k} selects")
+    return Frame(tuple(states), belief, selection)
+
+
+# Faults planted in one selection entry of a valid document, up to two, so
+# that their ranking shows.
+_ENTRY_FAULTS = (
+    "drop-key", "non-dict", "non-str-s", "unknown-s", "non-list-ids",
+    "non-str-id", "unknown-id", "empty-event", "duplicate",
+)
+_NON_IDS = st.one_of(st.none(), st.integers(-2, 2), st.booleans(), st.just(["s0"]), st.just({"a": 1}))
+
+
+@st.composite
+def frame_documents(draw):
+    n = draw(st.integers(1, 4))
+    # one-letter ids make a string read as a list of ids look well formed
+    states = list("abcd"[:n]) if draw(st.integers(0, 3)) else [f"s{i}" for i in range(n)]
+    ids = st.lists(st.sampled_from(states), max_size=n + 1)
+    event = st.lists(st.sampled_from(states), min_size=1, max_size=n + 1)
+    belief = {sid: draw(ids) for sid in states if draw(st.booleans())}
+    entries = [
+        {"s": draw(st.sampled_from(states)), "event": draw(event), "selects": draw(ids)}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    k = draw(st.integers(0, len(entries) - 1)) if entries else None
+    for fault in draw(st.lists(st.sampled_from(_ENTRY_FAULTS), max_size=2)) if entries else ():
+        if not isinstance(entries[k], dict):
+            continue  # already replaced by a non-dict
+        entry = entries[k] = dict(entries[k])
+        field_name = draw(st.sampled_from(["event", "selects"]))
+        if fault == "drop-key":
+            entry.pop(draw(st.sampled_from(["s", "event", "selects"])), None)
+        elif fault == "non-dict":
+            entries[k] = draw(st.one_of(_NON_IDS, st.just("".join(states)), st.just(list(entry))))
+        elif fault == "non-str-s":
+            entry["s"] = draw(_NON_IDS)
+        elif fault == "unknown-s":
+            entry["s"] = "zz"
+        elif fault == "non-list-ids":
+            # a string or an object of ids iterates as ids
+            entry[field_name] = draw(st.sampled_from(["".join(states), dict.fromkeys(states), None, 2]))
+        elif fault == "non-str-id":
+            entry[field_name] = draw(st.permutations([*states[:2], draw(_NON_IDS)]))
+        elif fault == "unknown-id":
+            entry[field_name] = draw(st.permutations([*states[:2], "zz"]))
+        elif fault == "empty-event":
+            entry["event"] = []
+        else:
+            entries.insert(draw(st.integers(0, len(entries))), dict(entry))
+    return {"states": states, "belief": belief, "selection": entries}
+
+
+@given(frame_documents())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_loader_matches_the_field_by_field_reference(obj):
+    def outcome(load):
+        try:
+            return load(json.loads(json.dumps(obj)))
+        except InputFormatError as exc:
+            return str(exc)
+
+    assert outcome(frame_from_obj) == outcome(_reference_frame_from_obj)
