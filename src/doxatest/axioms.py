@@ -390,8 +390,8 @@ def audit_km8(model: Model, w: int | str) -> Km8Report:
 
 
 @functools.lru_cache(maxsize=16)
-def _default_pool(atom_names: tuple[str, ...], depth: int) -> tuple[Formula, ...]:
-    return tuple(semantic_pool(atom_names, depth=depth))
+def _default_pool(atom_names: tuple[str, ...]) -> tuple[Formula, ...]:
+    return tuple(semantic_pool(atom_names, depth=3))
 
 
 class _OracleContext:
@@ -436,7 +436,6 @@ def axiom_status_via_formulas(
     s: int | str,
     axiom: AxiomId,
     formulas: Sequence[Formula] | None = None,
-    depth: int = 3,
 ) -> Status:
     """Decide a postulate by quantifying over an explicit formula pool.
 
@@ -447,7 +446,7 @@ def axiom_status_via_formulas(
     the pool has been read, so a pool naming an atom the model lacks still
     raises `UnknownAtomError`.
 
-    The pool defaults to `semantic_pool` over the model's atoms at `depth`,
+    The pool defaults to `semantic_pool` over the model's atoms at depth 3,
     one formula per truth function.  One context per (model, pool) keeps
     the pool's truth sets and one verdict per (belief set, postulate), so
     states with equal beliefs and the aliases R2, R7 cost a lookup.
@@ -461,7 +460,7 @@ def axiom_status_via_formulas(
     if resolved in _COMPLETE_ONLY and not is_complete_at(model, i):
         return Status.NOT_APPLICABLE
     if formulas is None:
-        formulas = _default_pool(model.atom_names, depth)
+        formulas = _default_pool(model.atom_names)
     ctx = model._oracle.get(id(formulas))
     # a pool mutated in place, or a new pool at a recycled id, rebuilds
     if ctx is None or ctx.formulas != tuple(formulas):

@@ -39,11 +39,12 @@ first witness (and, on partial frames, the first missing row) unchanged:
   The shapes of the tests:
 
   - Inside (PD57, and PD7 at B = {i}; PD57_STRONG per believed state): no
-    G ⊆ E with r(E) ∩ G ⊄ r(G).  Gated (PD9, PR8): no G ⊆ E with r(E)
-    meeting G and r(G) ⊄ r(E).  One OR over supersets (the zeta transform
-    of the subset lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E)
-    over E ⊇ G for the inside shape; for the gated one, per state x, the
-    union of ¬r(E) over E ⊇ G with x in r(E).
+    G ⊆ E with r(E) ∩ G ⊄ r(G).  Gated (PR8, and PD9, which is PR8 at
+    B = {i} and nowhere else): no G ⊆ E with r(E) meeting G and
+    r(G) ⊄ r(E).  One OR over supersets (the zeta transform of the subset
+    lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E) over E ⊇ G for
+    the inside shape; for the gated one, per state x, the union of ¬r(E)
+    over E ⊇ G with x in r(E).
   - Cumulative (PD6, r = Sup(B, ·)): PD6 is reciprocity, r(E) ⊆ F and
     r(F) ⊆ E imply r(E) = r(F).  Under success it is equivalent to
     cumulativity, r(E) ⊆ G ⊆ E implies r(G) = r(E) (Kraus, Lehmann &
@@ -220,20 +221,6 @@ def _pd7(frame, b):
     return lambda e, f: b if sel(i, e | f) & ~(sel(i, e) | sel(i, f)) else 0
 
 
-def _pd9(frame, b):
-    if b.bit_count() != 1:
-        return None
-    sel, i = frame.sel, b.bit_length() - 1
-
-    def violators(e, f):
-        if not e & f:
-            return 0
-        inside = sel(i, e) & f
-        return b if inside and sel(i, e & f) & ~inside else 0
-
-    return violators
-
-
 def _pr4(frame, b):
     return lambda e, f: b & e and _meeting(frame, b, e, ~(b & e))
 
@@ -266,7 +253,10 @@ _CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
     PropertyId.PD57_STRONG: (_pd57_strong, _Second.MEET, True),
     PropertyId.PD6: (_pd6, _Second.SYMMETRIC, False),
     PropertyId.PD7: (_pd7, _Second.SYMMETRIC, True),
-    PropertyId.PD9: (_pd9, _Second.MEET, True),
+    # PD9 is PR8 at B = {i}, where Sup(B, ·) is f(i, ·); it has no instance elsewhere
+    PropertyId.PD9: (
+        lambda frame, b: _pr8(frame, b) if b.bit_count() == 1 else None, _Second.MEET, True
+    ),
     PropertyId.PR4: (_pr4, _Second.SINGLE, True),
     PropertyId.PR8: (_pr8, _Second.MEET, True),
 }
@@ -338,9 +328,9 @@ _HOLDS: dict[PropertyId, Callable[[Frame, int, list[int]], bool]] = {
     # G ⊂ E, PD7 at (G, E∖G) gives r(E) ⊆ r(G) ∪ r(E∖G), and r(E∖G) ⊆ E∖G
     # misses G, so r(E) ∩ G ⊆ r(G).
     PropertyId.PD7: lambda frame, b, rows: _inside(rows),
-    PropertyId.PD9: lambda frame, b, rows: _gated(rows, frame.n),
     PropertyId.PR8: lambda frame, b, rows: _gated(rows, frame.n),
 }
+_HOLDS[PropertyId.PD9] = _HOLDS[PropertyId.PR8]
 
 
 def _find(frame: Frame, pid: PropertyId) -> PropertyWitness | None:

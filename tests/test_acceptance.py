@@ -37,6 +37,7 @@ from doxatest.axioms import (
     axiom_status_via_formulas,
 )
 from doxatest.changegen import (
+    ChangeFunctionTable,
     WorldContext,
     audit_function,
     build_canonical_model,
@@ -67,6 +68,7 @@ from doxatest.frames import (
     extended_member,
     load_structure,
     ri_support,
+    subsets_of,
     validate_frame,
 )
 from doxatest.properties import (
@@ -418,28 +420,65 @@ def test_05_extension_total_and_matches_consequence_oracle(fleet):
 
 
 # ------------------------------------------------------------------
-# 6. class inclusions and the bare-recipe gap probe
+# 6. class inclusions, revision as update made stronger, and the
+#    bare-recipe gap probe
 # ------------------------------------------------------------------
 
 
+def _d1_to_d3_tables(ctx: WorldContext, k: int):
+    """Every table at K that keeps D1-D3: r(E) = K when K ⊆ E, otherwise
+    any nonempty subset of E."""
+    free = [e for e in range(1, ctx.full + 1) if k & ~e]
+    for picks in itertools.product(*([x for x in subsets_of(e) if x] for e in free)):
+        results = [0] + [k] * ctx.full
+        for e, x in zip(free, picks):
+            results[e] = x
+        yield ChangeFunctionTable(ctx, k, "custom", results)
+
+
 def test_06_class_inclusions_and_recipe_gap_probe(census_corpus, census):
-    strict = strong_of_strict = row_conj = priority = 0
+    strict = strong_of_strict = row_conj = priority = conjunction = 0
+    pointed = strong_only = 0
     for frame, row in zip(census_corpus, census["frames"]):
         classes = row["classes"]
+        holds_by_property = {p["property"]: p["propertyHolds"] for p in row["pairs"]}
         if classes["REVISION_STRICT"]:
             strict += 1
             assert classes["STRONG_UPDATE"], row
             strong_of_strict += 1
-        holds_by_property = {p["property"]: p["propertyHolds"] for p in row["pairs"]}
+        elif classes["STRONG_UPDATE"]:
+            strong_only += 1
+        if all(b.bit_count() == 1 for b in frame.belief):
+            # at B = {i}, PR4 is PD2 and PR8 is PD9: the recipes coincide
+            pointed += 1
+            assert holds_by_property["PR4"] == holds_by_property["PD2"], row
+            assert holds_by_property["PR8"] == holds_by_property["PD9"], row
+            assert classes["REVISION_STRICT"] == classes["STRONG_UPDATE"], row
         if check_property(frame, PropertyId.PD57_STRONG).holds:
             row_conj += 1
             assert holds_by_property["PD57"], row
         if holds_by_property["PR4"]:
             priority += 1
             assert holds_by_property["PD2"], row
+        if holds_by_property["PR8"]:
+            conjunction += 1
+            assert holds_by_property["PD9"], row
     # no inclusion may pass vacuously
-    assert strict and row_conj and priority
+    assert strict and row_conj and priority and conjunction and pointed and strong_only
     assert strict == strong_of_strict
+
+    # the table side at every singleton K on 2 atoms: KM_STRONG and AGM
+    # accept the same tables
+    ctx = WorldContext(("p", "q"))
+    for w in range(ctx.n_worlds):
+        tables = list(_d1_to_d3_tables(ctx, 1 << w))
+        accepted = {
+            suite: {t.results for t in tables if audit_function(t, suite).ok}
+            for suite in ("KM", "KM_STRONG", "AGM")
+        }
+        assert len(tables) == 189
+        assert len(accepted["KM"]) == 22
+        assert accepted["KM_STRONG"] == accepted["AGM"] and len(accepted["AGM"]) == 13
 
     # search for frames meeting the bare revision recipe while violating the
     # pooled conjunction condition; the outcome is recorded, not asserted
@@ -456,9 +495,11 @@ def test_06_class_inclusions_and_recipe_gap_probe(census_corpus, census):
     )
     _line(
         6,
-        "class inclusions hold; gap probe recorded",
-        f"{strict} strict-revision, {row_conj} row-conjunction, {priority} priority "
-        f"frames; separators {found} [{tiers}]",
+        "class inclusions hold; revision is update made stronger; gap probe recorded",
+        f"{strict} strict-revision, {row_conj} row-conjunction, {priority} priority, "
+        f"{conjunction} PR8 frames; {pointed} one-state-belief frames agree, "
+        f"{strong_only} strong-update only; per singleton K on 2 atoms, 189 D1-D3 "
+        f"tables, KM 22, KM_STRONG = AGM 13; separators {found} [{tiers}]",
     )
 
 

@@ -17,7 +17,6 @@ from doxatest.correspondence import (
     Scope,
     build_census,
     build_witness_model,
-    canonical_key,
     correspondence_verdict,
     count_base_tables,
     def12_gap_probe,
@@ -87,15 +86,6 @@ def test_three_state_stream_is_lazy_and_valid():
         assert validate_frame(f) == []
 
 
-def test_dedup_collapses_relabelings():
-    plain = list(enumerate_frames(FrameGenSpec(states=2)))
-    deduped = list(enumerate_frames(FrameGenSpec(states=2, dedup=True)))
-    orbits = {canonical_key(f) for f in plain}
-    assert len(deduped) == len(orbits) < len(plain)
-    keys = [canonical_key(f) for f in deduped]
-    assert len(keys) == len(set(keys))
-
-
 def test_exhaustive_guard():
     with pytest.raises(SizeLimitError):
         next(enumerate_frames(FrameGenSpec(states=5)))
@@ -109,13 +99,6 @@ def test_random_stream_is_seed_deterministic():
     assert a != c
     for f in a:
         assert validate_frame(f) == []
-
-
-def test_unenforced_random_stream_contains_invalid_frames():
-    frames = enumerate_frames(
-        FrameGenSpec(states=3, mode="random", seed=3, count=50, enforce_base=False)
-    )
-    assert any(validate_frame(f) for f in frames)
 
 
 def test_unknown_mode_rejected():
@@ -158,6 +141,12 @@ def violating_frame(prop):
     if prop is PropertyId.PR8:
         return frame_of(5, [0b00011] * 5, {(1, 0b01100): 0b01000}, complete=True)
     raise AssertionError(prop)
+
+
+def test_pd9_failure_fixture_is_the_pointed_pd9_frame():
+    # the CI pins this file's STRONG_UPDATE and REVISION_STRICT reports
+    with open(DATA / "pd9_failure.json") as fh:
+        assert frame_from_obj(json.load(fh)) == violating_frame(PropertyId.PD9)
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.property.value)
@@ -502,7 +491,7 @@ def test_census_shape_and_counts():
 
 @pytest.fixture(scope="module")
 def gap_report() -> GapReport:
-    return def12_gap_probe(samples=60, seed=5)
+    return def12_gap_probe()
 
 
 def test_gap_absent_on_tiny_frames(gap_report):
@@ -531,9 +520,5 @@ def test_gap_found_in_pointed_uniform_tier(gap_report):
 def test_gap_report_serializes(gap_report):
     obj = gap_report.to_obj()
     assert obj["gapFound"] is True
-    assert [t["tier"] for t in obj["tiers"]] == [
-        "exhaustive-le-2",
-        "pointed-uniform-4",
-        f"random-4",
-    ]
+    assert [t["tier"] for t in obj["tiers"]] == ["exhaustive-le-2", "pointed-uniform-4"]
     assert "example" in obj["tiers"][1]

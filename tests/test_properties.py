@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from doxatest import properties
 from doxatest.correspondence import FrameGenSpec, enumerate_frames
-from doxatest.errors import SizeLimitError, UndefinedSelectionError
+from doxatest.errors import DoxatestError, SizeLimitError, UndefinedSelectionError
 from doxatest.frames import (
     bits,
     complete_selection,
@@ -651,3 +651,61 @@ def test_update_failure_fixtures():
         assert {v.property.value for v in report.verdicts if not v.holds} == failed
         for verdict in report.verdicts:
             assert verdict.holds or recheck_witness(frame, verdict.witness)
+
+
+# --- PD9 reads PR8's predicate at B = {i} -----------------------------------
+
+
+def _pd9_written_out(frame, b):
+    # PD9's own predicate: f(i, E) meets F and f(i, E∩F) leaves f(i, E) ∩ F
+    if b.bit_count() != 1:
+        return None
+    sel, i = frame.sel, b.bit_length() - 1
+
+    def violators(e, f):
+        if not e & f:
+            return 0
+        inside = sel(i, e) & f
+        return b if inside and sel(i, e & f) & ~inside else 0
+
+    return violators
+
+
+def _pd9_sweep_frame(rng, kind, n):
+    frame = random_frame(rng, n, pointed=kind == "pointed" or rng.random() < 0.5)
+    selection, keys = dict(frame.selection), sorted(frame.selection)
+    if kind == "dropped":
+        for key in rng.sample(keys, max(1, len(keys) // 10)):
+            del selection[key]
+    elif kind == "corrupted":
+        for key in rng.sample(keys, max(1, len(keys) // 4)):
+            selection[key] = rng.randrange(1, frame.full + 1)
+    return frame_of(n, frame.belief, selection)
+
+
+def test_pd9_through_pr8_matches_its_own_predicate(monkeypatch):
+    # At B = {i}, Sup(B, ·) is f(i, ·), and both predicates read Sup(B, E),
+    # then Sup(B, E∩F): verdict and first witness, or the error's type and
+    # text, are those of PD9's own predicate, and so is every recheck.
+    def outcome(frame):
+        try:
+            return check_property(frame, PropertyId.PD9)
+        except DoxatestError as exc:
+            return type(exc).__name__, str(exc)
+
+    rng = random.Random(9)
+    kinds = ("whole", "dropped", "corrupted", "pointed")
+    frames = [
+        _pd9_sweep_frame(rng, kind, n) for kind in kinds for n in range(1, 6) for _ in range(50)
+    ]
+    got = [outcome(fr) for fr in frames]
+    checked = [
+        (fr, v.witness) for fr, v in zip(frames, got) if isinstance(v, PropertyVerdict) and not v.holds
+    ]
+    rechecks = [recheck_witness(fr, w) for fr, w in checked]
+    _, second, reports_s_prime = _CONDITIONS[PropertyId.PD9]
+    monkeypatch.setitem(_CONDITIONS, PropertyId.PD9, (_pd9_written_out, second, reports_s_prime))
+    assert got == [outcome(fr) for fr in frames]
+    assert rechecks == [recheck_witness(fr, w) for fr, w in checked] == [True] * len(checked)
+    raises = sum(isinstance(v, tuple) for v in got)
+    assert len(checked) >= 300 and raises >= 100, (len(checked), raises)
