@@ -144,11 +144,10 @@ class ModelContext:
         return cls(model, cell_masks, definable)
 
 
-def is_complete_at(model: Model, s: int | str) -> bool:
-    """True iff the beliefs at s decide every formula: B(s) fits in one cell,
-    that is, every atom holds at all of B(s) or at none of it."""
-    i = model.frame.index(s) if isinstance(s, str) else s
-    b = model.frame.belief[i]
+def is_complete_at(model: Model, s: int) -> bool:
+    """True iff the beliefs at state index s decide every formula: B(s) fits
+    in one cell, that is, every atom holds at all of B(s) or at none of it."""
+    b = model.frame.belief[s]
     return all(not b & m or not b & ~m for m in model.valuation.values())
 
 
@@ -255,23 +254,23 @@ _EXTENSION_ONLY = frozenset({AxiomId.D3, AxiomId.R5})
 
 def axiom_holds(
     model: Model,
-    s: int | str,
+    s: int,
     axiom: AxiomId,
     ctx: ModelContext | None = None,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> AxiomVerdict:
-    """Decide one postulate at (model, s) over the definable events.
+    """Decide one postulate at (model, s), s a state index, over the
+    definable events.
 
     D3/R5 only bite for formulas with no worlds at all, which never denote an
     event inside a model, so they are reported not-applicable here (the
     extension layer owns them).  D7 and D9 are conditions on complete belief
     states and are not-applicable elsewhere.
     """
-    i = model.frame.index(s) if isinstance(s, str) else s
     resolved = ALIASES.get(axiom, axiom)
     if resolved in _EXTENSION_ONLY:
         return AxiomVerdict(axiom, Status.NOT_APPLICABLE)
-    if resolved in _COMPLETE_ONLY and not is_complete_at(model, i):
+    if resolved in _COMPLETE_ONLY and not is_complete_at(model, s):
         return AxiomVerdict(axiom, Status.NOT_APPLICABLE)
     if resolved in _STRUCTURAL:
         return AxiomVerdict(axiom, Status.HOLDS)
@@ -279,7 +278,7 @@ def axiom_holds(
         ctx = ModelContext.of(model, max_cells=max_cells)
     # R8 runs D9's scan, and D9 is asked only at complete belief sets, so
     # the two share one witness
-    key = (model.frame.belief[i], AxiomId.D9 if resolved is AxiomId.R8 else resolved)
+    key = (model.frame.belief[s], AxiomId.D9 if resolved is AxiomId.R8 else resolved)
     if key in ctx.found:
         witness = ctx.found[key]
     elif resolved is AxiomId.D7 and all(
@@ -298,13 +297,10 @@ def axiom_holds(
     return AxiomVerdict(axiom, Status.FAILS, witness)
 
 
-def replay_witness(
-    model: Model, s: int | str, axiom: AxiomId, witness: AxiomWitness
-) -> bool:
-    """Reproduce a violation from its witness using only the membership
-    primitives: Sup for the change operation, intersection-with-belief for
-    expansion.  No cell closures are consulted."""
-    i = model.frame.index(s) if isinstance(s, str) else s
+def replay_witness(model: Model, s: int, axiom: AxiomId, witness: AxiomWitness) -> bool:
+    """Reproduce a violation at state index s from its witness using only
+    the membership primitives: Sup for the change operation,
+    intersection-with-belief for expansion.  No cell closures are consulted."""
     resolved = ALIASES.get(axiom, axiom)
     if resolved not in _INSTANCES:
         raise ValueError(f"no replay for {axiom}")
@@ -312,7 +308,7 @@ def replay_witness(
     if walk != _NO_F and witness.f is None:
         return False  # a one-event witness names no instance of a pair postulate
     frame, g = model.frame, witness.g
-    found = instance(frame.sup, frame.belief[i], witness.e, witness.f)
+    found = instance(frame.sup, frame.belief[s], witness.e, witness.f)
     if found is None:
         return False
     y, x, both = found
@@ -344,14 +340,13 @@ class LemmaReport:
         }
 
 
-def audit_lemma_inclusion(model: Model, s: int | str) -> LemmaReport:
-    """For every nonempty definable E: believers of the changed set must
-    include every expansion believer — event side: B(s)∩E ⊆ C(Sup(E)).
-    Events with B(s)∩E = ∅ pass vacuously (the expansion is inconsistent
-    and contains everything)."""
-    i = model.frame.index(s) if isinstance(s, str) else s
+def audit_lemma_inclusion(model: Model, s: int) -> LemmaReport:
+    """For every nonempty definable E: believers of the changed set at state
+    index s must include every expansion believer — event side:
+    B(s)∩E ⊆ C(Sup(E)).  Events with B(s)∩E = ∅ pass vacuously (the
+    expansion is inconsistent and contains everything)."""
     ctx = ModelContext.of(model)
-    return LemmaReport(tuple(_violations(ctx, AxiomId.R3, model.frame.belief[i])))
+    return LemmaReport(tuple(_violations(ctx, AxiomId.R3, model.frame.belief[s])))
 
 
 @dataclass(frozen=True)
@@ -366,19 +361,18 @@ class Km8Report:
         return obj
 
 
-def audit_km8(model: Model, w: int | str) -> Km8Report:
-    """Identity between the two quantifier bases for membership after change:
-    rows drawn from the believed worlds B(w) versus rows drawn from every
-    world satisfying the belief set (the cell closure of B(w)).  Requires a
-    uniform belief map; on canonically-valued models the two coincide, and a
-    corrupted valuation that merges an outside world into a believed cell
-    breaks the identity."""
+def audit_km8(model: Model, w: int) -> Km8Report:
+    """Identity between the two quantifier bases for membership after change
+    at state index w: rows drawn from the believed worlds B(w) versus rows
+    drawn from every world satisfying the belief set (the cell closure of
+    B(w)).  Requires a uniform belief map; on canonically-valued models the
+    two coincide, and a corrupted valuation that merges an outside world
+    into a believed cell breaks the identity."""
     frame = model.frame
     if len(set(frame.belief)) != 1:
         raise PreconditionError("belief worlds must not vary across states")
-    i = frame.index(w) if isinstance(w, str) else w
     ctx = ModelContext.of(model)
-    b = frame.belief[i]
+    b = frame.belief[w]
     kk = cell_closure(model, b, ctx.cell_masks)
     for e in ctx.definable:
         if frame.sup(b, e) != frame.sup(kk, e):
@@ -433,11 +427,12 @@ class _OracleContext:
 
 def axiom_status_via_formulas(
     model: Model,
-    s: int | str,
+    s: int,
     axiom: AxiomId,
     formulas: Sequence[Formula] | None = None,
 ) -> Status:
-    """Decide a postulate by quantifying over an explicit formula pool.
+    """Decide a postulate at state index s by quantifying over an explicit
+    formula pool.
 
     Membership after change is per-believed-row selection containment;
     expansion membership is belief∩event containment.  This route never
@@ -452,12 +447,11 @@ def axiom_status_via_formulas(
     states with equal beliefs and the aliases R2, R7 cost a lookup.
     """
     frame = model.frame
-    i = frame.index(s) if isinstance(s, str) else s
-    b = frame.belief[i]
+    b = frame.belief[s]
     resolved = ALIASES.get(axiom, axiom)
     if resolved in _EXTENSION_ONLY:
         return Status.NOT_APPLICABLE
-    if resolved in _COMPLETE_ONLY and not is_complete_at(model, i):
+    if resolved in _COMPLETE_ONLY and not is_complete_at(model, s):
         return Status.NOT_APPLICABLE
     if formulas is None:
         formulas = _default_pool(model.atom_names)

@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from random import Random
 
@@ -56,8 +55,6 @@ from .limits import (
 )
 from .properties import FrameClass, PropertyId, check_class, check_property
 
-MAX_STATES_ENV = "DOXATEST_MAX_STATES"
-
 
 def _norm(selector: str) -> str:
     return selector.strip().upper().replace("-", "_")
@@ -68,27 +65,13 @@ def _fail_usage(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _resolve_max_states(flag: int | None) -> int:
-    if flag is not None:
-        value = flag
-    elif os.environ.get(MAX_STATES_ENV):
-        raw = os.environ[MAX_STATES_ENV]
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _fail_usage(f"{MAX_STATES_ENV} must be an integer, got {raw!r}")
-    else:
-        value = DEFAULT_MAX_STATES
-    if value < 1:
-        raise _fail_usage("size bound must be positive")
-    return value
-
-
 def _load(path: str):
+    """The structure in ``path`` and its frame."""
     try:
-        return load_structure(path)
+        structure = load_structure(path)
     except DoxatestError as exc:
         raise _fail_usage(f"{path}: {exc}")
+    return structure, structure.frame if isinstance(structure, Model) else structure
 
 
 def _text_lines(value, indent: int = 0) -> list[str]:
@@ -152,6 +135,14 @@ FORMAT_OPTION = click.option(
     help="Report rendering.",
 )
 
+COMPLETE_OPTION = click.option(
+    "--complete",
+    "completion",
+    type=click.Choice(["default"]),
+    help="Fill missing selection entries first, by the default rule (the only "
+    "rule): {s} when s is in the event, else the event's lowest-index state.",
+)
+
 
 class _Commands(click.Group):
     """The command group: a `DoxatestError` from any command is an input
@@ -174,8 +165,7 @@ def main() -> None:
 @FORMAT_OPTION
 def validate(path: str, fmt: str) -> None:
     """Validate a frame or model file against the structural rules."""
-    structure = _load(path)
-    frame = structure.frame if isinstance(structure, Model) else structure
+    _, frame = _load(path)
     violations = validate_frame(frame)
     report = {
         "command": "validate",
@@ -192,21 +182,21 @@ def validate(path: str, fmt: str) -> None:
 @click.option("--property", "prop", help="Single frame property (e.g. PD57-strong).")
 @click.option("--axiom", help="Change postulate to check at --state on a model.")
 @click.option("--state", help="State id for axiom checks.")
-@click.option("--complete", "completion", help="Fill missing selection entries by rule first.")
-@click.option("--max-states", type=int, default=None,
+@COMPLETE_OPTION
+@click.option("--max-states", type=click.IntRange(1), default=DEFAULT_MAX_STATES,
+              show_default=True, envvar="DOXATEST_MAX_STATES",
               help="Exhaustive-check size bound: states for --property, --class "
-              "and --complete, cells for --axiom.")
+              "and --complete, cells for --axiom.  Read from DOXATEST_MAX_STATES "
+              "when the flag is not given.")
 @FORMAT_OPTION
 def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
     """Check one property, one class recipe, or one postulate."""
     chosen = [x for x in (frame_class, prop, axiom) if x]
     if len(chosen) != 1:
         raise _fail_usage("pass exactly one of --class, --property, --axiom")
-    bound = _resolve_max_states(max_states)
-    structure = _load(path)
-    frame = structure.frame if isinstance(structure, Model) else structure
+    structure, frame = _load(path)
     if completion is not None:
-        frame = complete_selection(frame, rule=completion, max_states=bound)
+        frame = complete_selection(frame, max_states=max_states)
         if isinstance(structure, Model):
             structure = Model(frame, structure.valuation)
 
@@ -214,14 +204,14 @@ def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
         name = _norm(prop)
         if name not in PropertyId.__members__:
             raise _fail_usage(f"unknown property {prop!r}")
-        verdict = check_property(frame, PropertyId[name], max_states=bound)
+        verdict = check_property(frame, PropertyId[name], max_states=max_states)
         report = {"command": "check", "mode": "property", **verdict.to_obj(frame)}
         ok = verdict.holds
     elif frame_class is not None:
         name = _norm(frame_class)
         if name not in FrameClass.__members__:
             raise _fail_usage(f"unknown frame class {frame_class!r}")
-        result = check_class(frame, FrameClass[name], max_states=bound)
+        result = check_class(frame, FrameClass[name], max_states=max_states)
         report = {"command": "check", "mode": "class", **result.to_obj(frame)}
         ok = result.holds
     else:
@@ -232,10 +222,8 @@ def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
             raise _fail_usage("axiom checks need a model file with a valuation")
         if state is None:
             raise _fail_usage("axiom checks need --state")
-        if state not in frame.states:
-            raise _fail_usage(f"unknown state {state!r}")
         verdict = axiom_holds(
-            structure, frame.index(state), AxiomId[name], max_cells=bound
+            structure, frame.index(state), AxiomId[name], max_cells=max_states
         )
         report = {
             "command": "check",
@@ -265,9 +253,7 @@ def correspond(path, enum_states, pairs, atom_budget, seed, fmt):
         raise _fail_usage("pass a frame file or --enumerate N, not both")
     chosen_pairs = _parse_pairs(pairs)
     if path is not None:
-        structure = _load(path)
-        frame = structure.frame if isinstance(structure, Model) else structure
-        frames = [frame]
+        frames = [_load(path)[1]]
     else:
         n = enum_states
         refuse_beyond(n, EXHAUSTIVE_STATE_LIMIT, "states in an exhaustive enumeration")
@@ -313,10 +299,11 @@ ATOM_NAMES = ("p", "q", "r", "s")
 
 
 @main.command()
-@click.option("--atoms", type=int, required=True, help="Language size (1-4 atoms).")
+@click.option("--atoms", type=click.IntRange(1, ATOM_LIMIT), required=True,
+              help="Language size (1-4 atoms).")
 @click.option("--kind", required=True,
               help="Generator family: update, strong-update, or revision.")
-@click.option("--trials", type=int, default=20, show_default=True)
+@click.option("--trials", type=click.IntRange(1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @FORMAT_OPTION
 def roundtrip(atoms, kind, trials, seed, fmt):
@@ -324,10 +311,6 @@ def roundtrip(atoms, kind, trials, seed, fmt):
     kind_name = _norm(kind)
     if kind_name not in KIND_SETTINGS:
         raise _fail_usage(f"unknown kind {kind!r}; expected update, strong-update or revision")
-    if not 1 <= atoms <= ATOM_LIMIT:
-        raise _fail_usage(f"--atoms must be between 1 and {ATOM_LIMIT}")
-    if trials < 1:
-        raise _fail_usage("--trials must be positive")
     frame_class, total = KIND_SETTINGS[kind_name]
     suite = EXPECTED_SUITE[frame_class]
     ctx = WorldContext(ATOM_NAMES[:atoms])
@@ -368,20 +351,16 @@ def roundtrip(atoms, kind, trials, seed, fmt):
 @click.option("--formula", "formula_text", required=True, help="Input formula.")
 @click.option("--probe", "probes", multiple=True,
               help="Formula to test for membership in the conditional beliefs.")
-@click.option("--complete", "completion", help="Fill missing selection entries by rule first.")
+@COMPLETE_OPTION
 @FORMAT_OPTION
 def ri(path, state, formula_text, probes, completion, fmt):
     """Show conditional beliefs at a state, reading acceptance off selection."""
-    structure = _load(path)
+    structure, frame = _load(path)
     if not isinstance(structure, Model):
         raise _fail_usage("conditional-belief reports need a model file with a valuation")
     if completion is not None:
-        structure = Model(
-            complete_selection(structure.frame, rule=completion), structure.valuation
-        )
-    frame = structure.frame
-    if state not in frame.states:
-        raise _fail_usage(f"unknown state {state!r}")
+        frame = complete_selection(frame)
+        structure = Model(frame, structure.valuation)
     s = frame.index(state)
     phi = parse_formula(formula_text)
     phi_worlds = truth_set(structure, phi)

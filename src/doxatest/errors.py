@@ -48,9 +48,5 @@ class UnfaithfulOrderError(DoxatestError):
     """A plausibility order does not respect the belief set it is meant to encode."""
 
 
-class UnknownRuleError(DoxatestError):
-    """A completion rule id is not registered."""
-
-
 class PreconditionError(DoxatestError):
     """An audit was run on a structure that does not meet its precondition."""

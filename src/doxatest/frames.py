@@ -21,12 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    InputFormatError,
-    UndefinedSelectionError,
-    UnknownAtomError,
-    UnknownRuleError,
-)
+from .errors import InputFormatError, UndefinedSelectionError, UnknownAtomError
 from .formulas import ATOM_RE, Classification, Formula, Implies, classify, denote
 from .limits import COMPLETION_STATE_LIMIT, DEFAULT_MAX_CELLS, refuse_beyond
 
@@ -248,27 +243,17 @@ def _default_rule(s: int, event: Event) -> Event:
     return event & -event  # lowest-index member
 
 
-COMPLETION_RULES = {"default": _default_rule}
-
-
-def complete_selection(
-    frame: Frame, rule: str = "default", max_states: int = COMPLETION_STATE_LIMIT
-) -> Frame:
-    """Fill every missing (state, nonempty event) selection entry by rule.
-
-    The ``default`` rule picks {s} when s is in the event and otherwise the
+def complete_selection(frame: Frame, max_states: int = COMPLETION_STATE_LIMIT) -> Frame:
+    """Fill every missing (state, nonempty event) selection entry by the
+    default rule, the only one: {s} when s is in the event and otherwise the
     lowest-index member, which satisfies all frame invariants.
     """
-    try:
-        fn = COMPLETION_RULES[rule]
-    except KeyError:
-        raise UnknownRuleError(f"unknown completion rule {rule!r}") from None
     refuse_beyond(frame.n, max_states, "states in a selection completion")
     filled = dict(frame.selection)
     for s in range(frame.n):
         for event in range(1, frame.full + 1):
             if (s, event) not in filled:
-                filled[(s, event)] = fn(s, event)
+                filled[(s, event)] = _default_rule(s, event)
     return Frame(frame.states, frame.belief, filled)
 
 
@@ -324,13 +309,12 @@ def definable_events(
     them realizes quantification over formulas."""
     cs = cells(model) if cell_masks is None else cell_masks
     refuse_beyond(len(cs), max_cells, "cells in the definable events")
-    out = []
-    for choice in range(1, 1 << len(cs)):
-        ev = 0
-        for j in bits(choice):
-            ev |= cs[j]
-        out.append(ev)
-    return out
+    # entry `choice` of the doubled list is the union of the cells at the set
+    # bits of `choice`
+    out = [0]
+    for c in cs:
+        out += [x | c for x in out]
+    return out[1:]
 
 
 # ---------------------------------------------------------------------------

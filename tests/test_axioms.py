@@ -56,7 +56,7 @@ def model_on(n, belief, valuation, selection=None):
 
 def test_pointed_states_are_complete():
     m = model_on(2, [0b01, 0b10], {"p": 0b01})
-    assert is_complete_at(m, 0) and is_complete_at(m, "s1")
+    assert is_complete_at(m, 0) and is_complete_at(m, m.frame.index("s1"))
 
 
 def test_completeness_follows_cells():

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import doxatest
 from doxatest.cli import main
@@ -249,6 +251,10 @@ def test_check_selector_validation(runner, files):
     )
     assert both.exit_code == 2
     assert "exactly one" in both.stderr
+    # `default` is the only completion rule
+    assert runner.invoke(
+        main, ["check", SEPARATION, "--property", "PD2", "--complete", "nope"]
+    ).exit_code == 2
 
 
 @pytest.mark.parametrize(
@@ -318,6 +324,14 @@ def test_max_states_flag_beats_environment(runner):
         env={"DOXATEST_MAX_STATES": "abc"},
     )
     assert broken.exit_code == 2
+
+    # an empty variable counts as unset: the default bound, 8, applies
+    unset = runner.invoke(
+        main,
+        ["check", SEPARATION, "--property", "PD2", "--complete", "default"],
+        env={"DOXATEST_MAX_STATES": ""},
+    )
+    assert unset.exit_code == 0
 
 
 # --- correspond ---
@@ -535,6 +549,87 @@ def test_ri_deep_formula_exits_two_without_traceback(files, option, deep):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "deeper than" in result.stderr
+
+
+# --- exit contract ---
+
+
+DATA_FILES = sorted(os.path.join("tests", "data", name) for name in os.listdir("tests/data"))
+JUNK = ["", " ", "abc", "-", "--", "1.5", "0x3", "1e3", "\u00e9", "nope", "None", "[]"]
+ANY_VALUE = st.integers(-2, 20).map(str) | st.sampled_from(JUNK + DATA_FILES) | st.text(max_size=4)
+# values each option accepts, drawn three times in four so that the runs
+# reach verdicts as well as usage errors
+GOOD_VALUES = {
+    "--class": ["update", "strong-update", "revision-strict", "revision-def12"],
+    "--property": ["base", "pd2", "PD57-strong", "pd6", "PD7", "pd9", "pr4", "PR8"],
+    "--axiom": ["D1", "d2", "D5", "D7", "r3", "R8", "D3", "D0"],
+    "--state": ["s0", "s1"],
+    "--complete": ["default"],
+    "--max-states": ["2", "8", "12"],
+    "--kind": ["update", "strong-update", "revision"],
+    "--formula": ["p", "p | q", "!p", "p & !p", "p -> q"],
+    "--probe": ["q", "!p", "p | !p", "r"],
+    "--pairs": ["all", "PR4:R4", "PD2,PD9:D9", "PR8"],
+    "--atom-budget": ["1", "2", "3"],
+    "--seed": ["0", "7"],
+    "--enumerate": ["1", "2"],
+    "--trials": ["1", "2"],
+    "--atoms": ["1", "2", "3"],
+}
+# the work each run may do is bounded: at most 3 enumerated states, 2 trials,
+# and no 4-atom round trip (about a second per trial)
+BOUNDED = {"--enumerate": range(-2, 4), "--trials": range(-2, 3), "--atoms": (-2, 0, 1, 3, 5, 20)}
+# (options always given, with one of the first group's; options that may be given)
+COMMAND_OPTIONS = {
+    "validate": ((), ()),
+    "check": (("--class", "--property", "--axiom"),
+              ("--class", "--complete", "--complete", "--max-states")),
+    "roundtrip": (("--atoms",), ("--kind", "--trials", "--seed")),
+    "ri": (("--formula",), ("--state", "--probe", "--probe", "--complete")),
+    "correspond": ((), ("--enumerate", "--pairs", "--atom-budget", "--seed")),
+}
+
+
+def _value(draw, option):
+    if draw(st.integers(0, 3)):
+        return draw(st.sampled_from(GOOD_VALUES[option]))
+    if option in BOUNDED:
+        return draw(st.sampled_from([str(k) for k in BOUNDED[option]] + JUNK))
+    return draw(ANY_VALUE)
+
+
+def _argv(draw, command, model_path):
+    argv = [command]
+    if command != "roundtrip" and draw(st.integers(0, 7)):
+        paths = [model_path] * len(DATA_FILES) + DATA_FILES + ["/nonexistent.json"]
+        argv.append(draw(st.sampled_from(paths)))
+    first, rest = COMMAND_OPTIONS[command]
+    options = draw(st.lists(st.sampled_from(rest), max_size=3)) if rest else []
+    if first:
+        options.insert(0, draw(st.sampled_from(first)))
+    if command in ("check", "ri") and draw(st.integers(0, 3)):
+        options.append("--state")
+    if command == "roundtrip" and draw(st.integers(0, 3)):
+        options.append("--kind")
+    for option in options:
+        argv += [option, _value(draw, option)]
+    return argv + draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argv_exits_zero_one_or_two(runner, files, command, data):
+    argv = _argv(data.draw, command, files["model2"])
+    bound = data.draw(st.sampled_from([None] * 4 + ["", "abc", "0", "-1", "1", "3", " 5", "8", "20"]))
+    result = runner.invoke(main, argv, env={"DOXATEST_MAX_STATES": bound})
+    assert result.exit_code in (0, 1, 2), (argv, bound, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, bound, repr(result.exception))
+    assert "Traceback" not in result.stdout + result.stderr, (argv, bound)
+    if result.exit_code != 2 and argv[-2:] == ["--format", "json"]:
+        json.loads(result.stdout)
 
 
 # --- shared rendering ---

@@ -11,7 +11,6 @@ from doxatest.errors import (
     SizeLimitError,
     UndefinedSelectionError,
     UnknownAtomError,
-    UnknownRuleError,
 )
 from doxatest.formulas import cn_member, parse_formula
 from doxatest.frames import (
@@ -167,10 +166,6 @@ class TestCompleteSelection:
         assert len(g.selection) == 3 * 7
         assert validate_frame(g) == []
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(UnknownRuleError):
-            complete_selection(frame_of(1, [1]), rule="nope")
-
     def test_size_guard(self):
         f = frame_of(13, [1] * 13)
         with pytest.raises(SizeLimitError):
@@ -231,6 +226,22 @@ class TestCells:
         m = model_of(f, p=0b011)
         evs = definable_events(m)
         assert evs == [0b011, 0b100, 0b111]
+        # the same list, in the same order, as the per-choice loop: entry
+        # `choice` ORs the cells at its set bits; 0-8 cells partitioning 8 states
+        rng = random.Random(7)
+        for k in range(9):
+            blocks = [0] * k
+            for s, j in enumerate(rng.sample(range(8), 8)):
+                if k:
+                    blocks[j if j < k else rng.randrange(k)] |= 1 << s
+            cs = sorted(blocks, key=lambda c: c & -c)
+            want = []
+            for choice in range(1, 1 << k):
+                ev = 0
+                for j in bits(choice):
+                    ev |= cs[j]
+                want.append(ev)
+            assert definable_events(m, cell_masks=cs) == want
 
     def test_closure_is_extensive_monotone_idempotent(self):
         rng = random.Random(3)
