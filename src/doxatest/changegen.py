@@ -701,7 +701,7 @@ def roundtrip_verify(table: ChangeFunctionTable, frame_class: FrameClass) -> Rou
     )
 
 
-# --- random generators and coverage ---
+# --- random generators and brute-force order spaces ---
 
 
 def random_k(rng: Random, ctx: WorldContext) -> Event:
@@ -764,52 +764,3 @@ def _all_order_types(n_worlds: int) -> list[TotalPreOrder]:
         out.append(TotalPreOrder(ranks))
     return out
 
-
-def generator_coverage_report(seed: int = 0, k2_samples: int = 200) -> dict:
-    """How much of the function space the generators reach.
-
-    One atom is small enough to enumerate exhaustively; two atoms are probed
-    with seeded random sampling and reported as distinct-table counts.
-    """
-    ctx1 = WorldContext(("p",))
-    update_tables = set()
-    update_functions = 0
-    for k_mask in range(1, ctx1.full + 1):
-        for family in _all_centered_families(ctx1.n_worlds):
-            table = gen_update(ctx1, k_mask, family)
-            update_functions += 1
-            update_tables.add((k_mask, tuple(sorted(table.as_dict().items()))))
-    revision_tables = set()
-    revision_orders = 0
-    for order in _all_order_types(ctx1.n_worlds):
-        k_mask = order.minimum()
-        table = gen_revision(ctx1, k_mask, order)
-        revision_orders += 1
-        revision_tables.add((k_mask, tuple(sorted(table.as_dict().items()))))
-
-    rng = Random(seed)
-    ctx2 = WorldContext(("p", "q"))
-    partial_seen = set()
-    total_seen = set()
-    revision_seen = set()
-    for _ in range(k2_samples):
-        t = random_update_table(rng, ctx2)
-        partial_seen.add((t.k_mask, tuple(sorted(t.as_dict().items()))))
-        t = random_update_table(rng, ctx2, total=True)
-        total_seen.add((t.k_mask, tuple(sorted(t.as_dict().items()))))
-        t = random_revision_table(rng, ctx2)
-        revision_seen.add((t.k_mask, tuple(sorted(t.as_dict().items()))))
-    return {
-        "oneAtom": {
-            "updateFunctions": update_functions,
-            "updateTables": len(update_tables),
-            "revisionOrders": revision_orders,
-            "revisionTables": len(revision_tables),
-        },
-        "twoAtoms": {
-            "samples": k2_samples,
-            "partialUpdateTables": len(partial_seen),
-            "totalUpdateTables": len(total_seen),
-            "revisionTables": len(revision_seen),
-        },
-    }

@@ -184,10 +184,9 @@ def validate(path: str, fmt: str) -> None:
 @click.option("--state", help="State id for axiom checks.")
 @COMPLETE_OPTION
 @click.option("--max-states", type=click.IntRange(1), default=DEFAULT_MAX_STATES,
-              show_default=True, envvar="DOXATEST_MAX_STATES",
+              show_default=True, envvar="DOXATEST_MAX_STATES", show_envvar=True,
               help="Exhaustive-check size bound: states for --property, --class "
-              "and --complete, cells for --axiom.  Read from DOXATEST_MAX_STATES "
-              "when the flag is not given.")
+              "and --complete, cells for --axiom.")
 @FORMAT_OPTION
 def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
     """Check one property, one class recipe, or one postulate."""

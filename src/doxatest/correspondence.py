@@ -11,9 +11,7 @@ the witness state.
 
 `enumerate_frames` supplies the raw material: either every base-valid frame
 over n states (lazily, the spaces grow doubly exponentially) or a seeded
-random stream.  `def12_gap_probe` searches the territory between the two
-revision recipes, in two exhaustive tiers: frames where the bare revision
-conditions hold but the conjunction condition fails.
+random stream.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .axioms import (
     replay_witness,
 )
 from .errors import DoxatestError, InvalidWitnessError
-from .frames import Frame, Model, _default_rule, cells_of, frame_to_obj, subsets_of
+from .frames import Frame, Model, cells_of, subsets_of
 from .limits import (
     EXHAUSTIVE_STATE_LIMIT,
     EXHAUSTIVE_VALUATION_BITS,
@@ -413,88 +411,3 @@ def build_census(
         },
     }
 
-
-# --- the definition gap probe ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapTier:
-    name: str
-    frames_checked: int
-    members: int  # frames satisfying the bare revision recipe
-    separators: int  # members that nevertheless violate the conjunction law
-    example: Frame | None = None
-
-    def to_obj(self) -> dict:
-        obj: dict = {
-            "tier": self.name,
-            "framesChecked": self.frames_checked,
-            "members": self.members,
-            "separators": self.separators,
-        }
-        if self.example is not None:
-            obj["example"] = frame_to_obj(self.example)
-        return obj
-
-
-@dataclass(frozen=True)
-class GapReport:
-    tiers: tuple[GapTier, ...]
-
-    @property
-    def gap_found(self) -> bool:
-        return any(t.separators for t in self.tiers)
-
-    def to_obj(self) -> dict:
-        return {"gapFound": self.gap_found, "tiers": [t.to_obj() for t in self.tiers]}
-
-
-def _tier_over(name: str, frames) -> GapTier:
-    checked = members = separators = 0
-    example = None
-    for frame in frames:
-        checked += 1
-        if not check_class(frame, FrameClass.REVISION_DEF12).holds:
-            continue
-        members += 1
-        if not check_property(frame, PropertyId.PD57).holds:
-            separators += 1
-            if example is None:
-                example = frame
-    return GapTier(name, checked, members, separators, example)
-
-
-def _pointed_uniform_candidates(n: int) -> Iterator[Frame]:
-    """Frames with every state believing exactly {s0}: only the s0 selection
-    row matters for the revision conditions, and on events containing s0 the
-    base clauses plus the containment condition force the row to {s0} — so
-    only entries at events avoiding s0 are free."""
-    states = tuple(f"s{i}" for i in range(n))
-    full = (1 << n) - 1
-    free_events = [e for e in range(1, full + 1) if not e & 1]
-    choice_lists = [_entry_choices(0, e) for e in free_events]
-    for picks in itertools.product(*choice_lists):
-        selection = {}
-        for e in range(1, full + 1):
-            if e & 1:
-                selection[(0, e)] = 1
-        selection.update(dict(zip([(0, e) for e in free_events], picks)))
-        for s in range(1, n):
-            for e in range(1, full + 1):
-                selection[(s, e)] = _default_rule(s, e)
-        yield Frame(states, (1,) * n, selection)
-
-
-def def12_gap_probe() -> GapReport:
-    """Look for frames meeting the bare revision recipe while violating the
-    conjunction condition, in two exhaustive tiers: every frame on 1-2
-    states, and every uniform-pointed frame on 4 states (the shape where the
-    two recipes can come apart)."""
-    small = itertools.chain(
-        enumerate_frames(FrameGenSpec(states=1)),
-        enumerate_frames(FrameGenSpec(states=2)),
-    )
-    return GapReport((
-        _tier_over("exhaustive-le-2", small),
-        _tier_over("pointed-uniform-4", _pointed_uniform_candidates(4)),
-    ))

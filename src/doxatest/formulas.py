@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import MissingAtomError, ParseError
 from .limits import DEFAULT_ATOM_LIMIT, NESTING_LIMIT, refuse_beyond
 
-ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+# an atom name; the constants' words ``true`` and ``false`` are not atoms
+ATOM_RE = re.compile(r"(?!true\Z|false\Z)[a-z][a-zA-Z0-9_]*\Z")
 
 
 class Formula:

@@ -48,8 +48,8 @@ from doxatest.changegen import (
 from doxatest.correspondence import (
     PAIRS,
     FrameGenSpec,
+    _entry_choices,
     build_census,
-    def12_gap_probe,
     enumerate_frames,
 )
 from doxatest.formulas import (
@@ -421,7 +421,7 @@ def test_05_extension_total_and_matches_consequence_oracle(fleet):
 
 # ------------------------------------------------------------------
 # 6. class inclusions, revision as update made stronger, and the
-#    bare-recipe gap probe
+#    gap between the two revision recipes
 # ------------------------------------------------------------------
 
 
@@ -434,6 +434,19 @@ def _d1_to_d3_tables(ctx: WorldContext, k: int):
         for e, x in zip(free, picks):
             results[e] = x
         yield ChangeFunctionTable(ctx, k, "custom", results)
+
+
+def _pointed_uniform_frames(n: int):
+    """Every frame on n states in which each state believes {s0}.  Only s0's
+    row matters for the revision conditions, and on events containing s0
+    the base clauses and PR4 force it to {s0}, so it is free only on the
+    events avoiding s0; the other rows are the default completion."""
+    states = tuple(f"s{i}" for i in range(n))
+    free = range(2, 1 << n, 2)
+    for picks in itertools.product(*(_entry_choices(0, e) for e in free)):
+        selection = {(0, e): 1 for e in range(1, 1 << n, 2)}
+        selection.update(((0, e), x) for e, x in zip(free, picks))
+        yield complete_selection(Frame(states, (1,) * n, selection))
 
 
 def test_06_class_inclusions_and_recipe_gap_probe(census_corpus, census):
@@ -480,26 +493,29 @@ def test_06_class_inclusions_and_recipe_gap_probe(census_corpus, census):
         assert len(accepted["KM"]) == 22
         assert accepted["KM_STRONG"] == accepted["AGM"] and len(accepted["AGM"]) == 13
 
-    # search for frames meeting the bare revision recipe while violating the
-    # pooled conjunction condition; the outcome is recorded, not asserted
-    probe = def12_gap_probe()
-    census["bareRecipeGapProbe"] = probe.to_obj()
-    for tier in probe.tiers:
-        assert 0 <= tier.separators <= tier.members <= tier.frames_checked
-        if tier.example is not None:
-            assert check_class(tier.example, FrameClass.REVISION_DEF12).holds
-            assert not check_property(tier.example, PropertyId.PD57).holds
-    found = "found" if probe.gap_found else "not found"
-    tiers = ", ".join(
-        f"{t.name}: {t.separators}/{t.members}/{t.frames_checked}" for t in probe.tiers
-    )
+    # the bare revision recipe (REVISION_DEF12) against the conjunction
+    # recipe (REVISION_STRICT, DEF12 plus PD57): no frame on 1-2 states
+    # separates them ...
+    small = [row["classes"] for row in census["frames"] if len(row["states"]) <= 2]
+    assert len(small) == 37
+    bare = [c for c in small if c["REVISION_DEF12"]]
+    assert len(bare) == 19 and all(c["REVISION_STRICT"] for c in bare)
+    # ... but 32 of the 45 pointed-uniform 4-state members fail PD57
+    candidates = list(_pointed_uniform_frames(4))
+    assert len(candidates) == 189
+    members = [f for f in candidates if check_class(f, FrameClass.REVISION_DEF12).holds]
+    separators = [f for f in members if not check_property(f, PropertyId.PD57).holds]
+    assert len(members) == 45 and len(separators) == 32
+    assert separators[0] == load_structure(DATA / "def12_gap.json")
     _line(
         6,
-        "class inclusions hold; revision is update made stronger; gap probe recorded",
+        "class inclusions hold; revision is update made stronger; "
+        "the two revision recipes agree on 1-2 states and part on 4",
         f"{strict} strict-revision, {row_conj} row-conjunction, {priority} priority, "
         f"{conjunction} PR8 frames; {pointed} one-state-belief frames agree, "
         f"{strong_only} strong-update only; per singleton K on 2 atoms, 189 D1-D3 "
-        f"tables, KM 22, KM_STRONG = AGM 13; separators {found} [{tiers}]",
+        f"tables, KM 22, KM_STRONG = AGM 13; REVISION_DEF12 frames failing PD57: "
+        f"0 of 19 on <= 2 states, 32 of 45 of the 189 pointed-uniform on 4",
     )
 
 

@@ -23,7 +23,6 @@ from doxatest.changegen import (
     extract_table,
     gen_revision,
     gen_update,
-    generator_coverage_report,
     random_family,
     random_k,
     random_revision_table,
@@ -350,8 +349,8 @@ def test_custom_table_rejects_bad_documents():
         table_from_obj(dict(obj, entries=[dict(first, result="01")] + obj["entries"][1:]))
     with pytest.raises(InputFormatError, match="list of table entries"):
         table_from_obj(dict(obj, entries={"event": first["event"]}))
-    # a string of letters, non-string names, a missing name
-    for atoms in ("pq", [1, 2], ["p", None]):
+    # a string of letters, non-string names, a missing name, a constant's word
+    for atoms in ("pq", [1, 2], ["p", None], ["p", "true"]):
         with pytest.raises(InputFormatError, match="'atoms' must be a list of atom names"):
             table_from_obj(dict(obj, atoms=atoms))
 
@@ -422,23 +421,6 @@ def test_generated_tables_roundtrip_into_their_classes():
         assert roundtrip_verify(
             random_revision_table(rng, CTX2), FrameClass.REVISION_STRICT
         ).ok
-
-
-def test_coverage_report_frozen():
-    report = generator_coverage_report(seed=0, k2_samples=60)
-    assert report["oneAtom"] == {
-        "updateFunctions": 3,
-        "updateTables": 3,
-        "revisionOrders": 3,
-        "revisionTables": 3,
-    }
-    assert report["twoAtoms"] == {
-        "samples": 60,
-        "partialUpdateTables": 52,
-        "totalUpdateTables": 55,
-        "revisionTables": 32,
-    }
-    assert generator_coverage_report(seed=0, k2_samples=60) == report
 
 
 # --- the audit against a literal reference --------------------------------

@@ -57,6 +57,11 @@ def files(tmp_path_factory):
             fh,
         )
 
+    # a valuation naming an atom with a constant's word
+    paths["reserved"] = str(root / "reserved.json")
+    with open(paths["reserved"], "w") as fh:
+        json.dump(dict(model_to_obj(model), valuation={"true": ["s0"]}), fh)
+
     paths["no_states"] = str(root / "no_states.json")
     with open(paths["no_states"], "w") as fh:
         json.dump({"belief": {}}, fh)
@@ -106,7 +111,8 @@ def test_validate_reports_violating_state(runner, files):
 
 
 def test_validate_input_errors_exit_two(runner, files):
-    for path in (files["no_states"], files["garbage"], files["undecodable"], "/nonexistent.json"):
+    for path in (files["no_states"], files["garbage"], files["undecodable"], files["reserved"],
+                 "/nonexistent.json"):
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 2, path
         assert "error:" in result.stderr
@@ -324,6 +330,8 @@ def test_max_states_flag_beats_environment(runner):
         env={"DOXATEST_MAX_STATES": "abc"},
     )
     assert broken.exit_code == 2
+    # the error names the variable the bad value came from
+    assert "DOXATEST_MAX_STATES" in broken.stderr
 
     # an empty variable counts as unset: the default bound, 8, applies
     unset = runner.invoke(
@@ -511,6 +519,7 @@ def test_ri_input_errors(runner, files):
         ["ri", files["model2"], "--state", "zz", "--formula", "p"],
         ["ri", files["model2"], "--state", "s0", "--formula", "(p &"],
         ["ri", files["model2"], "--state", "s0", "--formula", "r"],
+        ["ri", files["reserved"], "--state", "s0", "--formula", "true"],
     ]
     for args in cases:
         assert runner.invoke(main, args).exit_code == 2, args

@@ -13,13 +13,11 @@ from doxatest.correspondence import (
     CorrespondencePair,
     CorrespondenceReport,
     FrameGenSpec,
-    GapReport,
     Scope,
     build_census,
     build_witness_model,
     correspondence_verdict,
     count_base_tables,
-    def12_gap_probe,
     enumerate_frames,
     pair_for,
     _partitions,
@@ -28,10 +26,8 @@ from doxatest.errors import DoxatestError, InvalidWitnessError, SizeLimitError
 from doxatest.frames import Frame, Model, cells, complete_selection, frame_from_obj, validate_frame
 from doxatest.limits import EXHAUSTIVE_VALUATION_BITS, VALUATION_SAMPLES
 from doxatest.properties import (
-    FrameClass,
     PropertyId,
     PropertyWitness,
-    check_class,
     check_property,
     recheck_witness,
 )
@@ -485,40 +481,3 @@ def test_census_shape_and_counts():
     pd2_report = second["pairs"][0]
     assert pd2_report["propertyHolds"] is False and pd2_report["agrees"] is True
 
-
-# --- the definition gap ---------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def gap_report() -> GapReport:
-    return def12_gap_probe()
-
-
-def test_gap_absent_on_tiny_frames(gap_report):
-    tier = gap_report.tiers[0]
-    assert tier.name == "exhaustive-le-2"
-    assert tier.frames_checked == 37
-    assert tier.members > 0
-    assert tier.separators == 0
-
-
-def test_gap_found_in_pointed_uniform_tier(gap_report):
-    tier = gap_report.tiers[1]
-    assert tier.name == "pointed-uniform-4"
-    assert tier.frames_checked == 189
-    assert tier.separators > 0
-    assert gap_report.gap_found
-    example = tier.example
-    assert example is not None
-    assert validate_frame(example) == []
-    assert check_class(example, FrameClass.REVISION_DEF12).holds
-    assert not check_property(example, PropertyId.PD57).holds
-    # and the separating frame is strictly outside the conjunction recipe
-    assert not check_class(example, FrameClass.REVISION_STRICT).holds
-
-
-def test_gap_report_serializes(gap_report):
-    obj = gap_report.to_obj()
-    assert obj["gapFound"] is True
-    assert [t["tier"] for t in obj["tiers"]] == ["exhaustive-le-2", "pointed-uniform-4"]
-    assert "example" in obj["tiers"][1]

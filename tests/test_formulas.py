@@ -224,6 +224,37 @@ def test_render_parse_round_trip(f):
     assert parse_formula(render(f)) == f
 
 
+# the grammar's tokens, the constants' words and near misses, and characters
+# outside it: a stray '-' or '<', '#', capitals
+_TEXT_TOKENS = ["p", "q", "x_1", "aB", "true", "false", "trueish", "!", "&", "|",
+                "->", "<->", "(", ")", " ", "-", "<", "#", "P", "Tq"]
+
+
+def _nested(depth: int, parens: int, closed: bool) -> str:
+    """`depth` levels of '(' (where `parens` has the bit set) or '!' around
+    "p & q", with every '(' closed or the last one left open."""
+    prefix = "".join("(" if parens >> i & 1 else "!" for i in range(depth))
+    return prefix + "p & q" + ")" * max(prefix.count("(") - (not closed), 0)
+
+
+FORMULA_TEXT = st.one_of(
+    st.lists(st.sampled_from(_TEXT_TOKENS), max_size=24).map("".join),
+    st.text(max_size=30),
+    # '(' and '!' nested 90-130 deep, around NESTING_LIMIT, closed or one short
+    st.builds(_nested, st.integers(90, 130), st.integers(0, (1 << 130) - 1), st.booleans()),
+)
+
+
+@given(FORMULA_TEXT)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_formula_text_parses_or_raises_parse_error(text):
+    try:
+        f = parse_formula(text)
+    except ParseError:
+        return
+    assert parse_formula(render(f)) == f
+
+
 @given(formula_strategy(), formula_strategy())
 @settings(max_examples=100, deadline=None)
 def test_definitional_identities_extensional(a, b):

@@ -544,10 +544,12 @@ class TestJson:
         assert str(info.value) == message
 
     def test_bad_atom_name_rejected(self):
-        obj = self.frame_obj()
-        obj["valuation"] = {"Q": ["s0"]}
-        with pytest.raises(InputFormatError, match="atom"):
-            model_from_obj(obj)
+        # the constants' words too: `--formula true` would not read the atom
+        for name in ("Q", "true", "false"):
+            obj = self.frame_obj()
+            obj["valuation"] = {name: ["s0"]}
+            with pytest.raises(InputFormatError, match="atom"):
+                model_from_obj(obj)
 
     def test_load_structure_from_file(self, tmp_path):
         path = tmp_path / "frame.json"
