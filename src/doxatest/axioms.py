@@ -4,12 +4,12 @@ Within one model, every formula denotes a definable event (a union of
 valuation cells), so quantifying over "all formulas" collapses to quantifying
 over definable events, and equality of two belief sets collapses to equality
 of the cell closures of their supports.  Each postulate is written once, as
-an instance function in `_INSTANCES`, and three readers share it: the
-event-level reduction behind `axiom_holds`, `replay_witness`, and the lemma
-audit.  The reduction walks only the pairs (E, F) that can hold a
-postulate's first failing instance: F >= E for D6 and D7, and the definable
-subsets of E for D5/R7, D9 and R8 wherever Sup(b, E) ⊆ E (`_violations`
-has the proof), so of a pair postulate only the first violation is exact.
+an instance function in `_INSTANCES`, and two readers share it: the
+event-level reduction behind `axiom_holds`, and `replay_witness`.  The
+reduction walks only the pairs (E, F) that can hold a postulate's first
+failing instance: F >= E for D6 and D7, and the definable subsets of E for
+D5/R7, D9 and R8 wherever Sup(b, E) ⊆ E (`_violations` has the proof), so
+of a pair postulate only the first violation is exact.
 `axiom_holds` keeps the first witness per (belief set, postulate) on its
 `ModelContext`, so states with equal beliefs, the aliases R2 and R7, and R8
 next to D9 at a complete belief set are decided once.  A belief set is the
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
-from .errors import PreconditionError
 from .formulas import Formula, semantic_pool
 from .frames import Frame, Model, bits, cell_closure, cells, definable_events, subsets_of, truth_set
 from .limits import DEFAULT_MAX_CELLS
@@ -206,8 +205,7 @@ def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitn
     F runs only over the pairs that can hold the first failing instance, so
     for a pair postulate the first witness, and on a partial frame the first
     missing row, are those of the scan over every pair; the later witnesses
-    are some of that scan's, not all.  The one-event postulates list every
-    instance (R3's in `audit_lemma_inclusion`).
+    are some of that scan's, not all.
 
     - F >= E (D6, D7): both instances are symmetric in (E, F), so a failing
       (E, F) with F < E comes after the failing (F, E).  The first E's row is
@@ -317,67 +315,6 @@ def replay_witness(model: Model, s: int, axiom: AxiomId, witness: AxiomWitness) 
         return not y & ~g and bool(x & ~g)
 
     return breaks(y, x) or (both and breaks(x, y))
-
-
-# --- audits ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    """Change-then-expand containment sweep: the changed belief set must
-    extend the expanded one at every nonempty definable event."""
-
-    violations: tuple[AxiomWitness, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_obj(self, model: Model) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [w.to_obj(model) for w in self.violations],
-        }
-
-
-def audit_lemma_inclusion(model: Model, s: int) -> LemmaReport:
-    """For every nonempty definable E: believers of the changed set at state
-    index s must include every expansion believer — event side:
-    B(s)∩E ⊆ C(Sup(E)).  Events with B(s)∩E = ∅ pass vacuously (the
-    expansion is inconsistent and contains everything)."""
-    ctx = ModelContext.of(model)
-    return LemmaReport(tuple(_violations(ctx, AxiomId.R3, model.frame.belief[s])))
-
-
-@dataclass(frozen=True)
-class Km8Report:
-    holds: bool
-    witness_event: int | None = None
-
-    def to_obj(self, model: Model) -> dict:
-        obj: dict = {"holds": self.holds}
-        if self.witness_event is not None:
-            obj["witness"] = {"E": list(model.frame.event_ids(self.witness_event))}
-        return obj
-
-
-def audit_km8(model: Model, w: int) -> Km8Report:
-    """Identity between the two quantifier bases for membership after change
-    at state index w: rows drawn from the believed worlds B(w) versus rows
-    drawn from every world satisfying the belief set (the cell closure of
-    B(w)).  Requires a uniform belief map; on canonically-valued models the
-    two coincide, and a corrupted valuation that merges an outside world
-    into a believed cell breaks the identity."""
-    frame = model.frame
-    if len(set(frame.belief)) != 1:
-        raise PreconditionError("belief worlds must not vary across states")
-    ctx = ModelContext.of(model)
-    b = frame.belief[w]
-    kk = cell_closure(model, b, ctx.cell_masks)
-    for e in ctx.definable:
-        if frame.sup(b, e) != frame.sup(kk, e):
-            return Km8Report(False, e)
-    return Km8Report(True)
 
 
 # --- independent formula-level oracle -------------------------------------

@@ -46,7 +46,3 @@ class InvalidWitnessError(DoxatestError):
 
 class UnfaithfulOrderError(DoxatestError):
     """A plausibility order does not respect the belief set it is meant to encode."""
-
-
-class PreconditionError(DoxatestError):
-    """An audit was run on a structure that does not meet its precondition."""

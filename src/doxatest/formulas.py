@@ -31,25 +31,9 @@ ATOM_RE = re.compile(r"(?!true\Z|false\Z)[a-z][a-zA-Z0-9_]*\Z")
 
 
 class Formula:
-    """Base class for formula nodes.  ``~``, ``&``, ``|`` and ``>>`` build
-    negation, conjunction, disjunction and implication."""
+    """Base class for formula nodes; `render` prints one."""
 
     __slots__ = ()
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 @dataclass(frozen=True)
@@ -189,10 +173,10 @@ def truth_vector(formula: Formula, names: Sequence[str]) -> int:
     return _denote_covered(formula, *_assignment_space(names))
 
 
-def classify(formula: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> Classification:
+def classify(formula: Formula) -> Classification:
     """Decide tautology / contradiction / contingent by truth table."""
     names = sorted(atoms(formula))
-    refuse_beyond(len(names), atom_limit, "atoms in a truth table")
+    refuse_beyond(len(names), DEFAULT_ATOM_LIMIT, "atoms in a truth table")
     columns, full = _assignment_space(names)
     vector = denote(formula, columns, full)
     if vector == full:
@@ -200,15 +184,7 @@ def classify(formula: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> Classifi
     return Classification.CONTRADICTION if vector == 0 else Classification.CONTINGENT
 
 
-def is_tautology(formula: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> bool:
-    return classify(formula, atom_limit) is Classification.TAUTOLOGY
-
-
-def cn_member(
-    premises: Iterable[Formula],
-    conclusion: Formula,
-    atom_limit: int = DEFAULT_ATOM_LIMIT,
-) -> bool:
+def cn_member(premises: Iterable[Formula], conclusion: Formula) -> bool:
     """Classical consequence over finite premise sets, decided semantically:
     no assignment satisfies every premise and falsifies the conclusion.
 
@@ -220,7 +196,7 @@ def cn_member(
     for p in premises:
         names |= atoms(p)
     ordered = sorted(names)
-    refuse_beyond(len(ordered), atom_limit, "atoms in a truth table")
+    refuse_beyond(len(ordered), DEFAULT_ATOM_LIMIT, "atoms in a truth table")
     columns, full = _assignment_space(ordered)
     satisfied = full
     for p in premises:

@@ -364,13 +364,6 @@ def ri_support(model: Model, s: int, event: Event) -> BeliefRepr:
     return BeliefRepr(model, support_of(model, s, event))
 
 
-def expansion_member(model: Model, s: int, phi: Formula, psi: Formula) -> bool:
-    """Whether psi is in the expansion of the belief set at s by phi:
-    B(s) intersected with the truth set of phi supports psi."""
-    b = model.frame.belief[s]
-    return (b & truth_set(model, phi)) & ~truth_set(model, psi) == 0
-
-
 def _truth_set_total(model: Model, formula: Formula) -> Event:
     """Truth set under the totalized valuation: atoms the model leaves
     uninterpreted hold nowhere.  Keeps `extended_member` total on arbitrary

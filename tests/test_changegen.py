@@ -6,6 +6,8 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doxatest import changegen
 from doxatest.axioms import AxiomId, Status
@@ -353,6 +355,79 @@ def test_custom_table_rejects_bad_documents():
     for atoms in ("pq", [1, 2], ["p", None], ["p", "true"]):
         with pytest.raises(InputFormatError, match="'atoms' must be a list of atom names"):
             table_from_obj(dict(obj, atoms=atoms))
+
+
+# Faults planted in a valid table document, up to three.
+_TABLE_FAULTS = (
+    "drop-field", "retype-field", "retype-entry", "unknown-world", "bad-atom",
+    "wide-atoms", "drop-entry", "duplicate-entry", "empty-event",
+)
+_NON_LABELS = st.one_of(
+    st.none(), st.integers(-2, 2), st.booleans(), st.text(max_size=3), st.just({"a": 1}), st.just([["01"]])
+)
+
+
+@st.composite
+def table_documents(draw):
+    ctx = WorldContext(("p", "q", "r")[: draw(st.integers(1, 3))])
+    rng = Random(draw(st.integers(0, 2**16)))
+    results = [0] + [rng.randrange(ctx.full + 1) for _ in range(ctx.full)]
+    obj = ChangeFunctionTable(ctx, draw(st.integers(1, ctx.full)), "custom", results).to_obj()
+    for fault in draw(st.lists(st.sampled_from(_TABLE_FAULTS), max_size=3)):
+        atoms, entries = obj.get("atoms"), obj.get("entries")
+        if fault == "drop-field":
+            obj.pop(draw(st.sampled_from(["atoms", "K", "entries"])), None)
+        elif fault == "retype-field":
+            obj[draw(st.sampled_from(["atoms", "K", "entries"]))] = draw(_NON_LABELS)
+        elif fault in ("bad-atom", "wide-atoms"):
+            if not isinstance(atoms, list):
+                continue
+            if fault == "wide-atoms":  # refused before the entries are read
+                obj["atoms"] = [f"a{i}" for i in range(draw(st.integers(4, 6)))]
+            else:
+                bad = st.sampled_from(["Q", "1p", "", "true", "false", *atoms])
+                obj["atoms"] = [*atoms[:-1], draw(bad)]
+        elif not isinstance(entries, list) or not entries:
+            continue
+        else:
+            obj["entries"] = entries = list(entries)
+            j = draw(st.integers(0, len(entries) - 1))
+            if not isinstance(entries[j], dict):
+                continue  # already replaced by a non-object
+            entry = entries[j] = dict(entries[j])
+            if fault == "retype-entry":
+                if draw(st.booleans()):
+                    entries[j] = draw(_NON_LABELS)
+                else:
+                    entry.pop(draw(st.sampled_from(["event", "result"])), None)
+            elif fault == "unknown-world":
+                label = draw(st.sampled_from(["2", "", "0x", "0000"]) | _NON_LABELS)
+                if draw(st.booleans()):
+                    obj["K"] = [label]
+                else:
+                    key = draw(st.sampled_from(["event", "result"]))
+                    entry[key] = [*entry.get(key, []), label]
+            elif fault == "drop-entry":
+                del entries[j]
+            elif fault == "duplicate-entry":
+                entries.append(entry)
+            else:
+                entry["event"] = []
+    return obj
+
+
+@given(table_documents())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_table_documents_load_or_raise_input_format_error(obj):
+    try:
+        table = table_from_obj(json.loads(json.dumps(obj)))
+    except InputFormatError:
+        return
+    except SizeLimitError:
+        assert len(obj["atoms"]) > 3
+        return
+    again = table_from_obj(table.to_obj())
+    assert (again.ctx, again.k_mask, again.results) == (table.ctx, table.k_mask, table.results)
 
 
 def test_corrupted_custom_table_fails_roundtrip():

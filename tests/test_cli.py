@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -16,6 +17,7 @@ from doxatest.cli import main
 from doxatest.frames import Frame, Model, complete_selection, frame_to_obj, model_to_obj
 
 SEPARATION = "tests/data/pd57_separation.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -387,23 +389,6 @@ def test_correspond_usage_errors(runner, files):
     assert "37933056" in runner.invoke(main, ["correspond", "--enumerate", "3"]).stderr
 
 
-@pytest.mark.parametrize(
-    "budget, digest",
-    [
-        (1, "a22a615091dcfaecd8b0b4cef75311e0"),
-        (2, "237b97dff8d25e995db5aa71bfd8107c"),
-        (3, "3f4427a327f45b4075dab8f58d9e366d"),
-    ],
-)
-def test_correspond_enumerate_two_bytes_are_frozen(runner, budget, digest):
-    # the census bytes as the valuation sweep wrote them, before it was
-    # decided per cell partition
-    args = ["correspond", "--enumerate", "2", "--atom-budget", str(budget), "--format", "json"]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0
-    assert hashlib.md5(result.stdout_bytes).hexdigest() == digest
-
-
 def test_correspond_repeat_is_byte_identical(runner):
     args = ["correspond", "--enumerate", "2", "--seed", "3", "--format", "json"]
     first = runner.invoke(main, args)
@@ -563,7 +548,9 @@ def test_ri_deep_formula_exits_two_without_traceback(files, option, deep):
 # --- exit contract ---
 
 
-DATA_FILES = sorted(os.path.join("tests", "data", name) for name in os.listdir("tests/data"))
+DATA_FILES = sorted(
+    os.path.join("tests", "data", name) for name in os.listdir("tests/data") if name.endswith(".json")
+)
 JUNK = ["", " ", "abc", "-", "--", "1.5", "0x3", "1e3", "\u00e9", "nope", "None", "[]"]
 ANY_VALUE = st.integers(-2, 20).map(str) | st.sampled_from(JUNK + DATA_FILES) | st.text(max_size=4)
 # values each option accepts, drawn three times in four so that the runs
@@ -639,6 +626,28 @@ def test_every_argv_exits_zero_one_or_two(runner, files, command, data):
     assert "Traceback" not in result.stdout + result.stderr, (argv, bound)
     if result.exit_code != 2 and argv[-2:] == ["--format", "json"]:
         json.loads(result.stdout)
+
+
+# --- frozen console output ---
+
+
+def _tier1_pins():
+    """The rows of tests/data/console_pins.txt not marked CI-only, as
+    (exit code, md5 of stdout, argv)."""
+    rows = []
+    for line in (ROOT / "tests" / "data" / "console_pins.txt").read_text().splitlines():
+        if line.startswith("all "):
+            _, code, digest, *argv = line.split()
+            rows.append(pytest.param(int(code), digest, argv, id=f"{argv[0]}-{digest}"))
+    return rows
+
+
+@pytest.mark.parametrize("code, digest, argv", _tier1_pins())
+def test_console_output_is_frozen(runner, monkeypatch, code, digest, argv):
+    monkeypatch.chdir(ROOT)  # the table's paths are relative to the repository
+    result = runner.invoke(main, argv)
+    assert result.exit_code == code
+    assert hashlib.md5(result.stdout_bytes).hexdigest() == digest
 
 
 # --- shared rendering ---

@@ -23,7 +23,6 @@ from doxatest.frames import (
     cells,
     complete_selection,
     definable_events,
-    expansion_member,
     extended_member,
     frame_from_obj,
     frame_to_obj,
@@ -361,26 +360,6 @@ class TestSupports:
         assert raised > 1000, raised
 
 
-class TestExpansion:
-    def test_member(self):
-        f = frame_of(4, [0b0110] * 4)
-        m = model_of(f, p=0b1100, q=0b0100)
-        # B={s1,s2}, phi={s2,s3} -> intersection {s2} inside q
-        assert expansion_member(m, 0, parse_formula("p"), parse_formula("q"))
-
-    def test_non_member(self):
-        f = frame_of(4, [0b0110] * 4)
-        m = model_of(f, p=0b1100, q=0b1000)
-        assert not expansion_member(m, 0, parse_formula("p"), parse_formula("q"))
-
-    def test_inconsistent_expansion_contains_everything(self):
-        f = frame_of(2, [0b01] * 2)
-        m = model_of(f, p=0b10, q=0b00)
-        # B and phi disjoint: the expansion is the inconsistent belief set
-        assert expansion_member(m, 0, parse_formula("p"), parse_formula("q"))
-        assert expansion_member(m, 0, parse_formula("p"), parse_formula("!q"))
-
-
 class TestExtendedMember:
     def test_nonempty_input_uses_selection(self):
         f = frame_of(2, [0b10, 0b01], complete=True)
@@ -677,3 +656,60 @@ def test_loader_matches_the_field_by_field_reference(obj):
             return str(exc)
 
     assert outcome(frame_from_obj) == outcome(_reference_frame_from_obj)
+
+
+# Faults planted in a valid model document, up to three.
+_MODEL_FAULTS = ("drop-field", "retype-field", "unknown-state", "bad-atom", "reserved-atom")
+_MODEL_FIELDS = ("states", "belief", "selection", "valuation")
+_BAD_ATOMS = ("Q", "1p", "", "p q", "p-", "_p", "p\n", "é")
+_NON_FIELDS = st.one_of(_NON_IDS, st.text(max_size=3), st.just([["s0"]]))
+
+
+@st.composite
+def model_documents(draw):
+    n = draw(st.integers(1, 4))
+    full = (1 << n) - 1
+    masks = st.integers(0, full)
+    selection = {
+        (draw(st.integers(0, n - 1)), draw(st.integers(1, full))): draw(masks)
+        for _ in range(draw(st.integers(0, 6)))
+    }
+    frame = Frame(tuple(f"s{i}" for i in range(n)), tuple(draw(masks) for _ in range(n)), selection)
+    atoms = draw(st.lists(st.sampled_from(["p", "q", "r1", "long_name"]), max_size=3, unique=True))
+    obj = model_to_obj(Model(frame, {atom: draw(masks) for atom in atoms}))
+    for fault in draw(st.lists(st.sampled_from(_MODEL_FAULTS), max_size=3)):
+        valuation = obj.get("valuation")
+        if fault == "drop-field":
+            obj.pop(draw(st.sampled_from(_MODEL_FIELDS)), None)
+        elif fault == "retype-field":
+            if isinstance(valuation, dict) and valuation and draw(st.booleans()):
+                valuation[draw(st.sampled_from(sorted(valuation)))] = draw(_NON_FIELDS)
+            else:
+                obj[draw(st.sampled_from(_MODEL_FIELDS))] = draw(_NON_FIELDS)
+        elif fault == "unknown-state":
+            # an unknown id in a valuation or belief list, or as a belief key
+            belief = obj.get("belief")
+            slots = [
+                (part, key)
+                for part in (valuation, belief) if isinstance(part, dict)
+                for key, ids in part.items() if isinstance(ids, list)
+            ]
+            if isinstance(belief, dict) and (not slots or draw(st.booleans())):
+                belief["zz"] = []
+            elif slots:
+                part, key = draw(st.sampled_from(slots))
+                part[key] = part[key] + ["zz"]
+        elif isinstance(valuation, dict):
+            names = _BAD_ATOMS if fault == "bad-atom" else ("true", "false")
+            valuation[draw(st.sampled_from(names))] = ["s0"]
+    return obj
+
+
+@given(model_documents())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_model_documents_load_or_raise_input_format_error(obj):
+    try:
+        model = model_from_obj(json.loads(json.dumps(obj)))
+    except InputFormatError:
+        return
+    assert model_from_obj(model_to_obj(model)) == model
