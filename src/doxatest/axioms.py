@@ -139,7 +139,7 @@ class ModelContext:
     ) -> "ModelContext":
         if cell_masks is None:
             cell_masks = cells(model)
-        definable = definable_events(model, max_cells, cell_masks=cell_masks)
+        definable = definable_events(cell_masks, max_cells)
         return cls(model, cell_masks, definable)
 
 
@@ -236,11 +236,11 @@ def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitn
             if found is None:
                 continue
             y, x, both = found
-            g = cell_closure(ctx.model, y, ctx.cell_masks)
+            g = cell_closure(y, ctx.cell_masks)
             if x & ~g:
                 yield AxiomWitness(e=e, f=f, g=g)
             elif both:
-                g = cell_closure(ctx.model, x, ctx.cell_masks)
+                g = cell_closure(x, ctx.cell_masks)
                 if y & ~g:
                     yield AxiomWitness(e=e, f=f, g=g)
 

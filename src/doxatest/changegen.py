@@ -37,7 +37,7 @@ from random import Random
 
 from .axioms import AxiomId, Status
 from .errors import InputFormatError, UnfaithfulOrderError
-from .formulas import ATOM_RE, Atom, Formula, truth_vector
+from .formulas import ATOM_RE, Atom, truth_vector
 from .frames import (
     Event,
     Frame,
@@ -95,17 +95,10 @@ class WorldContext:
     def labels(self, event: Event) -> list[str]:
         return [self.label(w) for w in bits(event)]
 
-    def assignment(self, w: int) -> dict[str, bool]:
-        return {a: bool((w >> (self.k - 1 - i)) & 1) for i, a in enumerate(self.atoms)}
-
     def atom_worlds(self, i: int) -> Event:
-        """Worlds at which atom number i is true."""
-        return self.truth_worlds(Atom(self.atoms[i]))
-
-    def truth_worlds(self, formula: Formula) -> Event:
-        """Worlds at which the formula is true: its truth vector over the
-        atoms, since worlds are numbered in `assignments` order."""
-        return truth_vector(formula, self.atoms)
+        """Worlds at which atom number i is true: its truth vector over the
+        atoms, since world w is the assignment that reads w in binary."""
+        return truth_vector(Atom(self.atoms[i]), self.atoms)
 
 
 def _fill_minima(below: Sequence[int]) -> list[Event]:
@@ -138,10 +131,6 @@ class TotalPreOrder:
     @property
     def n_worlds(self) -> int:
         return len(self.ranks)
-
-    def minimum(self) -> Event:
-        """The globally most plausible worlds."""
-        return self.minima()[-1]
 
     def minima(self) -> list[Event]:
         """The most plausible worlds of every event, indexed by its mask."""
@@ -201,23 +190,11 @@ class PreOrderFamily:
     def n_worlds(self) -> int:
         return len(self.le)
 
-    def leq(self, w: int, x: int, y: int) -> bool:
-        """Whether x is at least as plausible as y from the standpoint of w."""
-        return bool((self.le[w][x] >> y) & 1)
-
     def validate(self) -> None:
         for w, rows in enumerate(self.le):
             fault = _order_fault(rows, w, self.n_worlds)
             if fault is not None:
                 raise UnfaithfulOrderError(f"order at world {w} {fault}")
-
-    def is_total_at(self, w: int) -> bool:
-        rows = self.le[w]
-        return all(
-            self.leq(w, x, y) or self.leq(w, y, x)
-            for x in range(len(rows))
-            for y in range(x + 1, len(rows))
-        )
 
     def minima(self, w: int) -> list[Event]:
         """The most plausible worlds of every event from the standpoint of w,

@@ -37,11 +37,10 @@ from .formulas import parse_formula, render
 from .frames import (
     Model,
     bits,
-    belief_support,
     complete_selection,
     extended_member,
     load_structure,
-    ri_support,
+    support_of,
     truth_set,
     validate_frame,
 )
@@ -368,11 +367,11 @@ def ri(path, state, formula_text, probes, completion, fmt):
     probe_worlds = [truth_set(structure, probe) for probe in probe_formulas]
 
     if phi_worlds:
-        support = ri_support(structure, s, phi_worlds)
+        support = support_of(structure, s, phi_worlds)
         conditional = {
             "formula": render(phi),
             "branch": "selection",
-            "support": list(support.support_ids()),
+            "support": list(frame.event_ids(support)),
         }
     else:
         conditional = {
@@ -385,13 +384,13 @@ def ri(path, state, formula_text, probes, completion, fmt):
         member = extended_member(structure, s, phi, probe)
         entry = {"formula": render(probe), "member": member}
         if phi_worlds and not member:
-            outside = support.support & ~worlds
+            outside = support & ~worlds
             entry["separatingState"] = frame.states[next(bits(outside))]
         probe_objs.append(entry)
     report = {
         "command": "ri",
         "state": state,
-        "belief": list(belief_support(structure, s).support_ids()),
+        "belief": list(frame.event_ids(frame.belief[s])),
         "conditional": conditional,
         "probes": probe_objs,
     }

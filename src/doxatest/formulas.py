@@ -10,9 +10,8 @@ The same fold serves every universe.  Over a model's states it gives truth
 sets (`doxatest.frames.truth_set`); over the assignment space of an atom
 list it gives packed truth tables (`truth_vector`), from which tautology,
 contradiction and finite-premise consequence are read off exactly
-(`classify`, `cn_member`); over a single assignment it is evaluation
-(`eval_formula`).  Truth tables are guarded by an atom limit, and the
-parser by a nesting limit.
+(`classify`, `cn_member`).  Truth tables are guarded by an atom limit, and
+the parser by a nesting limit.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingAtomError, ParseError
 from .limits import DEFAULT_ATOM_LIMIT, NESTING_LIMIT, refuse_beyond
@@ -129,30 +128,11 @@ def denote(formula: Formula, columns: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _denote_covered(formula: Formula, columns: Mapping[str, int], full: int) -> int:
-    try:
-        return denote(formula, columns, full)
-    except KeyError as exc:
-        raise MissingAtomError(f"assignment does not cover atom {exc.args[0]!r}") from None
-
-
-def eval_formula(formula: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Evaluate under a total truth assignment: the one-state universe."""
-    columns = {name: 1 if value else 0 for name, value in assignment.items()}
-    return _denote_covered(formula, columns, 1) == 1
-
-
-def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
-    """All truth assignments over ``names``, in binary counting order with the
-    first name as the most significant bit."""
-    n = len(names)
-    for word in range(1 << n):
-        yield {name: bool((word >> (n - 1 - i)) & 1) for i, name in enumerate(names)}
-
-
 def _assignment_space(names: Sequence[str]) -> tuple[dict[str, int], int]:
-    """Atom columns over the assignments of ``names`` (bit w is assignment w
-    in `assignments` order), and the mask of all assignments."""
+    """Atom columns over the assignments of ``names``, and the mask of all
+    assignments.  Bit w is the assignment that reads w in binary with the
+    first name as its most significant bit: name i is true at w iff bit
+    ``len(names) - 1 - i`` of w is set."""
     n = len(names)
     size = 1 << n
     columns = {}
@@ -168,9 +148,14 @@ def _assignment_space(names: Sequence[str]) -> tuple[dict[str, int], int]:
 
 
 def truth_vector(formula: Formula, names: Sequence[str]) -> int:
-    """Truth table of the formula over ``names`` packed into an int, one bit
-    per assignment in `assignments` order."""
-    return _denote_covered(formula, *_assignment_space(names))
+    """Truth table of the formula over ``names`` packed into an int: bit w is
+    its value at the assignment that reads w in binary, the first name the
+    most significant bit.  An atom outside ``names`` raises
+    MissingAtomError."""
+    try:
+        return denote(formula, *_assignment_space(names))
+    except KeyError as exc:
+        raise MissingAtomError(f"assignment does not cover atom {exc.args[0]!r}") from None
 
 
 def classify(formula: Formula) -> Classification:

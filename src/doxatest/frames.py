@@ -7,11 +7,11 @@ a serial belief relation and a *partial* selection table keyed by
 is missing rather than inventing one.  A model adds a valuation mapping atom
 names to events.
 
-The conditional reading implemented by `ri_support`: after receiving input
+The conditional reading implemented by `support_of`: after receiving input
 with truth set E, the agent at state s believes exactly the formulas true
 throughout the union of f(s', E) over the belief-accessible states s'.
-Belief sets are always represented by their support event (`BeliefRepr`):
-a formula is believed iff the support is contained in its truth set.
+A belief set is its support event: a formula is believed iff the support
+is contained in its truth set.
 """
 
 from __future__ import annotations
@@ -137,9 +137,6 @@ class Frame:
         for i in bits(bmask):
             got |= self.sel(i, event)
         return got
-
-    def has_sel(self, s: int, event: Event) -> bool:
-        return (s, event) in self.selection
 
     def event_ids(self, mask: Event) -> tuple[str, ...]:
         return tuple(self.states[i] for i in bits(mask))
@@ -287,11 +284,9 @@ def cells(model: Model) -> tuple[Event, ...]:
     return cells_of(model.valuation.values(), model.frame.full)
 
 
-def cell_closure(model: Model, event: Event, cell_masks: Sequence[Event] | None = None) -> Event:
+def cell_closure(event: Event, cell_masks: Sequence[Event]) -> Event:
     """Smallest definable event containing ``event``: the union of all cells
     it meets."""
-    if cell_masks is None:
-        cell_masks = cells(model)
     out = 0
     for c in cell_masks:
         if c & event:
@@ -299,20 +294,15 @@ def cell_closure(model: Model, event: Event, cell_masks: Sequence[Event] | None 
     return out
 
 
-def definable_events(
-    model: Model,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    cell_masks: Sequence[Event] | None = None,
-) -> list[Event]:
-    """All nonempty unions of cells, ascending as cell-index sets.  Within a
-    model these are exactly the truth sets of formulas, so quantifying over
-    them realizes quantification over formulas."""
-    cs = cells(model) if cell_masks is None else cell_masks
-    refuse_beyond(len(cs), max_cells, "cells in the definable events")
+def definable_events(cell_masks: Sequence[Event], max_cells: int = DEFAULT_MAX_CELLS) -> list[Event]:
+    """All nonempty unions of the cells, ascending as cell-index sets.
+    Within a model these are exactly the truth sets of formulas, so
+    quantifying over them realizes quantification over formulas."""
+    refuse_beyond(len(cell_masks), max_cells, "cells in the definable events")
     # entry `choice` of the doubled list is the union of the cells at the set
     # bits of `choice`
     out = [0]
-    for c in cs:
+    for c in cell_masks:
         out += [x | c for x in out]
     return out[1:]
 
@@ -321,47 +311,11 @@ def definable_events(
 # belief supports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BeliefRepr:
-    """A deductively closed belief set, represented by its support event.
-
-    membership(psi)  iff  support is contained in the truth set of psi.
-    On conforming frames the support is nonempty, making the set consistent.
-    """
-
-    model: Model
-    support: Event
-
-    def member(self, formula: Formula) -> bool:
-        return self.support & ~truth_set(self.model, formula) == 0
-
-    def member_event(self, event: Event) -> bool:
-        return self.support & ~event == 0
-
-    def support_ids(self) -> tuple[str, ...]:
-        return self.model.frame.event_ids(self.support)
-
-
 def support_of(model: Model, s: int, event: Event) -> Event:
-    """Union of f(s', event) over the states s' believed possible at s."""
+    """Union of f(s', event) over the states s' believed possible at s: the
+    belief set at s after an input whose truth set is ``event``.  A missing
+    row raises UndefinedSelectionError naming it."""
     return model.frame.sup(model.frame.belief[s], event)
-
-
-def belief_support(model: Model, s: int) -> BeliefRepr:
-    """The unconditional belief set at s, supported by B(s)."""
-    return BeliefRepr(model, model.frame.belief[s])
-
-
-def ri_support(model: Model, s: int, event: Event) -> BeliefRepr:
-    """The belief set after receiving an input whose truth set is ``event``.
-
-    Requires the event to be nonempty and the selection to be defined at
-    (s', event) for every s' in B(s); a missing entry raises
-    UndefinedSelectionError naming it.
-    """
-    if event == 0:
-        raise ValueError("conditional belief support needs a nonempty event")
-    return BeliefRepr(model, support_of(model, s, event))
 
 
 def _truth_set_total(model: Model, formula: Formula) -> Event:

@@ -518,7 +518,7 @@ def _per_target_status(model, s, axiom, formulas, lazy):
         got = memo.get((event, target))
         if got is None:
             got = memo[event, target] = all(not frame.sel(j, event) & ~target for j in rows)
-            if not all(frame.has_sel(j, event) for j in rows):
+            if not all((j, event) in frame.selection for j in rows):
                 lazy.append((event, target))
         return got
 
@@ -710,7 +710,7 @@ def _first_of_full_scan(model, axiom, b, every_f):
                 continue
             y, x, both = found
             for y, x in ((y, x), (x, y)) if both else ((y, x),):
-                g = cell_closure(model, y, ctx.cell_masks)
+                g = cell_closure(y, ctx.cell_masks)
                 if x & ~g:
                     return axioms.AxiomWitness(e=e, f=f, g=g)
     return None

@@ -39,7 +39,7 @@ from doxatest.errors import (
     SizeLimitError,
     UnfaithfulOrderError,
 )
-from doxatest.formulas import parse_formula
+from doxatest.formulas import parse_formula, truth_vector
 from doxatest.frames import bits, cells, mask_of, subsets_of, validate_frame
 from doxatest.properties import FrameClass, PropertyId, check_class
 
@@ -78,7 +78,6 @@ def test_world_labels_follow_atom_order():
     assert CTX2.atom_worlds(1) == 0b1010  # q true at worlds 01 and 11
     assert CTX2.world("10") == 2
     assert CTX2.labels(0b1001) == ["00", "11"]
-    assert CTX2.assignment(2) == {"p": True, "q": False}
     with pytest.raises(InputFormatError):
         CTX2.world("102")
     with pytest.raises(InputFormatError):
@@ -88,10 +87,12 @@ def test_world_labels_follow_atom_order():
 
 
 def test_truth_worlds_of_formula():
-    assert CTX2.truth_worlds(parse_formula("p & !q")) == 0b0100
-    assert CTX2.truth_worlds(parse_formula("p | q")) == 0b1110
+    # world w is the assignment that reads w in binary: a formula's worlds
+    # are its truth vector over the context's atoms
+    assert truth_vector(parse_formula("p & !q"), CTX2.atoms) == 0b0100
+    assert truth_vector(parse_formula("p | q"), CTX2.atoms) == 0b1110
     with pytest.raises(MissingAtomError):
-        CTX2.truth_worlds(parse_formula("r"))
+        truth_vector(parse_formula("r"), CTX2.atoms)
 
 
 # --- orders ---
@@ -99,7 +100,7 @@ def test_truth_worlds_of_formula():
 
 def test_total_preorder_minima():
     order = TotalPreOrder((2, 0, 0, 1))
-    assert order.minimum() == 0b0110
+    assert order.minima()[-1] == 0b0110
     assert order.minima()[0b1001] == 0b1000
     assert order.minima()[0] == 0
     # every ranking shape up to 4 worlds and seeded rankings up to 16, at
@@ -141,12 +142,22 @@ def test_pareto_builds_genuinely_partial_orders():
         ]
     )
     family.validate()
-    assert not family.is_total_at(0)
-    assert family.is_total_at(1)
-    assert not family.leq(0, 1, 2) and not family.leq(0, 2, 1)
+    assert not _total_at(family, 0)
+    assert _total_at(family, 1)
+    assert not _leq(family, 0, 1, 2) and not _leq(family, 0, 2, 1)
     # with every pair above the center incomparable, nothing gets pruned
     assert family.minima(0)[0b1110] == 0b1110
     assert family.minima(0)[0b1111] == 0b0001
+
+
+def _leq(family, w, x, y):
+    # x is at least as plausible as y from the standpoint of w
+    return bool((family.le[w][x] >> y) & 1)
+
+
+def _total_at(family, w):
+    n = family.n_worlds
+    return all(_leq(family, w, x, y) or _leq(family, w, y, x) for x in range(n) for y in range(x + 1, n))
 
 
 def _literal_minima(family, w):
@@ -156,7 +167,7 @@ def _literal_minima(family, w):
     n = family.n_worlds
     out = [0] * (1 << n)
     for x in range(n):
-        below = mask_of(y for y in range(n) if family.leq(w, y, x) and not family.leq(w, x, y))
+        below = mask_of(y for y in range(n) if _leq(family, w, y, x) and not _leq(family, w, x, y))
         for g in subsets_of((1 << n) - 1 & ~below & ~(1 << x)):
             out[g | 1 << x] |= 1 << x
     return out
@@ -174,7 +185,7 @@ def test_min_of_matches_the_literal_order_definition():
     partial = 0
     for family in families:
         for w in range(family.n_worlds):
-            partial += not family.is_total_at(w)
+            partial += not _total_at(family, w)
             assert family.minima(w) == _literal_minima(family, w), (family.le, w)
     assert len(families) > 60 and partial > 40
 
@@ -279,7 +290,7 @@ def test_canonical_model_shape():
     frame = model.frame
     assert frame.states == ("w00", "w01", "w10", "w11")
     assert frame.belief == (0b0110,) * 4
-    assert frame.has_sel(1, 0b1111) and not frame.has_sel(0, 0b1111)
+    assert (1, 0b1111) in frame.selection and (0, 0b1111) not in frame.selection
     assert model.valuation == {"p": 0b1100, "q": 0b1010}
     assert validate_frame(frame) == []
     assert cells(model) == (1, 2, 4, 8)
@@ -718,7 +729,7 @@ def test_generator_outputs_are_frozen():
         record([ctx.atom_worlds(i) for i in range(k)])
         for _ in range(4):
             record(random_family(rng, ctx, total=True).le)
-            record(random_total_order(rng, ctx, rng.randrange(1, ctx.full + 1)).minimum())
+            record(random_total_order(rng, ctx, rng.randrange(1, ctx.full + 1)).minima()[-1])
             for table, frame_class in (
                 (random_update_table(rng, ctx), FrameClass.UPDATE),
                 (random_update_table(rng, ctx, total=True), FrameClass.STRONG_UPDATE),
@@ -757,7 +768,7 @@ def test_generator_outputs_are_frozen():
     for n in (1, 2, 3):
         record([_valid_single_orders(n, w) for w in range(n)])
     for n in (1, 2, 3, 4):
-        record([[order.ranks, order.minimum()] for order in _all_order_types(n)])
+        record([[order.ranks, order.minima()[-1]] for order in _all_order_types(n)])
     assert digest.hexdigest() == (
         "a1859904775a0db3c987244c3de2a2a4be5bba73a1c5e597e40e7917cc7237a2"
     )

@@ -650,6 +650,27 @@ def test_console_output_is_frozen(runner, monkeypatch, code, digest, argv):
     assert hashlib.md5(result.stdout_bytes).hexdigest() == digest
 
 
+def _readme_block(heading, fence):
+    """The first fenced block opened by ``fence`` under a README heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index(f"\n{heading}\n"):]
+    start = section.index(f"\n{fence}\n") + len(fence) + 2
+    return section[start:section.index("\n```\n", start) + 1]
+
+
+def test_readme_examples_are_the_pinned_files_and_output(runner, monkeypatch):
+    demo = ROOT / "tests" / "data" / "demo_model.json"
+    assert json.loads(_readme_block("## File format", "```json")) == json.loads(demo.read_text())
+    # the `ri` example is the first pinned `ri` row, on that file
+    command, shown = _readme_block("### ri", "```").split("\n", 1)
+    assert command.startswith("$ doxatest ri tests/data/demo_model.json --state s0 ")
+    argv = next(row.values[2] for row in _tier1_pins() if row.values[2][0] == "ri")
+    monkeypatch.chdir(ROOT)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert result.stdout == shown
+
+
 # --- shared rendering ---
 
 

@@ -20,11 +20,9 @@ from doxatest.formulas import (
     Not,
     Or,
     TrueConst,
-    assignments,
     atoms,
     classify,
     cn_member,
-    eval_formula,
     parse_formula,
     render,
     semantic_pool,
@@ -121,8 +119,7 @@ class TestSemantics:
     def test_eval_all_rows_of_transitivity_schema(self):
         # (p->q)->((q->r)->(p->r)) is true in each of the 8 assignments
         f = parse_formula("(p->q)->((q->r)->(p->r))")
-        for a in assignments(["p", "q", "r"]):
-            assert eval_formula(f, a) is True
+        assert truth_vector(f, ["p", "q", "r"]) == 0xFF
 
     def test_classify_tautology(self):
         assert classify(parse_formula("p | !p")) is Classification.TAUTOLOGY
@@ -138,9 +135,7 @@ class TestSemantics:
         assert classify(FALSE) is Classification.CONTRADICTION
 
     def test_missing_atom_raises(self):
-        with pytest.raises(MissingAtomError):
-            eval_formula(And(p, q), {"p": True})
-        with pytest.raises(MissingAtomError):
+        with pytest.raises(MissingAtomError, match="'q'"):
             truth_vector(And(p, q), ["p"])
 
     def test_atom_limit_enforced(self):
@@ -259,20 +254,21 @@ def test_formula_text_parses_or_raises_parse_error(text):
 @settings(max_examples=100, deadline=None)
 def test_definitional_identities_extensional(a, b):
     names = sorted(atoms(a) | atoms(b))
-    for assign in assignments(names):
-        conj = eval_formula(And(a, b), assign)
-        assert conj == eval_formula(Not(Or(Not(a), Not(b))), assign)
-        imp = eval_formula(Implies(a, b), assign)
-        assert imp == eval_formula(Or(Not(a), b), assign)
-        iff = eval_formula(Iff(a, b), assign)
-        assert iff == eval_formula(And(Implies(a, b), Implies(b, a)), assign)
+
+    def table(f):
+        return truth_vector(f, names)
+
+    assert table(And(a, b)) == table(Not(Or(Not(a), Not(b))))
+    assert table(Implies(a, b)) == table(Or(Not(a), b))
+    assert table(Iff(a, b)) == table(And(Implies(a, b), Implies(b, a)))
 
 
 @given(formula_strategy())
 @settings(max_examples=100, deadline=None)
 def test_classify_matches_eval(f):
     names = sorted(atoms(f))
-    values = {reference_eval(f, a) for a in assignments(names)}
+    rows = (dict(zip(names, row)) for row in itertools.product((False, True), repeat=len(names)))
+    values = {reference_eval(f, a) for a in rows}
     c = classify(f)
     if values == {True}:
         assert c is Classification.TAUTOLOGY
@@ -296,9 +292,7 @@ CANONICAL = build_canonical_model(random_revision_table(Random(0), WorldContext(
 def test_denotations_match_reference_evaluator(f):
     values = [reference_eval(f, row) for row in WORLD_ROWS]
     expected = sum(1 << w for w, value in enumerate(values) if value)
-    assert [eval_formula(f, row) for row in WORLD_ROWS] == values
     assert truth_vector(f, WORLD_ATOMS) == expected
-    assert WorldContext(WORLD_ATOMS).truth_worlds(f) == expected
     # canonical state w is world w, so the truth set is the same mask
     assert truth_set(CANONICAL, f) == expected
 

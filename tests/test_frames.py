@@ -14,10 +14,8 @@ from doxatest.errors import (
 )
 from doxatest.formulas import cn_member, parse_formula
 from doxatest.frames import (
-    BeliefRepr,
     Frame,
     Model,
-    belief_support,
     bits,
     cell_closure,
     cells,
@@ -31,9 +29,9 @@ from doxatest.frames import (
     model_from_obj,
     model_to_obj,
     relabel_frame,
-    ri_support,
     structure_from_obj,
     subsets_of,
+    support_of,
     truth_set,
     validate_frame,
 )
@@ -203,7 +201,7 @@ class TestTruthSets:
             m = model_of(f, p=rng.randrange(16), q=rng.randrange(16))
             phi = parse_formula("(p <-> q) | !p")
             ts = truth_set(m, phi)
-            assert cell_closure(m, ts) == ts
+            assert cell_closure(ts, cells(m)) == ts
 
 
 class TestCells:
@@ -212,18 +210,18 @@ class TestCells:
         m = model_of(f, p=0b0101, q=0b0011)  # four distinct (p,q) profiles
         assert cells(m) == (0b0001, 0b0010, 0b0100, 0b1000)
         for ev in range(16):
-            assert cell_closure(m, ev) == ev
+            assert cell_closure(ev, cells(m)) == ev
 
     def test_merged_profiles(self):
         f = frame_of(4, [1] * 4)
         m = model_of(f, p=0b0011)  # s0,s1 share p; s2,s3 share !p
         assert cells(m) == (0b0011, 0b1100)
-        assert cell_closure(m, 0b0001) == 0b0011
+        assert cell_closure(0b0001, cells(m)) == 0b0011
 
     def test_definable_events_are_unions_of_cells(self):
         f = frame_of(3, [1] * 3)
         m = model_of(f, p=0b011)
-        evs = definable_events(m)
+        evs = definable_events(cells(m))
         assert evs == [0b011, 0b100, 0b111]
         # the same list, in the same order, as the per-choice loop: entry
         # `choice` ORs the cells at its set bits; 0-8 cells partitioning 8 states
@@ -240,19 +238,19 @@ class TestCells:
                 for j in bits(choice):
                     ev |= cs[j]
                 want.append(ev)
-            assert definable_events(m, cell_masks=cs) == want
+            assert definable_events(cs) == want
 
     def test_closure_is_extensive_monotone_idempotent(self):
         rng = random.Random(3)
         f = frame_of(5, [1] * 5)
         for _ in range(40):
-            m = model_of(f, p=rng.randrange(32), q=rng.randrange(32))
+            cs = cells(model_of(f, p=rng.randrange(32), q=rng.randrange(32)))
             x = rng.randrange(32)
             y = x | rng.randrange(32)
-            cx = cell_closure(m, x)
+            cx = cell_closure(x, cs)
             assert cx & x == x
-            assert cell_closure(m, y) & cx == cx
-            assert cell_closure(m, cx) == cx
+            assert cell_closure(y, cs) & cx == cx
+            assert cell_closure(cx, cs) == cx
 
 
 # ============================================================
@@ -260,39 +258,20 @@ class TestCells:
 # ============================================================
 
 class TestSupports:
-    def test_belief_support_is_b(self):
-        f = frame_of(3, [0b110, 0b010, 0b100], complete=True)
-        m = model_of(f, p=0b111)
-        assert belief_support(m, 0).support == 0b110
-
     def test_ri_support_unions_selections(self):
         # B(s0)={s1,s2}, f(s1,E)={s3}, f(s2,E)={s4}
         sel = {(1, 0b11000): 0b01000, (2, 0b11000): 0b10000}
         f = frame_of(5, [0b00110, 0b00010, 0b00100, 0b01000, 0b10000], sel)
         m = model_of(f, p=0b11000)
-        got = ri_support(m, 0, 0b11000)
-        assert got.support == 0b11000
+        assert support_of(m, 0, 0b11000) == 0b11000
 
     def test_missing_entry_is_named(self):
         f = frame_of(3, [0b110, 0b010, 0b100], {(1, 0b100): 0b100})
         m = model_of(f, p=0b100)
         with pytest.raises(UndefinedSelectionError) as exc:
-            ri_support(m, 0, 0b100)
+            support_of(m, 0, 0b100)
         assert exc.value.state == "s2"
         assert exc.value.event_ids == ("s2",)
-
-    def test_empty_event_rejected(self):
-        m = model_of(frame_of(1, [1], complete=True), p=1)
-        with pytest.raises(ValueError):
-            ri_support(m, 0, 0)
-
-    def test_membership_via_support(self):
-        f = frame_of(4, [0b0110] * 4, complete=True)
-        m = model_of(f, p=0b0110, q=0b0111)
-        k = belief_support(m, 0)
-        assert k.member(parse_formula("q"))
-        assert not k.member(parse_formula("!p"))
-        assert k.member_event(0b1110)
 
     def test_lemma_style_consistency_and_closure(self):
         # on conforming frames conditional supports are nonempty, and the
@@ -305,13 +284,13 @@ class TestSupports:
             m = model_of(f, p=rng.randrange(1 << n), q=rng.randrange(1 << n))
             s = rng.randrange(n)
             ev = rng.randrange(1, 1 << n)
-            k = ri_support(m, s, ev)
-            assert k.support != 0
+            support = support_of(m, s, ev)
+            assert support != 0
             pool = [parse_formula(t) for t in ("p", "q", "p|q", "p->q", "!p", "q->p")]
-            members = [g for g in pool if k.member(g)]
+            members = [g for g in pool if not support & ~truth_set(m, g)]
             for chi in pool:
                 if cn_member(members, chi):
-                    assert k.member(chi)
+                    assert not support & ~truth_set(m, chi)
 
     def test_sup_matches_the_per_event_loop(self):
         # Frame.sup against the loop it replaced, on seeded 1-5-state frames
