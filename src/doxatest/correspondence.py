@@ -16,17 +16,20 @@ random stream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .axioms import (
+    ALIASES,
     AxiomId,
     AxiomWitness,
     ModelContext,
     Status,
+    _COMPLETE_ONLY,
     axiom_holds,
     replay_witness,
 )
@@ -40,10 +43,10 @@ from .limits import (
     refuse_beyond,
 )
 from .properties import (
+    CLASS_PROPERTIES,
     FrameClass,
     PropertyId,
     PropertyWitness,
-    check_class,
     check_property,
     recheck_witness,
 )
@@ -252,19 +255,21 @@ def _in_scope_states(frame: Frame, pair: CorrespondencePair) -> list[int]:
     return list(range(frame.n))
 
 
-def _partitions(n: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
-    """Each partition of states 0..n-1 into at most `max_blocks` blocks, as
-    block masks sorted by lowest bit (restricted growth strings)."""
+def _partitions(n: int, min_blocks: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
+    """Each partition of states 0..n-1 into `min_blocks` to `max_blocks`
+    blocks, as block masks sorted by lowest bit (restricted growth strings);
+    a branch that can no longer reach `min_blocks` is cut."""
     blocks: list[int] = []
 
     def grow(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(blocks)
             return
-        for j in range(len(blocks)):
-            blocks[j] |= 1 << i
-            yield from grow(i + 1)
-            blocks[j] ^= 1 << i
+        if len(blocks) + n - i > min_blocks:
+            for j in range(len(blocks)):
+                blocks[j] |= 1 << i
+                yield from grow(i + 1)
+                blocks[j] ^= 1 << i
         if len(blocks) < max_blocks:
             blocks.append(1 << i)
             yield from grow(i + 1)
@@ -282,23 +287,38 @@ def correspondence_verdict(
     """Play both directions of one pairing on one frame.
 
     Property holds: the postulate must hold at every in-scope state of every
-    model over `atom_budget` atoms.  A model's definable events, and so its
-    verdict, depend only on its cell partition.  While the valuation space is
-    at most 2^12, each partition of the states into at most 2^atom_budget
-    blocks (at most Bell(n) of them) is decided once, on a representative
-    whose atom k holds on the blocks with bit k set in their index; when all
-    hold, `models_checked` is the size of the valuation space.  When one
-    fails or raises, an ordered scan of the valuations reports the first
-    counterexample, or raises the first error, in valuation order.  Beyond
-    2^12 the scan runs over a seeded sample of 150 valuations.  The scan
-    decides each partition once too, building a model only for a new one.
+    model over `atom_budget` atoms.  A model's verdict depends only on its
+    cell partition.  If P' refines P (each P-cell a union of P'-cells), the
+    postulate fails under P' wherever it fails under P: an instance's
+    (y, x, both) depends only on (b, E, F), P-definable events are
+    P'-definable and cl_P'(y) ⊆ cl_P(y).  Raises go the same way: a P' walk
+    that ends without raising has read every Sup its full pair scan reads
+    (`axioms._violations`), a superset of those P's scan reads.  Each
+    partition into at most 2^atom_budget blocks is refined by one into
+    exactly lo = min(n, 2^atom_budget), so only those are decided, once
+    each, on a representative whose atom k holds on the blocks with bit k
+    set in their index (n <= 2^atom_budget: the discrete partition alone).
+    Except for D7 and D9: they apply only where B(s) lies in one cell, which
+    a coarser partition can grant and a finer deny, so lo = 1 when an
+    in-scope B(s) has two states or more.  When all hold, `models_checked`
+    is the size of the valuation space; when one fails or raises, an
+    ordered scan of the valuations reports the first counterexample, or
+    raises the first error.  Beyond 2^12 the scan runs over a seeded sample
+    of 150 valuations, skipped with its report when lo = n and the discrete
+    partition holds.
 
     Property fails: the witness must convert to a countermodel on which the
     postulate demonstrably fails.
     """
+    return _verdict(frame, pair, functools.partial(check_property, frame), atom_budget, seed)
+
+
+def _verdict(frame: Frame, pair: CorrespondencePair, verdict_of: Callable,
+             atom_budget: int, seed: int) -> CorrespondenceReport:
+    """`correspondence_verdict`, reading property verdicts from `verdict_of`."""
     if not 1 <= atom_budget <= VALUATION_ATOM_LIMIT:
         raise ValueError(f"atom budget must be between 1 and {VALUATION_ATOM_LIMIT}")
-    verdict = check_property(frame, pair.property)
+    verdict = verdict_of(pair.property)
     scope_states = _in_scope_states(frame, pair)
     if not verdict.holds:
         witness_model = build_witness_model(frame, pair, verdict.witness)
@@ -332,9 +352,13 @@ def correspondence_verdict(
             }
         return statuses
 
-    if n * atom_budget <= EXHAUSTIVE_VALUATION_BITS:
+    exhaustive = n * atom_budget <= EXHAUSTIVE_VALUATION_BITS
+    fat = any(frame.belief[i].bit_count() > 1 for i in scope_states)
+    complete_only = ALIASES.get(pair.axiom, pair.axiom) in _COMPLETE_ONLY
+    lo = 1 if fat and complete_only else min(n, 1 << atom_budget)
+    if exhaustive or lo == n:
         try:
-            for blocks in _partitions(n, 1 << atom_budget):
+            for blocks in _partitions(n, lo, 1 << atom_budget):
                 # block j gets sign pattern j: atom k holds on the (disjoint)
                 # blocks whose index has bit k set
                 rep = [sum(c for j, c in enumerate(blocks) if j >> k & 1)
@@ -342,11 +366,11 @@ def correspondence_verdict(
                 if Status.FAILS in statuses_of(rep, blocks).values():
                     break
             else:
-                return CorrespondenceReport(
-                    pair, property_holds=True, agrees=True, models_checked=1 << (n * atom_budget)
-                )
+                checked = 1 << (n * atom_budget) if exhaustive else VALUATION_SAMPLES
+                return CorrespondenceReport(pair, True, True, checked)
         except DoxatestError:
             pass  # the ordered scan raises the first error in valuation order
+    if exhaustive:
         assignments = itertools.product(range(1 << n), repeat=atom_budget)
     else:
         rng = random.Random(seed)
@@ -380,18 +404,20 @@ def build_census(
     seed: int = 0,
     pairs: Sequence[CorrespondencePair] = PAIRS,
 ) -> dict:
-    """Classify each frame and run every pairing on it; stable field order."""
+    """Classify each frame and run every pairing on it; stable field order.
+    Each property is decided once per frame, in the order of the recipes read
+    in full, so a partial frame raises what `check_class` per class would."""
     rows = []
     disagreements = 0
     for idx, frame in enumerate(frames):
+        verdict_of = functools.cache(functools.partial(check_property, frame))
         classes = {
-            cls.value: check_class(frame, cls).holds for cls in FrameClass
+            cls.value: all([verdict_of(pid).holds for pid in CLASS_PROPERTIES[cls]])
+            for cls in FrameClass
         }
         pair_objs = []
         for pair in pairs:
-            report = correspondence_verdict(
-                frame, pair, atom_budget=atom_budget, seed=seed
-            )
+            report = _verdict(frame, pair, verdict_of, atom_budget, seed)
             if not report.agrees:
                 disagreements += 1
             pair_objs.append(report.to_obj(frame))

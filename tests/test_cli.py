@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import doxatest
+from doxatest import cli
 from doxatest.cli import main
 from doxatest.frames import Frame, Model, complete_selection, frame_to_obj, model_to_obj
 
@@ -683,3 +684,33 @@ def test_text_output_renders_the_same_report(runner, files):
     for entry in report["properties"]:
         assert entry["property"] in as_text.output
     assert "holds: yes" in as_text.output
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_text_output_is_the_rendering_of_the_json(runner, files, data):
+    # JSON output sorts its keys, so the text run's report is caught on its
+    # way to the renderer: the text is `_text_lines` of it, and it equals
+    # the JSON output of the same argv
+    command = data.draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = _argv(data.draw, command, files["model2"])
+    if argv[-2:-1] == ["--format"]:
+        argv = argv[:-2]
+    reports, real_emit = [], cli._emit
+
+    def emit(report, fmt):
+        reports.append(report)
+        return real_emit(report, fmt)
+
+    as_json = runner.invoke(main, argv + ["--format", "json"])
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(cli, "_emit", emit)
+        as_text = runner.invoke(main, argv)
+    assert as_text.exit_code == as_json.exit_code, argv
+    if as_text.exit_code == 2:
+        assert as_text.stdout == as_json.stdout == "", argv
+        return
+    [report] = reports
+    assert as_text.stdout == "\n".join(cli._text_lines(report)) + "\n", argv
+    assert json.loads(as_json.stdout) == report, argv

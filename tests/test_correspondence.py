@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from conftest import frame_of
 
+from doxatest import correspondence
 from doxatest.axioms import AxiomId, ModelContext, Status, axiom_holds, replay_witness
 from doxatest.correspondence import (
     ATOM_NAMES,
@@ -26,8 +27,10 @@ from doxatest.errors import DoxatestError, InvalidWitnessError, SizeLimitError
 from doxatest.frames import Frame, Model, cells, complete_selection, frame_from_obj, validate_frame
 from doxatest.limits import EXHAUSTIVE_VALUATION_BITS, VALUATION_SAMPLES
 from doxatest.properties import (
+    FrameClass,
     PropertyId,
     PropertyWitness,
+    check_class,
     check_property,
     recheck_witness,
 )
@@ -326,6 +329,12 @@ MISMATCHED = (
     CorrespondencePair(PropertyId.PD7, AxiomId.D2),
     CorrespondencePair(PropertyId.PD2, AxiomId.D7),
 )
+# the registered D7 and D9 pairs at every state, where a coarser partition
+# can fail while every finest one holds
+UNPOINTED = (
+    CorrespondencePair(PropertyId.PD7, AxiomId.D7),
+    CorrespondencePair(PropertyId.PD9, AxiomId.D9),
+)
 
 
 def test_partition_sweep_matches_the_literal_valuation_sweep():
@@ -347,9 +356,10 @@ def test_partition_sweep_matches_the_literal_valuation_sweep():
         keep = [k for k in sorted(fr.selection) if rng.random() > 0.25]
         frames.append(Frame(fr.states, fr.belief, {k: fr.selection[k] for k in keep}))
     frames += seeded
+    frames += list(enumerate_frames(FrameGenSpec(states=4, mode="random", seed=6, count=3)))[2:]
     early_stops = sweep_errors = refuted = 0
     for frame in frames:
-        for pair in PAIRS + MISMATCHED:
+        for pair in PAIRS + MISMATCHED + UNPOINTED:
             holds = _outcome(lambda: check_property(frame, pair.property).holds)
             if holds is False:
                 # the witness leg sweeps nothing and ignores the budget
@@ -400,6 +410,8 @@ def test_a_one_event_witness_never_replays_a_pair_postulate():
 
 
 def test_a_holding_frame_decides_each_partition_once(monkeypatch):
+    # only the partitions into exactly min(4, 2^budget) blocks: every
+    # coarser one is refined by one of them
     decided = []
     of = ModelContext.of
 
@@ -409,14 +421,32 @@ def test_a_holding_frame_decides_each_partition_once(monkeypatch):
 
     monkeypatch.setattr(ModelContext, "of", staticmethod(spy))
     frame = frame_of(4, [0b0001, 0b0010, 0b0100, 0b1000], complete=True)
-    for budget, partitions in ((1, 8), (2, 15), (3, 15)):
+    for budget, partitions in ((1, 7), (2, 1), (3, 1)):
         for pair in PAIRS:
             decided.clear()
             report = correspondence_verdict(frame, pair, atom_budget=budget)
             assert report.property_holds and report.agrees
             assert report.models_checked == 1 << (4 * budget)
-            assert decided == list(_partitions(4, 1 << budget))
+            assert decided == list(_partitions(4, min(4, 1 << budget), 1 << budget))
             assert len(decided) == partitions
+
+
+def test_an_unpointed_d7_decides_every_partition():
+    # D7 applies only where B(s) lies in one cell: at s0, B = {s1, s3}, the
+    # partition {s0} | {s1, s3} | {s2} applies it and fails, while the
+    # discrete partition, the only one with four blocks, does not apply it
+    frame = list(enumerate_frames(FrameGenSpec(states=4, mode="random", seed=6, count=60)))[2]
+    assert frame.belief == (0b1010, 0b0101, 0b0110, 0b0111)
+    report = correspondence_verdict(frame, UNPOINTED[0], atom_budget=2)
+    assert report.to_obj(frame) == {
+        "property": "PD7",
+        "axiom": "D7",
+        "scope": "all-states",
+        "propertyHolds": True,
+        "agrees": False,
+        "modelsChecked": 21,
+        "counterexample": {"valuation": {"p": ["s0"], "q": ["s2"]}, "s": "s0"},
+    }
 
 
 def _stirling2(n, k):
@@ -438,20 +468,28 @@ def _profile_cells(masks, n):
 
 def test_partitions_are_the_cells_of_every_valuation():
     counts = {}
-    for n in range(1, 5):
+    for n in range(1, 6):
         frame = frame_of(n, [(1 << n) - 1] * n)
         for budget in (1, 2, 3):
-            got = list(_partitions(n, 1 << budget))
-            seen = set()
-            for masks in itertools.product(range(1 << n), repeat=budget):
-                key = cells(Model(frame, dict(zip(ATOM_NAMES, masks))))
-                assert key == _profile_cells(masks, n)
-                seen.add(key)
-            assert len(got) == len(set(got)) and set(got) == seen
-            assert len(got) == sum(_stirling2(n, k) for k in range(1, (1 << budget) + 1))
-            counts[n, budget] = len(got)
-    assert [counts[4, b] for b in (1, 2, 3)] == [8, 15, 15]
-    assert [counts[3, b] for b in (1, 2, 3)] == [4, 5, 5]
+            got = list(_partitions(n, 1, 1 << budget))
+            if n < 5:
+                seen = set()
+                for masks in itertools.product(range(1 << n), repeat=budget):
+                    key = cells(Model(frame, dict(zip(ATOM_NAMES, masks))))
+                    assert key == _profile_cells(masks, n)
+                    seen.add(key)
+                assert len(got) == len(set(got)) and set(got) == seen
+            # the lo-bounded generator cuts the coarser partitions, in order
+            for lo in range(1, n + 1):
+                bounded = list(_partitions(n, lo, 1 << budget))
+                assert bounded == [p for p in got if len(p) >= lo]
+                want = sum(_stirling2(n, k) for k in range(lo, (1 << budget) + 1))
+                assert len(bounded) == want
+                counts[n, budget, lo] = want
+    assert [counts[4, b, 1] for b in (1, 2, 3)] == [8, 15, 15]
+    assert [counts[3, b, 1] for b in (1, 2, 3)] == [4, 5, 5]
+    assert [counts[4, b, min(4, 1 << b)] for b in (1, 2, 3)] == [7, 1, 1]
+    assert [counts[5, b, min(5, 1 << b)] for b in (1, 2, 3)] == [15, 10, 1]
 
 
 # --- census ---------------------------------------------------------------
@@ -481,3 +519,51 @@ def test_census_shape_and_counts():
     pd2_report = second["pairs"][0]
     assert pd2_report["propertyHolds"] is False and pd2_report["agrees"] is True
 
+
+def census_class_by_class(frames, atom_budget, pairs):
+    """The census as `check_class` on each class, then `correspondence_verdict`
+    on each pair, decide it: one property check per recipe entry and pair."""
+    rows, disagreements = [], 0
+    for idx, frame in enumerate(frames):
+        classes = {cls.value: check_class(frame, cls).holds for cls in FrameClass}
+        reports = [correspondence_verdict(frame, pair, atom_budget) for pair in pairs]
+        disagreements += sum(not r.agrees for r in reports)
+        rows.append({"index": idx, "states": list(frame.states), "classes": classes,
+                     "pairs": [r.to_obj(frame) for r in reports]})
+    return {"frames": rows, "summary": {"frameCount": len(rows), "disagreements": disagreements}}
+
+
+def test_census_decides_each_property_once_per_frame(monkeypatch):
+    # seeded 3- and 4-state frames and copies with a tenth of their rows
+    # dropped: the same census, or the same first error, with at most one
+    # check per (frame, property), with the pairs in order and reversed.
+    # On some copies a census that skipped the rest of a recipe once one
+    # property failed would reach another missing row first.
+    complete = []
+    for n, seed in ((3, 60), (4, 65)):
+        complete += list(enumerate_frames(FrameGenSpec(states=n, mode="random", seed=seed, count=5)))
+    rng = random.Random(5)
+    partial = [
+        Frame(fr.states, fr.belief, {k: v for k, v in sorted(fr.selection.items()) if rng.random() > 0.1})
+        for fr in complete
+    ]
+    calls = []
+
+    def spy(frame, pid, **kwargs):
+        calls.append((id(frame), pid))
+        return check_property(frame, pid, **kwargs)
+
+    raised = 0
+    for pairs in (PAIRS, PAIRS[::-1]):
+        for frames in [[fr] for fr in complete + partial] + [complete, partial]:
+            want = _outcome(lambda: census_class_by_class(frames, 2, pairs))
+            calls.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(correspondence, "check_property", spy)
+                got = _outcome(lambda: build_census(frames, atom_budget=2, pairs=pairs))
+            assert got == want, (frames, pairs)
+            assert len(calls) == len(set(calls))
+            raised += isinstance(want, tuple)
+            if not isinstance(want, tuple):
+                assert len(calls) == 8 * len(frames)
+    assert raised >= 8, raised
