@@ -17,6 +17,22 @@ set of formulas true throughout one support event, so closure (D0/R1) and
 irrelevance of syntax (D4/R6) hold by representation on every route,
 without a search.
 
+Lemma.  At b, let R(E) = cl(Sup(b, E)) on the definable events.  For F
+definable, cl(X∩F) = cl(X)∩F (a cell meets X∩F iff it meets X and lies in
+F), and Sup(b, E) ⊆ F iff R(E) ⊆ F.  So an instance fails iff: D1,
+R(E) ⊄ E; D5, R(E)∩F ⊄ R(E∩F); D6, R(E) ⊆ F, R(F) ⊆ E, R(E) ≠ R(F); D7,
+R(E∪F) ⊄ R(E) ∪ R(F); D9/R8, R(E)∩F ≠ ∅ and R(E∩F) ⊄ R(E)∩F.  Under D1
+the one-step rules of KLM (1990) decide these, with cells for worlds, at
+each G = E∖c, c a cell of E (`_holds_by_steps`; G = ∅ passes every rule):
+- D5: R(E)∖c ⊆ R(G).  Down a chain of steps from E to F ⊆ E each cell of
+  R(E)∩F survives; under D1, (E, F) is the pair (E, E∩F).  D7 follows from
+  D5 at (E∪F, E) and (E∪F, F), and D1.
+- D6: c ∩ R(E) = ∅ implies R(G) = R(E).  Chained, R(F) = R(E) if
+  R(E) ⊆ F ⊆ E; if R(E) ⊆ F and R(F) ⊆ E, D1 puts both in E∩F, so both
+  equal R(E∩F), or are empty with it.
+- D9/R8 from D5 and "R(E)∩G ≠ ∅ implies R(G) ⊆ R(E)∩G": down the chain to
+  F, R(Eᵢ) = R(E)∩Eᵢ while R(E)∩F ≠ ∅.  The steps alone are not enough.
+
 `axiom_status_via_formulas` re-decides each postulate by direct
 quantification over a formula pool, as an independent cross-check.  It
 reads no cells and no closures, and it shares no memo or predicate with the
@@ -120,15 +136,16 @@ class AxiomVerdict:
 
 @dataclass
 class ModelContext:
-    """Shared per-model precomputation: cells and definable events, and the
+    """Shared per-model precomputation: cells and definable events, the
     first witness (None when it holds) per (belief set, resolved postulate)
-    that `axiom_holds` has found.  Supports come from the frame's memoized
-    `Frame.sup`."""
+    that `axiom_holds` has found, and per belief set the closure table of
+    `_holds_by_steps`.  Supports come from the frame's memoized `Frame.sup`."""
 
     model: Model
     cell_masks: tuple[int, ...]
     definable: tuple[int, ...]  # nonempty definable events, ascending
     found: dict = field(default_factory=dict, compare=False, repr=False)
+    closures: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(
@@ -205,7 +222,9 @@ def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitn
     F runs only over the pairs that can hold the first failing instance, so
     for a pair postulate the first witness, and on a partial frame the first
     missing row, are those of the scan over every pair; the later witnesses
-    are some of that scan's, not all.
+    are some of that scan's, not all.  `axiom_holds` runs it on a pair
+    postulate only on a failing holds test, whose gate is D1 and every
+    definable row: past it, the scan reads no other Sup and cannot raise.
 
     - F >= E (D6, D7): both instances are symmetric in (E, F), so a failing
       (E, F) with F < E comes after the failing (F, E).  The first E's row is
@@ -245,6 +264,35 @@ def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitn
                     yield AxiomWitness(e=e, f=f, g=g)
 
 
+@functools.lru_cache(maxsize=None)
+def _cell_steps(m: int) -> tuple[tuple[int, int], ...]:
+    """(E, E∖c) for each choice E of m cells and cell c of E."""
+    return tuple((e, e ^ 1 << i) for e in range(1, 1 << m) for i in range(m) if e >> i & 1)
+
+
+def _holds_by_steps(ctx: ModelContext, axiom: AxiomId, b: int) -> bool:
+    """Whether a pair postulate passes the lemma's holds test at b.  R is kept
+    as cell choices, r[j] the cells meeting Sup(b, ctx.definable[j - 1]), or
+    None where the gate fails.  D5's verdict is read from `ctx.found` if known."""
+    if b not in ctx.closures:
+        sups, r = ctx.model.frame.sup_table(b), [0]
+        for e in ctx.definable:
+            if sups[e] & ~e:  # a missing row reads -1, which leaves every event
+                r = None
+                break
+            r.append(sum([1 << i for i, c in enumerate(ctx.cell_masks) if c & sups[e]]))
+        ctx.closures[b] = r
+    r, steps = ctx.closures[b], _cell_steps(len(ctx.cell_masks))
+    if r is None:
+        return False
+    if axiom is AxiomId.D6:
+        return all(r[e] & (e ^ g) or r[e] == r[g] for e, g in steps)
+    key = (b, AxiomId.D5)
+    d5 = ctx.found[key] is None if key in ctx.found else all(not r[e] & g & ~r[g] for e, g in steps)
+    return d5 and (axiom is AxiomId.D5 or axiom is AxiomId.D7 or all(
+        not r[e] & g or not r[g] & ~(r[e] & g) for e, g in steps))
+
+
 _COMPLETE_ONLY = frozenset({AxiomId.D7, AxiomId.D9})
 _STRUCTURAL = frozenset({AxiomId.D0, AxiomId.D4})
 _EXTENSION_ONLY = frozenset({AxiomId.D3, AxiomId.R5})
@@ -263,7 +311,8 @@ def axiom_holds(
     D3/R5 only bite for formulas with no worlds at all, which never denote an
     event inside a model, so they are reported not-applicable here (the
     extension layer owns them).  D7 and D9 are conditions on complete belief
-    states and are not-applicable elsewhere.
+    states and are not-applicable elsewhere.  A pair postulate scans only
+    on a failing holds test (the module's lemma): witnesses are the scan's.
     """
     resolved = ALIASES.get(axiom, axiom)
     if resolved in _EXTENSION_ONLY:
@@ -279,14 +328,7 @@ def axiom_holds(
     key = (model.frame.belief[s], AxiomId.D9 if resolved is AxiomId.R8 else resolved)
     if key in ctx.found:
         witness = ctx.found[key]
-    elif resolved is AxiomId.D7 and all(
-        ctx.found.get((key[0], known), False) is None for known in (AxiomId.D1, AxiomId.D5)
-    ):
-        # D7 holds once D1 and D5 are known to hold at b (never scanned for
-        # here).  With G = E∪F, D1 gives Sup(G) ⊆ G, and D5 at (G, E) and at
-        # (G, F) puts Sup(G)∩E in cl(Sup(E)) and Sup(G)∩F in cl(Sup(F)), so
-        # Sup(G) ⊆ cl(Sup(E) ∪ Sup(F)).  D1 also read Sup(b, ·) at every
-        # definable event, so on a partial frame D7's scan could not raise.
+    elif _INSTANCES[resolved][0] != _NO_F and _holds_by_steps(ctx, resolved, key[0]):
         witness = ctx.found[key] = None
     else:
         witness = ctx.found[key] = next(_violations(ctx, resolved, key[0]), None)

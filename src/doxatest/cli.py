@@ -143,6 +143,20 @@ COMPLETE_OPTION = click.option(
 )
 
 
+class _EnvOption(click.Option):
+    """An option whose usage errors name its variable only if read from it."""
+
+    def consume_value(self, ctx, opts):
+        value, source = super().consume_value(ctx, opts)
+        ctx.set_parameter_source(self.name, source)  # click sets it after the checks
+        return value, source
+
+    def get_error_hint(self, ctx):
+        if ctx and ctx.get_parameter_source(self.name) is click.core.ParameterSource.ENVIRONMENT:
+            return super().get_error_hint(ctx)
+        return click.Parameter.get_error_hint(self, ctx)
+
+
 class _Commands(click.Group):
     """The command group: a `DoxatestError` from any command is an input
     error, reported on stderr with exit code 2."""
@@ -182,8 +196,9 @@ def validate(path: str, fmt: str) -> None:
 @click.option("--axiom", help="Change postulate to check at --state on a model.")
 @click.option("--state", help="State id for axiom checks.")
 @COMPLETE_OPTION
-@click.option("--max-states", type=click.IntRange(1), default=DEFAULT_MAX_STATES,
-              show_default=True, envvar="DOXATEST_MAX_STATES", show_envvar=True,
+@click.option("--max-states", cls=_EnvOption, type=click.IntRange(1),
+              default=DEFAULT_MAX_STATES, show_default=True,
+              envvar="DOXATEST_MAX_STATES", show_envvar=True,
               help="Exhaustive-check size bound: states for --property, --class "
               "and --complete, cells for --axiom.")
 @FORMAT_OPTION

@@ -291,9 +291,11 @@ def correspondence_verdict(
     cell partition.  If P' refines P (each P-cell a union of P'-cells), the
     postulate fails under P' wherever it fails under P: an instance's
     (y, x, both) depends only on (b, E, F), P-definable events are
-    P'-definable and cl_P'(y) ⊆ cl_P(y).  Raises go the same way: a P' walk
-    that ends without raising has read every Sup its full pair scan reads
-    (`axioms._violations`), a superset of those P's scan reads.  Each
+    P'-definable and cl_P'(y) ⊆ cl_P(y).  Raises go the same way: a P'
+    decision that ends without raising has read every Sup its full pair scan
+    reads (`axioms._violations`), or, by a passing holds test, every
+    P'-definable Sup with D1 holding, so D1 holds under P, whose scan then
+    reads only P-definable Sups.  Both cover all that P's decision reads.  Each
     partition into at most 2^atom_budget blocks is refined by one into
     exactly lo = min(n, 2^atom_budget), so only those are decided, once
     each, on a representative whose atom k holds on the blocks with bit k

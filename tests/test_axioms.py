@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from doxatest.axioms import (
     is_complete_at,
     replay_witness,
 )
+from doxatest.changegen import ChangeFunctionTable, WorldContext, build_canonical_model
 from doxatest.errors import (
     DoxatestError,
     SizeLimitError,
@@ -281,35 +283,41 @@ def test_d3_r5_live_in_the_extension_layer():
 
 
 def test_d9_matches_r8_at_complete_states(monkeypatch):
-    # at a complete belief set R8 is D9's scan: one verdict, one witness and
-    # one scan, whichever is asked first
-    scans = []
-    scan = axioms._violations
+    # at a complete belief set R8 is D9's decision: one verdict, one witness
+    # and one decision, whichever is asked first.  A decision is a holds
+    # test, or a scan not right after the test it follows up.
+    calls = []
+    for name in ("_holds_by_steps", "_violations"):
+        def counted(ctx, axiom, b, real=getattr(axioms, name), name=name):
+            calls.append((name, b, axiom))
+            return real(ctx, axiom, b)
 
-    def counted(ctx, axiom, b):
-        scans.append((b, axiom))
-        return scan(ctx, axiom, b)
+        monkeypatch.setattr(axioms, name, counted)
 
-    monkeypatch.setattr(axioms, "_violations", counted)
-    fails = 0
+    def decisions():
+        return [(b, axiom) for k, (name, b, axiom) in enumerate(calls)
+                if k == 0 or calls[k - 1] != ("_holds_by_steps", b, axiom)]
+
+    fails = scanned = 0
     for seed in range(40):
         m = random_model(random.Random(seed), 3, pointed=True)
         order = (AxiomId.D9, AxiomId.R8) if seed % 2 else (AxiomId.R8, AxiomId.D9)
         ctx = ModelContext.of(m)
         for s in range(3):
             assert is_complete_at(m, s)
-            scans.clear()
+            calls.clear()
             first, second = (axiom_holds(m, s, ax, ctx=ctx) for ax in order)
             assert (first.status, first.witness) == (second.status, second.witness)
-            assert len(scans) <= 1
+            assert len(decisions()) <= 1
             fails += first.status is Status.FAILS
-    assert fails >= 10, fails
-    # at an incomplete belief set D9 is not applicable and R8 scans alone
+            scanned += len(calls) == 2
+    assert fails >= 10 and scanned >= fails, (fails, scanned)
+    # at an incomplete belief set D9 is not applicable and R8 is decided alone
     m = model_on(3, [0b011] * 3, {"p": 0b001})
-    scans.clear()
+    calls.clear()
     assert axiom_holds(m, 0, AxiomId.D9).status is Status.NOT_APPLICABLE
     assert axiom_holds(m, 0, AxiomId.R8).status is not Status.NOT_APPLICABLE
-    assert scans == [(0b011, AxiomId.R8)]
+    assert decisions() == [(0b011, AxiomId.R8)]
 
 
 def test_structural_postulates_hold():
@@ -661,7 +669,7 @@ def test_oracle_reads_no_cells_closures_or_frame_supports(monkeypatch):
 
 
 def test_d7_holds_without_a_scan_once_d1_and_d5_hold():
-    # at a complete state, D1 and D5 recorded as holding decide D7; the
+    # at a complete state, D7's holds test reads D5's recorded verdict; the
     # verdict equals a forced scan, and a failing D7 keeps its first witness
     rng = random.Random(29)
     gated = scanned_fails = 0
@@ -685,7 +693,7 @@ def test_d7_holds_without_a_scan_once_d1_and_d5_hold():
                 gated += known
                 scanned_fails += forced is not None
     assert gated >= 250 and scanned_fails >= 70, (gated, scanned_fails)
-    # asked first, D7 runs its own scan and records nothing about D1 or D5
+    # asked first, D7 is decided alone and records nothing about D1 or D5
     m = model_on(2, [0b01, 0b10], {"p": 0b01})
     ctx = ModelContext.of(m)
     assert axiom_holds(m, 0, AxiomId.D7, ctx=ctx).holds
@@ -765,6 +773,77 @@ def test_pair_walks_find_the_full_scans_first_witness():
                     fails += isinstance(want, axioms.AxiomWitness)
     assert calls == 18 * 15 * len(pair_axioms)
     assert fails >= 300 and raised >= 280 and every_f >= 170, (fails, raised, every_f)
+
+
+def test_a_passing_holds_test_means_the_scan_finds_nothing():
+    # D5, R7, D6, D7, D9 and R8 at every state of seeded 1-5-state models
+    # over 1, 2 and 3 atoms, so that some cells hold more than one state: a
+    # third of the frames whole, a third with a tenth of their rows dropped,
+    # a third with a quarter replaced by arbitrary nonempty events.  The
+    # holds test never raises, and when it passes, the pair scan on a fresh
+    # copy of the model finds no witness and raises nothing.  Half the
+    # models record D5 through `axiom_holds` first, so D7 and D9/R8 read
+    # its verdict from the context.
+    rng = random.Random(43)
+    axes = (AxiomId.D5, AxiomId.R7, AxiomId.D6, AxiomId.D7, AxiomId.D9, AxiomId.R8)
+    by_axiom, by_kind, declines, shared = Counter(), Counter(), 0, 0
+    for n in range(1, 6):
+        for k in range(180):
+            fr = random_frame(rng, n, pointed=rng.random() < 0.3)
+            selection = dict(fr.selection)
+            if k % 3 == 1:
+                for key in rng.sample(sorted(selection), max(1, len(selection) // 10)):
+                    del selection[key]
+            elif k % 3 == 2:
+                for key in rng.sample(sorted(selection), max(1, len(selection) // 4)):
+                    selection[key] = rng.randrange(1, fr.full + 1)
+            atoms = ("p", "q", "r")[: 1 + k // 3 % 3]
+            valuation = {a: rng.randrange(fr.full + 1) for a in atoms}
+
+            def model():
+                return Model(frame_of(n, fr.belief, selection), valuation)
+
+            m = model()
+            ctx = ModelContext.of(m)
+            for s in range(n):
+                b = fr.belief[s]
+                if k % 2:
+                    try:
+                        axiom_holds(m, s, AxiomId.D5, ctx=ctx)
+                    except UndefinedSelectionError:
+                        pass
+                for axiom in axes:
+                    resolved = ALIASES.get(axiom, axiom)
+                    shared += (b, AxiomId.D5) in ctx.found and resolved is not AxiomId.D5
+                    if not axioms._holds_by_steps(ctx, resolved, b):
+                        declines += 1
+                        continue
+                    by_axiom[axiom] += 1
+                    by_kind[k % 3] += 1
+                    scan = axioms._violations(ModelContext.of(model()), resolved, b)
+                    assert next(scan, None) is None, (n, k, s, axiom)
+    # floors a little under the counts seen: a weaker test passes less
+    assert declines >= 7800 and shared >= 4200, (declines, shared)
+    seen = {AxiomId.D5: 1356, AxiomId.R7: 1356, AxiomId.D6: 1478, AxiomId.D7: 1356,
+            AxiomId.D9: 1282, AxiomId.R8: 1282}
+    assert all(by_axiom[a] >= 0.97 * seen[a] for a in axes), by_axiom
+    # whole frames, a tenth of the rows dropped, a quarter replaced
+    assert by_kind[0] >= 4000 and by_kind[1] >= 1650 and by_kind[2] >= 2150, by_kind
+    # the canonical model of a 2-atom table that passes every D9 step and
+    # fails D5 and D9: the D9 test needs D5's verdict
+    table = ChangeFunctionTable(
+        WorldContext(("p", "q")), 0b0100, "custom",
+        [0, 1, 2, 1, 4, 1, 2, 1, 8, 1, 8, 9, 8, 13, 8, 13],
+    )
+    m = build_canonical_model(table)
+    ctx = ModelContext.of(m)
+    assert ctx.cell_masks == (1, 2, 4, 8)  # one world per cell: cell choices are events
+    r = [0] + [cell_closure(m.frame.sup(0b0100, e), ctx.cell_masks) for e in ctx.definable]
+    steps = [(e, e & ~(1 << i)) for e in range(1, 16) for i in range(4) if e >> i & 1]
+    assert all(not r[e] & g or not r[g] & ~(r[e] & g) for e, g in steps)
+    for axiom in (AxiomId.D5, AxiomId.D9, AxiomId.R8):
+        assert not axioms._holds_by_steps(ctx, axiom, 0b0100)
+        assert axiom_holds(m, 0, axiom, ctx=ctx).status is Status.FAILS
 
 
 def test_d9_and_r8_raise_at_the_empty_event_on_a_frame_without_success():

@@ -345,6 +345,18 @@ def test_max_states_flag_beats_environment(runner):
     assert unset.exit_code == 0
 
 
+
+def test_max_states_error_names_the_variable_only_when_read_from_it(runner):
+    argv = ["check", SEPARATION, "--property", "PD2"]
+    flag = runner.invoke(main, [*argv, "--max-states", "0"], env={"DOXATEST_MAX_STATES": None})
+    env = runner.invoke(main, argv, env={"DOXATEST_MAX_STATES": "0"})
+    both = runner.invoke(main, [*argv, "--max-states", "0"], env={"DOXATEST_MAX_STATES": "5"})
+    for result in (flag, env, both):
+        assert result.exit_code == 2
+        assert "Invalid value for '--max-states'" in result.stderr
+    assert "DOXATEST_MAX_STATES" not in flag.stderr + both.stderr
+    assert "(env var: 'DOXATEST_MAX_STATES')" in env.stderr
+
 # --- correspond ---
 
 
