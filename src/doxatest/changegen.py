@@ -16,11 +16,13 @@ events (`_fill_minima`) gives the most plausible worlds of each event.
 
 ``audit_function`` then checks the produced table against the change
 postulates by direct set arithmetic on the table, deliberately sharing no
-checking code with the frame-side route in :mod:`doxatest.axioms`.  One
-check table, ``_TABLE_CHECKS``, gives each postulate its test and how F
-runs against E, and one scan reads it for every suite.  When every result
-lies inside its event, the pair checks D5, D6, D7 and D9 first try an exact
-holds test (``_HOLDS_TESTS``) and scan only when it fails.
+checking code with the frame-side route in :mod:`doxatest.axioms`.  The
+audit packs the table into one int, one field per event: a single-event
+check (``_EVENT_CHECKS``) is a few big-int operations on it.  One table,
+``_TABLE_CHECKS``, gives each pair postulate its test and how F runs
+against E, and one scan reads it for every suite.  When every result lies
+inside its event, D5, D6, D7 and D9 first try an exact holds test
+(``_HOLDS_TESTS``, a few operations per world) and scan only on a fail.
 ``build_canonical_model`` and ``roundtrip_verify`` close the loop: rebuild a
 pointed structure from a table and confirm the frame-side machinery classifies
 it as expected and reads the same table back off.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import struct
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from random import Random
@@ -252,8 +255,8 @@ class ChangeFunctionTable:
             refuse_beyond(ctx.k, CUSTOM_ATOM_LIMIT, "atoms in a custom change table")
         if not 0 < k_mask <= ctx.full:
             raise InputFormatError("K must be a nonempty set of worlds")
-        if len(results) != ctx.full + 1:
-            raise ValueError(f"a table over {ctx.k} atoms needs {ctx.full + 1} results")
+        if len(results) != ctx.full + 1 or not 0 <= min(results) <= max(results) <= ctx.full:
+            raise ValueError(f"a table over {ctx.k} atoms needs {ctx.full + 1} world sets")
         self.ctx = ctx
         self.k_mask = k_mask
         self.kind = kind
@@ -394,24 +397,28 @@ AGM_SUITE = (
 )
 SUITES = {"KM": KM_SUITE, "KM_STRONG": KM_STRONG_SUITE, "AGM": AGM_SUITE}
 
-# How F runs in a check: not at all (a check on E alone), over F >= E (the
-# check is symmetric in E and F, so its first failing pair in ascending
-# order has E <= F), or over every event; the last narrows to the subsets
-# of E when D1 holds (each result inside its event), since those checks
-# then read F only through E∩F, which is a subset of E no later than F in
-# ascending order (an empty E∩F passes), so the first failing pair is the
-# same.
-_NO_F, _F_FROM_E, _F_IN_E = range(3)
+# How F runs in a pair check: over F >= E (the check is symmetric in E and
+# F, so its first failing pair in ascending order has E <= F), or over every
+# event; the latter narrows to the subsets of E when D1 holds (each result
+# inside its event), since those checks then read F only through E∩F, which
+# is a subset of E no later than F in ascending order (an empty E∩F passes),
+# so the first failing pair is the same.
+_F_FROM_E, _F_IN_E = range(2)
 
-# Each check reads K, the result map r and the events E, F (None for _NO_F).
-# With D1 holding, D5, D6, D7 and D9 first try the exact holds tests of
-# `_HOLDS_TESTS` below, and scan only on a fail.
+# Single-event checks, each as the packed mask of its violations at every
+# event at once (see `audit_function`): field E of p holds r(E), of ev holds
+# E and of kk holds K, and lift(v) fills every nonzero field of v.  The
+# lowest nonzero field is the first failing E in ascending order.
+_EVENT_CHECKS = {
+    AxiomId.D1: lambda p, ev, kk, lift: p & ~ev,
+    AxiomId.D2: lambda p, ev, kk, lift: lift(p ^ kk) & ~lift(kk & ~ev),
+    AxiomId.R3: lambda p, ev, kk, lift: kk & ev & ~p,
+    AxiomId.R4: lambda p, ev, kk, lift: lift(kk & ev) & p & ~kk,
+    AxiomId.D3: lambda p, ev, kk, lift: lift(ev) & ~lift(p),
+}
+# Each pair check reads K, the result map r and the events E, F; with D1
+# holding, it scans only when its holds test in `_HOLDS_TESTS` fails.
 _TABLE_CHECKS = {
-    AxiomId.D1: (_NO_F, lambda k, r, e, f: not r[e] & ~e),
-    AxiomId.D2: (_NO_F, lambda k, r, e, f: k & ~e != 0 or r[e] == k),
-    AxiomId.R3: (_NO_F, lambda k, r, e, f: not (k & e) & ~r[e]),
-    AxiomId.R4: (_NO_F, lambda k, r, e, f: k & e == 0 or not r[e] & ~k),
-    AxiomId.D3: (_NO_F, lambda k, r, e, f: r[e] != 0),
     AxiomId.D5: (
         _F_IN_E,
         lambda k, r, e, f: not r[e] & f if e & f == 0 else not (r[e] & f) & ~r[e & f],
@@ -442,7 +449,9 @@ _SINGLETON_GATED = {AxiomId.D7, AxiomId.D9}
 # Exact holds tests for four pair checks, tried only when D1 holds: the
 # check holds when its gate check holds and its one-step rule (if any)
 # passes at every step; otherwise its scan decides and reports.  A rule
-# reads r(E), r(G), G and the bit x of one step G = E∖{x} ≠ ∅.
+# maps the steps G = E∖{x} at one world x, at every E ∋ x at once, to the
+# packed mask of their violations: p holds r(E) and g holds r(G) in field
+# E, at holds {x} and rest the other worlds in each field E ∋ x.
 # * D5: r(E)∖{x} ⊆ r(G).  Any F ⊆ E is reached from E by single removals,
 #   and each y ∈ r(E)∩F survives every step.
 # * D6: x ∉ r(E) implies r(G) = r(E).  Chaining the steps from E down to
@@ -457,28 +466,22 @@ _SINGLETON_GATED = {AxiomId.D7, AxiomId.D9}
 #   r(F) = r(E)∩F.  Without D5 the steps are not enough: a 2-atom table can
 #   pass every D9 step and still fail D9.
 # Each rule is also one instance of its check, so a failing step means the
-# check fails too, and the scan finds its first witness.
+# check fails too, and the scan finds its first witness.  A step with
+# G = ∅ passes every rule, as D1 leaves r(E) ⊆ {x} and r(∅) is empty.
 _HOLDS_TESTS = {
-    AxiomId.D5: (None, lambda r_e, r_g, g, x: not r_e & g & ~r_g),
-    AxiomId.D6: (None, lambda r_e, r_g, g, x: r_e & x != 0 or r_g == r_e),
+    AxiomId.D5: (None, lambda p, g, at, rest, lift: p & rest & ~g),
+    AxiomId.D6: (None, lambda p, g, at, rest, lift: (p ^ g) & lift(at & ~p)),
     AxiomId.D7: (AxiomId.D5, None),
-    AxiomId.D9: (AxiomId.D5, lambda r_e, r_g, g, x: not r_e & g or not r_g & ~(r_e & g)),
+    AxiomId.D9: (AxiomId.D5, lambda p, g, at, rest, lift: g & ~(p & rest) & lift(p & rest)),
 }
 
 
-def _every_step_holds(step, res: Sequence[Event], full: Event) -> bool:
-    """Whether a one-step rule holds at every event E and world x ∈ E with
-    E∖{x} nonempty; ``res`` holds the result of every event."""
-    for e in range(1, full + 1):
-        r_e = res[e]
-        rest = e
-        while rest:
-            x = rest & -rest
-            rest ^= x
-            g = e ^ x
-            if g and not step(r_e, res[g], g, x):
-                return False
-    return True
+def _pack(values: Sequence[int], n: int) -> tuple[int, int]:
+    """The values as one int, values[i] in the w bits from bit i·w on, and w,
+    the least of 8, 16, 32 and 64 that holds n bits: a wider value raises."""
+    w = next(w for w in (8, 16, 32, 64) if n <= w)
+    items = struct.pack(f"<{len(values)}{'BHIQ'[w.bit_length() - 4]}", *values)
+    return int.from_bytes(items, "little"), w
 
 
 @dataclass(frozen=True)
@@ -541,22 +544,40 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
     D9) are checked when K is a singleton and reported as not applicable
     otherwise.
 
-    When D1 holds, F runs only over the subsets of E for D5/R7 and D9/R8,
-    and D5/R7, D6, D7 and D9/R8 first run the holds tests of
-    ``_HOLDS_TESTS``: one-step rules in n·2ⁿ steps for n worlds, each
-    comparing r(E) with r(E∖{x}).  D5 and D6 need nothing more; D7 and D9
-    count only when D5 holds, D7 then holding outright.  A check whose test
-    passes holds; otherwise the pair scan decides it, so verdicts and first
-    witnesses are those of the scan.
+    The table is packed into one int p, r(E) in field E (`_pack`), and
+    each single-event check is a few operations on p.  When D1 holds, F
+    runs only over the subsets of E for D5/R7 and D9/R8, and D5/R7, D6, D7
+    and D9/R8 first run the holds tests of ``_HOLDS_TESTS``: one-step rules
+    comparing r(E) with r(E∖{x}) at every E ∋ x at once, a few operations
+    per world x.  D5 and D6 need nothing more; D7 and D9 count only when D5
+    holds, D7 then holding outright.  A check whose test passes holds;
+    otherwise the pair scan decides it, so verdicts and first witnesses are
+    those of the scan.
     """
     suite_key = suite.upper().replace("-", "_")
     if suite_key not in SUITES:
         raise ValueError(f"unknown audit suite {suite!r}; expected one of {sorted(SUITES)}")
     k, res, full = table.k_mask, table.results, table.ctx.full
-    scope = table.events()
-    successful = all(not res[e] & ~e for e in scope)
+    n, scope = table.ctx.n_worlds, table.events()
+    p, w = _pack(res, n)
+    p = p >> w << w  # r(∅) reads empty, whatever results[0] holds
+    ev, _ = _pack(range(full + 1), n)
+    ones = ((1 << w * (full + 1)) - 1) // ((1 << w) - 1)  # bit 0 of every field
+    low = ones * ((1 << w - 1) - 1)
+
+    def lift(v: int) -> int:
+        # (v & low) + low sets the top bit of each field where v has a lower bit set
+        return (((v & low) + low | v) >> w - 1 & ones) * full
+
+    def steps_hold(rule) -> bool:
+        for x in range(n):
+            at = ev & ones << x
+            if rule(p, p << (w << x), at, lift(at) ^ at, lift):
+                return False
+        return True
+
+    successful = not p & ~ev
     seconds = {
-        _NO_F: lambda e: (None,),
         _F_FROM_E: lambda e: range(e, full + 1),
         _F_IN_E: subsets_of if successful else lambda e: scope,
     }
@@ -564,10 +585,13 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
     @functools.cache
     def first_failure(check_id: AxiomId) -> tuple[Event, Event | None] | None:
         """The first (E, F) failing a check in ascending order, or None."""
+        if check_id in _EVENT_CHECKS:
+            v = _EVENT_CHECKS[check_id](p, ev, k * ones, lift)
+            return (((v & -v).bit_length() - 1) // w, None) if v else None
         if successful and check_id in _HOLDS_TESTS:
-            gate, step = _HOLDS_TESTS[check_id]
+            gate, rule = _HOLDS_TESTS[check_id]
             if (gate is None or first_failure(gate) is None) and (
-                step is None or _every_step_holds(step, res, full)
+                rule is None or steps_hold(rule)
             ):
                 return None
         runs, check = _TABLE_CHECKS[check_id]

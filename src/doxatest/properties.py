@@ -20,9 +20,10 @@ first witness (and, on partial frames, the first missing row) unchanged:
   a later state with an already decided B(s) reads the same rows: it holds
   there, or the earlier state already failed or raised.
 - *One row table per belief set.*  A predicate reads only believed rows
-  f(i, ·).  A property with a holds test copies B's table r(E) = Sup(B, E),
-  one list over the events, from `Frame.sup_table`: the memo its scan reads
-  through `Frame.sup`, built once per frame and belief set.
+  f(i, ·).  A property with a holds test packs B's table r(E) = Sup(B, E)
+  into one int, r(E) in the fixed-width field E, from `Frame.sup_table`:
+  the memo its scan reads through `Frame.sup`, built once per frame and
+  belief set.
   Its gate (every believed row is defined, and r(E) ⊆ E at every E) decides
   at each belief set alone whether the next two skips apply.
 - *F through E∩F.*  Past the gate, PD57, PD57_STRONG, PD9 and PR8 read F
@@ -36,23 +37,24 @@ first witness (and, on partial frames, the first missing row) unchanged:
   the scan alone reports.  PD6 and PD7, symmetric in (E, F), always run F
   from E up: their first violation has E ≤ F, and a pair with F < E reads
   no row that the scan has not read at (F, E) or at row E's first pair.
+  Each test costs a few big-int operations per state on the packed table.
   The shapes of the tests:
 
   - Inside (PD57, and PD7 at B = {i}; PD57_STRONG per believed state): no
     G ⊆ E with r(E) ∩ G ⊄ r(G).  Gated (PR8, and PD9, which is PR8 at
     B = {i} and nowhere else): no G ⊆ E with r(E) meeting G and
-    r(G) ⊄ r(E).  One OR over supersets (the zeta transform of the subset
-    lattice, n·2ⁿ⁻¹ steps) decides either: the union of r(E) over E ⊇ G for
-    the inside shape; for the gated one, per state x, the union of ¬r(E)
-    over E ⊇ G with x in r(E).
+    r(G) ⊄ r(E).  An OR over supersets (the zeta transform of the subset
+    lattice, one shifted OR per state) decides either: the union of r(E)
+    over E ⊇ G for the inside shape; for the gated one, one such OR per
+    state x, of the union of ¬r(E) over E ⊇ G with x in r(E).
   - Cumulative (PD6, r = Sup(B, ·)): PD6 is reciprocity, r(E) ⊆ F and
     r(F) ⊆ E imply r(E) = r(F).  Under success it is equivalent to
     cumulativity, r(E) ⊆ G ⊆ E implies r(G) = r(E) (Kraus, Lehmann &
     Magidor 1990): take F = G one way; the other way, r(E) and r(F) both
     lie in G = E∩F, so both equal r(G) (or are ∅ when G is).  Cumulativity
     follows from its one-element steps by removing E \ G one state at a
-    time: r(E \ {x}) = r(E) for each x ∈ E \ r(E) with E \ {x} ≠ ∅, at
-    most n·2ⁿ row comparisons.
+    time: r(E \ {x}) = r(E) for each x ∈ E \ r(E) with E \ {x} ≠ ∅, one
+    comparison of the table with itself shifted per state x.
 
 PD57 is decided through its quantifier-eliminated form: for every pair of
 events E, F with nonempty intersection, each selected-within-E part that
@@ -63,6 +65,8 @@ two can be played against each other on small frames.
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -262,72 +266,83 @@ _CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
 }
 
 
-# Holds tests at one belief set, over a row table r[E] for E = 0..full
-# (r[0] = 0).  Only their "holds" is trusted.
+# Holds tests at one belief set, over the row table r[E] for E = 0..full
+# (r[0] = 0) packed into one int, r(E) in the w bits from bit E·w, w the
+# least of 8, 16, 32 and 64 that holds n bits.  Only "holds" is trusted.
 
 
-def _rows(frame: Frame, b: int) -> list[int] | None:
-    """r(E) = Sup(B, E) at every event, a copy of the `Frame.sup_table` that
-    the scan reads too; None unless every believed row is there and succeeds.
-    A missing row reads -1, which no event contains: the scan raises it or
-    finds a violation first."""
+def _pack(values, w: int) -> int:
+    # little-endian struct items of w bits: a value too wide raises, never cut
+    items = struct.pack(f"<{len(values)}{'BHIQ'[w.bit_length() - 4]}", *values)
+    return int.from_bytes(items, "little")
+
+
+@functools.cache  # a few ints per state count, read at every belief set
+def _grid(n: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """For packed n-state rows: the field width, the packed events (field E
+    holds E), bit 0 of every field, and per state x the fields E ∌ x
+    filled, which `_up` ORs into."""
+    w, ev, ones = max(8, 1 << (n - 1).bit_length()), 0, 1
+    for x in range(n):  # field E + {x} holds E + {x} for every E < {x}
+        ev |= ev + (ones << x) << (w << x)
+        ones |= ones << (w << x)
+    return w, ev, ones, tuple((~ev >> x & ones) * ((1 << n) - 1) for x in range(n))
+
+
+def _rows(frame: Frame, b: int) -> int | None:
+    """r(E) = Sup(B, E) at every event, packed from the `Frame.sup_table`
+    that the scan reads too; None unless every believed row is there and
+    succeeds.  A missing row reads -1: the scan raises it or finds a
+    violation first.  A table of empty rows packs to 0, so test ``is None``."""
     rows = frame.sup_table(b)[:]
     rows[0] = 0
-    return None if any(r & ~e for e, r in enumerate(rows)) else rows
+    if min(rows) < 0:
+        return None
+    w, ev, _, _ = _grid(frame.n)
+    packed = _pack(rows, w)
+    return None if packed & ~ev else packed
 
 
-def _up(table: list[int]) -> list[int]:
-    """OR every entry into the entries at its subsets, in place: table[G]
-    becomes the union over E ⊇ G (one pass per bit)."""
-    bit = 1
-    while bit < len(table):
-        for g in range(len(table)):
-            if not g & bit:
-                table[g] |= table[g | bit]
-        bit <<= 1
-    return table
+def _up(u: int, w: int, outs: tuple[int, ...]) -> int:
+    """Field G of the result is the union of u's fields E ⊇ G: one OR per
+    state x from field G ∪ {x}, masked to the fields G ∌ x by outs[x]."""
+    for x, out in enumerate(outs):
+        u |= u >> (w << x) & out
+    return u
 
 
-def _inside(rows: list[int]) -> bool:
-    up = _up(rows[:])
-    return not any(up[g] & g & ~rows[g] for g in range(1, len(rows)))
+def _inside(p: int, n: int) -> bool:
+    w, ev, _, outs = _grid(n)
+    return not _up(p, w, outs) & ev & ~p
 
 
-def _gated(rows: list[int], n: int) -> bool:
-    # Field x of a packed value is its n bits from bit n·x; spread[m] puts a
-    # 1 in the field of each x in m, so v * spread[m] copies v into them.
-    # Field x of up[G] is the union of ¬r(E) over E ⊇ G with x in r(E).
-    full, spread = len(rows) - 1, [0] * len(rows)
-    for m in range(1, len(rows)):
-        low = m & -m
-        spread[m] = spread[m ^ low] | 1 << n * (low.bit_length() - 1)
-    up = _up([(full ^ r) * spread[r] for r in rows])
-    return not any(up[g] & rows[g] * spread[g] for g in range(1, len(rows)))
+def _gated(p: int, n: int) -> bool:
+    # Per state x: field G of the union is that of ¬r(E) over E ⊇ G with x
+    # in r(E), and it must miss r(G) wherever x is in G.
+    w, _, ones, outs = _grid(n)
+    lifts = ((p >> x & ones) * ((1 << n) - 1) for x in range(n))  # fields with x in r(E)
+    return not any(_up(lift & ~p, w, outs) & p & ~out for lift, out in zip(lifts, outs))
 
 
-def _cumulative(rows: list[int]) -> bool:
-    # One-step cumulativity: r(E \ {x}) = r(E) at each x in E outside r(E),
-    # unless E = {x}.
-    bit = 1
-    while bit < len(rows):
-        for e in range(bit + 1, len(rows)):
-            if e & bit and not rows[e] & bit and rows[e ^ bit] != rows[e]:
-                return False
-        bit <<= 1
-    return True
+def _cumulative(p: int, n: int) -> bool:
+    # One-step cumulativity: r(E \ {x}) = r(E) at each x in E outside r(E);
+    # at E = {x} both are empty.
+    w, ev, ones, _ = _grid(n)
+    full = (1 << n) - 1
+    return not any((p ^ p << (w << x)) & ((ev & ~p) >> x & ones) * full for x in range(n))
 
 
-_HOLDS: dict[PropertyId, Callable[[Frame, int, list[int]], bool]] = {
-    PropertyId.PD57: lambda frame, b, rows: _inside(rows),
+_HOLDS: dict[PropertyId, Callable[[Frame, int, int], bool]] = {
+    PropertyId.PD57: lambda frame, b, rows: _inside(rows, frame.n),
     PropertyId.PD57_STRONG: lambda frame, b, rows: all(
-        _inside(_rows(frame, 1 << i)) for i in bits(b)
+        _inside(_rows(frame, 1 << i), frame.n) for i in bits(b)
     ),
-    PropertyId.PD6: lambda frame, b, rows: _cumulative(rows),
+    PropertyId.PD6: lambda frame, b, rows: _cumulative(rows, frame.n),
     # PD7 at B = {i}, past the gate, is PD57 on r = f(i, ·).  ⇐: x ∈ r(E∪F)
     # lies in E∪F, say in E, so PD57 at (E∪F, E) puts x in r(E).  ⇒: for
     # G ⊂ E, PD7 at (G, E∖G) gives r(E) ⊆ r(G) ∪ r(E∖G), and r(E∖G) ⊆ E∖G
     # misses G, so r(E) ∩ G ⊆ r(G).
-    PropertyId.PD7: lambda frame, b, rows: _inside(rows),
+    PropertyId.PD7: lambda frame, b, rows: _inside(rows, frame.n),
     PropertyId.PR8: lambda frame, b, rows: _gated(rows, frame.n),
 }
 _HOLDS[PropertyId.PD9] = _HOLDS[PropertyId.PR8]

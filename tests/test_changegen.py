@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from itertools import repeat
 from random import Random
 
 import pytest
@@ -279,6 +280,13 @@ def test_revision_frozen_values_and_audits():
 def test_audit_rejects_unknown_suite():
     with pytest.raises(ValueError, match="unknown audit suite"):
         audit_function(total_update_table(), "XYZ")
+
+
+def test_a_table_holds_world_sets():
+    # a result outside the table's worlds would not fit its packed field
+    for bad in (16, -1):
+        with pytest.raises(ValueError, match="needs 16 world sets"):
+            ChangeFunctionTable(CTX2, 1, "custom", [0, bad, *range(2, 16)])
 
 
 # --- canonical structures and roundtrips ---
@@ -571,7 +579,9 @@ def _edited(table, edits):
     results = list(table.results)
     for e, r in edits:
         results[e] = r
-    return ChangeFunctionTable(table.ctx, table.k_mask, "custom", results)
+    # a custom table is refused at 4 atoms, where only the scans' stubs run
+    kind = "custom" if table.ctx.k < 4 else table.kind
+    return ChangeFunctionTable(table.ctx, table.k_mask, kind, results)
 
 
 def _perturbed(rng, table):
@@ -612,14 +622,86 @@ def _emptied(rng, table):
     return _edited(table, [(e, 0) for e in rng.sample(table.events(), 2)])
 
 
-def test_audit_holds_tests_match_the_scan():
+# The one-step rules of the audit's holds tests, one (E, x) step at a time:
+# each reads r(E), r(G), G and {x} for G = E∖{x} ≠ ∅.
+_STEPS = {
+    AxiomId.D5: lambda r_e, r_g, g, x: not r_e & g & ~r_g,
+    AxiomId.D6: lambda r_e, r_g, g, x: r_e & x != 0 or r_g == r_e,
+    AxiomId.D9: lambda r_e, r_g, g, x: not r_e & g or not r_g & ~(r_e & g),
+}
+
+
+def _every_step_holds(check, r):
+    step, n_events = _STEPS[check], len(r)
+    for i in range(n_events.bit_length() - 1):
+        x = 1 << i
+        gs = [e ^ x for e in range(x + 1, n_events) if e & x]
+        if not all(map(step, (r[g | x] for g in gs), map(r.__getitem__, gs), gs, repeat(x))):
+            return False
+    return True
+
+
+class _Scanned(Exception):
+    """A pair scan started."""
+
+
+def _four_atom_outcomes(monkeypatch):
+    """At 4 atoms (16-bit fields) the pair scans are out of reach, so each
+    check runs alone with its scan stubbed out: a single-event check must
+    report the literal first failing E, and a holds test must pass exactly
+    when D1 and every step of its rule (and of D5's, for D9) do."""
+
+    def scanned(*args):
+        raise _Scanned
+
+    for check in (AxiomId.D5, AxiomId.D6, AxiomId.D7, AxiomId.D9):
+        monkeypatch.setitem(changegen._TABLE_CHECKS, check, (changegen._TABLE_CHECKS[check][0], scanned))
+    singles = (AxiomId.D1, AxiomId.D2, AxiomId.R3, AxiomId.R4, AxiomId.D3)
+    for axiom in (*singles, AxiomId.D5, AxiomId.D6, AxiomId.R8):
+        monkeypatch.setitem(SUITES, axiom.value, (axiom,))
+    ctx = WorldContext(("p", "q", "r", "s"))
+    rng = Random(54)
+    tally = {}
+    strong = gen_update(ctx, 1 << rng.randrange(16), random_family(rng, ctx, total=True))
+    for table in (strong, random_revision_table(rng, ctx)):
+        for t in (table, _perturbed(rng, table), _emptied(rng, table), _unsuccessful(rng, table)):
+            r, k = t.results, t.k_mask
+            for axiom in singles:
+                (verdict,) = audit_function(t, axiom.value).verdicts
+                test = _LITERAL[axiom][1]
+                oks = map(test, repeat(k), repeat(r), t.events(), repeat(None))
+                first = next((e for e, ok in enumerate(oks, 1) if not ok), None)
+                assert (verdict.witness and verdict.witness.e) == first, (axiom, k)
+                tally[axiom.value, first is None] = tally.get((axiom.value, first is None), 0) + 1
+            successful = all(not r[e] & ~e for e in t.events())
+            d5 = successful and _every_step_holds(AxiomId.D5, r)
+            want = {
+                AxiomId.D5: d5,
+                AxiomId.D6: successful and _every_step_holds(AxiomId.D6, r),
+                AxiomId.R8: d5 and _every_step_holds(AxiomId.D9, r),
+            }
+            for axiom, holds in want.items():
+                try:
+                    (verdict,) = audit_function(t, axiom.value).verdicts
+                    passed = verdict.status is Status.HOLDS
+                except _Scanned:
+                    passed = False
+                assert passed == holds, (axiom, k)
+                tally[axiom.value, holds] = tally.get((axiom.value, holds), 0) + 1
+    return tally
+
+
+def test_audit_holds_tests_match_the_scan(monkeypatch):
     # Tables over every event with D1 holding run the one-step holds tests
     # for D5/R7, D6 and D9/R8; their reports must equal the literal scan's
     # whether a test passes, fails, or is skipped because D5 fails (D9),
-    # on tables with and without D3.  D9's tally reads R8, which no
-    # singleton gate hides.  At a singleton K, D7 holds outright when D5
-    # does, and is scanned when D5 fails.
-    tally = {check: {"holds": 0, "fails": 0} for check in ("D5", "D6", "D9")}
+    # on tables with and without D3, and at 1-2 atoms without D1.  D9's
+    # tally reads R8, which no singleton gate hides.  At a singleton K, D7
+    # holds outright when D5 does, and is scanned when D5 fails.  The
+    # single-event checks, read off packed masks, are tallied too.
+    tally = {
+        check: {"holds": 0, "fails": 0} for check in ("D1", "D2", "R3", "R4", "D3", "D5", "D6", "D9")
+    }
     d7 = {"D5 holds": 0, "D5 fails": 0}
     for k in (1, 2, 3):
         ctx = WorldContext(("p", "q", "r")[:k])
@@ -630,11 +712,19 @@ def test_audit_holds_tests_match_the_scan():
                 random_update_table(rng, ctx, total=True),
                 random_revision_table(rng, ctx),
             ):
-                for t in (table, _perturbed(rng, table), _emptied(rng, table)):
+                variants = [table, _perturbed(rng, table), _emptied(rng, table)]
+                if k < 3:  # without D1, F runs over every event
+                    variants.append(_unsuccessful(rng, table))
+                for t in variants:
                     _assert_audit_matches_literal(t)
                     km = {v.axiom: v.status for v in audit_function(t, "KM").verdicts}
                     agm = {v.axiom: v.status for v in audit_function(t, "AGM").verdicts}
                     for check, status in (
+                        ("D1", km[AxiomId.D1]),
+                        ("D2", km[AxiomId.D2]),
+                        ("R3", agm[AxiomId.R3]),
+                        ("R4", agm[AxiomId.R4]),
+                        ("D3", km[AxiomId.D3]),
                         ("D5", km[AxiomId.D5]),
                         ("D6", km[AxiomId.D6]),
                         ("D9", agm[AxiomId.R8]),
@@ -644,6 +734,8 @@ def test_audit_holds_tests_match_the_scan():
                         d7["D5 holds" if km[AxiomId.D5] is Status.HOLDS else "D5 fails"] += 1
     assert all(n >= 50 for counts in tally.values() for n in counts.values()), tally
     assert min(d7.values()) >= 20, d7
+    four = _four_atom_outcomes(monkeypatch)
+    assert len(four) == 16 and min(four.values()) >= 1, four
 
 
 def _d9_steps_without_d5():
@@ -667,27 +759,65 @@ def test_d9_steps_are_trusted_only_when_d5_holds():
     _assert_audit_matches_literal(table)
 
 
+class _ReadWhole:
+    """Results the audit may read whole but not one event at a time."""
+
+    def __init__(self, results):
+        self.results = results
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self):
+        return len(self.results)
+
+    def __getitem__(self, e):  # pragma: no cover - called means failure
+        raise AssertionError("a scan read one result of a table whose checks passed")
+
+
 def test_holding_tables_skip_the_pair_scans(monkeypatch):
+    # A table that passes every check reads no result one event at a time:
+    # the pair scans do not run, and the single-event checks and D1's gate
+    # read the packed table.  So does the table of empty results, which
+    # packs to 0: only D2 and D3 fail there, read off their masks.
     def boom(*args):  # pragma: no cover - called means a scan ran
         raise AssertionError("pair scan ran on a table whose holds test passed")
 
     for check in (AxiomId.D5, AxiomId.D6, AxiomId.D7, AxiomId.D9):
         runs, _ = changegen._TABLE_CHECKS[check]
         monkeypatch.setitem(changegen._TABLE_CHECKS, check, (runs, boom))
+
+    def audit(table, suite):
+        table.results = _ReadWhole(table.results)
+        return audit_function(table, suite)
+
     ctx = WorldContext(("p", "q", "r"))
     for seed in range(5):
         rng = Random(seed)
-        assert audit_function(random_update_table(rng, ctx), "KM").ok
+        assert audit(random_update_table(rng, ctx), "KM").ok
         single = gen_update(ctx, 1 << rng.randrange(8), random_family(rng, ctx))
-        report = audit_function(single, "KM")
+        report = audit(single, "KM")
         assert report.ok and report.verdicts[-1].status is Status.HOLDS  # D7
         strong = gen_update(ctx, 1 << rng.randrange(8), random_family(rng, ctx, total=True))
-        report = audit_function(strong, "KM_STRONG")
+        report = audit(strong, "KM_STRONG")
         assert report.ok and report.verdicts[-1].status is Status.HOLDS
-        assert audit_function(random_revision_table(rng, ctx), "AGM").ok
+        assert audit(random_revision_table(rng, ctx), "AGM").ok
+    empty = ChangeFunctionTable(ctx, 0b1, "custom", [0] * 256)
+    report = audit(empty, "KM_STRONG")
+    assert report.failed() == (AxiomId.D2, AxiomId.D3)
+    assert {v.witness for v in report.verdicts} == {None, changegen.TableWitness(1)}
     # a failing table still reaches the scan
     with pytest.raises(AssertionError, match="pair scan ran"):
         audit_function(_d9_steps_without_d5(), "AGM")
+
+
+def test_packed_results_keep_every_bit():
+    # Masks over n = 8, 9, 16 and 17 worlds come back whole from their
+    # fields; past 16 worlds no table is built, but no width may cut a mask.
+    for n in (8, 9, 16, 17):
+        full = (1 << n) - 1
+        packed, w = changegen._pack([full, 0, full], n)
+        assert [packed >> w * i & (1 << w) - 1 for i in range(4)] == [full, 0, full, 0]
 
 
 def test_audit_without_success_scans_every_pair():

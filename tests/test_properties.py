@@ -485,14 +485,22 @@ def _emptied(rng, frame):
     return frame_of(frame.n, frame.belief, {**frame.selection, (s, 1 << rng.randrange(frame.n)): 0})
 
 
+def _leaking(rng, frame):
+    # a believed row also selects the states outside its event: success fails
+    s, e = _believed_row(rng, frame)
+    while e == frame.full:
+        s, e = _believed_row(rng, frame)
+    return frame_of(frame.n, frame.belief, {**frame.selection, (s, e): frame.selection[(s, e)] | frame.full & ~e})
+
+
 def _scan_only(monkeypatch):
     monkeypatch.setattr(properties, "_HOLDS", dict.fromkeys(TESTED, lambda frame, b, rows: False))
 
 
 def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
     # Frames that hold by construction, one-row perturbations of them that
-    # break some property, copies missing one believed row and copies with
-    # one empty row: each verdict (or first error) of a property with a holds
+    # break some property, copies missing one believed row, copies with one
+    # empty row and copies with one row leaving its event: each verdict (or first error) of a property with a holds
     # test equals the scan's without the test.
     rng = random.Random(17)
     frames = []
@@ -504,6 +512,8 @@ def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
                 _uniform_revision_frame(rng, n, rng.randint(2, n - 1)),
             ):
                 frames += [base, _perturbed(rng, base), _without_a_row(rng, base), _emptied(rng, base)]
+                if n == 5:  # a leaking row sends F over every event
+                    frames.append(_leaking(rng, base))
                 frames += [_perturbed(rng, base, pointed=True) for _ in range(2)]
     got = [[_outcome(fr, lambda: check_property(fr, pid)) for pid in TESTED] for fr in frames]
     _scan_only(monkeypatch)
@@ -541,7 +551,11 @@ def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
     with open(DATA / "unsuccessful_unbelieved_row.json") as fh:
         # every state believes {s0}; a row of s3 leaves its event
         leaky = complete_selection(frame_from_obj(json.load(fh)))
-    for fr in (frame, leaky):
+    # every believed row empty: the row table packs to 0, and still passes
+    empty = frame_of(3, [1] * 3, {(0, e): 0 for e in range(1, 8)})
+    assert properties._rows(empty, 1) == 0
+    assert properties._rows(_leaking(rng, frame), frame.belief[0]) is None
+    for fr in (frame, leaky, empty):
         for pid in TESTED:
             assert check_property(fr, pid).holds
     assert calls == dict.fromkeys(TESTED, 0)
@@ -591,6 +605,27 @@ def _union_splits(rows):
     return all(not rows[e | f] & ~(rows[e] | rows[f]) for e in events for f in events)
 
 
+def _pr8_literally(rows):
+    # PR8 on r = Sup(B, ·): r(E) meeting F puts r(E∩F) inside r(E) ∩ F
+    events = range(1, len(rows))
+    return all(
+        not rows[e & f] & ~(rows[e] & f) for e in events for f in events if rows[e] & f
+    )
+
+
+def _below_each_event(rows):
+    # Each property at the subsets G of every E, as its docstring reduces it
+    # under success (3ⁿ pairs): PD6 as cumulativity, PD7 and PR8 at G = E∩F.
+    got = {"PD6": True, "PD7": True, "PR8": True}
+    for e in range(1, len(rows)):
+        r_e = rows[e]
+        for g in subsets_of(e):
+            got["PD6"] &= bool(r_e & ~g) or rows[g] == r_e
+            got["PD7"] &= not r_e & g & ~rows[g]
+            got["PR8"] &= not r_e & g or not rows[g] & ~r_e
+    return got
+
+
 def _success_tables(n):
     # every table with r[E] ⊆ E, empty rows included
     full = (1 << n) - 1
@@ -599,17 +634,48 @@ def _success_tables(n):
 
 
 def test_pd6_and_pd7_kernels_match_their_definitions():
+    # The packed kernels on row tables: against the literal definitions on
+    # 1-5 states, and on 6-9 states (16-bit fields from 9) against the
+    # subset forms, which the small tables tie to the definitions.  The
+    # table of empty rows packs to 0 and holds everywhere.
     rng = random.Random(23)
-    tally = {"PD6": [0, 0], "PD7": [0, 0]}
-    tables = [_row_table(rng, n) for n in range(1, 6) for _ in range(160)]
-    for rows in itertools.chain(tables, *map(_success_tables, range(1, 4))):
-        pd6 = _reciprocal(rows)
-        pd7 = _union_splits(rows)
-        assert properties._cumulative(rows[:]) == pd6, rows
-        assert properties._inside(rows) == pd7, rows
-        tally["PD6"][pd6] += 1
-        tally["PD7"][pd7] += 1
+    tally = {pid: [0, 0] for pid in ("PD6", "PD7", "PR8")}
+    small = [_row_table(rng, n) for n in range(1, 6) for _ in range(160)]
+    for rows in itertools.chain(small, *map(_success_tables, range(1, 4))):
+        n = len(rows).bit_length() - 1
+        want = {"PD6": _reciprocal(rows), "PD7": _union_splits(rows), "PR8": _pr8_literally(rows)}
+        assert _below_each_event(rows) == want, rows
+        packed = properties._pack(rows, properties._grid(n)[0])
+        got = {
+            "PD6": properties._cumulative(packed, n),
+            "PD7": properties._inside(packed, n),
+            "PR8": properties._gated(packed, n),
+        }
+        assert got == want, rows
+        for pid, holds in want.items():
+            tally[pid][holds] += 1
     assert min(min(counts) for counts in tally.values()) > 100, tally
+    large = {pid: [0, 0] for pid in tally}
+    for n in range(6, 10):
+        for rows in [_row_table(rng, n) for _ in range(10)] + [[0] * (1 << n)]:
+            want = _below_each_event(rows)
+            packed = properties._pack(rows, properties._grid(n)[0])
+            assert properties._cumulative(packed, n) == want["PD6"], rows
+            assert properties._inside(packed, n) == want["PD7"], rows
+            assert properties._gated(packed, n) == want["PR8"], rows
+            for pid, holds in want.items():
+                large[pid][holds] += 1
+    assert min(min(counts) for counts in large.values()) >= 10, large
+
+
+def test_packed_rows_keep_every_bit():
+    # Rows of n = 8, 9, 16 and 17 states come back whole from their fields:
+    # `check --max-states` admits 17 states, so no width may cut a row.
+    for n in (8, 9, 16, 17):
+        full = (1 << n) - 1
+        w = properties._grid(n)[0]
+        packed = properties._pack([full, 0, full], w)
+        assert [packed >> w * i & (1 << w) - 1 for i in range(4)] == [full, 0, full, 0]
 
 
 def test_pd7_is_pd57_at_one_state_belief_sets(monkeypatch):
