@@ -425,6 +425,10 @@ def axiom_status_via_formulas(
     the pool's truth sets and one verdict per (belief set, postulate), so
     states with equal beliefs and the aliases R2, R7 cost a lookup.
     """
+    # a plain string equal to an axiom id hashes like it but has no branch,
+    # and `ALIASES` would turn "R2" into a real id, so it is refused first
+    if not isinstance(axiom, AxiomId):
+        raise ValueError(f"no formula-level check for {axiom}")
     frame = model.frame
     b = frame.belief[s]
     resolved = ALIASES.get(axiom, axiom)
@@ -438,12 +442,8 @@ def axiom_status_via_formulas(
     # a pool mutated in place, or a new pool at a recycled id, rebuilds
     if ctx is None or ctx.formulas != tuple(formulas):
         ctx = model._oracle[id(formulas)] = _OracleContext(model, formulas)
-    # a plain string equal to an axiom id hashes like it but has no branch,
-    # so ids are tested by identity and only real ids reach the memo
     if resolved is AxiomId.D0 or resolved is AxiomId.D4:
         return Status.HOLDS
-    if not isinstance(resolved, AxiomId):
-        raise ValueError(f"no formula-level check for {resolved}")
     # R8 runs D9's branch; D9's gate depends only on b, so past it they
     # share one status
     key = (b, AxiomId.D9 if resolved is AxiomId.R8 else resolved)

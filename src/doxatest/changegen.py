@@ -35,7 +35,7 @@ import itertools
 import operator
 import struct
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .axioms import AxiomId, Status
@@ -104,20 +104,23 @@ class WorldContext:
         return truth_vector(Atom(self.atoms[i]), self.atoms)
 
 
-def _fill_minima(below: Sequence[int]) -> list[Event]:
+def _fill_minima(le: Sequence[int]) -> list[Event]:
     """The most plausible worlds of every event under one order, indexed by
-    the event's mask (entry 0 is 0); ``below[x]`` is the mask of worlds
-    strictly more plausible than x.
+    the event's mask (entry 0 is 0); ``le[x]`` is the mask of worlds y with
+    x at least as plausible as y.
 
-    One pass in mask order: with x the highest world of E and G = E∖{x},
-    min(E) = (min(G) ∖ above(x)) ∪ ({x} if nothing in G is below x), where
-    above(x) holds the worlds x is strictly more plausible than.
+    One transposition gives ``ge[x]``, the worlds at least as plausible as
+    x; then below(x) = ge[x] ∖ le[x] holds the worlds strictly more
+    plausible than x, and above(x) = le[x] ∖ ge[x] the worlds x is strictly
+    more plausible than.  One pass in mask order: with x the highest world
+    of E and G = E∖{x}, min(E) = (min(G) ∖ above(x)) ∪ ({x} if nothing in G
+    is below x).
     """
-    n = len(below)
-    above = [mask_of(y for y in range(n) if below[y] >> x & 1) for x in range(n)]
+    n = len(le)
+    ge = [mask_of(y for y in range(n) if le[y] >> x & 1) for x in range(n)]
     out = [0]
     for x in range(n):
-        bit, keep, under = 1 << x, ~above[x], below[x]
+        bit, keep, under = 1 << x, ge[x] | ~le[x], ge[x] & ~le[x]
         out += [out[g] & keep | (0 if under & g else bit) for g in range(bit)]
     return out
 
@@ -138,7 +141,7 @@ class TotalPreOrder:
     def minima(self) -> list[Event]:
         """The most plausible worlds of every event, indexed by its mask."""
         ranks = self.ranks
-        return _fill_minima([mask_of(y for y, r in enumerate(ranks) if r < rank) for rank in ranks])
+        return _fill_minima([mask_of(y for y, r in enumerate(ranks) if rank <= r) for rank in ranks])
 
 
 def _order_fault(rows: Sequence[int], w: int, n: int) -> str | None:
@@ -170,24 +173,12 @@ class PreOrderFamily:
     ``le[w][x]`` is the mask of worlds y with x at least as plausible as y
     from the standpoint of world w.  Orders may be genuinely partial; each
     must be reflexive and transitive and have w as its strict minimum.
-    ``_below[w][x]`` is the mask of worlds strictly more plausible than x
-    from w's standpoint, the table `minima` fills from.
     """
 
     le: tuple[tuple[int, ...], ...]
-    _below: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        le = tuple(tuple(row) for row in self.le)
-        object.__setattr__(self, "le", le)
-        below = tuple(
-            tuple(
-                sum(1 << y for y, above in enumerate(rows) if (above >> x) & 1) & ~rows[x]
-                for x in range(len(rows))
-            )
-            for rows in le
-        )
-        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "le", tuple(tuple(row) for row in self.le))
 
     @property
     def n_worlds(self) -> int:
@@ -202,7 +193,7 @@ class PreOrderFamily:
     def minima(self, w: int) -> list[Event]:
         """The most plausible worlds of every event from the standpoint of w,
         indexed by the event's mask."""
-        return _fill_minima(self._below[w])
+        return _fill_minima(self.le[w])
 
     @classmethod
     def from_rankings(cls, rankings: Sequence[Sequence[int]]) -> "PreOrderFamily":
@@ -237,10 +228,12 @@ class ChangeFunctionTable:
     every nonempty event E (entry 0 is unused).  ``rows[w]``, laid out the
     same way, is believed world w's own contribution, used when rebuilding a
     pointed structure; without ``rows`` (revision and parsed tables) every
-    believed world's row is the full result.  A parsed ("custom") table is
-    refused beyond `CUSTOM_ATOM_LIMIT` atoms: only order-generated tables,
-    which pass every holds test of their suite's audit and their class's
-    check, may be larger, since a failing test starts a pair scan.
+    believed world's row is the full result.  A table of kind "custom" (every
+    parsed table) is refused beyond `CUSTOM_ATOM_LIMIT` atoms: order-generated
+    tables, which pass every holds test of their suite's audit and their
+    class's check, may be larger, since a failing test starts a pair scan.
+    The guard reads only ``kind``, so a hand-built table under another kind
+    is not refused.
     """
 
     def __init__(

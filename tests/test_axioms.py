@@ -373,7 +373,8 @@ def test_oracle_refuses_plain_string_ids():
         axiom_status_via_formulas(m, 0, "R8")
     # nor does the holds-by-representation answer of D0 and D4
     assert axiom_status_via_formulas(m, 0, AxiomId.D0) is Status.HOLDS
-    for plain in ("D0", "D4"):
+    # nor the status of the id a plain string's alias would resolve to
+    for plain in ("D0", "D4", "R1", "R2", "R5", "R6", "R7"):
         with pytest.raises(ValueError, match=f"no formula-level check for {plain}"):
             axiom_status_via_formulas(m, 0, plain)
 
