@@ -18,11 +18,12 @@ events (`_fill_minima`) gives the most plausible worlds of each event.
 postulates by direct set arithmetic on the table, deliberately sharing no
 checking code with the frame-side route in :mod:`doxatest.axioms`.  The
 audit packs the table into one int, one field per event: a single-event
-check (``_EVENT_CHECKS``) is a few big-int operations on it.  One table,
-``_TABLE_CHECKS``, gives each pair postulate its test and how F runs
-against E, and one scan reads it for every suite.  When every result lies
-inside its event, D5, D6, D7 and D9 first try an exact holds test
-(``_HOLDS_TESTS``, a few operations per world) and scan only on a fail.
+check (``_EVENT_CHECKS``) is a few big-int operations on it.  When every
+result lies inside its event, the pair postulates D5, D6, D7 and D9 first
+try an exact holds test (``_HOLDS_TESTS``, a few operations per world).  A
+pair check (``_TABLE_CHECKS``) whose test fails, or that has none to run,
+is decided by the literal scan over every pair of events (E, F), refused
+beyond `CUSTOM_ATOM_LIMIT` atoms.
 ``build_canonical_model`` and ``roundtrip_verify`` close the loop: rebuild a
 pointed structure from a table and confirm the frame-side machinery classifies
 it as expected and reads the same table back off.
@@ -47,7 +48,6 @@ from .frames import (
     Model,
     bits,
     mask_of,
-    subsets_of,
 )
 from .limits import ATOM_LIMIT, CUSTOM_ATOM_LIMIT, refuse_beyond
 from .properties import FrameClass, check_class
@@ -229,11 +229,13 @@ class ChangeFunctionTable:
     same way, is believed world w's own contribution, used when rebuilding a
     pointed structure; without ``rows`` (revision and parsed tables) every
     believed world's row is the full result.  A table of kind "custom" (every
-    parsed table) is refused beyond `CUSTOM_ATOM_LIMIT` atoms: order-generated
-    tables, which pass every holds test of their suite's audit and their
-    class's check, may be larger, since a failing test starts a pair scan.
+    parsed table) is refused beyond `CUSTOM_ATOM_LIMIT` atoms, since
+    `roundtrip_verify` would check the class of its 16-state canonical
+    frame, where a failing property scans up to 4¹⁶ pairs of events;
+    order-generated tables pass their class's holds tests and may be larger.
     The guard reads only ``kind``, so a hand-built table under another kind
-    is not refused.
+    is not refused; its audit refuses a pair scan beyond that bound on its
+    own.
     """
 
     def __init__(
@@ -390,14 +392,6 @@ AGM_SUITE = (
 )
 SUITES = {"KM": KM_SUITE, "KM_STRONG": KM_STRONG_SUITE, "AGM": AGM_SUITE}
 
-# How F runs in a pair check: over F >= E (the check is symmetric in E and
-# F, so its first failing pair in ascending order has E <= F), or over every
-# event; the latter narrows to the subsets of E when D1 holds (each result
-# inside its event), since those checks then read F only through E∩F, which
-# is a subset of E no later than F in ascending order (an empty E∩F passes),
-# so the first failing pair is the same.
-_F_FROM_E, _F_IN_E = range(2)
-
 # Single-event checks, each as the packed mask of its violations at every
 # event at once (see `audit_function`): field E of p holds r(E), of ev holds
 # E and of kk holds K, and lift(v) fills every nonzero field of v.  The
@@ -412,19 +406,10 @@ _EVENT_CHECKS = {
 # Each pair check reads K, the result map r and the events E, F; with D1
 # holding, it scans only when its holds test in `_HOLDS_TESTS` fails.
 _TABLE_CHECKS = {
-    AxiomId.D5: (
-        _F_IN_E,
-        lambda k, r, e, f: not r[e] & f if e & f == 0 else not (r[e] & f) & ~r[e & f],
-    ),
-    AxiomId.D6: (
-        _F_FROM_E,
-        lambda k, r, e, f: r[e] & ~f != 0 or r[f] & ~e != 0 or r[e] == r[f],
-    ),
-    AxiomId.D7: (_F_FROM_E, lambda k, r, e, f: not r[e | f] & ~(r[e] | r[f])),
-    AxiomId.D9: (
-        _F_IN_E,
-        lambda k, r, e, f: e & f == 0 or r[e] & f == 0 or not r[e & f] & ~(r[e] & f),
-    ),
+    AxiomId.D5: lambda k, r, e, f: not r[e] & f if e & f == 0 else not (r[e] & f) & ~r[e & f],
+    AxiomId.D6: lambda k, r, e, f: r[e] & ~f != 0 or r[f] & ~e != 0 or r[e] == r[f],
+    AxiomId.D7: lambda k, r, e, f: not r[e | f] & ~(r[e] | r[f]),
+    AxiomId.D9: lambda k, r, e, f: e & f == 0 or r[e] & f == 0 or not r[e & f] & ~(r[e] & f),
 }
 # Revision postulates that say what an update postulate says of a table.
 _ALIASES = {
@@ -538,14 +523,16 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
     otherwise.
 
     The table is packed into one int p, r(E) in field E (`_pack`), and
-    each single-event check is a few operations on p.  When D1 holds, F
-    runs only over the subsets of E for D5/R7 and D9/R8, and D5/R7, D6, D7
-    and D9/R8 first run the holds tests of ``_HOLDS_TESTS``: one-step rules
-    comparing r(E) with r(E∖{x}) at every E ∋ x at once, a few operations
-    per world x.  D5 and D6 need nothing more; D7 and D9 count only when D5
-    holds, D7 then holding outright.  A check whose test passes holds;
-    otherwise the pair scan decides it, so verdicts and first witnesses are
-    those of the scan.
+    each single-event check is a few operations on p.  When D1 holds,
+    D5/R7, D6, D7 and D9/R8 first run the holds tests of ``_HOLDS_TESTS``:
+    one-step rules comparing r(E) with r(E∖{x}) at every E ∋ x at once, a
+    few operations per world x.  D5 and D6 need nothing more; D7 and D9
+    count only when D5 holds, D7 then holding outright.  A check whose test
+    passes holds; otherwise the literal scan over every pair (E, F) decides
+    it and reports its first failing pair.  That scan reads up to 255²
+    pairs at 3 atoms and 2³² at 4, so beyond `CUSTOM_ATOM_LIMIT` atoms it
+    raises `SizeLimitError` before it starts; order-generated tables pass
+    every holds test and never reach it.
     """
     suite_key = suite.upper().replace("-", "_")
     if suite_key not in SUITES:
@@ -569,27 +556,22 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
                 return False
         return True
 
-    successful = not p & ~ev
-    seconds = {
-        _F_FROM_E: lambda e: range(e, full + 1),
-        _F_IN_E: subsets_of if successful else lambda e: scope,
-    }
-
     @functools.cache
     def first_failure(check_id: AxiomId) -> tuple[Event, Event | None] | None:
         """The first (E, F) failing a check in ascending order, or None."""
         if check_id in _EVENT_CHECKS:
             v = _EVENT_CHECKS[check_id](p, ev, k * ones, lift)
             return (((v & -v).bit_length() - 1) // w, None) if v else None
-        if successful and check_id in _HOLDS_TESTS:
+        if not p & ~ev and check_id in _HOLDS_TESTS:
             gate, rule = _HOLDS_TESTS[check_id]
             if (gate is None or first_failure(gate) is None) and (
                 rule is None or steps_hold(rule)
             ):
                 return None
-        runs, check = _TABLE_CHECKS[check_id]
+        refuse_beyond(table.ctx.k, CUSTOM_ATOM_LIMIT, "atoms in a change-table pair scan")
+        check = _TABLE_CHECKS[check_id]
         for e in scope:
-            for f in seconds[runs](e):
+            for f in scope:
                 if not check(k, res, e, f):
                     return e, f
         return None

@@ -49,6 +49,7 @@ from .limits import (
     DEFAULT_MAX_STATES,
     ENUMERATION_FRAME_LIMIT,
     EXHAUSTIVE_STATE_LIMIT,
+    EXHAUSTIVE_VALUATION_BITS,
     VALUATION_ATOM_LIMIT,
     refuse_beyond,
 )
@@ -258,7 +259,9 @@ def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
 @click.option("--atom-budget", type=click.IntRange(1, VALUATION_ATOM_LIMIT), default=2,
               show_default=True,
               help="Valuation atoms used on the validity side.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the valuation sample, drawn only beyond "
+                   f"{EXHAUSTIVE_VALUATION_BITS} valuation bits (states x atoms).")
 @FORMAT_OPTION
 def correspond(path, enum_states, pairs, atom_budget, seed, fmt):
     """Check property/postulate pairings two-sidedly over one or many frames."""
@@ -316,8 +319,10 @@ ATOM_NAMES = ("p", "q", "r", "s")
               help="Language size (1-4 atoms).")
 @click.option("--kind", required=True,
               help="Generator family: update, strong-update, or revision.")
-@click.option("--trials", type=click.IntRange(1), default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(1), default=20, show_default=True,
+              help="Tables to generate and check, one per trial.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help='Trial i draws its table from Random(f"{seed}:{i}").')
 @FORMAT_OPTION
 def roundtrip(atoms, kind, trials, seed, fmt):
     """Generate change functions, rebuild structures, verify class and table."""

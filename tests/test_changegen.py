@@ -601,7 +601,7 @@ def _edited(table, edits):
     results = list(table.results)
     for e, r in edits:
         results[e] = r
-    # a custom table is refused at 4 atoms, where only the scans' stubs run
+    # a custom table is refused at 4 atoms, where the audit refuses its scans
     kind = "custom" if table.ctx.k < 4 else table.kind
     return ChangeFunctionTable(table.ctx, table.k_mask, kind, results)
 
@@ -621,7 +621,9 @@ def _unsuccessful(rng, table):
 
 
 def test_collapsed_audit_matches_full_pair_scan():
-    # generated tables and perturbed copies with and without D1 at 1-3 atoms
+    # the audit's reports, holds tests and single-event checks included,
+    # equal the literal E×F scan's on generated tables and perturbed copies
+    # with and without D1 at 1-3 atoms
     seen = {"D1 fails": 0, "fat K": 0, "pair fails": 0}
     for k in (1, 2, 3):
         ctx = WorldContext(("p", "q", "r")[:k])
@@ -663,21 +665,12 @@ def _every_step_holds(check, r):
     return True
 
 
-class _Scanned(Exception):
-    """A pair scan started."""
-
-
 def _four_atom_outcomes(monkeypatch):
-    """At 4 atoms (16-bit fields) the pair scans are out of reach, so each
-    check runs alone with its scan stubbed out: a single-event check must
-    report the literal first failing E, and a holds test must pass exactly
-    when D1 and every step of its rule (and of D5's, for D9) do."""
-
-    def scanned(*args):
-        raise _Scanned
-
-    for check in (AxiomId.D5, AxiomId.D6, AxiomId.D7, AxiomId.D9):
-        monkeypatch.setitem(changegen._TABLE_CHECKS, check, (changegen._TABLE_CHECKS[check][0], scanned))
+    """At 4 atoms (16-bit fields) the audit refuses its pair scans, so each
+    check runs alone: a single-event check must report the literal first
+    failing E, and a holds test must pass exactly when D1 and every step of
+    its rule (and of D5's, for D9) do, the audit raising `SizeLimitError`
+    where a scan would start."""
     singles = (AxiomId.D1, AxiomId.D2, AxiomId.R3, AxiomId.R4, AxiomId.D3)
     for axiom in (*singles, AxiomId.D5, AxiomId.D6, AxiomId.R8):
         monkeypatch.setitem(SUITES, axiom.value, (axiom,))
@@ -706,7 +699,7 @@ def _four_atom_outcomes(monkeypatch):
                 try:
                     (verdict,) = audit_function(t, axiom.value).verdicts
                     passed = verdict.status is Status.HOLDS
-                except _Scanned:
+                except SizeLimitError:
                     passed = False
                 assert passed == holds, (axiom, k)
                 tally[axiom.value, holds] = tally.get((axiom.value, holds), 0) + 1
@@ -760,6 +753,22 @@ def test_audit_holds_tests_match_the_scan(monkeypatch):
     assert len(four) == 16 and min(four.values()) >= 1, four
 
 
+def test_audit_refuses_a_four_atom_pair_scan(monkeypatch):
+    # A hand-built 4-atom table whose results all hold world 0000 fails D1,
+    # so D5 goes to its pair scan over 65,535² pairs: the audit refuses it
+    # before the scan starts.  Every pair check is stubbed, so a scan that
+    # does start fails the test at once.
+    def scanned(*args):  # pragma: no cover - called means a scan started
+        raise AssertionError("a 4-atom pair scan started")
+
+    for check in changegen._TABLE_CHECKS:
+        monkeypatch.setitem(changegen._TABLE_CHECKS, check, scanned)
+    ctx = WorldContext(("p", "q", "r", "s"))
+    table = ChangeFunctionTable(ctx, 1, "update", [0] + [1] * 65535)
+    with pytest.raises(SizeLimitError, match="pair scan"):
+        audit_function(table, "KM")
+
+
 def _d9_steps_without_d5():
     # Every D9 step E -> E∖{x} passes, but D5 fails, and so does D9 itself:
     # r({00,01,10,11}) = {00,01,10} while r({10,11}) = {10,11}.
@@ -806,8 +815,7 @@ def test_holding_tables_skip_the_pair_scans(monkeypatch):
         raise AssertionError("pair scan ran on a table whose holds test passed")
 
     for check in (AxiomId.D5, AxiomId.D6, AxiomId.D7, AxiomId.D9):
-        runs, _ = changegen._TABLE_CHECKS[check]
-        monkeypatch.setitem(changegen._TABLE_CHECKS, check, (runs, boom))
+        monkeypatch.setitem(changegen._TABLE_CHECKS, check, boom)
 
     def audit(table, suite):
         table.results = _ReadWhole(table.results)
