@@ -473,7 +473,7 @@ def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Sta
     the loop "for every event (pair), for every target", the target loop
     done as bit operations on the row tables, so statuses and first errors
     are the literal loop's, on partial frames too."""
-    up, nonempty, selection = ctx.up, ctx.nonempty, frame.selection
+    up, nonempty, rows = ctx.up, ctx.nonempty, frame.rows
     table = ctx.rows.setdefault(b, {})
     believed = list(bits(b))
 
@@ -482,8 +482,8 @@ def _decide(ctx: _OracleContext, frame: Frame, b: int, resolved: AxiomId) -> Sta
         if got is None:
             out, missing = 0, -1
             for j in believed:
-                r = selection.get((j, event))
-                if r is None:
+                r = rows[j][event]
+                if r < 0:
                     missing = j
                     break
                 out |= r

@@ -597,17 +597,19 @@ def build_canonical_model(table: ChangeFunctionTable) -> Model:
 
     States are the worlds, every state believes exactly K, and selection rows
     exist only for believed states (rows elsewhere would force choices the
-    table does not determine and can break centering).  The valuation reads
+    table does not determine and can break centering): a believed world's
+    frame row is its table row, with no entry at the empty event, and every
+    other world shares one row missing everywhere.  The valuation reads
     each atom off the world labels, so distinct states never share a profile.
     """
     ctx = table.ctx
     states = tuple("w" + ctx.label(w) for w in range(ctx.n_worlds))
     belief = (table.k_mask,) * ctx.n_worlds
-    selection = {
-        (w, event): row[event] for w, row in table.rows.items() for event in table.events()
-    }
+    rows = [(-1,) * (ctx.full + 1)] * ctx.n_worlds
+    for w, row in table.rows.items():
+        rows[w] = (-1, *row[1:])
     valuation = {atom: ctx.atom_worlds(i) for i, atom in enumerate(ctx.atoms)}
-    return Model(Frame(states, belief, selection), valuation)
+    return Model(Frame(states, belief, rows), valuation)
 
 
 def extract_table(model: Model) -> dict[Event, Event]:

@@ -25,6 +25,7 @@ from .changegen import (
     roundtrip_verify,
 )
 from .correspondence import (
+    ATOM_NAMES,
     PAIRS,
     FrameGenSpec,
     build_census,
@@ -310,8 +311,6 @@ KIND_SETTINGS = {
     "STRONG_UPDATE": (FrameClass.STRONG_UPDATE, True),
     "REVISION": (FrameClass.REVISION_STRICT, None),
 }
-
-ATOM_NAMES = ("p", "q", "r", "s")
 
 
 @main.command()

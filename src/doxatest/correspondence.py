@@ -115,11 +115,11 @@ def _exhaustive(spec: FrameGenSpec) -> Iterator[Frame]:
     refuse_beyond(n, EXHAUSTIVE_STATE_LIMIT, "states in an exhaustive enumeration")
     states = tuple(f"s{i}" for i in range(n))
     full = (1 << n) - 1
-    keys = [(s, e) for s in range(n) for e in range(1, full + 1)]
-    choice_lists = [_entry_choices(s, e) for s, e in keys]
+    choice_lists = [_entry_choices(s, e) for s in range(n) for e in range(1, full + 1)]
     for belief in itertools.product(range(1, full + 1), repeat=n):
         for picks in itertools.product(*choice_lists):
-            yield Frame(states, belief, dict(zip(keys, picks)))
+            rows = [(-1, *picks[s * full:(s + 1) * full]) for s in range(n)]
+            yield Frame(states, belief, rows)
 
 
 def _random_stream(spec: FrameGenSpec) -> Iterator[Frame]:
@@ -130,16 +130,18 @@ def _random_stream(spec: FrameGenSpec) -> Iterator[Frame]:
     produced = 0
     while spec.count is None or produced < spec.count:
         belief = tuple(rng.randrange(1, full + 1) for _ in range(n))
-        selection = {}
+        rows = []
         for s in range(n):
+            row = [-1]
             for e in range(1, full + 1):
                 t = e & rng.randrange(1, full + 1)
                 if not t:
                     t = e & -e
                 if (1 << s) & e:
                     t |= 1 << s
-                selection[(s, e)] = t
-        yield Frame(states, belief, selection)
+                row.append(t)
+            rows.append(tuple(row))
+        yield Frame(states, belief, rows)
         produced += 1
 
 
@@ -215,7 +217,9 @@ def build_witness_model(
 # --- the two-directional verdict ------------------------------------------
 
 
-ATOM_NAMES = ("p", "q", "r")
+# atom names in order: a sweep takes the first atom_budget, a round trip
+# (`cli roundtrip`) the first --atoms
+ATOM_NAMES = ("p", "q", "r", "s")
 
 
 @dataclass(frozen=True)

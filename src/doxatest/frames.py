@@ -2,10 +2,11 @@
 
 States are indexed 0..n-1 and events are int bitmasks over those indices
 (bit i = state i), which keeps the exhaustive sweeps cheap.  A frame carries
-a serial belief relation and a *partial* selection table keyed by
-(state index, event mask); operations that need an entry fail loudly when it
-is missing rather than inventing one.  A model adds a valuation mapping atom
-names to events.
+a serial belief relation and a *partial* selection table, stored as one
+dense row per state over the events 0..full, -1 where no row is defined;
+the (state index, event mask) mapping is a read-only view over those rows.
+Operations that need an entry fail loudly when it is missing rather than
+inventing one.  A model adds a valuation mapping atom names to events.
 
 The conditional reading implemented by `support_of`: after receiving input
 with truth set E, the agent at state s believes exactly the formulas true
@@ -16,14 +17,16 @@ is contained in its truth set.
 
 from __future__ import annotations
 
+import functools
 import json
+import struct
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputFormatError, UndefinedSelectionError, UnknownAtomError
 from .formulas import ATOM_RE, Classification, Formula, Implies, classify, denote
-from .limits import COMPLETION_STATE_LIMIT, DEFAULT_MAX_CELLS, refuse_beyond
+from .limits import COMPLETION_STATE_LIMIT, DEFAULT_MAX_CELLS, FRAME_STATE_LIMIT, refuse_beyond
 
 Event = int
 
@@ -57,17 +60,62 @@ def subsets_of(mask: int) -> list[int]:
     return out
 
 
+def pack(values: Sequence[int], w: int) -> int:
+    """``values`` as consecutive w-bit fields from bit 0, so a row packs to
+    one int (``pack(row[1:], w) << w``: value E in field E, field 0 empty);
+    a value too wide for its field, or negative, raises `struct.error`."""
+    items = struct.pack(f"<{len(values)}{'BHIQ'[w.bit_length() - 4]}", *values)
+    return int.from_bytes(items, "little")
+
+
+@functools.cache  # a few ints per state count, read at every row or belief set
+def grid(n: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """For packed n-state rows: the field width w, the least of 8, 16, 32
+    and 64 that holds n bits; the packed events (field E holds E); bit 0 of
+    every field; and per state x the fields E ∌ x filled with n bits."""
+    w, ev, ones = max(8, 1 << (n - 1).bit_length()), 0, 1
+    for x in range(n):  # field E + {x} holds E + {x} for every E < {x}
+        ev |= ev + (ones << x) << (w << x)
+        ones |= ones << (w << x)
+    return w, ev, ones, tuple((~ev >> x & ones) * ((1 << n) - 1) for x in range(n))
+
+
+class _SelectionView(Mapping):
+    """Read-only (s, E) -> f(s, E) view over a frame's rows: keyed where a
+    row is defined, in (s, E) order."""
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        s, event = key
+        if 0 <= s < len(self._rows) and 0 <= event < len(self._rows[s]) and self._rows[s][event] >= 0:
+            return self._rows[s][event]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((s, e) for s, row in enumerate(self._rows) for e, value in enumerate(row) if value >= 0)
+
+    def __len__(self) -> int:
+        return sum(len(row) - row.count(-1) for row in self._rows)
+
+
 @dataclass(frozen=True)
 class Frame:
     """States, a serial belief relation, and a partial selection table.
 
-    `selection` must not be mutated after construction: the Sup tables of
-    `sup_table` are built from it once and kept.
+    The table is ``rows``: per state s, one tuple of f(s, E) for E = 0..full,
+    -1 where s has no row at E (at E = 0 unless the table keys the empty
+    event); `selection` is a read-only (s, E) view over it.  An (s, E)
+    mapping may stand in for the rows; a key outside the states 0..n-1 and
+    events 0..full, or a negative value, raises `ValueError`.  Rows are never
+    mutated: `sup_table` builds on them once.  Dense rows bound a frame to
+    `FRAME_STATE_LIMIT` states.
     """
 
     states: tuple[str, ...]
     belief: tuple[int, ...]
-    selection: Mapping[tuple[int, int], int]
+    rows: Sequence[Sequence[int]]
     _sup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -75,6 +123,19 @@ class Frame:
             raise ValueError("duplicate state ids")
         if len(self.belief) != len(self.states):
             raise ValueError("belief must assign an event to every state")
+        refuse_beyond(self.n, FRAME_STATE_LIMIT, "states in a frame")
+        rows = self.rows
+        if isinstance(rows, Mapping):
+            rows = [[-1] * (1 << self.n) for _ in self.states]
+            for (s, event), value in self.rows.items():
+                if not (0 <= s < self.n and 0 <= event <= self.full and value >= 0):
+                    raise ValueError(f"selection entry {(s, event)}: {value} is outside the frame")
+                rows[s][event] = value
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))  # a tuple row is kept, not copied
+
+    @property
+    def selection(self) -> Mapping[tuple[int, int], int]:
+        return _SelectionView(self.rows)
 
     @property
     def n(self) -> int:
@@ -92,16 +153,20 @@ class Frame:
 
     def sel(self, s: int, event: Event) -> Event:
         try:
-            return self.selection[(s, event)]
-        except KeyError:
-            raise UndefinedSelectionError(self.states[s], self.event_ids(event)) from None
+            got = self.rows[s][event]
+        except IndexError:  # an event beyond full
+            got = -1
+        if got < 0:
+            raise UndefinedSelectionError(self.states[s], self.event_ids(event))
+        return got
 
-    def sup_table(self, bmask: int) -> list[int]:
+    def sup_table(self, bmask: int) -> Sequence[int]:
         """Sup(B, E) for every event E = 0..full, -1 where a state of
-        ``bmask`` has no row at E (so at E = 0, unless the selection keys the
+        ``bmask`` has no row at E (so at E = 0, unless the table keys the
         empty event).  Memoized and shared: callers must not mutate it.
 
-        A one-state table is read off `selection`; a larger B's table is the
+        A one-state table is that state's row itself, not a copy (a state
+        beyond the frame has none: -1 everywhere); a larger B's table is the
         elementwise OR of its states' tables, and -1 | x = -1 carries a
         missing row through.
         """
@@ -112,11 +177,12 @@ class Frame:
                 table = self.sup_table(low)
                 for i in bits(bmask ^ low):
                     table = list(map(int.__or__, table, self.sup_table(1 << i)))
+            elif low >> self.n:
+                table = (-1,) * (self.full + 1)
             elif bmask:
-                i, get = low.bit_length() - 1, self.selection.get
-                table = [get((i, e), -1) for e in range(self.full + 1)]
+                table = self.rows[low.bit_length() - 1]
             else:
-                table = [0] * (self.full + 1)
+                table = (0,) * (self.full + 1)
             self._sup[bmask] = table
         return table
 
@@ -132,7 +198,7 @@ class Frame:
         if got >= 0 <= event:
             return got
         # A missing row raises in `sel`, at the lowest believed state that
-        # lacks it; an event outside 0..full is read off `selection`.
+        # lacks it.
         got = 0
         for i in bits(bmask):
             got |= self.sel(i, event)
@@ -200,7 +266,8 @@ def validate_frame(frame: Frame) -> list[Violation]:
     Clauses: seriality of the belief relation, and per selection entry
     consistency (nonempty value), success (value inside the event) and weak
     centering (a state inside the event selects itself among the result).
-    Violations come back as data; an empty list means the frame conforms.
+    Violations come back as data, entries in (s, E) order and the clauses
+    of one entry in that order; an empty list means the frame conforms.
     """
     out: list[Violation] = []
     full = frame.full
@@ -209,29 +276,47 @@ def validate_frame(frame: Frame) -> list[Violation]:
             out.append(Violation("seriality", frame.states[s], None, "belief set is empty"))
         elif b & ~full:
             out.append(Violation("belief-range", frame.states[s], None, "belief set outside the state set"))
+    if _rows_conform(frame):
+        return out
 
-    broken: list[tuple[int, Event, str, str]] = []
+    def flag(clause: str, detail: str) -> None:
+        out.append(Violation(clause, frame.states[s], frame.event_ids(event), detail))
 
-    def flag(clause: str, s: int, event: Event, detail: str) -> None:
-        broken.append((s, event, clause, detail))
-
-    for (s, event), value in frame.selection.items():
-        if event == 0:
-            flag("event-nonempty", s, event, "selection keyed on the empty event")
-        elif event & ~full:
-            flag("event-range", s, event, "event outside the state set")
-        elif value == 0:
-            flag("consistency", s, event, "f(s,E) is empty")
-        else:
-            if value & ~event:
-                flag("success", s, event, "f(s,E) is not contained in E")
-            if (event >> s) & 1 and not (value >> s) & 1:
-                flag("weak-centering", s, event, "s in E but s not in f(s,E)")
-    # Only the entries that break a clause are sorted, by (s, E); the sort is
-    # stable, so the clauses of one entry keep their order.
-    broken.sort(key=lambda v: v[:2])
-    out += [Violation(c, frame.states[s], frame.event_ids(e & full), d) for s, e, c, d in broken]
+    for s, row in enumerate(frame.rows):
+        for event, value in enumerate(row):
+            if value < 0:
+                continue
+            if event == 0:
+                flag("event-nonempty", "selection keyed on the empty event")
+            elif value == 0:
+                flag("consistency", "f(s,E) is empty")
+            else:
+                if value & ~event:
+                    flag("success", "f(s,E) is not contained in E")
+                if (event >> s) & 1 and not (value >> s) & 1:
+                    flag("weak-centering", "s in E but s not in f(s,E)")
     return out
+
+
+def _rows_conform(frame: Frame) -> bool:
+    """True when every entry keeps consistency, success and weak centering,
+    decided per packed row p (see `grid`): no 0 among the values, p & ~ev = 0,
+    and bit s in every field E ∋ s.  A row missing everywhere is skipped; a
+    partial row, a keyed empty event or a value too wide answers False."""
+    w, ev, ones, _ = grid(frame.n)
+    for s, row in enumerate(frame.rows):
+        if row[1] < 0 and max(row) < 0:
+            continue
+        tail = row[1:]
+        if row[0] >= 0 or min(tail) <= 0:
+            return False
+        try:
+            p = pack(tail, w) << w
+        except struct.error:
+            return False
+        if p & ~ev or (ev >> s & ones) & ~(p >> s):
+            return False
+    return True
 
 
 def _default_rule(s: int, event: Event) -> Event:
@@ -246,12 +331,11 @@ def complete_selection(frame: Frame, max_states: int = COMPLETION_STATE_LIMIT) -
     lowest-index member, which satisfies all frame invariants.
     """
     refuse_beyond(frame.n, max_states, "states in a selection completion")
-    filled = dict(frame.selection)
-    for s in range(frame.n):
-        for event in range(1, frame.full + 1):
-            if (s, event) not in filled:
-                filled[(s, event)] = _default_rule(s, event)
-    return Frame(frame.states, frame.belief, filled)
+    rows = []
+    for s, row in enumerate(frame.rows):
+        rule = [-1] + [_default_rule(s, event) for event in range(1, frame.full + 1)]
+        rows.append([d if v < 0 else v for v, d in zip(row, rule)])
+    return Frame(frame.states, frame.belief, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +445,16 @@ def relabel_frame(frame: Frame, perm: Sequence[int]) -> Frame:
 
     states = [""] * n
     belief = [0] * n
-    for old in range(n):
+    rows: list = [()] * n
+    for old, row in enumerate(frame.rows):
         states[perm[old]] = frame.states[old]
         belief[perm[old]] = remap(frame.belief[old])
-    selection = {
-        (perm[s], remap(event)): remap(value)
-        for (s, event), value in frame.selection.items()
-    }
-    return Frame(tuple(states), tuple(belief), selection)
+        new = [-1] * len(row)
+        for event, value in enumerate(row):
+            if value >= 0:
+                new[remap(event)] = remap(value)
+        rows[perm[old]] = new
+    return Frame(tuple(states), tuple(belief), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +474,9 @@ def frame_to_obj(frame: Frame) -> dict:
                 "event": list(frame.event_ids(event)),
                 "selects": list(frame.event_ids(value)),
             }
-            for (s, event), value in sorted(frame.selection.items())
+            for s, row in enumerate(frame.rows)
+            for event, value in enumerate(row)
+            if value >= 0
         ],
     }
 
@@ -434,6 +522,7 @@ def frame_from_obj(obj: dict) -> Frame:
         raise InputFormatError("'states' must be a nonempty list of ids")
     if len(set(states)) != len(states):
         raise InputFormatError("duplicate state ids")
+    refuse_beyond(len(states), FRAME_STATE_LIMIT, "states in a frame")
     index = {sid: i for i, sid in enumerate(states)}
 
     belief_obj = obj.get("belief", {})
@@ -446,7 +535,7 @@ def frame_from_obj(obj: dict) -> Frame:
         _state_mask(index, belief_obj.get(sid, []), "belief[{}]", sid) for sid in states
     )
 
-    selection: dict[tuple[int, int], int] = {}
+    rows = [[-1] * (1 << len(states)) for _ in states]
     entries = obj.get("selection", [])
     if not isinstance(entries, list):
         raise InputFormatError("'selection' must be a list of entries")
@@ -462,15 +551,15 @@ def frame_from_obj(obj: dict) -> Frame:
                 event |= 1 << index[sid]
             for sid in chosen:
                 value |= 1 << index[sid]
-            if event == 0 or (s, event) in selection:
+            if event == 0 or rows[s][event] >= 0:
                 raise KeyError
         except (KeyError, TypeError):
-            s, event, value = _checked_entry(index, selection, k, entry)
-        selection[(s, event)] = value
-    return Frame(tuple(states), belief, selection)
+            s, event, value = _checked_entry(index, rows, k, entry)
+        rows[s][event] = value
+    return Frame(tuple(states), belief, rows)
 
 
-def _checked_entry(index: Mapping[str, int], selection: Mapping, k: int, entry) -> tuple[int, int, int]:
+def _checked_entry(index: Mapping[str, int], rows: Sequence[list[int]], k: int, entry) -> tuple[int, int, int]:
     """(s, event, selects) of selection entry k, each field checked in the
     order the error messages rank them; the first fault raises."""
     if not isinstance(entry, dict) or not {"s", "event", "selects"} <= set(entry):
@@ -483,7 +572,7 @@ def _checked_entry(index: Mapping[str, int], selection: Mapping, k: int, entry) 
     event = _state_mask(index, entry["event"], "selection entry {} event", k)
     if event == 0:
         raise InputFormatError(f"selection entry {k} has an empty event")
-    if (index[sid], event) in selection:
+    if rows[index[sid]][event] >= 0:
         raise InputFormatError(
             f"duplicate selection entry for state {sid!r} and event {sorted(entry['event'])}"
         )

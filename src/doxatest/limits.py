@@ -6,6 +6,7 @@ from __future__ import annotations
 from .errors import SizeLimitError
 
 DEFAULT_MAX_STATES = 8  # frame states for an exhaustive property check
+FRAME_STATE_LIMIT = 16  # frame states, each of whose dense rows holds 2^n entries
 DEFAULT_MAX_CELLS = 8  # model cells whose unions are the definable events
 COMPLETION_STATE_LIMIT = 12  # frame states for a selection completion
 EXHAUSTIVE_STATE_LIMIT = 4  # frame states for the exhaustive frame enumeration

@@ -23,15 +23,16 @@ first witness (and, on partial frames, the first missing row) unchanged:
   f(i, ·).  A property with a holds test packs B's table r(E) = Sup(B, E)
   into one int, r(E) in the fixed-width field E, from `Frame.sup_table`:
   the memo its scan reads through `Frame.sup`, built once per frame and
-  belief set.
-  Its gate (every believed row is defined, and r(E) ⊆ E at every E) decides
-  at each belief set alone whether the next two skips apply.
+  belief set (at B = {i}, the frame's row i itself).  Its gate decides at
+  each belief set alone whether the next two skips apply: every believed
+  row is defined and fits its field, and for the pair properties also
+  r(E) ⊆ E at every E.
 - *F through E∩F.*  Past the gate, PD57, PD57_STRONG, PD9 and PR8 read F
   only through G = E∩F, so F runs over the subsets of E (3ⁿ pairs, not
   4ⁿ).  Each G first turns up at F = G (any F with E∩F = G contains G), in
   ascending order: the first hit is the same instance.
-- *A holds test, else the scan.*  Past the gate, each of the six pair
-  properties first runs an exact test on the table (PD57_STRONG: on each
+- *A holds test, else the scan.*  Past the gate, every property but BASE
+  first runs an exact test on the table (PD57_STRONG: on each
   Sup({i}, ·)).  It reads every nonempty event's believed rows, as a scan
   that ends without error does, so its "holds" skips the scan; otherwise
   the scan alone reports.  PD6 and PD7, symmetric in (E, F), always run F
@@ -40,6 +41,10 @@ first witness (and, on partial frames, the first missing row) unchanged:
   Each test costs a few big-int operations per state on the packed table.
   The shapes of the tests:
 
+  - Single-event (PD2, PR4): one AND of the table with the fields it
+    constrains, filled, and with the states allowed there: for PD2 the
+    fields E ⊇ B and the states of B, for PR4 the fields E meeting B and
+    the states of E∩B.
   - Inside (PD57, and PD7 at B = {i}; PD57_STRONG per believed state): no
     G ⊆ E with r(E) ∩ G ⊄ r(G).  Gated (PR8, and PD9, which is PR8 at
     B = {i} and nowhere else): no G ⊆ E with r(E) meeting G and
@@ -65,13 +70,12 @@ two can be played against each other on small frames.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .frames import Frame, Violation, bits, mask_of, subsets_of, validate_frame
+from .frames import Frame, Violation, bits, grid, mask_of, pack, subsets_of, validate_frame
 from .limits import DEFAULT_MAX_STATES, refuse_beyond
 
 
@@ -267,40 +271,22 @@ _CONDITIONS: dict[PropertyId, tuple[Callable, _Second, bool]] = {
 
 
 # Holds tests at one belief set, over the row table r[E] for E = 0..full
-# (r[0] = 0) packed into one int, r(E) in the w bits from bit E·w, w the
-# least of 8, 16, 32 and 64 that holds n bits.  Only "holds" is trusted.
+# (r[0] = 0) packed into one int by `frames.pack`, r(E) in the w bits from
+# bit E·w, with the layout of `frames.grid`.  Only "holds" is trusted.
 
 
-def _pack(values, w: int) -> int:
-    # little-endian struct items of w bits: a value too wide raises, never cut
-    items = struct.pack(f"<{len(values)}{'BHIQ'[w.bit_length() - 4]}", *values)
-    return int.from_bytes(items, "little")
-
-
-@functools.cache  # a few ints per state count, read at every belief set
-def _grid(n: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """For packed n-state rows: the field width, the packed events (field E
-    holds E), bit 0 of every field, and per state x the fields E ∌ x
-    filled, which `_up` ORs into."""
-    w, ev, ones = max(8, 1 << (n - 1).bit_length()), 0, 1
-    for x in range(n):  # field E + {x} holds E + {x} for every E < {x}
-        ev |= ev + (ones << x) << (w << x)
-        ones |= ones << (w << x)
-    return w, ev, ones, tuple((~ev >> x & ones) * ((1 << n) - 1) for x in range(n))
-
-
-def _rows(frame: Frame, b: int) -> int | None:
+def _rows(frame: Frame, b: int, success: bool = True) -> int | None:
     """r(E) = Sup(B, E) at every event, packed from the `Frame.sup_table`
-    that the scan reads too; None unless every believed row is there and
-    succeeds.  A missing row reads -1: the scan raises it or finds a
+    that the scan reads too; None unless every believed row is defined and
+    fits its field and, with ``success``, r(E) ⊆ E at every E.  A missing
+    row reads -1, which `pack` refuses: the scan raises it or finds a
     violation first.  A table of empty rows packs to 0, so test ``is None``."""
-    rows = frame.sup_table(b)[:]
-    rows[0] = 0
-    if min(rows) < 0:
+    w, ev, _, _ = grid(frame.n)
+    try:
+        packed = pack(frame.sup_table(b)[1:], w) << w
+    except struct.error:
         return None
-    w, ev, _, _ = _grid(frame.n)
-    packed = _pack(rows, w)
-    return None if packed & ~ev else packed
+    return None if success and packed & ~ev else packed
 
 
 def _up(u: int, w: int, outs: tuple[int, ...]) -> int:
@@ -312,14 +298,14 @@ def _up(u: int, w: int, outs: tuple[int, ...]) -> int:
 
 
 def _inside(p: int, n: int) -> bool:
-    w, ev, _, outs = _grid(n)
+    w, ev, _, outs = grid(n)
     return not _up(p, w, outs) & ev & ~p
 
 
 def _gated(p: int, n: int) -> bool:
     # Per state x: field G of the union is that of ¬r(E) over E ⊇ G with x
     # in r(E), and it must miss r(G) wherever x is in G.
-    w, _, ones, outs = _grid(n)
+    w, _, ones, outs = grid(n)
     lifts = ((p >> x & ones) * ((1 << n) - 1) for x in range(n))  # fields with x in r(E)
     return not any(_up(lift & ~p, w, outs) & p & ~out for lift, out in zip(lifts, outs))
 
@@ -327,12 +313,34 @@ def _gated(p: int, n: int) -> bool:
 def _cumulative(p: int, n: int) -> bool:
     # One-step cumulativity: r(E \ {x}) = r(E) at each x in E outside r(E);
     # at E = {x} both are empty.
-    w, ev, ones, _ = _grid(n)
+    w, ev, ones, _ = grid(n)
     full = (1 << n) - 1
     return not any((p ^ p << (w << x)) & ((ev & ~p) >> x & ones) * full for x in range(n))
 
 
+def _kept(p: int, b: int, n: int) -> bool:
+    # PD2: r(E) ⊆ B at every E ⊇ B.  The fields holding each x ∈ B (every
+    # field when B is empty), filled, hold no state outside B.
+    w, ev, ones, _ = grid(n)
+    supersets = ones
+    for x in bits(b):
+        supersets &= ev >> x & ones
+    return not p & supersets * ((1 << w) - 1) & ~(ones * b)
+
+
+def _narrowed(p: int, b: int, n: int) -> bool:
+    # PR4: r(E) ⊆ E∩B at every E meeting B.  The fields holding some x ∈ B,
+    # filled, hold no state outside E∩B.
+    w, ev, ones, _ = grid(n)
+    meeting = 0
+    for x in bits(b):
+        meeting |= ev >> x & ones
+    return not p & meeting * ((1 << w) - 1) & ~(ev & ones * b)
+
+
 _HOLDS: dict[PropertyId, Callable[[Frame, int, int], bool]] = {
+    PropertyId.PD2: lambda frame, b, rows: _kept(rows, b, frame.n),
+    PropertyId.PR4: lambda frame, b, rows: _narrowed(rows, b, frame.n),
     PropertyId.PD57: lambda frame, b, rows: _inside(rows, frame.n),
     PropertyId.PD57_STRONG: lambda frame, b, rows: all(
         _inside(_rows(frame, 1 << i), frame.n) for i in bits(b)
@@ -368,7 +376,8 @@ def _find(frame: Frame, pid: PropertyId) -> PropertyWitness | None:
         violators = factory(frame, b)
         if violators is None:
             continue
-        rows = _rows(frame, b) if pid in _HOLDS else None
+        # the single-event tests need every believed row, but not success
+        rows = _rows(frame, b, second is not _Second.SINGLE) if pid in _HOLDS else None
         if rows is not None and _HOLDS[pid](frame, b, rows):
             continue  # the scan would find nothing
         walk = seconds[_Second.ALL if second is _Second.MEET and rows is None else second]

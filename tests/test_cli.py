@@ -647,11 +647,15 @@ def test_every_argv_exits_zero_one_or_two(runner, files, command, data):
 def _tier1_pins():
     """The rows of tests/data/console_pins.txt not marked CI-only, as
     (exit code, md5 of stdout, argv)."""
-    rows = []
+    rows, ids = [], set()
     for line in (ROOT / "tests" / "data" / "console_pins.txt").read_text().splitlines():
         if line.startswith("all "):
             _, code, digest, *argv = line.split()
-            rows.append(pytest.param(int(code), digest, argv, id=f"{argv[0]}-{digest}"))
+            # two commands may print the same bytes; a repeat names its file
+            key = f"{argv[0]}-{digest}"
+            key += f"-{Path(argv[1]).stem}" if key in ids else ""
+            ids.add(key)
+            rows.append(pytest.param(int(code), digest, argv, id=key))
     return rows
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_of, model_of, random_frame
+from doxatest import frames
 from doxatest.errors import (
     InputFormatError,
     SizeLimitError,
@@ -105,8 +106,6 @@ class TestValidateFrame:
             clauses = []
             if event == 0:
                 clauses = ["event-nonempty"]
-            elif event & ~full:
-                clauses = ["event-range"]
             elif value == 0:
                 clauses = ["consistency"]
             else:
@@ -114,31 +113,77 @@ class TestValidateFrame:
                     clauses.append("success")
                 if event >> s & 1 and not value >> s & 1:
                     clauses.append("weak-centering")
-            out += [(c, frame.states[s], frame.event_ids(event & full)) for c in clauses]
+            out += [(c, frame.states[s], frame.event_ids(event)) for c in clauses]
         return out
 
     def test_violations_come_in_state_and_event_order(self):
+        # The row check and the entry walk against the reference loop, on
+        # seeded 1-6-state frames whose rows are whole, absent, partial or
+        # broken (empty, outside the event, without s, or with a state
+        # outside the frame, inside the field width and beyond it), some
+        # with a keyed empty event.
         rng = random.Random(8)
-        for n in range(1, 6):
+        shapes = ("whole", "whole", "absent", "partial", "broken")
+        clean = broken = 0
+        for n in range(1, 7):
             full = (1 << n) - 1
-            selection = {}
-            for s in range(n):
-                for e in range(1, full + 1):
-                    selection[(s, e)] = e & rng.randrange(1, full + 1) | (e & 1 << s) or e & -e
-            broken = rng.sample(sorted(selection), min(len(selection), 6))
-            for s, e in broken:
-                # empty, outside the event, without s, or both of the last two
-                selection[(s, e)] = rng.choice([0, e | 1 << n, e & ~(1 << s) or 1 << n, 1 << n])
-            selection[(rng.randrange(n), 0)] = 1
-            selection[(rng.randrange(n), full + 1)] = 1
-            belief = [rng.choice([0, 1 << n, rng.randrange(1, full + 1)]) for _ in range(n)]
-            items = list(selection.items())
-            rng.shuffle(items)
-            want = self._sorted_loop(frame_of(n, belief, dict(sorted(items))))
-            assert sum(c in ("success", "weak-centering") for c, _, _ in want) >= 2
-            for order in (items, sorted(items)):
-                got = validate_frame(frame_of(n, belief, dict(order)))
-                assert [(v.clause, v.state, v.event) for v in got] == want
+            for k in range(18):
+                selection = {}
+                for s in range(n):
+                    shape = "whole" if k < 6 else rng.choice(shapes)
+                    for e in range(1, full + 1):
+                        if shape == "absent" or shape == "partial" and rng.random() < 0.3:
+                            continue
+                        selection[(s, e)] = e & rng.randrange(1, full + 1) | (e & 1 << s) or e & -e
+                    if shape == "broken":
+                        for e in rng.sample(range(1, full + 1), min(full, 3)):
+                            selection[(s, e)] = rng.choice(
+                                [0, e | 1 << n, e & ~(1 << s) or 1 << n, 1 << n, e | 1 << 40]
+                            )
+                s, e = rng.randrange(n), rng.randrange(1, full + 1)
+                if 2 <= k < 6:
+                    # whole rows but one entry: empty, outside its event,
+                    # without its state, or wider than any field
+                    value = [0, full & ~e or 1 << n, full & ~(1 << s) or 1 << n, e | 1 << 40][k - 2]
+                    selection[(s, full if k == 4 else e)] = value
+                elif k % 4 == 3:
+                    selection[(s, 0)] = rng.randrange(full + 1)
+                belief = [rng.choice([0, 1 << n, rng.randrange(1, full + 1)]) for _ in range(n)]
+                if k < 6:
+                    belief = [rng.randrange(1, full + 1) for _ in range(n)]
+                items = list(selection.items())
+                rng.shuffle(items)
+                want = self._sorted_loop(frame_of(n, belief, dict(sorted(items))))
+                clean += not want
+                broken += sum(c in ("success", "weak-centering") for c, _, _ in want) >= 2
+                for order in (items, sorted(items)):
+                    got = validate_frame(frame_of(n, belief, dict(order)))
+                    assert [(v.clause, v.state, v.event) for v in got] == want, (n, k)
+        assert clean >= 6 and broken >= 20, (clean, broken)
+
+    def test_entries_are_walked_only_after_the_row_check_fails(self, monkeypatch):
+        f = frame_of(2, [0, 0b10], {(0, 0b01): 0b11, (1, 0b11): 0})
+        assert [v.clause for v in validate_frame(f)] == ["seriality", "success", "consistency"]
+        monkeypatch.setattr(frames, "_rows_conform", lambda frame: True)
+        assert [v.clause for v in validate_frame(f)] == ["seriality"]
+
+    def test_frames_beyond_sixteen_states_are_refused(self):
+        # each of a frame's rows holds 2ⁿ entries, so a frame is refused
+        # before any row is built
+        states = [f"s{i}" for i in range(17)]
+        with pytest.raises(SizeLimitError):
+            frame_from_obj({"states": states, "belief": {}, "selection": []})
+        with pytest.raises(SizeLimitError):
+            Frame(tuple(states), (1,) * 17, {})
+        assert frame_from_obj({"states": states[:16], "selection": []}).n == 16
+
+    def test_keys_outside_the_frame_are_refused(self):
+        # the rows hold the events 0..full of the states 0..n-1, and -1 marks
+        # a missing row
+        for key, value in (((0, 0b100), 1), ((2, 0b01), 1), ((-1, 0b01), 1), ((0, -1), 1), ((0, 0b01), -1)):
+            with pytest.raises(ValueError):
+                frame_of(2, [0b01, 0b10], {key: value})
+        frame_of(2, [0b01, 0b10], {(1, 0): 0, (0, 0b11): 1 << 70})
 
 
 class TestCompleteSelection:
@@ -295,10 +340,10 @@ class TestSupports:
     def test_sup_matches_the_per_event_loop(self):
         # Frame.sup against the loop it replaced, on seeded 1-5-state frames
         # with rows dropped, rows replaced by arbitrary values (empty, or
-        # outside their event), and extra keys at (s, 0) and beyond full.
-        # Every belief mask and every event 0..full + 3 gives the same value,
-        # or the same exception type and text (an event beyond full names a
-        # state that is not there).
+        # outside their event), and extra keys at (s, 0).  Every belief mask
+        # and every event 0..full + 3 gives the same value, or the same
+        # exception type and text (an event beyond full names a state that
+        # is not there).
         def loop_sup(frame, bmask, event):
             got, rest = 0, bmask
             while rest:
@@ -327,7 +372,6 @@ class TestSupports:
                         selection[key] = rng.randrange(full + 1)
                 for s in rng.sample(range(n), (n + 1) // 2):
                     selection[(s, 0)] = rng.randrange(full + 1)
-                    selection[(s, full + 1 + rng.randrange(3))] = rng.randrange(1, 2 * full + 2)
                 belief = [rng.randrange(1, full + 1) for _ in range(n)]
                 reference = frame_of(n, belief, selection)
                 frame = frame_of(n, belief, selection)

@@ -16,7 +16,9 @@ from doxatest.frames import (
     bits,
     complete_selection,
     frame_from_obj,
+    grid,
     mask_of,
+    pack,
     relabel_frame,
     subsets_of,
     validate_frame,
@@ -526,9 +528,8 @@ def test_holds_tests_match_the_scan_on_ordered_frames(monkeypatch):
         assert holds > 100 and fails > 100, (pid, holds, fails)
 
 
-def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
-    calls = dict.fromkeys(TESTED, 0)
-
+def _spy_on(monkeypatch, calls):
+    # each property in ``calls`` counts there the calls of its predicate
     def spying(pid, factory):
         def spy_factory(frame, b):
             violators = factory(frame, b)
@@ -543,9 +544,14 @@ def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
 
         return spy_factory
 
-    for pid in TESTED:
+    for pid in calls:
         factory, second, reports_s_prime = _CONDITIONS[pid]
         monkeypatch.setitem(_CONDITIONS, pid, (spying(pid, factory), second, reports_s_prime))
+
+
+def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
+    calls = dict.fromkeys(TESTED, 0)
+    _spy_on(monkeypatch, calls)
     rng = random.Random(4)
     frame = _uniform_revision_frame(rng, 7, 1)  # a pointed belief set: PD9 applies
     with open(DATA / "unsuccessful_unbelieved_row.json") as fh:
@@ -570,6 +576,67 @@ def test_a_holding_frame_never_reads_the_meet_predicates(monkeypatch):
             _scan_only(scan)
             assert verdict == check_property(broken, pid)
         assert recheck_witness(broken, verdict.witness)
+
+
+# --- the single-event tests (PD2, PR4) against the scan ---------------------
+
+
+def _single_event_frames(rng, n):
+    # A frame that holds PD2 by construction, and PR4 too under a faithful
+    # ranking of one belief set (per-state centred orders, from 2 states,
+    # break PR4 at some belief sets); then copies with one believed row moved
+    # inside its event, missing at an event containing B(s) or at one that
+    # does not, or given a state beyond the frame, inside the field width or
+    # beyond it.
+    base = _centered_order_frame(rng, n) if n > 1 and rng.random() < 0.5 else (
+        _uniform_revision_frame(rng, n, rng.randint(1, n)))
+    out = [base, _perturbed(rng, base)] if n > 1 else [base]  # one state: no row can move
+    s = rng.randrange(n)
+    b, i = base.belief[s], rng.choice(list(bits(base.belief[s])))
+    supersets = [e for e in range(1, base.full + 1) if not b & ~e]
+    others = [e for e in range(1, base.full + 1) if b & ~e]
+    for events, change in ((supersets, None), (others, None), (supersets, 1 << n), (supersets, 1 << 40)):
+        if events:
+            e = rng.choice(events)
+            selection = dict(base.selection)
+            if change is None:
+                del selection[(i, e)]
+            else:
+                selection[(i, e)] |= change
+            out.append(frame_of(n, base.belief, selection))
+    return out
+
+
+def test_single_event_tests_match_the_scan(monkeypatch):
+    # PD2 and PR4 with their packed tests against the scan alone on seeded
+    # 1-9-state frames (16-bit fields from 9 states): the same verdict,
+    # witness or first error, both outcomes and raises all seen.  A belief
+    # set whose test holds never calls the property's predicate.
+    rng = random.Random(31)
+    groups = [_single_event_frames(rng, n) for n in range(1, 10) for _ in range(30 if n < 7 else 5)]
+    frames = [fr for group in groups for fr in group]
+    pids = (PropertyId.PD2, PropertyId.PR4)
+    calls = dict.fromkeys(pids, 0)
+    with monkeypatch.context() as spied:
+        _spy_on(spied, calls)
+        held = dict.fromkeys(pids, 0)
+        for base in (group[0] for group in groups):
+            for pid in pids:
+                before = calls[pid]
+                if check_property(base, pid, max_states=9).holds:  # every row there: decided by the test
+                    assert calls[pid] == before, (pid, base)
+                    held[pid] += 1
+        assert min(held.values()) > 60, held
+        got = [[_outcome(fr, lambda: check_property(fr, pid, max_states=9)) for pid in pids] for fr in frames]
+    _scan_only(monkeypatch)
+    want = [[_outcome(fr, lambda: check_property(fr, pid, max_states=9)) for pid in pids] for fr in frames]
+    assert got == want
+    for column, pid in enumerate(pids):
+        outcomes = [row[column] for row in want]
+        holds = sum('"holds": true' in o for o in outcomes if isinstance(o, str))
+        fails = sum('"holds": false' in o for o in outcomes if isinstance(o, str))
+        raises = sum(isinstance(o, tuple) for o in outcomes)
+        assert holds > 150 and fails > 150 and raises > 30, (pid, holds, fails, raises)
 
 
 # --- the PD6 and PD7 kernels against their definitions ---------------------
@@ -645,7 +712,7 @@ def test_pd6_and_pd7_kernels_match_their_definitions():
         n = len(rows).bit_length() - 1
         want = {"PD6": _reciprocal(rows), "PD7": _union_splits(rows), "PR8": _pr8_literally(rows)}
         assert _below_each_event(rows) == want, rows
-        packed = properties._pack(rows, properties._grid(n)[0])
+        packed = pack(rows, grid(n)[0])
         got = {
             "PD6": properties._cumulative(packed, n),
             "PD7": properties._inside(packed, n),
@@ -659,7 +726,7 @@ def test_pd6_and_pd7_kernels_match_their_definitions():
     for n in range(6, 10):
         for rows in [_row_table(rng, n) for _ in range(10)] + [[0] * (1 << n)]:
             want = _below_each_event(rows)
-            packed = properties._pack(rows, properties._grid(n)[0])
+            packed = pack(rows, grid(n)[0])
             assert properties._cumulative(packed, n) == want["PD6"], rows
             assert properties._inside(packed, n) == want["PD7"], rows
             assert properties._gated(packed, n) == want["PR8"], rows
@@ -670,11 +737,12 @@ def test_pd6_and_pd7_kernels_match_their_definitions():
 
 def test_packed_rows_keep_every_bit():
     # Rows of n = 8, 9, 16 and 17 states come back whole from their fields:
-    # `check --max-states` admits 17 states, so no width may cut a row.
+    # a frame holds up to 16 states (`FRAME_STATE_LIMIT`), and no width may
+    # cut a row.
     for n in (8, 9, 16, 17):
         full = (1 << n) - 1
-        w = properties._grid(n)[0]
-        packed = properties._pack([full, 0, full], w)
+        w = grid(n)[0]
+        packed = pack([full, 0, full], w)
         assert [packed >> w * i & (1 << w) - 1 for i in range(4)] == [full, 0, full, 0]
 
 
