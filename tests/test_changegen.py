@@ -47,11 +47,14 @@ from doxatest.properties import FrameClass, PropertyId, check_class
 CTX2 = WorldContext(("p", "q"))
 
 
-def total_update_table():
-    family = PreOrderFamily.from_rankings(
+def total_update_table_family():
+    return PreOrderFamily.from_rankings(
         [(0, 1, 2, 3), (2, 0, 1, 3), (2, 3, 0, 1), (3, 1, 2, 0)]
     )
-    return gen_update(CTX2, 0b0110, family)
+
+
+def total_update_table():
+    return gen_update(CTX2, 0b0110, total_update_table_family())
 
 
 def partial_update_table():
@@ -133,6 +136,17 @@ def test_family_validation_rejects_broken_orders():
         PreOrderFamily(((1, 2), (1, 3))).validate()
 
 
+def test_update_validates_the_orders_of_unbelieved_worlds():
+    # only believed worlds' minima are filled, but every world's order is
+    # validated: a family broken at world 3 alone fails for K = {00}
+    le = list(total_update_table_family().le)
+    le[3] = (le[3][0], le[3][1], le[3][2] & ~0b0100, le[3][3])  # 10 is no longer reflexive
+    family = PreOrderFamily(tuple(le))
+    with pytest.raises(UnfaithfulOrderError, match="order at world 3 is not reflexive at world 2"):
+        gen_update(CTX2, 0b0001, family)
+    gen_update(CTX2, 0b0001, total_update_table_family())
+
+
 def test_pareto_builds_genuinely_partial_orders():
     family = PreOrderFamily.pareto(
         [
@@ -211,6 +225,126 @@ def test_fill_minima_matches_the_definition_on_every_small_preorder():
         incomparable_minima += any(not le[x] >> y & 1 for x in top for y in top)
     # 1 + 4 + 29 + 355 preorders; many have incomparable minimal worlds
     assert len(orders) == 389 and incomparable_minima > 100
+
+
+def test_fill_minima_matches_the_definition_at_both_field_widths():
+    # The fill packs 8-bit fields up to 8 worlds and 16-bit fields up to 16:
+    # seeded pareto and total orders at 8 and 16 worlds, at several of their
+    # worlds, and seeded rankings at 16 worlds through `TotalPreOrder.minima`.
+    rng = Random(21)
+    for k in (3, 4):
+        ctx = WorldContext(("p", "q", "r", "s")[:k])
+        for total in (False, True, False):
+            family = random_family(rng, ctx, total=total)
+            for w in range(0, family.n_worlds, k - 1):
+                assert changegen._fill_minima(family.le[w]) == _literal_minima(family.le[w])
+    ctx = WorldContext(("p", "q", "r", "s"))
+    for _ in range(3):
+        order = random_total_order(rng, ctx, random_k(rng, ctx))
+        up = [mask_of(y for y, r in enumerate(order.ranks) if rank <= r) for rank in order.ranks]
+        assert order.minima() == _literal_minima(up)
+
+
+def test_transpose_matches_the_per_bit_definition():
+    # bit y of entry x is bit x of row y, on seeded 1-16-world matrices
+    # whose rows also carry bits at n and above, which are ignored
+    rng = Random(22)
+    for n in range(1, 17):
+        for _ in range(6):
+            rows = [rng.getrandbits(n + 3) for _ in range(n)]
+            want = [mask_of(y for y in range(n) if rows[y] >> x & 1) for x in range(n)]
+            assert changegen._transpose(rows) == want, rows
+
+
+def test_pareto_matches_the_literal_definition():
+    # x is at least as plausible as y when both rank vectors agree; seeded
+    # rank pairs on 1-16 worlds with many ties, and from_rankings, whose
+    # pairs hold one vector twice
+    rng = Random(23)
+    for n in range(1, 17):
+        for _ in range(4):
+            pairs = [
+                tuple([rng.randrange(-1, n // 2 + 2) for _ in range(n)] for _ in range(2))
+                for _ in range(n)
+            ]
+            want = tuple(
+                tuple(
+                    mask_of(y for y in range(n) if a[x] <= a[y] and b[x] <= b[y])
+                    for x in range(n)
+                )
+                for a, b in pairs
+            )
+            assert PreOrderFamily.pareto(pairs).le == want
+            rankings = [a for a, _ in pairs]
+            same = tuple(
+                tuple(mask_of(y for y in range(n) if a[x] <= a[y]) for x in range(n))
+                for a in rankings
+            )
+            assert PreOrderFamily.from_rankings(rankings).le == same
+            assert PreOrderFamily.pareto([(a, list(a)) for a in rankings]).le == same
+
+
+def _planted_faults(rows, w, rng):
+    # One copy of a valid order centred on w per fault kind, each planted so
+    # that the literal walk names exactly that kind first.
+    n, full = len(rows), (1 << len(rows)) - 1
+    others = [v for v in range(n) if v != w]
+    rng.shuffle(others)
+    y = others[0]
+    out = {
+        # row 0 is walked first, so its range fault is the first one found
+        "out of range": [r | rng.choice((1 << n, 1 << n + 5, -1 << n)) if v == 0 else r
+                         for v, r in enumerate(rows)],
+        "not reflexive": [r & ~(1 << y) if v == y else r for v, r in enumerate(rows)],
+        # y leaves every other row: w no longer sits below y alone
+        "below every other": [r if v == y else r & ~(1 << y) for v, r in enumerate(rows)],
+        # ... or y's row is made full as well, so y ties w
+        "tie": [full if v == y else r if v == w else r & ~(1 << y) for v, r in enumerate(rows)],
+    }
+    # z <= u is added where u reaches a world other than u that z does not
+    for u, z in itertools.product(others, repeat=2):
+        if not rows[z] >> u & 1 and rows[u] & ~rows[z] & ~(1 << u):
+            out["not transitive"] = [r | 1 << u if v == z else r for v, r in enumerate(rows)]
+            break
+    return out
+
+
+def test_packed_order_test_matches_the_literal_walk(monkeypatch):
+    # `_order_fault` with its packed test in front gives the walk's message,
+    # byte for byte, or None exactly when the walk finds nothing: every row
+    # tuple on 1-3 worlds at every centre with values up to one past full,
+    # then seeded 8- and 16-world orders, whole and with one planted fault of
+    # each kind.
+    cases = []
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        for rows in itertools.product(range(full + 2), repeat=n):
+            cases += [(rows, w, n) for w in range(n)]
+    rng = Random(24)
+    kinds = {}
+    for k in (3, 4):
+        ctx = WorldContext(("p", "q", "r", "s")[:k])
+        for total in (False, True) * 3:
+            family = random_family(rng, ctx, total=total)
+            w = rng.randrange(ctx.n_worlds)
+            cases.append((family.le[w], w, ctx.n_worlds))
+            for kind, rows in _planted_faults(family.le[w], w, rng).items():
+                cases.append((tuple(rows), w, ctx.n_worlds))
+                kinds.setdefault(kind, []).append(cases[-1])
+    packed = [changegen._order_fault(*case) for case in cases]
+    # the test alone decides: it passes exactly the orders the walk accepts
+    holds = [changegen._is_centred_preorder(*case) for case in cases]
+    monkeypatch.setattr(changegen, "_is_centred_preorder", lambda rows, w, n: False)
+    walked = [changegen._order_fault(*case) for case in cases]
+    assert packed == walked
+    assert holds == [fault is None for fault in walked]
+    # the planted faults are named as planted, at both sizes
+    for kind, planted in kinds.items():
+        assert len(planted) >= 10, kind
+        assert all(kind in changegen._order_fault(*case) for case in planted), kind
+    assert len(kinds) == 5
+    # 1 + 2 + 3·4 centred orders among the small tuples, and the 12 seeded ones
+    assert packed.count(None) == 27 and len(cases) > 2000
 
 
 # --- generated tables ---
