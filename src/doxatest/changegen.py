@@ -29,7 +29,7 @@ result lies inside its event, the pair postulates D5, D6, D7 and D9 first
 try an exact holds test (``_HOLDS_TESTS``, a few operations per world).  A
 pair check (``_TABLE_CHECKS``) whose test fails, or that has none to run,
 is decided by the literal scan over every pair of events (E, F), refused
-beyond `CUSTOM_ATOM_LIMIT` atoms.
+beyond `SCAN_INSTANCE_LIMIT` pairs.
 ``build_canonical_model`` and ``roundtrip_verify`` close the loop: rebuild a
 pointed structure from a table and confirm the frame-side machinery classifies
 it as expected and reads the same table back off.
@@ -47,9 +47,9 @@ from random import Random
 
 from .axioms import AxiomId, Status
 from .errors import InputFormatError, UnfaithfulOrderError
-from .formulas import ATOM_RE, Atom, truth_vector
+from .formulas import Atom, truth_vector
 from .frames import Event, Frame, Model, bits
-from .limits import ATOM_LIMIT, CUSTOM_ATOM_LIMIT, refuse_beyond
+from .limits import ATOM_LIMIT, SCAN_INSTANCE_LIMIT, refuse_beyond
 from .properties import FrameClass, check_class
 
 
@@ -87,13 +87,6 @@ class WorldContext:
 
     def label(self, w: int) -> str:
         return format(w, f"0{self.k}b")
-
-    def world(self, label: str) -> int:
-        if not isinstance(label, str) or len(label) != self.k or set(label) - {"0", "1"}:
-            raise InputFormatError(
-                f"world label {label!r} is not a {self.k}-character 0/1 string"
-            )
-        return int(label, 2)
 
     def labels(self, event: Event) -> list[str]:
         return [self.label(w) for w in bits(event)]
@@ -314,34 +307,23 @@ class ChangeFunctionTable:
     K and all results are world masks, and ``results[E]`` is the result at
     every nonempty event E (entry 0 is unused).  ``rows[w]``, laid out the
     same way, is believed world w's own contribution, used when rebuilding a
-    pointed structure; without ``rows`` (revision and parsed tables) every
-    believed world's row is the full result.  A table of kind "custom" (every
-    parsed table) is refused beyond `CUSTOM_ATOM_LIMIT` atoms, since
-    `roundtrip_verify` would check the class of its 16-state canonical
-    frame, where a failing property scans up to 4¹⁶ pairs of events;
-    order-generated tables pass their class's holds tests and may be larger.
-    The guard reads only ``kind``, so a hand-built table under another kind
-    is not refused; its audit refuses a pair scan beyond that bound on its
-    own.
+    pointed structure; without ``rows`` (revision and hand-built tables)
+    every believed world's row is the full result.
     """
 
     def __init__(
         self,
         ctx: WorldContext,
         k_mask: Event,
-        kind: str,
         results: Sequence[Event],
         rows: Mapping[int, Sequence[Event]] | None = None,
     ):
-        if kind == "custom":
-            refuse_beyond(ctx.k, CUSTOM_ATOM_LIMIT, "atoms in a custom change table")
         if not 0 < k_mask <= ctx.full:
             raise InputFormatError("K must be a nonempty set of worlds")
         if len(results) != ctx.full + 1 or not 0 <= min(results) <= max(results) <= ctx.full:
             raise ValueError(f"a table over {ctx.k} atoms needs {ctx.full + 1} world sets")
         self.ctx = ctx
         self.k_mask = k_mask
-        self.kind = kind
         self.results = tuple(results)
         self.rows = dict(rows) if rows is not None else dict.fromkeys(bits(k_mask), self.results)
 
@@ -351,70 +333,6 @@ class ChangeFunctionTable:
 
     def as_dict(self) -> dict[Event, Event]:
         return {event: self.results[event] for event in self.events()}
-
-    def to_obj(self) -> dict:
-        return {
-            "atoms": list(self.ctx.atoms),
-            "K": self.ctx.labels(self.k_mask),
-            "entries": [
-                {
-                    "event": self.ctx.labels(event),
-                    "result": self.ctx.labels(self.results[event]),
-                }
-                for event in self.events()
-            ],
-        }
-
-
-def table_from_obj(obj: dict) -> ChangeFunctionTable:
-    """Parse a serialised (custom) table; entries must cover every nonempty
-    event.  Beyond `CUSTOM_ATOM_LIMIT` atoms it is refused before the
-    entries are read."""
-    if not isinstance(obj, dict):
-        raise InputFormatError("table document must be an object")
-    try:
-        atoms = obj["atoms"]
-        if not isinstance(atoms, list) or not all(
-            isinstance(a, str) and ATOM_RE.match(a) for a in atoms
-        ):
-            raise InputFormatError(f"'atoms' must be a list of atom names, not {atoms!r}")
-        ctx = WorldContext(tuple(atoms))
-        refuse_beyond(ctx.k, CUSTOM_ATOM_LIMIT, "atoms in a custom change table")
-        k_labels = obj["K"]
-        entries = obj["entries"]
-    except KeyError as exc:
-        raise InputFormatError(f"table document is missing field: {exc}") from exc
-
-    def to_mask(labels, what: str) -> Event:
-        if not isinstance(labels, list):
-            raise InputFormatError(f"{what} must be a list of world labels")
-        out = 0
-        for label in labels:
-            out |= 1 << ctx.world(label)
-        return out
-
-    k_mask = to_mask(k_labels, "'K'")
-    if not isinstance(entries, list):
-        raise InputFormatError("'entries' must be a list of table entries")
-    results: list[Event | None] = [0] + [None] * ctx.full
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not {"event", "result"} <= set(entry):
-            raise InputFormatError(f"table entry {k} needs 'event' and 'result'")
-        event = to_mask(entry["event"], f"table entry {k} event")
-        result = to_mask(entry["result"], f"table entry {k} result")
-        if event == 0:
-            raise InputFormatError("table entry has an empty event")
-        if results[event] is not None:
-            raise InputFormatError(
-                f"duplicate table entry for event {{{', '.join(entry['event'])}}}"
-            )
-        results[event] = result
-    missing = results.count(None)
-    if missing:
-        raise InputFormatError(
-            f"table covers {ctx.full - missing} of {ctx.full} nonempty events"
-        )
-    return ChangeFunctionTable(ctx, k_mask, "custom", results)
 
 
 def gen_update(ctx: WorldContext, k_mask: Event, family: PreOrderFamily) -> ChangeFunctionTable:
@@ -432,7 +350,7 @@ def gen_update(ctx: WorldContext, k_mask: Event, family: PreOrderFamily) -> Chan
     results = [0] * (ctx.full + 1)
     for row in rows.values():
         results = list(map(operator.or_, results, row))
-    return ChangeFunctionTable(ctx, k_mask, "update", results, rows)
+    return ChangeFunctionTable(ctx, k_mask, results, rows)
 
 
 def gen_revision(ctx: WorldContext, k_mask: Event, order: TotalPreOrder) -> ChangeFunctionTable:
@@ -447,7 +365,7 @@ def gen_revision(ctx: WorldContext, k_mask: Event, order: TotalPreOrder) -> Chan
             "ranking is not faithful: its minimal worlds are {%s}, K is {%s}"
             % (", ".join(ctx.labels(results[-1])), ", ".join(ctx.labels(k_mask)))
         )
-    return ChangeFunctionTable(ctx, k_mask, "revision", results)
+    return ChangeFunctionTable(ctx, k_mask, results)
 
 
 # --- postulate audit on the bare table (independent of the frame route) ---
@@ -625,10 +543,10 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
     few operations per world x.  D5 and D6 need nothing more; D7 and D9
     count only when D5 holds, D7 then holding outright.  A check whose test
     passes holds; otherwise the literal scan over every pair (E, F) decides
-    it and reports its first failing pair.  That scan reads up to 255²
-    pairs at 3 atoms and 2³² at 4, so beyond `CUSTOM_ATOM_LIMIT` atoms it
-    raises `SizeLimitError` before it starts; order-generated tables pass
-    every holds test and never reach it.
+    it and reports its first failing pair.  That scan reads full² pairs,
+    65,025 at 3 atoms and about 4.3·10⁹ at 4, so beyond
+    `SCAN_INSTANCE_LIMIT` pairs it raises `SizeLimitError` before it starts;
+    order-generated tables pass every holds test and never reach it.
     """
     suite_key = suite.upper().replace("-", "_")
     if suite_key not in SUITES:
@@ -664,7 +582,7 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
                 rule is None or steps_hold(rule)
             ):
                 return None
-        refuse_beyond(table.ctx.k, CUSTOM_ATOM_LIMIT, "atoms in a change-table pair scan")
+        refuse_beyond(full * full, SCAN_INSTANCE_LIMIT, "pairs in a change-table pair scan")
         check = _TABLE_CHECKS[check_id]
         for e in scope:
             for f in scope:
@@ -760,9 +678,15 @@ def roundtrip_verify(table: ChangeFunctionTable, frame_class: FrameClass) -> Rou
        table on every nonempty event.
 
     The canonical frame has one state per world, so its class check runs at
-    ``max_states`` = the number of worlds: up to 16, by `ATOM_LIMIT`.  The
-    read-back first compares Sup(K, E) with the table over every event as
-    one tuple; only on a difference is each event read through
+    ``max_states`` = the number of worlds: up to 16, by `ATOM_LIMIT`.  A
+    property whose holds test fails there is scanned, and a scan beyond
+    `SCAN_INSTANCE_LIMIT` instances raises `SizeLimitError` before it
+    starts: at 16 states that is every pair scan, while the single-event
+    scans of PD2 and PR4 (65,535 events) run.  Order-generated tables pass
+    their class's holds tests and reach no pair scan.
+
+    The read-back first compares Sup(K, E) with the table over every event
+    as one tuple; only on a difference is each event read through
     `extract_table`, which names the mismatches or raises at a missing row.
     """
     model = build_canonical_model(table)

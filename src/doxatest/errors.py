@@ -37,7 +37,7 @@ class UndefinedSelectionError(DoxatestError):
 
 
 class InputFormatError(DoxatestError):
-    """A frame/model/table document does not match the expected schema."""
+    """A frame or model document, or a change table, does not match its schema."""
 
 
 class InvalidWitnessError(DoxatestError):

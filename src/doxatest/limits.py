@@ -15,9 +15,9 @@ EXHAUSTIVE_VALUATION_BITS = 12  # states x atoms up to which every valuation is 
 VALUATION_ATOM_LIMIT = 3  # atoms of the valuations in a correspondence sweep
 VALUATION_SAMPLES = 150  # seeded valuations swept beyond EXHAUSTIVE_VALUATION_BITS
 ATOM_LIMIT = 4  # atoms of a change-function world context
-CUSTOM_ATOM_LIMIT = 3  # atoms of a "custom" (parsed) change table, and of a table audit's pair scan
 DEFAULT_ATOM_LIMIT = 20  # atoms of a formula truth table
 NESTING_LIMIT = 100  # nesting levels of "(", "!" and binary operators in formula text
+SCAN_INSTANCE_LIMIT = 1 << 20  # instances one exhaustive scan walks
 
 
 def refuse_beyond(count: int, bound: int, what: str) -> None:

@@ -6,12 +6,19 @@ the frame and a belief set B(s), it maps an instance (E, F) to the mask of
 believed states s' at which the instance breaks the property.  One finder
 and `recheck_witness` both read that predicate.
 
-Checks are exhaustive over the event space (guarded by a size bound) and
-deterministic: the witness returned for a failing property is the first
-violation in canonical order — states by index, then E ascending, then F
-ascending, then s' as the lowest violating believed state.  Witnesses
-re-check: feeding one back into `recheck_witness` must confirm the violation,
-and a witness naming an s' outside B(s) never does.
+Checks are exhaustive over the event space and deterministic: the witness
+returned for a failing property is the first violation in canonical order —
+states by index, then E ascending, then F ascending, then s' as the lowest
+violating believed state.  Witnesses re-check: feeding one back into
+`recheck_witness` must confirm the violation, and a witness naming an s'
+outside B(s) never does.
+
+Two bounds refuse a check before its work starts: the frame's states
+(``max_states``), and the instances of each scan at a belief set, counted
+from the way it runs F and refused beyond `SCAN_INSTANCE_LIMIT`: 2ⁿ − 1
+events for a single-event condition, 3ⁿ − 1 pairs through E∩F,
+full·(full + 1)/2 pairs with F ≥ E, and full² pairs otherwise.  The holds
+tests below are not bounded: each costs a few big-int operations per state.
 
 The finder skips instances it can prove redundant, and each skip keeps the
 first witness (and, on partial frames, the first missing row) unchanged:
@@ -76,7 +83,7 @@ from enum import Enum
 from typing import Callable
 
 from .frames import Frame, Violation, bits, grid, mask_of, pack, subsets_of, validate_frame
-from .limits import DEFAULT_MAX_STATES, refuse_beyond
+from .limits import DEFAULT_MAX_STATES, SCAN_INSTANCE_LIMIT, refuse_beyond
 
 
 class PropertyId(str, Enum):
@@ -360,12 +367,14 @@ def _find(frame: Frame, pid: PropertyId) -> PropertyWitness | None:
     """First violation in canonical order: states, then E, then F ascending;
     s' is the lowest violating believed state."""
     factory, second, reports_s_prime = _CONDITIONS[pid]
-    events = range(1, frame.full + 1)
+    full = frame.full
+    events = range(1, full + 1)
+    # each way to run F, and the instances (E, F) it walks over every E
     seconds = {
-        _Second.SINGLE: lambda e: (None,),
-        _Second.ALL: lambda e: events,
-        _Second.MEET: subsets_of,
-        _Second.SYMMETRIC: lambda e: range(e, frame.full + 1),
+        _Second.SINGLE: (lambda e: (None,), full),
+        _Second.ALL: (lambda e: events, full * full),
+        _Second.MEET: (subsets_of, 3**frame.n - 1),
+        _Second.SYMMETRIC: (lambda e: range(e, full + 1), full * (full + 1) // 2),
     }
     decided = set()
     for s in range(frame.n):
@@ -380,7 +389,8 @@ def _find(frame: Frame, pid: PropertyId) -> PropertyWitness | None:
         rows = _rows(frame, b, second is not _Second.SINGLE) if pid in _HOLDS else None
         if rows is not None and _HOLDS[pid](frame, b, rows):
             continue  # the scan would find nothing
-        walk = seconds[_Second.ALL if second is _Second.MEET and rows is None else second]
+        walk, walked = seconds[_Second.ALL if second is _Second.MEET and rows is None else second]
+        refuse_beyond(walked, SCAN_INSTANCE_LIMIT, f"instances in an exhaustive {pid.value} scan")
         for e in events:
             for f in walk(e):
                 m = violators(e, f)

@@ -433,7 +433,7 @@ def _d1_to_d3_tables(ctx: WorldContext, k: int):
         results = [0] + [k] * ctx.full
         for e, x in zip(free, picks):
             results[e] = x
-        yield ChangeFunctionTable(ctx, k, "custom", results)
+        yield ChangeFunctionTable(ctx, k, results)
 
 
 def _pointed_uniform_frames(n: int):

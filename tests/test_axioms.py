@@ -833,7 +833,7 @@ def test_a_passing_holds_test_means_the_scan_finds_nothing():
     # the canonical model of a 2-atom table that passes every D9 step and
     # fails D5 and D9: the D9 test needs D5's verdict
     table = ChangeFunctionTable(
-        WorldContext(("p", "q")), 0b0100, "custom",
+        WorldContext(("p", "q")), 0b0100,
         [0, 1, 2, 1, 4, 1, 2, 1, 8, 1, 8, 9, 8, 13, 8, 13],
     )
     m = build_canonical_model(table)

@@ -7,10 +7,8 @@ from itertools import repeat
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from doxatest import changegen
+from doxatest import changegen, properties
 from doxatest.axioms import AxiomId, Status
 from doxatest.changegen import (
     SUITES,
@@ -32,7 +30,6 @@ from doxatest.changegen import (
     random_total_order,
     random_update_table,
     roundtrip_verify,
-    table_from_obj,
 )
 from doxatest.errors import (
     InputFormatError,
@@ -80,10 +77,7 @@ def test_world_labels_follow_atom_order():
     assert [CTX2.label(w) for w in range(4)] == ["00", "01", "10", "11"]
     assert CTX2.atom_worlds(0) == 0b1100  # p true at worlds 10 and 11
     assert CTX2.atom_worlds(1) == 0b1010  # q true at worlds 01 and 11
-    assert CTX2.world("10") == 2
     assert CTX2.labels(0b1001) == ["00", "11"]
-    with pytest.raises(InputFormatError):
-        CTX2.world("102")
     with pytest.raises(InputFormatError):
         WorldContext(("p", "p"))
     with pytest.raises(SizeLimitError):
@@ -352,7 +346,6 @@ def test_packed_order_test_matches_the_literal_walk(monkeypatch):
 
 def test_update_table_frozen_values():
     table = total_update_table()
-    assert table.kind == "update"
     got = table.as_dict()
     assert got[0b1111] == 0b0110
     assert got[0b1001] == 0b1001
@@ -442,7 +435,7 @@ def test_a_table_holds_world_sets():
     # a result outside the table's worlds would not fit its packed field
     for bad in (16, -1):
         with pytest.raises(ValueError, match="needs 16 world sets"):
-            ChangeFunctionTable(CTX2, 1, "custom", [0, bad, *range(2, 16)])
+            ChangeFunctionTable(CTX2, 1, [0, bad, *range(2, 16)])
 
 
 # --- canonical structures and roundtrips ---
@@ -481,139 +474,18 @@ def test_roundtrip_reports():
 def test_roundtrip_flags_row_table_drift():
     # rows that quietly disagree with the pooled table must surface in leg 3
     base = partial_update_table()
-    drifted = ChangeFunctionTable(
-        CTX2, 0b0001, "update", base.results, rows={0: range(CTX2.full + 1)}
-    )
+    drifted = ChangeFunctionTable(CTX2, 0b0001, base.results, rows={0: range(CTX2.full + 1)})
     report = roundtrip_verify(drifted, FrameClass.UPDATE)
     assert report.frame_valid
     assert report.mismatched_events and not report.ok
     assert 0b1111 in report.mismatched_events
 
 
-def test_table_serialisation_roundtrip():
-    table = revision_table()
-    obj = table.to_obj()
-    assert obj["atoms"] == ["p", "q"] and obj["K"] == ["01", "10"]
-    assert len(obj["entries"]) == 15
-    parsed = table_from_obj(obj)
-    assert parsed.kind == "custom"
-    assert parsed.as_dict() == table.as_dict()
-
-
-def test_custom_table_rejects_bad_documents():
-    obj = revision_table().to_obj()
-    short = dict(obj, entries=obj["entries"][:-1])
-    with pytest.raises(InputFormatError, match="14 of 15"):
-        table_from_obj(short)
-    doubled = dict(obj, entries=obj["entries"] + [obj["entries"][0]])
-    with pytest.raises(InputFormatError, match="duplicate"):
-        table_from_obj(doubled)
-    hollow = dict(obj, entries=[dict(obj["entries"][0], event=[])] + obj["entries"][1:])
-    with pytest.raises(InputFormatError, match="empty event"):
-        table_from_obj(hollow)
-    with pytest.raises(InputFormatError, match="missing field"):
-        table_from_obj({"atoms": ["p"]})
-    first = obj["entries"][0]
-    # not an object, no event, no result
-    for bad in (["00"], {"result": first["result"]}, {"event": first["event"]}):
-        with pytest.raises(InputFormatError, match="table entry 0 needs"):
-            table_from_obj(dict(obj, entries=[bad] + obj["entries"][1:]))
-    for label in (1, None, ["0", "1"]):
-        broken = dict(first, event=[label])
-        with pytest.raises(InputFormatError, match="world label"):
-            table_from_obj(dict(obj, entries=[broken] + obj["entries"][1:]))
-    with pytest.raises(InputFormatError, match="list of world labels"):
-        table_from_obj(dict(obj, entries=[dict(first, result="01")] + obj["entries"][1:]))
-    with pytest.raises(InputFormatError, match="list of table entries"):
-        table_from_obj(dict(obj, entries={"event": first["event"]}))
-    # a string of letters, non-string names, a missing name, a constant's word
-    for atoms in ("pq", [1, 2], ["p", None], ["p", "true"]):
-        with pytest.raises(InputFormatError, match="'atoms' must be a list of atom names"):
-            table_from_obj(dict(obj, atoms=atoms))
-
-
-# Faults planted in a valid table document, up to three.
-_TABLE_FAULTS = (
-    "drop-field", "retype-field", "retype-entry", "unknown-world", "bad-atom",
-    "wide-atoms", "drop-entry", "duplicate-entry", "empty-event",
-)
-_NON_LABELS = st.one_of(
-    st.none(), st.integers(-2, 2), st.booleans(), st.text(max_size=3), st.just({"a": 1}), st.just([["01"]])
-)
-
-
-@st.composite
-def table_documents(draw):
-    ctx = WorldContext(("p", "q", "r")[: draw(st.integers(1, 3))])
-    rng = Random(draw(st.integers(0, 2**16)))
-    results = [0] + [rng.randrange(ctx.full + 1) for _ in range(ctx.full)]
-    obj = ChangeFunctionTable(ctx, draw(st.integers(1, ctx.full)), "custom", results).to_obj()
-    for fault in draw(st.lists(st.sampled_from(_TABLE_FAULTS), max_size=3)):
-        atoms, entries = obj.get("atoms"), obj.get("entries")
-        if fault == "drop-field":
-            obj.pop(draw(st.sampled_from(["atoms", "K", "entries"])), None)
-        elif fault == "retype-field":
-            obj[draw(st.sampled_from(["atoms", "K", "entries"]))] = draw(_NON_LABELS)
-        elif fault in ("bad-atom", "wide-atoms"):
-            if not isinstance(atoms, list):
-                continue
-            if fault == "wide-atoms":  # refused before the entries are read
-                obj["atoms"] = [f"a{i}" for i in range(draw(st.integers(4, 6)))]
-            else:
-                bad = st.sampled_from(["Q", "1p", "", "true", "false", *atoms])
-                obj["atoms"] = [*atoms[:-1], draw(bad)]
-        elif not isinstance(entries, list) or not entries:
-            continue
-        else:
-            obj["entries"] = entries = list(entries)
-            j = draw(st.integers(0, len(entries) - 1))
-            if not isinstance(entries[j], dict):
-                continue  # already replaced by a non-object
-            entry = entries[j] = dict(entries[j])
-            if fault == "retype-entry":
-                if draw(st.booleans()):
-                    entries[j] = draw(_NON_LABELS)
-                else:
-                    entry.pop(draw(st.sampled_from(["event", "result"])), None)
-            elif fault == "unknown-world":
-                label = draw(st.sampled_from(["2", "", "0x", "0000"]) | _NON_LABELS)
-                if draw(st.booleans()):
-                    obj["K"] = [label]
-                else:
-                    key = draw(st.sampled_from(["event", "result"]))
-                    entry[key] = [*entry.get(key, []), label]
-            elif fault == "drop-entry":
-                del entries[j]
-            elif fault == "duplicate-entry":
-                entries.append(entry)
-            else:
-                entry["event"] = []
-    return obj
-
-
-@given(table_documents())
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_table_documents_load_or_raise_input_format_error(obj):
-    try:
-        table = table_from_obj(json.loads(json.dumps(obj)))
-    except InputFormatError:
-        return
-    except SizeLimitError:
-        assert len(obj["atoms"]) > 3
-        return
-    again = table_from_obj(table.to_obj())
-    assert (again.ctx, again.k_mask, again.results) == (table.ctx, table.k_mask, table.results)
-
-
 def test_corrupted_custom_table_fails_roundtrip():
-    obj = revision_table().to_obj()
-    entries = [
-        dict(entry, result=["00", "01"])
-        if entry["event"] == ["00", "01"]
-        else entry
-        for entry in obj["entries"]
-    ]
-    bent = table_from_obj(dict(obj, entries=entries))
+    # the revision table with r({00, 01}) bent from {01} to {00, 01}
+    table = revision_table()
+    bent = ChangeFunctionTable(CTX2, table.k_mask, [*table.results[:3], 0b0011, *table.results[4:]])
+    assert bent.results[3] != table.results[3]
     report = roundtrip_verify(bent, FrameClass.REVISION_STRICT)
     assert report.frame_valid
     assert not report.class_holds
@@ -623,8 +495,8 @@ def test_corrupted_custom_table_fails_roundtrip():
 def test_four_atom_tables_are_checked_over_every_event():
     # one generated table per kind round-trips into its 16-state class and
     # passes its suite over all 65,535 events (the singleton Ks run PD9's and
-    # D9's holds tests, and PD7's and D7's); a custom table is refused when
-    # it is built
+    # D9's holds tests, and PD7's and D7's); a hand-built copy that fails
+    # success has its pair scans refused on both routes
     ctx = WorldContext(("p", "q", "r", "s"))
     rng = Random(11)
     strong = gen_update(ctx, 1 << rng.randrange(16), random_family(rng, ctx, total=True))
@@ -638,10 +510,11 @@ def test_four_atom_tables_are_checked_over_every_event():
         trip = roundtrip_verify(table, frame_class)
         assert trip.ok and trip.events_checked == 65535
         assert audit_function(table, changegen.EXPECTED_SUITE[frame_class]).ok
-    with pytest.raises(SizeLimitError, match="custom change table"):
-        ChangeFunctionTable(ctx, table.k_mask, "custom", table.results)
-    with pytest.raises(SizeLimitError, match="custom change table"):
-        table_from_obj({"atoms": list(ctx.atoms), "K": ["0000"], "entries": []})
+    bent = ChangeFunctionTable(ctx, table.k_mask, [0, 0b11, *table.results[2:]])
+    with pytest.raises(SizeLimitError, match="exhaustive PD57 scan: 4294836225 exceeds"):
+        roundtrip_verify(bent, FrameClass.UPDATE)
+    with pytest.raises(SizeLimitError, match="pair scan: 4294836225 exceeds"):
+        audit_function(bent, "KM")
 
 
 def test_audit_route_never_touches_the_frame_route(monkeypatch):
@@ -735,9 +608,7 @@ def _edited(table, edits):
     results = list(table.results)
     for e, r in edits:
         results[e] = r
-    # a custom table is refused at 4 atoms, where the audit refuses its scans
-    kind = "custom" if table.ctx.k < 4 else table.kind
-    return ChangeFunctionTable(table.ctx, table.k_mask, kind, results)
+    return ChangeFunctionTable(table.ctx, table.k_mask, results)
 
 
 def _perturbed(rng, table):
@@ -898,16 +769,32 @@ def test_audit_refuses_a_four_atom_pair_scan(monkeypatch):
     for check in changegen._TABLE_CHECKS:
         monkeypatch.setitem(changegen._TABLE_CHECKS, check, scanned)
     ctx = WorldContext(("p", "q", "r", "s"))
-    table = ChangeFunctionTable(ctx, 1, "update", [0] + [1] * 65535)
+    table = ChangeFunctionTable(ctx, 1, [0] + [1] * 65535)
     with pytest.raises(SizeLimitError, match="pair scan"):
         audit_function(table, "KM")
+
+
+def test_roundtrip_refuses_a_four_atom_property_scan(monkeypatch):
+    # The same table's 16-state canonical frame fails success, so PD57's gate
+    # is closed and its scan would walk 65,535² pairs: the class check
+    # refuses it before the scan starts.  Every property predicate is
+    # stubbed, so a scan that does start fails the test at once.
+    def scanned(e, f):  # pragma: no cover - called means a scan started
+        raise AssertionError("a 16-state property scan started")
+
+    for pid, (_, second, names) in list(properties._CONDITIONS.items()):
+        monkeypatch.setitem(properties._CONDITIONS, pid, (lambda frame, b: scanned, second, names))
+    ctx = WorldContext(("p", "q", "r", "s"))
+    table = ChangeFunctionTable(ctx, 1, [0] + [1] * 65535)
+    with pytest.raises(SizeLimitError, match="exhaustive PD57 scan"):
+        roundtrip_verify(table, FrameClass.UPDATE)
 
 
 def _d9_steps_without_d5():
     # Every D9 step E -> E∖{x} passes, but D5 fails, and so does D9 itself:
     # r({00,01,10,11}) = {00,01,10} while r({10,11}) = {10,11}.
     r = [0, 1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 12, 1, 2, 7]
-    return ChangeFunctionTable(CTX2, 0b0111, "custom", r)
+    return ChangeFunctionTable(CTX2, 0b0111, r)
 
 
 def test_d9_steps_are_trusted_only_when_d5_holds():
@@ -966,7 +853,7 @@ def test_holding_tables_skip_the_pair_scans(monkeypatch):
         report = audit(strong, "KM_STRONG")
         assert report.ok and report.verdicts[-1].status is Status.HOLDS
         assert audit(random_revision_table(rng, ctx), "AGM").ok
-    empty = ChangeFunctionTable(ctx, 0b1, "custom", [0] * 256)
+    empty = ChangeFunctionTable(ctx, 0b1, [0] * 256)
     report = audit(empty, "KM_STRONG")
     assert report.failed() == (AxiomId.D2, AxiomId.D3)
     assert {v.witness for v in report.verdicts} == {None, changegen.TableWitness(1)}
@@ -987,7 +874,7 @@ def test_packed_results_keep_every_bit():
 def test_audit_without_success_scans_every_pair():
     # every result keeps world 00, so D1 fails and F must range over all
     # events: the first D5 failure has F = {00}, outside E = {01}
-    table = ChangeFunctionTable(CTX2, 0b0001, "custom", [e and e | 0b0001 for e in range(16)])
+    table = ChangeFunctionTable(CTX2, 0b0001, [e and e | 0b0001 for e in range(16)])
     km = {v.axiom: v for v in audit_function(table, "KM").verdicts}
     assert km[AxiomId.D1].status is Status.FAILS
     d5 = km[AxiomId.D5].witness

@@ -346,6 +346,18 @@ def test_max_states_flag_beats_environment(runner):
 
 
 
+def test_check_refuses_a_scan_beyond_the_instance_bound(runner):
+    # 12 states all believing {s0}, whose row fails success at {s1}: PD57's
+    # gate is closed, so its scan would walk 4095² pairs, and it is refused
+    # before it starts
+    path = "tests/data/pd57_gate_closed_12state.json"
+    result = runner.invoke(main, ["check", path, "--property", "pd57", "--max-states", "12"])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        "error: instances in an exhaustive PD57 scan: 16769025 exceeds the bound 1048576\n"
+    )
+
+
 def test_max_states_error_names_the_variable_only_when_read_from_it(runner):
     argv = ["check", SEPARATION, "--property", "PD2"]
     flag = runner.invoke(main, [*argv, "--max-states", "0"], env={"DOXATEST_MAX_STATES": None})

@@ -13,6 +13,7 @@ from doxatest import properties
 from doxatest.correspondence import FrameGenSpec, enumerate_frames
 from doxatest.errors import DoxatestError, SizeLimitError, UndefinedSelectionError
 from doxatest.frames import (
+    Frame,
     bits,
     complete_selection,
     frame_from_obj,
@@ -251,6 +252,63 @@ def test_size_guard():
     with pytest.raises(SizeLimitError):
         check_pd57_literal(fr)
     assert check_property(fr, PropertyId.PD2, max_states=9).holds
+
+
+def _pointed(n, successful):
+    """n states all believing {s0}, whose row is the one read: the lowest
+    state of each event when ``successful`` (the success gate opens), and
+    missing everywhere otherwise (it stays closed)."""
+    full = (1 << n) - 1
+    row = [-1] + [e & -e for e in range(1, full + 1)] if successful else [-1] * (full + 1)
+    return Frame(tuple(f"s{i}" for i in range(n)), (1,) * n, [row] + [[-1] * (full + 1)] * (n - 1))
+
+
+def _never_fires(monkeypatch, pid):
+    """Stub pid's predicate to count its calls and never fire, and its holds
+    test to fail, so that every scan the check starts runs to its end."""
+    _, second, names = _CONDITIONS[pid]
+    calls = [0]
+
+    def violators(e, f):
+        calls[0] += 1
+        return 0
+
+    monkeypatch.setitem(_CONDITIONS, pid, (lambda frame, b: violators, second, names))
+    if pid in properties._HOLDS:
+        monkeypatch.setitem(properties._HOLDS, pid, lambda frame, b, rows: False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pid, successful, largest, walked",
+    [
+        (PropertyId.PD2, False, 16, 2**16 - 1),  # one event at a time
+        (PropertyId.PR4, True, 16, 2**16 - 1),
+        (PropertyId.PD57, True, 12, 3**12 - 1),  # F through E∩F
+        (PropertyId.PR8, False, 10, 1023**2),  # the gate closed: every F
+        (PropertyId.PD6, True, 10, 1023 * 1024 // 2),  # F ≥ E
+    ],
+)
+def test_each_scan_runs_up_to_the_instance_bound(monkeypatch, pid, successful, largest, walked):
+    # The largest frame whose walk fits SCAN_INSTANCE_LIMIT is scanned in
+    # full; one state more is refused before the predicate is called.  No
+    # frame outgrows a single-event walk: frames stop at 16 states.
+    calls = _never_fires(monkeypatch, pid)
+    assert check_property(_pointed(largest, successful), pid, max_states=16).holds
+    assert calls[0] == walked
+    if largest < 16:
+        with pytest.raises(SizeLimitError, match=f"exhaustive {pid.value} scan"):
+            check_property(_pointed(largest + 1, successful), pid, max_states=16)
+        assert calls[0] == walked
+
+
+def test_every_scan_runs_at_eight_states(monkeypatch):
+    # the default state bound never meets the instance bound: 255² pairs
+    for pid in _CONDITIONS:
+        for successful in (True, False):
+            calls = _never_fires(monkeypatch, pid)
+            assert check_property(_pointed(8, successful), pid).holds
+            assert 255 <= calls[0] <= 255**2, (pid, successful)
 
 
 # --- randomized invariants ------------------------------------------------
