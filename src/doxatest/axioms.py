@@ -17,6 +17,15 @@ set of formulas true throughout one support event, so closure (D0/R1) and
 irrelevance of syntax (D4/R6) hold by representation on every route,
 without a search.
 
+Both routes reach a verdict through one plan per postulate, `_PLANS`, built
+at import from `ALIASES` and the classification sets: the verdict fixed
+before any search (D3/R5 not applicable, D0/D4 holding), the resolved
+postulate, its memo key and whether it applies only at complete belief
+sets.  The plan is classification metadata; each route keeps its own memo
+and predicates.  `axiom_holds` hands out one shared frozen verdict per
+postulate for "holds" and for "not applicable", and builds a verdict only
+for a failure.
+
 Lemma.  At b, let R(E) = cl(Sup(b, E)) on the definable events.  For F
 definable, cl(X∩F) = cl(X)∩F (a cell meets X∩F iff it meets X and lies in
 F), and Sup(b, E) ⊆ F iff R(E) ⊆ F.  So an instance fails iff: D1,
@@ -37,9 +46,9 @@ each G = E∖c, c a cell of E (`_holds_by_steps`; G = ∅ passes every rule):
 quantification over a formula pool, as an independent cross-check.  It
 reads no cells and no closures, and it shares no memo or predicate with the
 reductions.  Its own state lives on the model, one context per (model,
-pool): the pool's distinct truth sets, and per belief set one membership
-bitset over them per event and one status per postulate, so each postulate
-is decided once per (model, belief set).
+pool): a snapshot of the pool, the pool's distinct truth sets, and per
+belief set one membership bitset over them per event and one status per
+postulate, so each postulate is decided once per (model, belief set).
 
 A failing verdict carries a witness: the events playing the two formula roles
 plus a distinguishing definable event G.  Replaying the witness through the
@@ -52,7 +61,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .formulas import Formula, semantic_pool
 from .frames import Frame, Model, bits, cell_closure, cells, definable_events, subsets_of, truth_set
@@ -298,6 +307,34 @@ _STRUCTURAL = frozenset({AxiomId.D0, AxiomId.D4})
 _EXTENSION_ONLY = frozenset({AxiomId.D3, AxiomId.R5})
 
 
+class _Plan(NamedTuple):
+    """One postulate's classification (see the module docstring).  R8's
+    memo `key` is D9: R8 runs D9's scan and branch, and D9 is asked only at
+    complete belief sets."""
+
+    fixed: Status | None
+    resolved: AxiomId
+    key: AxiomId
+    complete_only: bool
+    holds: AxiomVerdict
+    not_applicable: AxiomVerdict
+
+
+def _plan(axiom: AxiomId) -> _Plan:
+    resolved = ALIASES.get(axiom, axiom)
+    fixed = (Status.NOT_APPLICABLE if resolved in _EXTENSION_ONLY
+             else Status.HOLDS if resolved in _STRUCTURAL else None)
+    return _Plan(fixed, resolved, AxiomId.D9 if resolved is AxiomId.R8 else resolved,
+                 resolved in _COMPLETE_ONLY, AxiomVerdict(axiom, Status.HOLDS),
+                 AxiomVerdict(axiom, Status.NOT_APPLICABLE))
+
+
+_PLANS: dict[AxiomId, _Plan] = {axiom: _plan(axiom) for axiom in AxiomId}
+
+# a memo miss, where a first witness of None means "holds"
+_UNDECIDED = object()
+
+
 def axiom_holds(
     model: Model,
     s: int,
@@ -313,27 +350,25 @@ def axiom_holds(
     extension layer owns them).  D7 and D9 are conditions on complete belief
     states and are not-applicable elsewhere.  A pair postulate scans only
     on a failing holds test (the module's lemma): witnesses are the scan's.
+    A holding or not-applicable verdict is the postulate's shared one.
     """
-    resolved = ALIASES.get(axiom, axiom)
-    if resolved in _EXTENSION_ONLY:
-        return AxiomVerdict(axiom, Status.NOT_APPLICABLE)
-    if resolved in _COMPLETE_ONLY and not is_complete_at(model, s):
-        return AxiomVerdict(axiom, Status.NOT_APPLICABLE)
-    if resolved in _STRUCTURAL:
-        return AxiomVerdict(axiom, Status.HOLDS)
+    plan = _PLANS[axiom]
+    if plan.fixed is Status.NOT_APPLICABLE or plan.complete_only and not is_complete_at(model, s):
+        return plan.not_applicable
+    if plan.fixed is Status.HOLDS:
+        return plan.holds
     if ctx is None:
         ctx = ModelContext.of(model, max_cells=max_cells)
-    # R8 runs D9's scan, and D9 is asked only at complete belief sets, so
-    # the two share one witness
-    key = (model.frame.belief[s], AxiomId.D9 if resolved is AxiomId.R8 else resolved)
-    if key in ctx.found:
-        witness = ctx.found[key]
-    elif _INSTANCES[resolved][0] != _NO_F and _holds_by_steps(ctx, resolved, key[0]):
-        witness = ctx.found[key] = None
-    else:
-        witness = ctx.found[key] = next(_violations(ctx, resolved, key[0]), None)
+    key = (model.frame.belief[s], plan.key)
+    witness = ctx.found.get(key, _UNDECIDED)
+    if witness is _UNDECIDED:
+        resolved = plan.resolved
+        if _INSTANCES[resolved][0] != _NO_F and _holds_by_steps(ctx, resolved, key[0]):
+            witness = ctx.found[key] = None
+        else:
+            witness = ctx.found[key] = next(_violations(ctx, resolved, key[0]), None)
     if witness is None:
-        return AxiomVerdict(axiom, Status.HOLDS)
+        return plan.holds
     return AxiomVerdict(axiom, Status.FAILS, witness)
 
 
@@ -381,14 +416,15 @@ class _OracleContext:
 
     It holds no reference to the model, so a model and its contexts are
     freed together without the cycle collector.  `formulas` is the pool as
-    it was when the context was built; a context is reused only while the
-    pool still equals it.
+    it was when the context was built, a list for a list pool and a tuple
+    otherwise, so that it compares equal to the pool itself; a context is
+    reused only while the pool still equals it.
     """
 
     __slots__ = ("formulas", "chi_masks", "nonempty", "ups", "rows", "statuses")
 
     def __init__(self, model: Model, formulas: Sequence[Formula]):
-        self.formulas = tuple(formulas)
+        self.formulas = list(formulas) if isinstance(formulas, list) else tuple(formulas)
         # membership depends only on the truth set, so each distinct truth
         # set is one target
         self.chi_masks = sorted({truth_set(model, f) for f in self.formulas})
@@ -429,27 +465,23 @@ def axiom_status_via_formulas(
     # and `ALIASES` would turn "R2" into a real id, so it is refused first
     if not isinstance(axiom, AxiomId):
         raise ValueError(f"no formula-level check for {axiom}")
-    frame = model.frame
-    b = frame.belief[s]
-    resolved = ALIASES.get(axiom, axiom)
-    if resolved in _EXTENSION_ONLY:
-        return Status.NOT_APPLICABLE
-    if resolved in _COMPLETE_ONLY and not is_complete_at(model, s):
+    b = model.frame.belief[s]
+    plan = _PLANS[axiom]
+    if plan.fixed is Status.NOT_APPLICABLE or plan.complete_only and not is_complete_at(model, s):
         return Status.NOT_APPLICABLE
     if formulas is None:
         formulas = _default_pool(model.atom_names)
     ctx = model._oracle.get(id(formulas))
     # a pool mutated in place, or a new pool at a recycled id, rebuilds
-    if ctx is None or ctx.formulas != tuple(formulas):
+    if ctx is None or ctx.formulas != formulas:
         ctx = model._oracle[id(formulas)] = _OracleContext(model, formulas)
-    if resolved is AxiomId.D0 or resolved is AxiomId.D4:
+    if plan.fixed is Status.HOLDS:
         return Status.HOLDS
-    # R8 runs D9's branch; D9's gate depends only on b, so past it they
-    # share one status
-    key = (b, AxiomId.D9 if resolved is AxiomId.R8 else resolved)
+    # D9's gate depends only on b, so past it D9 and R8 share one status
+    key = (b, plan.key)
     status = ctx.statuses.get(key)
     if status is None:
-        status = ctx.statuses[key] = _decide(ctx, frame, *key)
+        status = ctx.statuses[key] = _decide(ctx, model.frame, *key)
     return status
 
 

@@ -24,12 +24,11 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .axioms import (
-    ALIASES,
     AxiomId,
     AxiomWitness,
     ModelContext,
     Status,
-    _COMPLETE_ONLY,
+    _PLANS,
     axiom_holds,
     replay_witness,
 )
@@ -360,7 +359,7 @@ def _verdict(frame: Frame, pair: CorrespondencePair, verdict_of: Callable,
 
     exhaustive = n * atom_budget <= EXHAUSTIVE_VALUATION_BITS
     fat = any(frame.belief[i].bit_count() > 1 for i in scope_states)
-    complete_only = ALIASES.get(pair.axiom, pair.axiom) in _COMPLETE_ONLY
+    complete_only = _PLANS[pair.axiom].complete_only
     lo = 1 if fat and complete_only else min(n, 1 << atom_budget)
     if exhaustive or lo == n:
         try:

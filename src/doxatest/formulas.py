@@ -20,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MissingAtomError, ParseError
 from .limits import DEFAULT_ATOM_LIMIT, NESTING_LIMIT, refuse_beyond
@@ -364,27 +364,34 @@ def semantic_pool(
     by connective nesting up to ``depth``, at most ``per_class`` syntactic
     variants per semantic class.  Enumeration order is deterministic, so the
     pool can serve as a frozen quantification domain in tests.
+
+    Each class is keyed by its truth vector over the sorted names, the one
+    `truth_vector` gives.  A candidate's vector is read off its children's
+    keys with the connective's bit operation, as `denote` folds it, and the
+    node is built only when its class still has room: no formula is walked.
     """
     names = sorted(atom_names)
+    columns, full = _assignment_space(names)
     classes: dict[int, list[Formula]] = {}
 
-    def add(f: Formula) -> None:
-        v = truth_vector(f, names)
+    def add(v: int, make: Callable[..., Formula], *children: Formula) -> None:
         bucket = classes.setdefault(v, [])
         if len(bucket) < per_class:
-            bucket.append(f)
+            bucket.append(make(*children))
 
-    for f in [TRUE, FALSE, *(Atom(n) for n in names)]:
-        add(f)
+    add(full, lambda: TRUE)
+    add(0, lambda: FALSE)
+    for n in names:
+        add(columns[n], Atom, n)
     for _ in range(depth):
-        reps = [bucket[0] for bucket in classes.values()]
-        stored = [f for bucket in classes.values() for f in bucket]
-        for f in stored:
-            add(Not(f))
-        for f, g in itertools.product(reps, reps):
-            add(And(f, g))
-            add(Or(f, g))
-            add(Implies(f, g))
-            add(Iff(f, g))
+        reps = [(v, bucket[0]) for v, bucket in classes.items()]
+        stored = [(v, f) for v, bucket in classes.items() for f in bucket]
+        for v, f in stored:
+            add(full & ~v, Not, f)
+        for (a, f), (b, g) in itertools.product(reps, reps):
+            add(a & b, And, f, g)
+            add(a | b, Or, f, g)
+            add((full & ~a) | b, Implies, f, g)
+            add(full & ~(a ^ b), Iff, f, g)
     return [f for bucket in classes.values() for f in bucket]
 

@@ -14,6 +14,7 @@ from doxatest import axioms
 from doxatest.axioms import (
     ALIASES,
     AxiomId,
+    AxiomVerdict,
     ModelContext,
     Status,
     axiom_holds,
@@ -332,6 +333,74 @@ def test_cell_budget_guard():
         ModelContext.of(m, max_cells=2)
     with pytest.raises(SizeLimitError):
         axiom_holds(m, 0, AxiomId.D2, max_cells=2)
+
+
+# The classification both routes read through `axioms._PLANS`, written out:
+# the extension-only postulates are never applicable, the structural ones
+# always hold, D7 and D9 apply only at complete belief sets, the aliases
+# resolve to their update twins, and R8 is decided under D9's memo key.
+NEVER_APPLICABLE = {AxiomId.D3, AxiomId.R5}
+HOLD_BY_REPRESENTATION = {AxiomId.D0, AxiomId.R1, AxiomId.D4, AxiomId.R6}
+COMPLETE_ONLY = {AxiomId.D7, AxiomId.D9}
+TWINS = {AxiomId.R1: AxiomId.D0, AxiomId.R2: AxiomId.D1, AxiomId.R6: AxiomId.D4,
+         AxiomId.R7: AxiomId.D5}
+
+
+def test_every_axiom_has_a_plan_with_the_written_rules():
+    assert list(axioms._PLANS) == list(AxiomId)
+    for axiom, plan in axioms._PLANS.items():
+        resolved = TWINS.get(axiom, axiom)
+        assert plan.resolved is resolved
+        assert plan.key is (AxiomId.D9 if axiom is AxiomId.R8 else resolved)
+        assert plan.complete_only == (axiom in COMPLETE_ONLY)
+        assert plan.fixed is (
+            Status.NOT_APPLICABLE if axiom in NEVER_APPLICABLE
+            else Status.HOLDS if axiom in HOLD_BY_REPRESENTATION else None
+        )
+        assert plan.holds == AxiomVerdict(axiom, Status.HOLDS)
+        assert plan.not_applicable == AxiomVerdict(axiom, Status.NOT_APPLICABLE)
+
+
+def test_both_routes_follow_the_written_rules():
+    # on seeded complete and incomplete states; a verdict that does not fail
+    # is the postulate's shared one
+    rng = random.Random(23)
+    seen = Counter()
+    for n in range(1, 4):
+        for k in range(18):
+            m = random_model(rng, n, pointed=k % 3 == 0)
+            ctx = ModelContext.of(m)
+            for s in range(n):
+                complete = any(not m.frame.belief[s] & ~c for c in cells(m))
+                seen[complete] += 1
+                for axiom in AxiomId:
+                    if axiom in NEVER_APPLICABLE or axiom in COMPLETE_ONLY and not complete:
+                        want = {Status.NOT_APPLICABLE}
+                    elif axiom in HOLD_BY_REPRESENTATION:
+                        want = {Status.HOLDS}
+                    else:
+                        want = {Status.HOLDS, Status.FAILS}
+                    verdict = axiom_holds(m, s, axiom, ctx=ctx)
+                    assert verdict.status in want, (axiom, n, k, s)
+                    assert axiom_status_via_formulas(m, s, axiom) in want, (axiom, n, k, s)
+                    assert verdict.axiom is axiom
+                    plan = axioms._PLANS[axiom]
+                    if verdict.status is Status.HOLDS:
+                        assert verdict is plan.holds
+                    elif verdict.status is Status.NOT_APPLICABLE:
+                        assert verdict is plan.not_applicable
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+
+
+def test_fixed_verdicts_return_before_the_cell_bound():
+    # three cells, and s0 believes {s1, s2}, which straddles two of them
+    m = model_on(3, [0b110, 0b011, 0b101], {"p": 0b001, "q": 0b010})
+    with pytest.raises(SizeLimitError):
+        axiom_holds(m, 0, AxiomId.D1, max_cells=1)
+    for axiom, status in ((AxiomId.D3, Status.NOT_APPLICABLE), (AxiomId.R5, Status.NOT_APPLICABLE),
+                          (AxiomId.D7, Status.NOT_APPLICABLE), (AxiomId.D9, Status.NOT_APPLICABLE),
+                          (AxiomId.D0, Status.HOLDS), (AxiomId.R1, Status.HOLDS)):
+        assert axiom_holds(m, 0, axiom, max_cells=1).status is status
 
 
 # --- reduction vs. formula-level quantification ---------------------------

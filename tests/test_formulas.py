@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doxatest.changegen import WorldContext, build_canonical_model, random_revision_table
+from doxatest import formulas
 from doxatest.errors import MissingAtomError, ParseError, SizeLimitError
 from doxatest.formulas import (
     FALSE,
@@ -329,3 +330,46 @@ class TestPools:
         a = [render(f) for f in semantic_pool(["p", "q"], depth=2)]
         b = [render(f) for f in semantic_pool(["p", "q"], depth=2)]
         assert a == b
+
+    def test_pool_matches_the_per_candidate_truth_vector_construction(self, monkeypatch):
+        # the reference builds every candidate node and classifies it by its
+        # own truth table; the pool reads each candidate's vector off its
+        # children's, so it must keep the same formulas in the same order
+        # without walking any formula
+        def reference(atom_names, depth, per_class):
+            names = sorted(atom_names)
+            classes = {}
+
+            def add(f):
+                bucket = classes.setdefault(truth_vector(f, names), [])
+                if len(bucket) < per_class:
+                    bucket.append(f)
+
+            for f in [TRUE, FALSE, *(Atom(n) for n in names)]:
+                add(f)
+            for _ in range(depth):
+                reps = [bucket[0] for bucket in classes.values()]
+                for f in [f for bucket in classes.values() for f in bucket]:
+                    add(Not(f))
+                for f, g in itertools.product(reps, reps):
+                    for node in (And, Or, Implies, Iff):
+                        add(node(f, g))
+            return [f for bucket in classes.values() for f in bucket]
+
+        cases = [
+            (names, depth, per_class)
+            for names in (("p",), ("p", "q"), ("q", "p"), ("r", "p", "q"))
+            for depth in range(4)
+            for per_class in (1, 2, 3)
+        ]
+        want = [reference(*case) for case in cases]
+
+        def walked(*args):
+            raise AssertionError("the pool walked a formula")
+
+        monkeypatch.setattr(formulas, "truth_vector", walked)
+        monkeypatch.setattr(formulas, "denote", walked)
+        for case, pool in zip(cases, want):
+            got = semantic_pool(*case)
+            assert got == pool, case
+            assert [type(f) for f in got] == [type(f) for f in pool], case
