@@ -45,10 +45,12 @@ each G = E∖c, c a cell of E (`_holds_by_steps`; G = ∅ passes every rule):
 `axiom_status_via_formulas` re-decides each postulate by direct
 quantification over a formula pool, as an independent cross-check.  It
 reads no cells and no closures, and it shares no memo or predicate with the
-reductions.  Its own state lives on the model, one context per (model,
-pool): a snapshot of the pool, the pool's distinct truth sets, and per
-belief set one membership bitset over them per event and one status per
-postulate, so each postulate is decided once per (model, belief set).
+reductions.  A verdict depends on the model only through its frame and
+the pool's distinct truth sets, so its state lives on the frame, one
+context per (frame, pool, truth-set family) shared by the frame's models:
+a snapshot of the pool, the truth sets, and per belief set one membership
+bitset over them per event and one status per postulate, so each
+postulate is decided once per (frame, pool, truth sets, belief set).
 
 A failing verdict carries a witness: the events playing the two formula roles
 plus a distinguishing definable event G.  Replaying the witness through the
@@ -403,9 +405,9 @@ def _default_pool(atom_names: tuple[str, ...]) -> tuple[Formula, ...]:
 
 
 class _OracleContext:
-    """The oracle's state for one model and one formula pool: the targets,
-    the pool's distinct truth sets `chi_masks`, sorted, so that bit k of a
-    bitset stands for `chi_masks[k]`; the memoized `up(X)`, the targets
+    """The oracle's state for one frame, pool and truth-set family: the
+    targets, the pool's distinct truth sets `chi_masks`, sorted, so that bit
+    k of a bitset stands for `chi_masks[k]`; the memoized `up(X)`, the targets
     containing X; per belief set b and event E, one row table (inn, raises,
     sup, missing) in `rows[b][E]`; and one status per (b, postulate).  The
     believed rows f(j, E) are read in ascending j up to the first missing
@@ -414,20 +416,19 @@ class _OracleContext:
     outside inn; inside inn it is true, or raises when a row is missing:
     `raises` is inn then, else 0.
 
-    It holds no reference to the model, so a model and its contexts are
-    freed together without the cycle collector.  `formulas` is the pool as
-    it was when the context was built, a list for a list pool and a tuple
-    otherwise, so that it compares equal to the pool itself; a context is
-    reused only while the pool still equals it.
+    `_decide` reads only the context, the frame's rows and b, so the
+    frame's models with these truth sets share it.  It holds no reference
+    to a model or frame, so a frame and its contexts are freed together
+    without the cycle collector.  `formulas` is the pool as it was when the
+    context was built, a list for a list pool and a tuple otherwise, so
+    that it compares equal to the pool itself; a context is reused only
+    while the pool still equals it.
     """
 
     __slots__ = ("formulas", "chi_masks", "nonempty", "ups", "rows", "statuses")
 
-    def __init__(self, model: Model, formulas: Sequence[Formula]):
-        self.formulas = list(formulas) if isinstance(formulas, list) else tuple(formulas)
-        # membership depends only on the truth set, so each distinct truth
-        # set is one target
-        self.chi_masks = sorted({truth_set(model, f) for f in self.formulas})
+    def __init__(self, formulas: Sequence[Formula], chi_masks: tuple[int, ...]):
+        self.formulas, self.chi_masks = formulas, chi_masks
         # the events quantified over, each with its bit as a target
         self.nonempty = [(1 << k, m) for k, m in enumerate(self.chi_masks) if m]
         self.ups: dict[int, int] = {}
@@ -457,9 +458,10 @@ def axiom_status_via_formulas(
     raises `UnknownAtomError`.
 
     The pool defaults to `semantic_pool` over the model's atoms at depth 3,
-    one formula per truth function.  One context per (model, pool) keeps
-    the pool's truth sets and one verdict per (belief set, postulate), so
-    states with equal beliefs and the aliases R2, R7 cost a lookup.
+    one formula per truth function.  One context per (frame, pool, truth-set
+    family) keeps the truth sets and one verdict per (belief set,
+    postulate), so states with equal beliefs, the aliases R2, R7 and the
+    frame's models with equal truth sets cost a lookup.
     """
     # a plain string equal to an axiom id hashes like it but has no branch,
     # and `ALIASES` would turn "R2" into a real id, so it is refused first
@@ -474,7 +476,13 @@ def axiom_status_via_formulas(
     ctx = model._oracle.get(id(formulas))
     # a pool mutated in place, or a new pool at a recycled id, rebuilds
     if ctx is None or ctx.formulas != formulas:
-        ctx = model._oracle[id(formulas)] = _OracleContext(model, formulas)
+        snapshot = list(formulas) if isinstance(formulas, list) else tuple(formulas)
+        # each distinct truth set is one target; the family keys the frame's contexts
+        key = (id(formulas), tuple(sorted({truth_set(model, f) for f in snapshot})))
+        ctx = model.frame._oracle.get(key)
+        if ctx is None or ctx.formulas != formulas:
+            ctx = model.frame._oracle[key] = _OracleContext(snapshot, key[1])
+        model._oracle[id(formulas)] = ctx
     if plan.fixed is Status.HOLDS:
         return Status.HOLDS
     # D9's gate depends only on b, so past it D9 and R8 share one status

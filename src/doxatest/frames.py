@@ -110,13 +110,16 @@ class Frame:
     mapping may stand in for the rows; a key outside the states 0..n-1 and
     events 0..full, or a negative value, raises `ValueError`.  Rows are never
     mutated: `sup_table` builds on them once.  Dense rows bound a frame to
-    `FRAME_STATE_LIMIT` states.
+    `FRAME_STATE_LIMIT` states.  `_oracle` belongs to the formula oracle
+    alone (see `axioms.axiom_status_via_formulas`): one context per (pool,
+    truth-set family), shared by the frame's models; no reduction reads it.
     """
 
     states: tuple[str, ...]
     belief: tuple[int, ...]
     rows: Sequence[Sequence[int]]
     _sup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _oracle: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.states)) != len(self.states):
@@ -215,9 +218,9 @@ class Frame:
 class Model:
     """A frame plus a valuation: atom name -> event where the atom is true.
 
-    `valuation` must not be mutated after construction: `_oracle` holds the
-    formula oracle's per-pool state (see `axioms.axiom_status_via_formulas`),
-    computed from it.
+    `valuation` must not be mutated after construction: `_oracle` points,
+    per pool, to the formula oracle's context on the frame for the pool's
+    truth sets under it (see `axioms.axiom_status_via_formulas`).
     """
 
     frame: Frame

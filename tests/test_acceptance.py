@@ -630,7 +630,7 @@ def test_08_reduction_vs_formula_oracle_agreement(census_corpus):
             lit_fails += 1
     assert lit_holds and lit_fails
     secs = time.monotonic() - t0
-    assert secs < 90.0
+    assert secs < 45.0
     _line(
         8,
         "reduction vs formula-level oracle",

@@ -738,6 +738,152 @@ def test_oracle_reads_no_cells_closures_or_frame_supports(monkeypatch):
     assert Status.FAILS in want and Status.HOLDS in want
 
 
+def test_oracle_reads_no_reduction_primitive_on_fresh_frames(monkeypatch):
+    # the seam once more, with every model on a frame of its own, so that
+    # no context shared on a frame answers in place of `_decide`
+    rng = random.Random(5)
+    models = [random_model(rng, n, pointed=k % 2 == 0) for n in (1, 2, 3) for k in range(6)]
+
+    def statuses():
+        return [
+            axiom_status_via_formulas(
+                Model(Frame(m.frame.states, m.frame.belief, m.frame.rows), m.valuation), s, axiom)
+            for m in models
+            for s in range(m.frame.n)
+            for axiom in AxiomId
+        ]
+
+    want = statuses()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle read a reduction primitive")
+
+    for name in ("cells", "cell_closure", "definable_events"):
+        monkeypatch.setattr(axioms, name, forbidden)
+    monkeypatch.setattr(Frame, "sup", forbidden)
+    monkeypatch.setattr(Frame, "sup_table", forbidden)
+    assert statuses() == want
+    assert Status.FAILS in want and Status.HOLDS in want
+
+
+def _oracle_outcome(m, s, axiom, formulas=None):
+    try:
+        return axiom_status_via_formulas(m, s, axiom, formulas=formulas).value
+    except DoxatestError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _rebuilt(m):
+    # the model on a frame of its own: no context is shared with another model
+    fr = m.frame
+    return Model(Frame(fr.states, fr.belief, fr.rows), m.valuation)
+
+
+def test_models_of_a_frame_share_one_oracle_context_per_truth_set_family():
+    fr = random_frame(random.Random(3), 3)
+    pool = [TRUE, FALSE, Atom("p"), Atom("q")]
+    first = Model(fr, {"p": 0b011, "q": 0b101})
+    swapped = Model(fr, {"p": 0b101, "q": 0b011})  # the same truth sets
+    other = Model(fr, {"p": 0b001, "q": 0b101})
+    calls = [(s, axiom) for s in range(3) for axiom in AxiomId]
+    for m in (first, swapped, other):
+        assert [_oracle_outcome(m, s, ax, pool) for s, ax in calls] == [
+            _oracle_outcome(_rebuilt(m), s, ax, pool) for s, ax in calls
+        ]
+    assert swapped._oracle[id(pool)] is first._oracle[id(pool)]
+    assert other._oracle[id(pool)] is not first._oracle[id(pool)]
+    assert len(fr._oracle) == 2
+    # a new model on a rebuilt frame shares nothing with these
+    fresh = _rebuilt(first)
+    axiom_status_via_formulas(fresh, 0, AxiomId.D1, formulas=pool)
+    assert fresh._oracle[id(pool)] is not first._oracle[id(pool)]
+
+
+def test_a_pool_mutated_between_two_models_of_a_frame_rebuilds_the_context():
+    rng = random.Random(13)
+    changed = 0
+    for n in (2, 3):
+        for _ in range(6):
+            fr = random_frame(rng, n)
+            valuation = {a: rng.randrange(fr.full + 1) for a in ("p", "q")}
+            calls = [(s, axiom) for s in range(n) for axiom in AxiomId]
+            pool = list(semantic_pool(("p", "q"), depth=2))
+            m = Model(fr, valuation)
+            before = [_oracle_outcome(m, s, ax, pool) for s, ax in calls]
+            built = m._oracle[id(pool)]
+            # another family: the second model gets the new pool's statuses
+            pool[:] = [TRUE, FALSE, Atom("p")]
+            second = Model(fr, valuation)
+            after = [_oracle_outcome(second, s, ax, pool) for s, ax in calls]
+            assert after == [_oracle_outcome(_rebuilt(m), s, ax, pool) for s, ax in calls]
+            assert second._oracle[id(pool)] is not built
+            changed += before != after
+            # the same family in another order: a new context whose
+            # snapshot is the pool, with the same statuses
+            pool[:] = [Atom("p"), FALSE, TRUE]
+            third = Model(fr, valuation)
+            assert [_oracle_outcome(third, s, ax, pool) for s, ax in calls] == after
+            assert third._oracle[id(pool)] is not second._oracle[id(pool)]
+            assert third._oracle[id(pool)].formulas == pool
+    assert changed
+
+
+def test_models_sharing_a_context_raise_the_same_first_error():
+    # dropped rows: the second model with the same truth sets raises what
+    # the first raised, since a status is stored only once it is decided
+    rng = random.Random(17)
+    raised = 0
+    for n in (2, 3):
+        for _ in range(8):
+            fr = random_frame(rng, n)
+            selection = dict(fr.selection)
+            for key in rng.sample(sorted(selection), max(1, len(selection) // 4)):
+                del selection[key]
+            fr = frame_of(n, fr.belief, selection)
+            p, q = rng.randrange(fr.full + 1), rng.randrange(fr.full + 1)
+            first, second = Model(fr, {"p": p, "q": q}), Model(fr, {"p": q, "q": p})
+            for s in range(n):
+                for axiom in AxiomId:
+                    got = _oracle_outcome(first, s, axiom)
+                    assert _oracle_outcome(second, s, axiom) == got, (n, s, axiom)
+                    raised += got[0] == "UndefinedSelectionError"
+            assert second._oracle == first._oracle
+    assert raised >= 50, raised
+
+
+def test_shared_oracle_contexts_match_a_frame_per_model():
+    # every 2-atom valuation of seeded 1-3-state frames, complete, with
+    # dropped rows and with rows replaced by arbitrary nonempty events:
+    # each status, or error, is the one a frame of the model's own gives
+    rng = random.Random(31)
+    pool = semantic_pool(("p", "q"), depth=2, per_class=2)
+    calls = raised = 0
+    for n in (1, 2, 3):
+        for k in range(3):
+            fr = random_frame(rng, n, pointed=rng.random() < 0.3)
+            selection = dict(fr.selection)
+            for key in rng.sample(sorted(selection), max(1, len(selection) // 6)) if k else ():
+                if k == 1:
+                    del selection[key]
+                else:
+                    selection[key] = rng.randrange(1, fr.full + 1)
+            fr = frame_of(n, fr.belief, selection)
+            for p in range(fr.full + 1):
+                for q in range(fr.full + 1):
+                    m = Model(fr, {"p": p, "q": q})
+                    order = [(s, axiom, formulas) for s in range(n) for axiom in AxiomId
+                             for formulas in (pool, None)]
+                    rng.shuffle(order)
+                    alone = _rebuilt(m)
+                    for s, axiom, formulas in order:
+                        got = _oracle_outcome(m, s, axiom, formulas)
+                        assert got == _oracle_outcome(alone, s, axiom, formulas), (n, k, p, q, s)
+                        calls += 1
+                        raised += isinstance(got, list)
+    assert calls == sum(4**n * n for n in (1, 2, 3)) * 3 * len(AxiomId) * 2
+    assert raised >= 500, raised
+
+
 def test_d7_holds_without_a_scan_once_d1_and_d5_hold():
     # at a complete state, D7's holds test reads D5's recorded verdict; the
     # verdict equals a forced scan, and a failing D7 keeps its first witness
