@@ -479,9 +479,13 @@ def axiom_status_via_formulas(
         snapshot = list(formulas) if isinstance(formulas, list) else tuple(formulas)
         # each distinct truth set is one target; the family keys the frame's contexts
         key = (id(formulas), tuple(sorted({truth_set(model, f) for f in snapshot})))
-        ctx = model.frame._oracle.get(key)
+        ctx = (oracle := model.frame._oracle).get(key)
         if ctx is None or ctx.formulas != formulas:
-            ctx = model.frame._oracle[key] = _OracleContext(snapshot, key[1])
+            first = next(iter(oracle.items()), None)  # the frame keeps one pool's contexts
+            if first and (first[0][0] != key[0] or first[1].formulas != formulas):
+                oracle.clear()
+            ctx = oracle[key] = _OracleContext(snapshot, key[1])
+        model._oracle.clear()
         model._oracle[id(formulas)] = ctx
     if plan.fixed is Status.HOLDS:
         return Status.HOLDS

@@ -315,12 +315,20 @@ def correspondence_verdict(
     Property fails: the witness must convert to a countermodel on which the
     postulate demonstrably fails.
     """
-    return _verdict(frame, pair, functools.partial(check_property, frame), atom_budget, seed)
+    return _verdict(frame, pair, functools.partial(check_property, frame), atom_budget, seed, {})
 
 
 def _verdict(frame: Frame, pair: CorrespondencePair, verdict_of: Callable,
-             atom_budget: int, seed: int) -> CorrespondenceReport:
-    """`correspondence_verdict`, reading property verdicts from `verdict_of`."""
+             atom_budget: int, seed: int, contexts: dict) -> CorrespondenceReport:
+    """`correspondence_verdict`, reading property verdicts from `verdict_of`
+    and decided partitions from `contexts` (partition -> `ModelContext` on
+    its first model), which a caller may share across a frame's pairs with
+    no report or first error changed: `found` is keyed by (belief set, memo
+    key) and `closures` by belief set, so no postulate's entry answers
+    another's but the plans' cross-reads (D7, D9 and R8 read D5's verdict,
+    R8 shares D9's key); errors are never memoized; and a context's
+    valuation differs from a later one of its partition only inside cells,
+    as within one pair's ordered scan."""
     if not 1 <= atom_budget <= VALUATION_ATOM_LIMIT:
         raise ValueError(f"atom budget must be between 1 and {VALUATION_ATOM_LIMIT}")
     verdict = verdict_of(pair.property)
@@ -349,10 +357,12 @@ def _verdict(frame: Frame, pair: CorrespondencePair, verdict_of: Callable,
     def statuses_of(masks: Sequence[int], key: tuple[int, ...]) -> dict:
         statuses = memo.get(key)
         if statuses is None:
-            model = Model(frame, dict(zip(atoms, masks)))
-            ctx = ModelContext.of(model, cell_masks=key)
+            if key not in contexts:
+                model = Model(frame, dict(zip(atoms, masks)))
+                contexts[key] = ModelContext.of(model, cell_masks=key)
+            ctx = contexts[key]
             statuses = memo[key] = {
-                i: axiom_holds(model, i, pair.axiom, ctx=ctx).status
+                i: axiom_holds(ctx.model, i, pair.axiom, ctx=ctx).status
                 for i in scope_states
             }
         return statuses
@@ -411,7 +421,8 @@ def build_census(
 ) -> dict:
     """Classify each frame and run every pairing on it; stable field order.
     Each property is decided once per frame, in the order of the recipes read
-    in full, so a partial frame raises what `check_class` per class would."""
+    in full, so a partial frame raises what `check_class` per class would.
+    Each cell partition gets one context per frame, read by all its pairs."""
     rows = []
     disagreements = 0
     for idx, frame in enumerate(frames):
@@ -420,9 +431,9 @@ def build_census(
             cls.value: all([verdict_of(pid).holds for pid in CLASS_PROPERTIES[cls]])
             for cls in FrameClass
         }
-        pair_objs = []
+        pair_objs, contexts = [], {}
         for pair in pairs:
-            report = _verdict(frame, pair, verdict_of, atom_budget, seed)
+            report = _verdict(frame, pair, verdict_of, atom_budget, seed, contexts)
             if not report.agrees:
                 disagreements += 1
             pair_objs.append(report.to_obj(frame))

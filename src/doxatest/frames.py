@@ -111,8 +111,8 @@ class Frame:
     events 0..full, or a negative value, raises `ValueError`.  Rows are never
     mutated: `sup_table` builds on them once.  Dense rows bound a frame to
     `FRAME_STATE_LIMIT` states.  `_oracle` belongs to the formula oracle
-    alone (see `axioms.axiom_status_via_formulas`): one context per (pool,
-    truth-set family), shared by the frame's models; no reduction reads it.
+    alone (`axioms.axiom_status_via_formulas`): the last pool's contexts, one
+    per truth-set family, shared by the frame's models; no reduction reads it.
     """
 
     states: tuple[str, ...]
@@ -219,8 +219,8 @@ class Model:
     """A frame plus a valuation: atom name -> event where the atom is true.
 
     `valuation` must not be mutated after construction: `_oracle` points,
-    per pool, to the formula oracle's context on the frame for the pool's
-    truth sets under it (see `axioms.axiom_status_via_formulas`).
+    for the last pool only, to the formula oracle's context on the frame for
+    the pool's truth sets under it (see `axioms.axiom_status_via_formulas`).
     """
 
     frame: Frame

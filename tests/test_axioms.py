@@ -29,7 +29,7 @@ from doxatest.errors import (
     UndefinedSelectionError,
     UnknownAtomError,
 )
-from doxatest.formulas import FALSE, TRUE, Atom, semantic_pool
+from doxatest.formulas import FALSE, TRUE, And, Atom, Not, Or, semantic_pool
 from doxatest.frames import (
     Frame,
     Model,
@@ -828,6 +828,24 @@ def test_a_pool_mutated_between_two_models_of_a_frame_rebuilds_the_context():
     assert changed
 
 
+def test_oracle_memos_stay_bounded_under_fresh_pools():
+    # a new list per call, equal or not to the last: the model keeps one
+    # context, the frame one per truth-set family of the last pool, and the
+    # statuses stay those of a frame of the model's own
+    fr = random_frame(random.Random(19), 3)
+    models = [Model(fr, {"p": 0b011, "q": 0b101}), Model(fr, {"p": 0b001, "q": 0b101})]
+    rng = random.Random(23)
+    for k in range(300):
+        p, q = Atom("p"), Atom("q")
+        pool = [TRUE, FALSE, p, q, And(p, q), Or(p, Not(q))]
+        pool = pool if k % 3 else rng.sample(pool, 4)
+        m = models[k % 2]
+        s, axiom = k % 3, ALL_AXIOMS[k % len(ALL_AXIOMS)]
+        assert _oracle_outcome(m, s, axiom, pool) == _oracle_outcome(_rebuilt(m), s, axiom, pool)
+        assert len(m._oracle) == 1 and len(fr._oracle) <= 2, k
+    assert [len(m._oracle) for m in models] == [1, 1]
+
+
 def test_models_sharing_a_context_raise_the_same_first_error():
     # dropped rows: the second model with the same truth sets raises what
     # the first raised, since a status is stored only once it is decided
@@ -1075,3 +1093,44 @@ def test_d9_and_r8_raise_at_the_empty_event_on_a_frame_without_success():
             with pytest.raises(UndefinedSelectionError) as exc:
                 route(model, 0, axiom)
             assert str(exc.value) == "selection undefined at state 's0' for event {}"
+
+
+def _reduced(m, s, axiom, ctx):
+    try:
+        return axiom_holds(m, s, axiom, ctx=ctx)
+    except DoxatestError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_one_context_shared_by_every_postulate_matches_one_per_postulate():
+    # seeded complete and row-dropped 3- and 4-state models: every postulate
+    # at every state on one context, in several orders (D5 first, D7, D9 and
+    # R8 first, shuffled), gives the verdict, witness or first error of a
+    # fresh context per question; the census shares a partition's context so
+    rng = random.Random(47)
+    late = (AxiomId.D7, AxiomId.D9, AxiomId.R8)
+    raised = failed = read_d5 = 0
+    for k in range(32):
+        n = 3 + k % 2
+        m = random_model(rng, n, pointed=k % 3 != 2)
+        if k % 4 == 1:  # default-rule rows make D1 and D5 hold more often
+            m = Model(frame_of(n, m.frame.belief, complete=True), m.valuation)
+        if k % 4 >= 2:
+            fr = m.frame
+            kept = {key: v for key, v in sorted(fr.selection.items()) if rng.random() > 0.15}
+            m = Model(Frame(fr.states, fr.belief, kept), m.valuation)
+        asks = [(s, axiom) for s in range(n) for axiom in AxiomId]
+        want = {ask: _reduced(m, *ask, ModelContext.of(m)) for ask in asks}
+        raised += sum(isinstance(w, tuple) for w in want.values())
+        failed += sum(getattr(w, "status", None) is Status.FAILS for w in want.values())
+        for order in range(4):
+            rng.shuffle(asks)
+            if order < 2:  # D5 everywhere before, or after, D7, D9 and R8
+                asks.sort(key=lambda ask: (ask[1] is AxiomId.D5) == (order == 1))
+            ctx = ModelContext.of(m)
+            for s, axiom in asks:
+                b = m.frame.belief[s]
+                read_d5 += axiom in late and (b, AxiomId.D5) in ctx.found and (
+                    b, axioms._PLANS[axiom].key) not in ctx.found
+                assert _reduced(m, s, axiom, ctx) == want[s, axiom], (k, order, s, axiom)
+    assert raised >= 100 and failed >= 100 and read_d5 >= 100, (raised, failed, read_d5)

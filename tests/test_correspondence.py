@@ -567,3 +567,53 @@ def test_census_decides_each_property_once_per_frame(monkeypatch):
             if not isinstance(want, tuple):
                 assert len(calls) == 8 * len(frames)
     assert raised >= 8, raised
+
+
+def _ranked_frame(rng, n):
+    # each state selects the least-ranked states of E, itself ranked 0: the
+    # centred-order shape, on which most pairs hold and every partition is decided
+    belief = [rng.randrange(1, 1 << n) for _ in range(n)]
+    selection = {}
+    for s in range(n):
+        ranks = [0 if i == s else rng.randrange(1, n + 1) for i in range(n)]
+        for e in range(1, 1 << n):
+            low = min(ranks[i] for i in range(n) if e >> i & 1)
+            selection[s, e] = sum(1 << i for i in range(n) if e >> i & 1 and ranks[i] == low)
+    return frame_of(n, belief, selection)
+
+
+def test_census_decides_each_partition_once_per_frame(monkeypatch):
+    # complete and row-dropped 3- and 4-state frames, at budgets 1-3, with
+    # the pairs in order, reversed, and with the unpointed D7 and D9 pairs,
+    # whose lo differs: the census class by class, or its first error, with
+    # each (frame, cell partition) given one context across the frame's pairs
+    rng = random.Random(71)
+    complete = [_ranked_frame(rng, n) for n in (3, 3, 4, 4)]
+    complete += list(enumerate_frames(FrameGenSpec(states=3, mode="random", seed=72, count=2)))
+    complete.append(frame_of(4, [0b0011, 0b0010, 0b1100, 0b1000], complete=True))
+    partial = [
+        Frame(fr.states, fr.belief, {k: v for k, v in sorted(fr.selection.items()) if rng.random() > 0.1})
+        for fr in complete
+    ]
+    built, of = [], ModelContext.of
+
+    def spy(model, **kwargs):
+        if "cell_masks" in kwargs:  # a partition, not a witness countermodel
+            built.append((id(model.frame), kwargs["cell_masks"]))
+        return of(model, **kwargs)
+
+    monkeypatch.setattr(ModelContext, "of", staticmethod(spy))
+    raised = shared = 0
+    for pairs in (PAIRS, PAIRS[::-1], PAIRS + UNPOINTED):
+        for budget in (1, 2, 3):
+            for frame in complete + partial:
+                built.clear()
+                want = _outcome(lambda: census_class_by_class([frame], budget, pairs))
+                per_pair = len(built)
+                built.clear()
+                got = _outcome(lambda: build_census([frame], atom_budget=budget, pairs=pairs))
+                assert got == want, (frame, pairs, budget)
+                assert len(built) == len(set(built)), (frame, pairs, budget)
+                raised += isinstance(want, tuple)
+                shared += per_pair - len(built)
+    assert raised >= 10 and shared >= 500, (raised, shared)
