@@ -18,6 +18,7 @@ is contained in its truth set.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import struct
 from collections import defaultdict
@@ -108,7 +109,9 @@ class Frame:
     -1 where s has no row at E (at E = 0 unless the table keys the empty
     event); `selection` is a read-only (s, E) view over it.  An (s, E)
     mapping may stand in for the rows; a key outside the states 0..n-1 and
-    events 0..full, or a negative value, raises `ValueError`.  Rows are never
+    events 0..full, or a negative value, raises `ValueError`, and so does a
+    negative belief mask (one beyond full is kept: `validate_frame` reports
+    it as ``belief-range``).  Rows are never
     mutated: `sup_table` builds on them once.  Dense rows bound a frame to
     `FRAME_STATE_LIMIT` states.  `_oracle` belongs to the formula oracle
     alone (`axioms.axiom_status_via_formulas`): the last pool's contexts, one
@@ -127,6 +130,8 @@ class Frame:
         if len(self.belief) != len(self.states):
             raise ValueError("belief must assign an event to every state")
         refuse_beyond(self.n, FRAME_STATE_LIMIT, "states in a frame")
+        if self.belief and min(self.belief) < 0:
+            raise ValueError("belief masks must not be negative")
         rows = self.rows
         if isinstance(rows, Mapping):
             rows = [[-1] * (1 << self.n) for _ in self.states]
@@ -155,13 +160,18 @@ class Frame:
             raise InputFormatError(f"unknown state id {state_id!r}") from None
 
     def sel(self, s: int, event: Event) -> Event:
+        """f(s, E); `UndefinedSelectionError` where s has no row at E, and
+        for a state or an event outside the frame, negative ones included."""
         try:
             got = self.rows[s][event]
-        except IndexError:  # an event beyond full
+        except IndexError:  # a state or an event beyond the frame
             got = -1
-        if got < 0:
-            raise UndefinedSelectionError(self.states[s], self.event_ids(event))
-        return got
+        if got >= 0 <= s | event:  # a negative index would read from the end
+            return got
+        # outside the frame there are no ids to name: the index or the mask
+        state = self.states[s] if 0 <= s < self.n else s
+        ids = self.event_ids(event) if 0 <= event <= self.full else (f"mask {event}",)
+        raise UndefinedSelectionError(state, ids)
 
     def sup_table(self, bmask: int) -> Sequence[int]:
         """Sup(B, E) for every event E = 0..full, -1 where a state of
@@ -328,16 +338,24 @@ def _default_rule(s: int, event: Event) -> Event:
     return event & -event  # lowest-index member
 
 
+@functools.lru_cache(maxsize=4)  # alternating sizes hit; later sizes evict a big frame's rows
+def _default_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per state s of an n-state frame, the default rule's f(s, E) for
+    E = 0..full, -1 at the empty event."""
+    return tuple((-1, *(_default_rule(s, event) for event in range(1, 1 << n))) for s in range(n))
+
+
 def complete_selection(frame: Frame, max_states: int = COMPLETION_STATE_LIMIT) -> Frame:
     """Fill every missing (state, nonempty event) selection entry by the
     default rule, the only one: {s} when s is in the event and otherwise the
-    lowest-index member, which satisfies all frame invariants.
+    lowest-index member, which satisfies all frame invariants.  The rule's
+    rows are built once per state count and kept for the last few counts.
     """
     refuse_beyond(frame.n, max_states, "states in a selection completion")
-    rows = []
-    for s, row in enumerate(frame.rows):
-        rule = [-1] + [_default_rule(s, event) for event in range(1, frame.full + 1)]
-        rows.append([d if v < 0 else v for v, d in zip(row, rule)])
+    rows = [
+        [d if v < 0 else v for v, d in zip(row, rule)]
+        for row, rule in zip(frame.rows, _default_rows(frame.n))
+    ]
     return Frame(frame.states, frame.belief, rows)
 
 
@@ -527,6 +545,7 @@ def frame_from_obj(obj: dict) -> Frame:
         raise InputFormatError("duplicate state ids")
     refuse_beyond(len(states), FRAME_STATE_LIMIT, "states in a frame")
     index = {sid: i for i, sid in enumerate(states)}
+    bit = {sid: 1 << i for i, sid in enumerate(states)}
 
     belief_obj = obj.get("belief", {})
     if not isinstance(belief_obj, dict):
@@ -543,17 +562,18 @@ def frame_from_obj(obj: dict) -> Frame:
     if not isinstance(entries, list):
         raise InputFormatError("'selection' must be a list of entries")
     for k, entry in enumerate(entries):
-        # One pass decodes a well-formed entry; any fault, an empty or repeated
-        # event included, sends it through the checks in `_checked_entry`.
+        # One pass decodes a well-formed entry of the exact types `json`
+        # builds; anything else, an empty or repeated event included, goes
+        # through the checks in `_checked_entry`.
         try:
             s, ids, chosen = index[entry["s"]], entry["event"], entry["selects"]
-            if not (isinstance(entry, dict) and isinstance(ids, list) and isinstance(chosen, list)):
+            if not (type(entry) is dict and type(ids) is list and type(chosen) is list):
                 raise TypeError
             event = value = 0
             for sid in ids:
-                event |= 1 << index[sid]
+                event |= bit[sid]
             for sid in chosen:
-                value |= 1 << index[sid]
+                value |= bit[sid]
             if event == 0 or rows[s][event] >= 0:
                 raise KeyError
         except (KeyError, TypeError):
@@ -604,11 +624,33 @@ def structure_from_obj(obj: dict) -> Frame | Model:
 
 
 def load_structure(path: str) -> Frame | Model:
+    """The frame or model in the JSON file at ``path``.
+
+    The cyclic garbage collector is paused from the start of `json.load`
+    until the decoded tree has become a `Frame` or `Model` and been dropped,
+    and the caller's collector state (enabled or not) is restored on every
+    exit.  This is safe because `json` builds fresh dicts, lists and
+    strings, so the tree holds no cycle for a collection to free; it is
+    worth it because a running collector walks the tree's containers, a few
+    thousand in an 8-state file, at each young collection and promotes them
+    to the oldest generation, which then sets off full collections.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the tree is only this call's argument: it is freed when the call
+        # returns, before the collector resumes
+        return structure_from_obj(_decode(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputFormatError(f"{path} is not valid JSON: {e}") from None
-    return structure_from_obj(obj)

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -36,6 +37,7 @@ from doxatest.frames import (
     truth_set,
     validate_frame,
 )
+from doxatest.properties import PropertyId, check_property
 
 
 class TestBitHelpers:
@@ -185,6 +187,45 @@ class TestValidateFrame:
                 frame_of(2, [0b01, 0b10], {key: value})
         frame_of(2, [0b01, 0b10], {(1, 0): 0, (0, 0b11): 1 << 70})
 
+    def test_negative_belief_masks_are_refused(self):
+        # -1 has every bit set, and walking its bits never ends
+        rows = complete_selection(frame_of(2, [0b01, 0b10])).rows
+        for belief in ((-1, 0b10), (0b01, -2)):
+            with pytest.raises(ValueError, match="belief"):
+                Frame(("a", "b"), belief, rows)
+        # a belief set beyond the states is kept, and reported as data
+        f = Frame(("a", "b"), (0b100, 0b10), rows)
+        assert [v.clause for v in validate_frame(f)] == ["belief-range"]
+
+    def test_beliefs_beyond_the_frame_raise_undefined_selection(self):
+        f = Frame(("a", "b"), (0b100, 0b10), complete_selection(frame_of(2, [0b01, 0b10])).rows)
+        raised = set()
+        for pid in PropertyId:
+            try:
+                check_property(f, pid)
+            except UndefinedSelectionError as exc:
+                assert str(exc) == "selection undefined at state 2 for event {a}"
+                raised.add(pid.name)
+        assert raised >= {"PD57", "PD57_STRONG", "PD6", "PD7", "PD9", "PR8"}
+
+    def test_selection_outside_the_frame_is_undefined(self):
+        f = complete_selection(frame_of(2, [0b01, 0b10]))
+        outside = {
+            (0, 0b100): "state 's0' for event {mask 4}",
+            (0, -1): "state 's0' for event {mask -1}",
+            (2, 0b01): "state 2 for event {s0}",
+            (-1, 0b01): "state -1 for event {s0}",
+        }
+        for (s, event), where in outside.items():
+            with pytest.raises(UndefinedSelectionError) as info:
+                f.sel(s, event)
+            assert str(info.value) == f"selection undefined at {where}"
+        with pytest.raises(UndefinedSelectionError, match=r"state 's1' for event \{\}"):
+            f.sel(1, 0)
+        # inside the frame: s selects itself from an event holding it, and
+        # the lowest member from another
+        assert [f.sel(s, e) for s in range(2) for e in range(1, 4)] == [1, 2, 1, 1, 2, 2]
+
 
 class TestCompleteSelection:
     def test_member_state_selects_itself(self):
@@ -212,6 +253,26 @@ class TestCompleteSelection:
         f = frame_of(13, [1] * 13)
         with pytest.raises(SizeLimitError):
             complete_selection(f)
+
+    def test_completion_matches_the_per_entry_default_rule(self):
+        # the default rows are kept per state count: alternate the sizes
+        rng = random.Random(37)
+        sizes = [*range(1, 11), 7, 8, 7, 8, 3, 10, 1, 8, 7, 2, 9, 8]
+        for n in sizes:
+            full = (1 << n) - 1
+            keep = rng.random()
+            selection = {
+                (s, e): rng.randrange(full + 1)
+                for s in range(n) for e in range(full + 1)
+                if rng.random() < keep and (e or rng.random() < 0.1)
+            }
+            f = frame_of(n, [rng.randrange(1, full + 1) for _ in range(n)], selection)
+            want = dict(selection)
+            for s in range(n):
+                for e in range(1, full + 1):
+                    want.setdefault((s, e), frames._default_rule(s, e))
+            assert complete_selection(f, max_states=10) == Frame(f.states, f.belief, want), n
+        assert frames._default_rows.cache_info().currsize <= 4
 
 
 # ============================================================
@@ -568,6 +629,57 @@ class TestJson:
         with pytest.raises(InputFormatError, match="valid JSON"):
             load_structure(str(path))
 
+    # every way out of `load_structure`: file content (None: no file) and
+    # the error it raises (None: it loads)
+    _LOAD_EXITS = {
+        "success": ('{"states": ["a"], "valuation": {"p": ["a"]}}', None),
+        "missing-file": (None, InputFormatError),
+        "bad-json": ("{nope", InputFormatError),
+        "not-utf8": (b"\xff\xfe{}", InputFormatError),
+        "deep-nesting": ("[" * 100_000 + "]" * 100_000, InputFormatError),
+        "bad-entry": ('{"states": ["a"], "selection": [{"s": "a"}]}', InputFormatError),
+        "17-states": (json.dumps({"states": [f"s{i}" for i in range(17)]}), SizeLimitError),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", sorted(_LOAD_EXITS))
+    def test_load_restores_the_collector_state(self, tmp_path, case, enabled):
+        content, error = self._LOAD_EXITS[case]
+        path = tmp_path / "doc.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if error is None:
+                assert isinstance(load_structure(str(path)), Model)
+            else:
+                with pytest.raises(error):
+                    load_structure(str(path))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_the_collector_is_paused_while_the_tree_is_read(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(obj):
+            seen.append(gc.isenabled())
+            return structure_from_obj(obj)
+
+        monkeypatch.setattr(frames, "structure_from_obj", spy)
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(self.frame_obj()))
+        was = gc.isenabled()
+        try:
+            gc.enable()
+            assert load_structure(str(path)) == frame_from_obj(self.frame_obj())
+            assert seen == [False] and gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
 def _reference_frame_from_obj(obj):
     """The field-by-field loader that `frame_from_obj` replaced, kept as the
@@ -679,6 +791,55 @@ def test_loader_matches_the_field_by_field_reference(obj):
             return str(exc)
 
     assert outcome(frame_from_obj) == outcome(_reference_frame_from_obj)
+
+
+@given(frame_documents())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_file_loader_matches_the_field_by_field_reference(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "loader-reference.json"
+    path.write_text(json.dumps(obj))
+    try:
+        got = load_structure(str(path))
+    except InputFormatError as exc:
+        got = str(exc)
+    try:
+        want = _reference_frame_from_obj(json.loads(json.dumps(obj)))
+    except InputFormatError as exc:
+        want = str(exc)
+    assert got == want
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _retyped(obj, rng):
+    """``obj`` with each dict and list, each with odds 1/2, rebuilt as an
+    instance of a subclass, which the loader's fast path does not take."""
+    if isinstance(obj, dict):
+        out = {key: _retyped(value, rng) for key, value in obj.items()}
+        return _Dict(out) if rng.random() < 0.5 else out
+    if isinstance(obj, list):
+        out = [_retyped(value, rng) for value in obj]
+        return _List(out) if rng.random() < 0.5 else out
+    return obj
+
+
+@given(frame_documents(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_loader_matches_the_reference_on_container_subclasses(obj, seed):
+    def outcome(load, doc):
+        try:
+            return load(doc)
+        except InputFormatError as exc:
+            return str(exc)
+
+    doc = _retyped(json.loads(json.dumps(obj)), random.Random(seed))
+    assert outcome(frame_from_obj, doc) == outcome(_reference_frame_from_obj, json.loads(json.dumps(obj)))
 
 
 # Faults planted in a valid model document, up to three.
