@@ -38,7 +38,6 @@ it as expected and reads the same table back off.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import struct
 from collections.abc import Mapping, Sequence
@@ -741,29 +740,3 @@ def random_update_table(
 def random_revision_table(rng: Random, ctx: WorldContext) -> ChangeFunctionTable:
     k_mask = random_k(rng, ctx)
     return gen_revision(ctx, k_mask, random_total_order(rng, ctx, k_mask))
-
-
-def _valid_single_orders(n_worlds: int, w: int) -> list[tuple[int, ...]]:
-    """All reflexive transitive orders on a tiny world set with w strictly lowest."""
-    candidates = itertools.product(range(1 << n_worlds), repeat=n_worlds)
-    return [rows for rows in candidates if _order_fault(rows, w, n_worlds) is None]
-
-
-def _all_centered_families(n_worlds: int) -> list[PreOrderFamily]:
-    """Every valid order family on very small world sets, by brute force."""
-    per_world = [_valid_single_orders(n_worlds, w) for w in range(n_worlds)]
-    return [PreOrderFamily(tuple(combo)) for combo in itertools.product(*per_world)]
-
-
-def _all_order_types(n_worlds: int) -> list[TotalPreOrder]:
-    """Every ranking shape on a small world set (ranks are order types)."""
-    out = []
-    for ranks in itertools.product(range(n_worlds), repeat=n_worlds):
-        if min(ranks) != 0:
-            continue
-        levels = tuple(sorted(set(ranks)))
-        if levels != tuple(range(len(levels))):
-            continue
-        out.append(TotalPreOrder(ranks))
-    return out
-

@@ -352,20 +352,13 @@ def _verdict(frame: Frame, pair: CorrespondencePair, verdict_of: Callable,
 
     atoms = ATOM_NAMES[:atom_budget]
     n = frame.n
-    memo: dict = {}
 
     def statuses_of(masks: Sequence[int], key: tuple[int, ...]) -> dict:
-        statuses = memo.get(key)
-        if statuses is None:
-            if key not in contexts:
-                model = Model(frame, dict(zip(atoms, masks)))
-                contexts[key] = ModelContext.of(model, cell_masks=key)
-            ctx = contexts[key]
-            statuses = memo[key] = {
-                i: axiom_holds(ctx.model, i, pair.axiom, ctx=ctx).status
-                for i in scope_states
-            }
-        return statuses
+        ctx = contexts.get(key)
+        if ctx is None:
+            model = Model(frame, dict(zip(atoms, masks)))
+            ctx = contexts[key] = ModelContext.of(model, cell_masks=key)
+        return {i: axiom_holds(ctx.model, i, pair.axiom, ctx=ctx).status for i in scope_states}
 
     exhaustive = n * atom_budget <= EXHAUSTIVE_VALUATION_BITS
     fat = any(frame.belief[i].bit_count() > 1 for i in scope_states)

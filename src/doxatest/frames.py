@@ -3,8 +3,9 @@
 States are indexed 0..n-1 and events are int bitmasks over those indices
 (bit i = state i), which keeps the exhaustive sweeps cheap.  A frame carries
 a serial belief relation and a *partial* selection table, stored as one
-dense row per state over the events 0..full, -1 where no row is defined;
-the (state index, event mask) mapping is a read-only view over those rows.
+dense row per state over the events 0..full, -1 where no row is defined.
+The rows are the table's only store: `Frame.selection` copies the defined
+entries out as an (s, E) dict, and rows of any other shape are refused.
 Operations that need an entry fail loudly when it is missing rather than
 inventing one.  A model adds a valuation mapping atom names to events.
 
@@ -81,41 +82,23 @@ def grid(n: int) -> tuple[int, int, int, tuple[int, ...]]:
     return w, ev, ones, tuple((~ev >> x & ones) * ((1 << n) - 1) for x in range(n))
 
 
-class _SelectionView(Mapping):
-    """Read-only (s, E) -> f(s, E) view over a frame's rows: keyed where a
-    row is defined, in (s, E) order."""
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self._rows = rows
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        s, event = key
-        if 0 <= s < len(self._rows) and 0 <= event < len(self._rows[s]) and self._rows[s][event] >= 0:
-            return self._rows[s][event]
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((s, e) for s, row in enumerate(self._rows) for e, value in enumerate(row) if value >= 0)
-
-    def __len__(self) -> int:
-        return sum(len(row) - row.count(-1) for row in self._rows)
-
-
 @dataclass(frozen=True)
 class Frame:
     """States, a serial belief relation, and a partial selection table.
 
-    The table is ``rows``: per state s, one tuple of f(s, E) for E = 0..full,
-    -1 where s has no row at E (at E = 0 unless the table keys the empty
-    event); `selection` is a read-only (s, E) view over it.  An (s, E)
-    mapping may stand in for the rows; a key outside the states 0..n-1 and
-    events 0..full, or a negative value, raises `ValueError`, and so does a
-    negative belief mask (one beyond full is kept: `validate_frame` reports
-    it as ``belief-range``).  Rows are never
-    mutated: `sup_table` builds on them once.  Dense rows bound a frame to
-    `FRAME_STATE_LIMIT` states.  `_oracle` belongs to the formula oracle
-    alone (`axioms.axiom_status_via_formulas`): the last pool's contexts, one
-    per truth-set family, shared by the frame's models; no reduction reads it.
+    The table is ``rows``, its only store: per state s, one tuple of
+    f(s, E) for E = 0..full, -1 where s has no row at E (at E = 0 unless the
+    table keys the empty event); `selection` is a fresh (s, E) dict copied
+    from it.  Rows other than n rows of full + 1 entries each raise
+    `ValueError`.  An (s, E) mapping may stand in for the rows; a key
+    outside the states 0..n-1 and events 0..full, or a negative value,
+    raises `ValueError`, and so does a negative belief mask (one beyond full
+    is kept: `validate_frame` reports it as ``belief-range``).  Rows are
+    never mutated: `sup_table` builds on them once.  Dense rows bound a
+    frame to `FRAME_STATE_LIMIT` states.  `_oracle` belongs to the formula
+    oracle alone (`axioms.axiom_status_via_formulas`): the last pool's
+    contexts, one per truth-set family, shared by the frame's models; no
+    reduction reads it.
     """
 
     states: tuple[str, ...]
@@ -139,11 +122,15 @@ class Frame:
                 if not (0 <= s < self.n and 0 <= event <= self.full and value >= 0):
                     raise ValueError(f"selection entry {(s, event)}: {value} is outside the frame")
                 rows[s][event] = value
+        elif len(rows) != self.n or any(len(row) != self.full + 1 for row in rows):
+            raise ValueError(f"selection rows must be {self.n} rows of {self.full + 1} entries each")
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))  # a tuple row is kept, not copied
 
     @property
-    def selection(self) -> Mapping[tuple[int, int], int]:
-        return _SelectionView(self.rows)
+    def selection(self) -> dict[tuple[int, int], int]:
+        """A fresh dict {(s, E): f(s, E)} of the defined entries, in (s, E)
+        order: a copy, so editing it leaves the frame unchanged."""
+        return {(s, e): v for s, row in enumerate(self.rows) for e, v in enumerate(row) if v >= 0}
 
     @property
     def n(self) -> int:
@@ -176,7 +163,8 @@ class Frame:
     def sup_table(self, bmask: int) -> Sequence[int]:
         """Sup(B, E) for every event E = 0..full, -1 where a state of
         ``bmask`` has no row at E (so at E = 0, unless the table keys the
-        empty event).  Memoized and shared: callers must not mutate it.
+        empty event).  Memoized and shared: callers must not mutate it.  A
+        negative mask raises `ValueError`, here and in `sup`.
 
         A one-state table is that state's row itself, not a copy (a state
         beyond the frame has none: -1 everywhere); a larger B's table is the
@@ -185,6 +173,8 @@ class Frame:
         """
         table = self._sup.get(bmask)
         if table is None:
+            if bmask < 0:  # infinitely many bits set: walking them never ends
+                raise ValueError(f"mask {bmask} is negative")
             low = bmask & -bmask
             if bmask != low:
                 table = self.sup_table(low)
@@ -218,6 +208,8 @@ class Frame:
         return got
 
     def event_ids(self, mask: Event) -> tuple[str, ...]:
+        if mask < 0:
+            raise ValueError(f"mask {mask} is negative")
         return tuple(self.states[i] for i in bits(mask))
 
     def event_mask(self, ids: Iterable[str]) -> Event:
@@ -446,36 +438,6 @@ def extended_member(model: Model, s: int, phi: Formula, psi: Formula) -> bool:
     if classify(phi) is Classification.CONTRADICTION:
         return True
     return classify(Implies(phi, psi)) is Classification.TAUTOLOGY
-
-
-# ---------------------------------------------------------------------------
-# relabeling
-# ---------------------------------------------------------------------------
-
-def relabel_frame(frame: Frame, perm: Sequence[int]) -> Frame:
-    """Rename states by a permutation; ``perm[old] = new`` index."""
-    n = frame.n
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of the state indices")
-
-    def remap(mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << perm[i]
-        return out
-
-    states = [""] * n
-    belief = [0] * n
-    rows: list = [()] * n
-    for old, row in enumerate(frame.rows):
-        states[perm[old]] = frame.states[old]
-        belief[perm[old]] = remap(frame.belief[old])
-        new = [-1] * len(row)
-        for event, value in enumerate(row):
-            if value >= 0:
-                new[remap(event)] = remap(value)
-        rows[perm[old]] = new
-    return Frame(tuple(states), tuple(belief), rows)
 
 
 # ---------------------------------------------------------------------------

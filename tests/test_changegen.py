@@ -7,6 +7,7 @@ from itertools import repeat
 from random import Random
 
 import pytest
+from conftest import _all_centered_families, _all_order_types, _valid_single_orders
 
 from doxatest import changegen, properties
 from doxatest.axioms import AxiomId, Status
@@ -16,9 +17,6 @@ from doxatest.changegen import (
     PreOrderFamily,
     TotalPreOrder,
     WorldContext,
-    _all_centered_families,
-    _all_order_types,
-    _valid_single_orders,
     audit_function,
     build_canonical_model,
     extract_table,

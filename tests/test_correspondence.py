@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import frame_of
+from conftest import frame_of, relabel_frame
 
 from doxatest import correspondence
 from doxatest.axioms import AxiomId, ModelContext, Status, axiom_holds, replay_witness
@@ -250,8 +250,6 @@ def test_pointed_scope_skips_fat_states():
 
 
 def test_verdict_invariant_under_relabeling():
-    from doxatest.frames import relabel_frame
-
     frame = violating_frame(PropertyId.PR4)
     for perm in ([1, 2, 0], [2, 0, 1]):
         relabeled = relabel_frame(frame, perm)

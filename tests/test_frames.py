@@ -1,12 +1,16 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_of, model_of, random_frame
+from conftest import frame_of, model_of, random_frame, relabel_frame
+import doxatest
 from doxatest import frames
 from doxatest.errors import (
     InputFormatError,
@@ -30,7 +34,6 @@ from doxatest.frames import (
     mask_of,
     model_from_obj,
     model_to_obj,
-    relabel_frame,
     structure_from_obj,
     subsets_of,
     support_of,
@@ -196,6 +199,45 @@ class TestValidateFrame:
         # a belief set beyond the states is kept, and reported as data
         f = Frame(("a", "b"), (0b100, 0b10), rows)
         assert [v.clause for v in validate_frame(f)] == ["belief-range"]
+
+    def test_rows_of_the_wrong_shape_are_refused(self):
+        # the checks and scans read n rows of full + 1 entries each: an
+        # extra row would pass validation unread, a wrong-length one would
+        # be read past its end
+        rows = complete_selection(frame_of(2, [0b01, 0b10])).rows
+        for bad in ([(-1, 1, 2, 3, 3), (-1, 1, 2, 3)], [*rows, rows[0]], rows[:1], [rows[0], rows[1][:3]]):
+            with pytest.raises(ValueError, match="rows"):
+                Frame(("a", "b"), (1, 2), bad)
+        assert Frame(("a", "b"), (1, 2), rows).rows == rows
+
+    def test_negative_masks_are_refused(self):
+        # -1 has every bit set, and walking its bits never ends: the calls
+        # run in a process of their own, so that a hang fails the test
+        code = (
+            "from doxatest.frames import Frame, complete_selection\n"
+            "f = complete_selection(Frame(('a', 'b'), (1, 2), {}))\n"
+            "for name, call in (('sup', lambda: f.sup(-1, 1)), ('sup_table', lambda: f.sup_table(-1)),\n"
+            "                   ('event_ids', lambda: f.event_ids(-1))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as e:\n"
+            "        print(name, e)\n"
+        )
+        src = os.path.dirname(os.path.dirname(doxatest.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert result.stderr == ""
+        assert result.stdout.splitlines() == [
+            "sup mask -1 is negative",
+            "sup_table mask -1 is negative",
+            "event_ids mask -1 is negative",
+        ]
 
     def test_beliefs_beyond_the_frame_raise_undefined_selection(self):
         f = Frame(("a", "b"), (0b100, 0b10), complete_selection(frame_of(2, [0b01, 0b10])).rows)

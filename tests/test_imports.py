@@ -1,6 +1,8 @@
-"""Every module-level import of the package and of its tests is read."""
+"""Every module-level import of the package and of its tests is read, and
+every top-level definition of the package has a reader outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +42,85 @@ def test_every_module_level_import_is_read():
         if (found := _unread_imports(path.read_text()))
     }
     assert unread == {}
+
+
+def _unused_definitions(sources: dict[str, str], named: set[str]) -> list[str]:
+    """Top-level functions and classes of the modules ``sources`` (module
+    name -> source) that no code of those modules reads outside their own
+    body, that are not a registered CLI command (``@<group>.command``) and
+    that are not in ``named``."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                command = any(
+                    isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+                    for d in top.decorator_list
+                )
+                if not command:
+                    defined[own] = module
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in read | named)
+
+
+def _readme_library_names() -> set[str]:
+    """Identifiers in the code of the README's Library section: its import
+    block and its inline code spans."""
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```\w*\n(.*?)```", section, re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(blocks + spans)))
+
+
+def _bench_names() -> set[str]:
+    """Names the benchmark takes from the package, found by parsing
+    ``bench/*.py``: those imported from ``doxatest`` modules, attributes of
+    an imported ``doxatest`` module, and the functions `spans.TRACED` wraps."""
+    names, modules = set(), set()
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "doxatest":
+                for alias in node.names:
+                    (modules if node.module == "doxatest" else names).add(alias.asname or alias.name)
+            elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+                names.update(attr.split(".")[0] for _, attr, _ in ast.literal_eval(node.value))
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                names.add(node.attr)
+    return names
+
+
+def test_every_top_level_definition_has_a_reader():
+    sample = {
+        "m": "def used(): pass\ndef loop(): loop()\ndef named(): pass\n"
+        "@main.command()\ndef cmd(): pass\nclass Spare: pass\nx = used\n",
+    }
+    assert _unused_definitions(sample, {"named"}) == ["m.Spare", "m.loop"]
+    sources = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "doxatest").glob("*.py"))}
+    assert {"cn_member", "check_property"} <= _readme_library_names()
+    assert {"correspondence_verdict", "check_pd57_literal", "main"} <= _bench_names()
+    assert _unused_definitions(sources, _readme_library_names() | _bench_names()) == []
+
+
+def test_no_package_module_reads_the_selection_copy():
+    # the rows are the one selection store; `Frame.selection` copies them
+    # out for callers outside the package
+    readers = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "doxatest").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "selection"
+    ]
+    assert readers == []

@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import frame_of, random_frame
+from conftest import frame_of, random_frame, relabel_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from doxatest.frames import (
     grid,
     mask_of,
     pack,
-    relabel_frame,
     subsets_of,
     validate_frame,
 )
