@@ -18,16 +18,18 @@ validated by a packed test per world (`_is_centred_preorder`); only a
 failing test walks the rows literally, to name the first fault.  Every
 table is filled once, when it is built: one packed fill per order
 (`_fill_minima`) gives the most plausible worlds of every event in one int,
-read out with one unpack.
+read out with one `frames.unpack`.
 
 ``audit_function`` then checks the produced table against the change
 postulates by direct set arithmetic on the table, deliberately sharing no
 checking code with the frame-side route in :mod:`doxatest.axioms`.  The
-audit packs the table into one int, one field per event: a single-event
-check (``_EVENT_CHECKS``) is a few big-int operations on it.  When every
-result lies inside its event, the pair postulates D5, D6, D7 and D9 first
-try an exact holds test (``_HOLDS_TESTS``, a few operations per world).  A
-pair check (``_TABLE_CHECKS``) whose test fails, or that has none to run,
+audit packs the table into one int, one field per event, with
+`frames.pack` in the layout of `frames.grid`: only that event-table format
+is shared with the frame route, no check.  A single-event check
+(``_EVENT_CHECKS``) is a few big-int operations on it.  When every result
+lies inside its event, the pair postulates D5, D6, D7 and D9 first try an
+exact holds test (``_HOLDS_TESTS``, a few operations per world).  A pair
+check (``_TABLE_CHECKS``) whose test fails, or that has none to run,
 is decided by the literal scan over every pair of events (E, F), refused
 beyond `SCAN_INSTANCE_LIMIT` pairs.
 ``build_canonical_model`` and ``roundtrip_verify`` close the loop: rebuild a
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import struct
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from random import Random
@@ -47,7 +48,7 @@ from random import Random
 from .axioms import AxiomId, Status
 from .errors import InputFormatError, UnfaithfulOrderError
 from .formulas import Atom, truth_vector
-from .frames import Event, Frame, Model, bits
+from .frames import Event, Frame, Model, bits, grid, pack, unpack
 from .limits import ATOM_LIMIT, SCAN_INSTANCE_LIMIT, refuse_beyond
 from .properties import FrameClass, check_class
 
@@ -139,20 +140,19 @@ def _fill_minima(le: Sequence[int]) -> list[Event]:
     below it, and x is least in E when nothing in G is strictly below x:
     min(E) = (min(G) ∖ above(x)) ∪ ({x} if G ∩ under(x) = ∅).
 
-    The minima live in one int, min(E) in the w-bit field E (w = 8 up to
-    8 worlds, 16 up to 16), so the fields below 2ˣ are the events G without
+    The minima live in one int, min(E) in the w-bit field E of
+    `frames.grid`'s layout for n worlds, so the fields below 2ˣ are the events G without
     x or any higher world, and the fields from 2ˣ to 2ˣ⁺¹ − 1 are G ∪ {x}
     in the same order.  Each world x doubles the int: its new block is the
     int with above(x) cleared in every field, OR bit x in the fields G with
     G ∩ under(x) = ∅.  Those fields (``fresh``) start as field 0 alone and
     double at each world y < x, copied when y ∉ under(x) and left empty
     when y ∈ under(x), since then every G with y meets under(x).  One
-    unpack reads all the fields out.
+    `unpack` reads all the fields out.
     """
     n = len(le)
     full = (1 << n) - 1
-    w = _field_width(n)
-    ones = ((1 << (w << n)) - 1) // ((1 << w) - 1)  # bit 0 of every field
+    w, _, ones, _ = grid(n)
     minima = 0
     for x, ge in enumerate(_transpose(le)):
         under, keep = ge & ~le[x], (ge | ~le[x]) & full
@@ -161,8 +161,7 @@ def _fill_minima(le: Sequence[int]) -> list[Event]:
             if not under >> y & 1:
                 fresh |= fresh << (w << y)
         minima |= (minima & keep * ones | fresh << x) << (w << x)
-    fmt = f"<{1 << n}{'BHIQ'[w.bit_length() - 4]}"
-    return list(struct.unpack(fmt, minima.to_bytes((w << n) // 8, "little")))
+    return unpack(minima, w, 1 << n)
 
 
 def _at_least(ranks: Sequence[int]) -> dict[int, int]:
@@ -330,9 +329,6 @@ class ChangeFunctionTable:
         """Every nonempty event, ascending."""
         return range(1, self.ctx.full + 1)
 
-    def as_dict(self) -> dict[Event, Event]:
-        return {event: self.results[event] for event in self.events()}
-
 
 def gen_update(ctx: WorldContext, k_mask: Event, family: PreOrderFamily) -> ChangeFunctionTable:
     """Update K by pooling each believed world's closest input-worlds.
@@ -462,19 +458,6 @@ _HOLDS_TESTS = {
 }
 
 
-def _field_width(n: int) -> int:
-    """The least of 8, 16, 32 and 64 that holds n bits."""
-    return next(w for w in (8, 16, 32, 64) if n <= w)
-
-
-def _pack(values: Sequence[int], n: int) -> tuple[int, int]:
-    """The values as one int, values[i] in the w bits from bit i·w on, and
-    the field width w for n bits (`_field_width`): a wider value raises."""
-    w = _field_width(n)
-    items = struct.pack(f"<{len(values)}{'BHIQ'[w.bit_length() - 4]}", *values)
-    return int.from_bytes(items, "little"), w
-
-
 @dataclass(frozen=True)
 class TableWitness:
     """Events on which a table check failed."""
@@ -535,9 +518,10 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
     D9) are checked when K is a singleton and reported as not applicable
     otherwise.
 
-    The table is packed into one int p, r(E) in field E (`_pack`), and
-    each single-event check is a few operations on p.  When D1 holds,
-    D5/R7, D6, D7 and D9/R8 first run the holds tests of ``_HOLDS_TESTS``:
+    The whole results are packed into one int p, r(E) in field E
+    (`frames.pack`, in the layout of `frames.grid`), and each single-event
+    check is a few operations on p.  When D1 holds, D5/R7, D6, D7 and D9/R8
+    first run the holds tests of ``_HOLDS_TESTS``:
     one-step rules comparing r(E) with r(E∖{x}) at every E ∋ x at once, a
     few operations per world x.  D5 and D6 need nothing more; D7 and D9
     count only when D5 holds, D7 then holding outright.  A check whose test
@@ -552,10 +536,8 @@ def audit_function(table: ChangeFunctionTable, suite: str = "KM") -> AuditReport
         raise ValueError(f"unknown audit suite {suite!r}; expected one of {sorted(SUITES)}")
     k, res, full = table.k_mask, table.results, table.ctx.full
     n, scope = table.ctx.n_worlds, table.events()
-    p, w = _pack(res, n)
-    p = p >> w << w  # r(∅) reads empty, whatever results[0] holds
-    ev, _ = _pack(range(full + 1), n)
-    ones = ((1 << w * (full + 1)) - 1) // ((1 << w) - 1)  # bit 0 of every field
+    w, ev, ones, _ = grid(n)
+    p = pack(res, w) >> w << w  # r(∅) reads empty, whatever results[0] holds
     low = ones * ((1 << w - 1) - 1)
 
     def lift(v: int) -> int:

@@ -62,19 +62,34 @@ def subsets_of(mask: int) -> list[int]:
     return out
 
 
+PackError = struct.error  # what `pack` raises for a value that does not fit its field
+
+
+def _fields(count: int, w: int) -> str:
+    """The `struct` format of ``count`` unsigned little-endian w-bit fields."""
+    return f"<{count}{'BHIQ'[w.bit_length() - 4]}"
+
+
 def pack(values: Sequence[int], w: int) -> int:
-    """``values`` as consecutive w-bit fields from bit 0, so a row packs to
-    one int (``pack(row[1:], w) << w``: value E in field E, field 0 empty);
-    a value too wide for its field, or negative, raises `struct.error`."""
-    items = struct.pack(f"<{len(values)}{'BHIQ'[w.bit_length() - 4]}", *values)
-    return int.from_bytes(items, "little")
+    """``values`` as consecutive w-bit fields from bit 0, so an event-indexed
+    table (frame row, Sup table or change-table results) packs to one int,
+    its value at E in field E; ``pack(row[1:], w) << w`` leaves field 0
+    empty.  A value negative or too wide for its field raises `PackError`."""
+    return int.from_bytes(struct.pack(_fields(len(values), w), *values), "little")
+
+
+def unpack(p: int, w: int, count: int) -> list[int]:
+    """The first ``count`` w-bit fields of ``p``, as `pack` lays them out;
+    ``p`` must fit in them."""
+    return list(struct.unpack(_fields(count, w), p.to_bytes(count * w // 8, "little")))
 
 
 @functools.cache  # a few ints per state count, read at every row or belief set
 def grid(n: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """For packed n-state rows: the field width w, the least of 8, 16, 32
-    and 64 that holds n bits; the packed events (field E holds E); bit 0 of
-    every field; and per state x the fields E ∌ x filled with n bits."""
+    """For tables packed over n states or worlds (frame rows, Sup tables,
+    change-table results): the field width w, the least of 8, 16, 32 and 64
+    that holds n bits; the packed events (field E holds E); bit 0 of every
+    field; and per state x the fields E ∌ x filled with n bits."""
     w, ev, ones = max(8, 1 << (n - 1).bit_length()), 0, 1
     for x in range(n):  # field E + {x} holds E + {x} for every E < {x}
         ev |= ev + (ones << x) << (w << x)
@@ -208,8 +223,8 @@ class Frame:
         return got
 
     def event_ids(self, mask: Event) -> tuple[str, ...]:
-        if mask < 0:
-            raise ValueError(f"mask {mask} is negative")
+        if mask < 0 or mask >> self.n:
+            raise ValueError(f"mask {mask} is {'negative' if mask < 0 else 'beyond the frame'}")
         return tuple(self.states[i] for i in bits(mask))
 
     def event_mask(self, ids: Iterable[str]) -> Event:
@@ -317,7 +332,7 @@ def _rows_conform(frame: Frame) -> bool:
             return False
         try:
             p = pack(tail, w) << w
-        except struct.error:
+        except PackError:
             return False
         if p & ~ev or (ev >> s & ones) & ~(p >> s):
             return False

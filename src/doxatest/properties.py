@@ -77,12 +77,11 @@ two can be played against each other on small frames.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .frames import Frame, Violation, bits, grid, mask_of, pack, subsets_of, validate_frame
+from .frames import Frame, PackError, Violation, bits, grid, mask_of, pack, subsets_of, validate_frame
 from .limits import DEFAULT_MAX_STATES, SCAN_INSTANCE_LIMIT, refuse_beyond
 
 
@@ -291,7 +290,7 @@ def _rows(frame: Frame, b: int, success: bool = True) -> int | None:
     w, ev, _, _ = grid(frame.n)
     try:
         packed = pack(frame.sup_table(b)[1:], w) << w
-    except struct.error:
+    except PackError:
         return None
     return None if success and packed & ~ev else packed
 

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -30,14 +31,17 @@ from doxatest.frames import (
     extended_member,
     frame_from_obj,
     frame_to_obj,
+    grid,
     load_structure,
     mask_of,
     model_from_obj,
     model_to_obj,
+    pack,
     structure_from_obj,
     subsets_of,
     support_of,
     truth_set,
+    unpack,
     validate_frame,
 )
 from doxatest.properties import PropertyId, check_property
@@ -57,6 +61,19 @@ class TestBitHelpers:
     def test_subsets_ascend(self):
         for mask in range(1 << 6):
             assert subsets_of(mask) == [g for g in range(mask + 1) if g & ~mask == 0]
+
+    def test_packed_tables_keep_every_bit(self):
+        # n-bit values at n = 8, 9, 16 and 17 come back whole from their
+        # fields: a frame holds up to 16 states, a change table 16 worlds,
+        # and no width may cut a value.  A value negative or too wide for
+        # its field is refused, not cut.
+        for n, w in ((8, 8), (9, 16), (16, 16), (17, 32)):
+            full = (1 << n) - 1
+            assert grid(n)[0] == w
+            assert unpack(pack([full, 0, full], w), w, 4) == [full, 0, full, 0]
+            for bad in (-1, 1 << w):
+                with pytest.raises(struct.error):
+                    pack([full, bad], w)
 
 
 # ============================================================
@@ -238,6 +255,16 @@ class TestValidateFrame:
             "sup_table mask -1 is negative",
             "event_ids mask -1 is negative",
         ]
+
+    def test_masks_beyond_the_frame_are_refused(self):
+        # a state beyond the frame has no id: the error names the mask, for
+        # an event and for a belief set outside the states alike
+        f = complete_selection(Frame(("a", "b"), (1, 2), {}))
+        assert f.event_ids(0b11) == ("a", "b")
+        with pytest.raises(ValueError, match="mask 4 is beyond the frame"):
+            f.event_ids(4)
+        with pytest.raises(ValueError, match="mask 5 is beyond the frame"):
+            frame_to_obj(Frame(f.states, (0b101, 0b10), f.rows))
 
     def test_beliefs_beyond_the_frame_raise_undefined_selection(self):
         f = Frame(("a", "b"), (0b100, 0b10), complete_selection(frame_of(2, [0b01, 0b10])).rows)

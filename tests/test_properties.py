@@ -792,17 +792,6 @@ def test_pd6_and_pd7_kernels_match_their_definitions():
     assert min(min(counts) for counts in large.values()) >= 10, large
 
 
-def test_packed_rows_keep_every_bit():
-    # Rows of n = 8, 9, 16 and 17 states come back whole from their fields:
-    # a frame holds up to 16 states (`FRAME_STATE_LIMIT`), and no width may
-    # cut a row.
-    for n in (8, 9, 16, 17):
-        full = (1 << n) - 1
-        w = grid(n)[0]
-        packed = pack([full, 0, full], w)
-        assert [packed >> w * i & (1 << w) - 1 for i in range(4)] == [full, 0, full, 0]
-
-
 def test_pd7_is_pd57_at_one_state_belief_sets(monkeypatch):
     # Every base-valid frame on 1-2 states whose belief sets have one state,
     # then seeded ones on 3-5 states: random frames (PD57 mostly fails) and
