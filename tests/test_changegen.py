@@ -36,7 +36,7 @@ from doxatest.errors import (
     UnfaithfulOrderError,
 )
 from doxatest.formulas import parse_formula, truth_vector
-from doxatest.frames import bits, cells, mask_of, subsets_of, validate_frame
+from doxatest.frames import bits, cells, grid, mask_of, pack, subsets_of, unpack, validate_frame
 from doxatest.properties import FrameClass, PropertyId, check_class
 
 CTX2 = WorldContext(("p", "q"))
@@ -858,6 +858,15 @@ def test_holding_tables_skip_the_pair_scans(monkeypatch):
     # a failing table still reaches the scan
     with pytest.raises(AssertionError, match="pair scan ran"):
         audit_function(_d9_steps_without_d5(), "AGM")
+
+
+def test_packed_results_keep_every_bit():
+    # Masks over n = 8, 9, 16 and 17 worlds come back whole from their
+    # fields; past 16 worlds no table is built, but no width may cut a mask.
+    for n, w in ((8, 8), (9, 16), (16, 16), (17, 32)):
+        full = (1 << n) - 1
+        assert grid(n)[0] == w
+        assert unpack(pack([full, 0, full], w), w, 4) == [full, 0, full, 0]
 
 
 def test_audit_without_success_scans_every_pair():

@@ -2,7 +2,6 @@ import gc
 import json
 import os
 import random
-import struct
 import subprocess
 import sys
 
@@ -31,17 +30,14 @@ from doxatest.frames import (
     extended_member,
     frame_from_obj,
     frame_to_obj,
-    grid,
     load_structure,
     mask_of,
     model_from_obj,
     model_to_obj,
-    pack,
     structure_from_obj,
     subsets_of,
     support_of,
     truth_set,
-    unpack,
     validate_frame,
 )
 from doxatest.properties import PropertyId, check_property
@@ -61,19 +57,6 @@ class TestBitHelpers:
     def test_subsets_ascend(self):
         for mask in range(1 << 6):
             assert subsets_of(mask) == [g for g in range(mask + 1) if g & ~mask == 0]
-
-    def test_packed_tables_keep_every_bit(self):
-        # n-bit values at n = 8, 9, 16 and 17 come back whole from their
-        # fields: a frame holds up to 16 states, a change table 16 worlds,
-        # and no width may cut a value.  A value negative or too wide for
-        # its field is refused, not cut.
-        for n, w in ((8, 8), (9, 16), (16, 16), (17, 32)):
-            full = (1 << n) - 1
-            assert grid(n)[0] == w
-            assert unpack(pack([full, 0, full], w), w, 4) == [full, 0, full, 0]
-            for bad in (-1, 1 << w):
-                with pytest.raises(struct.error):
-                    pack([full, bad], w)
 
 
 # ============================================================

@@ -14,6 +14,7 @@ from doxatest.correspondence import FrameGenSpec, enumerate_frames
 from doxatest.errors import DoxatestError, SizeLimitError, UndefinedSelectionError
 from doxatest.frames import (
     Frame,
+    PackError,
     bits,
     complete_selection,
     frame_from_obj,
@@ -790,6 +791,21 @@ def test_pd6_and_pd7_kernels_match_their_definitions():
             for pid, holds in want.items():
                 large[pid][holds] += 1
     assert min(min(counts) for counts in large.values()) >= 10, large
+
+
+def test_packed_rows_keep_every_bit():
+    # Rows of n = 8, 9, 16 and 17 states come back whole from their fields:
+    # a frame holds up to 16 states (`FRAME_STATE_LIMIT`), and no width may
+    # cut a row.  A value negative or too wide for its field is refused
+    # with `PackError`, which `_rows` reads as a row that does not conform.
+    for n in (8, 9, 16, 17):
+        full = (1 << n) - 1
+        w = grid(n)[0]
+        packed = pack([full, 0, full], w)
+        assert [packed >> w * i & (1 << w) - 1 for i in range(4)] == [full, 0, full, 0]
+        for bad in (-1, 1 << w):
+            with pytest.raises(PackError):
+                pack([full, bad], w)
 
 
 def test_pd7_is_pd57_at_one_state_belief_sets(monkeypatch):
