@@ -11,9 +11,11 @@ input/result are masks over worlds.  Two constructions are provided:
 * revision from a single ranking whose minimal worlds are exactly K: the
   result is the set of minimal input-worlds.
 
-Orders are built, validated and filled as whole-int bit operations.  A
-rank vector is bucketed once into "rank at least r" masks, and each row of
-an order is an AND of two of them (`PreOrderFamily.pareto`).  A family is
+A ranking is its rank vector, one rank per world, lower meaning more
+plausible, and `_at_least` alone turns one into the rows of its order.
+Orders are built, validated and filled as whole-int bit operations: a
+revision ranking is filled from its rows, and each row of an update order is
+one vector's row or the AND of two (`PreOrderFamily.pareto`).  A family is
 validated by a packed test per world (`_is_centred_preorder`); only a
 failing test walks the rows literally, to name the first fault.  Every
 table is filled once, when it is built: one packed fill per order
@@ -164,35 +166,18 @@ def _fill_minima(le: Sequence[int]) -> list[Event]:
     return unpack(minima, w, 1 << n)
 
 
-def _at_least(ranks: Sequence[int]) -> dict[int, int]:
-    """Each rank value r in ``ranks`` mapped to the mask of worlds whose rank
-    is r or higher: every world is bucketed once, then the buckets are
-    joined from the highest rank down."""
+def _at_least(ranks: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the order a rank vector makes, lower rank meaning more
+    plausible: row x is the mask of worlds whose rank is ``ranks[x]`` or
+    higher.  Every world is bucketed once, then the buckets are joined from
+    the highest rank down."""
     up: dict[int, int] = {}
     for y, r in enumerate(ranks):
         up[r] = up.get(r, 0) | 1 << y
     acc = 0
     for r in sorted(up, reverse=True):
         up[r] = acc = acc | up[r]
-    return up
-
-
-@dataclass(frozen=True)
-class TotalPreOrder:
-    """A ranking of all worlds; lower rank means more plausible."""
-
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-
-    @property
-    def n_worlds(self) -> int:
-        return len(self.ranks)
-
-    def minima(self) -> list[Event]:
-        """The most plausible worlds of every event, indexed by its mask."""
-        return _fill_minima(list(map(_at_least(self.ranks).__getitem__, self.ranks)))
+    return tuple(map(up.__getitem__, ranks))
 
 
 def _is_centred_preorder(rows: Sequence[int], w: int, n: int) -> bool:
@@ -273,16 +258,6 @@ class PreOrderFamily:
             if fault is not None:
                 raise UnfaithfulOrderError(f"order at world {w} {fault}")
 
-    def minima(self, w: int) -> list[Event]:
-        """The most plausible worlds of every event from the standpoint of w,
-        indexed by the event's mask."""
-        return _fill_minima(self.le[w])
-
-    @classmethod
-    def from_rankings(cls, rankings: Sequence[Sequence[int]]) -> "PreOrderFamily":
-        """Total orders, one ranking vector per world."""
-        return cls.pareto([(ranks, ranks) for ranks in rankings])
-
     @classmethod
     def pareto(
         cls, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
@@ -292,10 +267,10 @@ class PreOrderFamily:
         at least second[x] in the second (`_at_least`)."""
         le = []
         for first, second in pairs:
-            row = map(_at_least(first).__getitem__, first)
+            row = _at_least(first)
             if second is not first:
-                row = map(operator.and_, row, map(_at_least(second).__getitem__, second))
-            le.append(tuple(row))
+                row = tuple(map(operator.and_, row, _at_least(second)))
+            le.append(row)
         return cls(tuple(le))
 
 
@@ -341,20 +316,21 @@ def gen_update(ctx: WorldContext, k_mask: Event, family: PreOrderFamily) -> Chan
             f"order family covers {family.n_worlds} worlds, context has {ctx.n_worlds}"
         )
     family.validate()
-    rows = {w: family.minima(w) for w in bits(k_mask)}
+    rows = {w: _fill_minima(family.le[w]) for w in bits(k_mask)}
     results = [0] * (ctx.full + 1)
     for row in rows.values():
         results = list(map(operator.or_, results, row))
     return ChangeFunctionTable(ctx, k_mask, results, rows)
 
 
-def gen_revision(ctx: WorldContext, k_mask: Event, order: TotalPreOrder) -> ChangeFunctionTable:
-    """Revise K to the most plausible input-worlds of a K-faithful ranking."""
-    if order.n_worlds != ctx.n_worlds:
+def gen_revision(ctx: WorldContext, k_mask: Event, ranks: Sequence[int]) -> ChangeFunctionTable:
+    """Revise K to the most plausible input-worlds of a K-faithful ranking,
+    one rank per world, lower rank meaning more plausible."""
+    if len(ranks) != ctx.n_worlds:
         raise InputFormatError(
-            f"ranking covers {order.n_worlds} worlds, context has {ctx.n_worlds}"
+            f"ranking covers {len(ranks)} worlds, context has {ctx.n_worlds}"
         )
-    results = order.minima()
+    results = _fill_minima(_at_least(ranks))
     if results[-1] != k_mask:
         raise UnfaithfulOrderError(
             "ranking is not faithful: its minimal worlds are {%s}, K is {%s}"
@@ -685,31 +661,29 @@ def roundtrip_verify(table: ChangeFunctionTable, frame_class: FrameClass) -> Rou
     )
 
 
-# --- random generators and brute-force order spaces ---
+# --- random generators ---
 
 
 def random_k(rng: Random, ctx: WorldContext) -> Event:
     return rng.randrange(1, ctx.full + 1)
 
 
-def random_total_order(rng: Random, ctx: WorldContext, k_mask: Event) -> TotalPreOrder:
-    """A K-faithful ranking: K at rank zero, everything else strictly above."""
+def random_total_order(rng: Random, ctx: WorldContext, k_mask: Event) -> tuple[int, ...]:
+    """A K-faithful rank vector: K at rank zero, everything else strictly above."""
     n = ctx.n_worlds
-    ranks = [
-        0 if (k_mask >> w) & 1 else rng.randrange(1, n + 1) for w in range(n)
-    ]
-    return TotalPreOrder(tuple(ranks))
+    return tuple(0 if (k_mask >> w) & 1 else rng.randrange(1, n + 1) for w in range(n))
 
 
 def random_family(rng: Random, ctx: WorldContext, total: bool = False) -> PreOrderFamily:
-    """A world-centered order family; partial orders come from rank pairs."""
+    """A world-centered order family: one rank vector per world makes total
+    orders, a pair of them partial orders."""
     n = ctx.n_worlds
 
     def vector(w: int) -> list[int]:
         return [0 if x == w else rng.randrange(1, n + 1) for x in range(n)]
 
     if total:
-        return PreOrderFamily.from_rankings([vector(w) for w in range(n)])
+        return PreOrderFamily.pareto([(v, v) for v in map(vector, range(n))])
     return PreOrderFamily.pareto([(vector(w), vector(w)) for w in range(n)])
 
 

@@ -9,6 +9,7 @@ errors.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from random import Random
@@ -47,6 +48,7 @@ from .frames import (
 )
 from .limits import (
     ATOM_LIMIT,
+    COMPLETION_STATE_LIMIT,
     DEFAULT_MAX_STATES,
     ENUMERATION_FRAME_LIMIT,
     EXHAUSTIVE_STATE_LIMIT,
@@ -66,13 +68,19 @@ def _fail_usage(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _load(path: str):
-    """The structure in ``path`` and its frame."""
+def _load(path: str, completion: str | None = None, max_states: int = COMPLETION_STATE_LIMIT):
+    """The structure in ``path`` and its frame, the selection completed first
+    when ``completion`` names the rule (refused beyond ``max_states`` states)."""
     try:
         structure = load_structure(path)
     except DoxatestError as exc:
         raise _fail_usage(f"{path}: {exc}")
-    return structure, structure.frame if isinstance(structure, Model) else structure
+    is_model = isinstance(structure, Model)
+    frame = structure.frame if is_model else structure
+    if completion is None:
+        return structure, frame
+    frame = complete_selection(frame, max_states=max_states)
+    return (Model(frame, structure.valuation) if is_model else frame), frame
 
 
 def _text_lines(value, indent: int = 0) -> list[str]:
@@ -209,11 +217,7 @@ def check(path, frame_class, prop, axiom, state, completion, max_states, fmt):
     chosen = [x for x in (frame_class, prop, axiom) if x]
     if len(chosen) != 1:
         raise _fail_usage("pass exactly one of --class, --property, --axiom")
-    structure, frame = _load(path)
-    if completion is not None:
-        frame = complete_selection(frame, max_states=max_states)
-        if isinstance(structure, Model):
-            structure = Model(frame, structure.valuation)
+    structure, frame = _load(path, completion, max_states)
 
     if prop is not None:
         name = _norm(prop)
@@ -306,10 +310,11 @@ def _parse_pairs(spec: str):
     return tuple(chosen)
 
 
+# each kind's frame class and its draw of one table from (rng, ctx)
 KIND_SETTINGS = {
-    "UPDATE": (FrameClass.UPDATE, False),
-    "STRONG_UPDATE": (FrameClass.STRONG_UPDATE, True),
-    "REVISION": (FrameClass.REVISION_STRICT, None),
+    "UPDATE": (FrameClass.UPDATE, random_update_table),
+    "STRONG_UPDATE": (FrameClass.STRONG_UPDATE, functools.partial(random_update_table, total=True)),
+    "REVISION": (FrameClass.REVISION_STRICT, random_revision_table),
 }
 
 
@@ -328,16 +333,12 @@ def roundtrip(atoms, kind, trials, seed, fmt):
     kind_name = _norm(kind)
     if kind_name not in KIND_SETTINGS:
         raise _fail_usage(f"unknown kind {kind!r}; expected update, strong-update or revision")
-    frame_class, total = KIND_SETTINGS[kind_name]
+    frame_class, draw = KIND_SETTINGS[kind_name]
     suite = EXPECTED_SUITE[frame_class]
     ctx = WorldContext(ATOM_NAMES[:atoms])
     failures = []
     for trial in range(trials):
-        rng = Random(f"{seed}:{trial}")
-        if total is None:
-            table = random_revision_table(rng, ctx)
-        else:
-            table = random_update_table(rng, ctx, total=total)
+        table = draw(Random(f"{seed}:{trial}"), ctx)
         trip = roundtrip_verify(table, frame_class)
         audit = audit_function(table, suite)
         if not (trip.ok and audit.ok):
@@ -372,12 +373,9 @@ def roundtrip(atoms, kind, trials, seed, fmt):
 @FORMAT_OPTION
 def ri(path, state, formula_text, probes, completion, fmt):
     """Show conditional beliefs at a state, reading acceptance off selection."""
-    structure, frame = _load(path)
+    structure, frame = _load(path, completion)
     if not isinstance(structure, Model):
         raise _fail_usage("conditional-belief reports need a model file with a valuation")
-    if completion is not None:
-        frame = complete_selection(frame)
-        structure = Model(frame, structure.valuation)
     s = frame.index(state)
     phi = parse_formula(formula_text)
     phi_worlds = truth_set(structure, phi)

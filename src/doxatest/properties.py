@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .frames import Frame, PackError, Violation, bits, grid, mask_of, pack, subsets_of, validate_frame
+from .frames import Frame, PackError, bits, grid, mask_of, pack, subsets_of, validate_frame
 from .limits import DEFAULT_MAX_STATES, SCAN_INSTANCE_LIMIT, refuse_beyond
 
 
@@ -399,14 +399,14 @@ def _find(frame: Frame, pid: PropertyId) -> PropertyWitness | None:
     return None
 
 
-def _find_base(frame: Frame) -> PropertyWitness | None:
-    violations = validate_frame(frame)
-    if not violations:
-        return None
-    v: Violation = violations[0]
-    s = frame.index(v.state) if v.state is not None else None
-    e = frame.event_mask(v.event) if v.event else None
-    return PropertyWitness(PropertyId.BASE, s=s, e=e, clause=v.clause)
+def _base_witnesses(frame: Frame) -> list[PropertyWitness]:
+    """The BASE witness of each `validate_frame` violation, in its order; a
+    seriality violation names no event."""
+    return [
+        PropertyWitness(PropertyId.BASE, None if v.state is None else frame.index(v.state),
+                        e=frame.event_mask(v.event) if v.event else None, clause=v.clause)
+        for v in validate_frame(frame)
+    ]
 
 
 def check_property(
@@ -416,7 +416,7 @@ def check_property(
     event."""
     refuse_beyond(frame.n, max_states, "states in an exhaustive property check")
     if property_id is PropertyId.BASE:
-        witness = _find_base(frame)
+        witness = next(iter(_base_witnesses(frame)), None)
     else:
         witness = _find(frame, property_id)
     return PropertyVerdict(property_id, witness is None, witness)
@@ -453,10 +453,11 @@ def check_pd57_literal(
 
 def recheck_witness(frame: Frame, witness: PropertyWitness) -> bool:
     """Confirm that a witness describes a genuine violation of its property:
-    the instance breaks it, at the named s' in B(s) where one is reported."""
+    the instance breaks it, at the named s' in B(s) where one is reported.
+    A BASE witness must be one of the frame's violations, clause included."""
     pid = witness.property
     if pid is PropertyId.BASE:
-        return bool(validate_frame(frame))
+        return witness in _base_witnesses(frame)
     factory, _, reports_s_prime = _CONDITIONS[pid]
     violators = factory(frame, frame.belief[witness.s])
     if violators is None:

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 import pytest
 
-from doxatest.changegen import PreOrderFamily, TotalPreOrder, _order_fault
+from doxatest.changegen import PreOrderFamily, _order_fault
 from doxatest.frames import Frame, Model, bits, complete_selection
 
 
@@ -94,8 +94,9 @@ def _all_centered_families(n_worlds: int) -> list[PreOrderFamily]:
     return [PreOrderFamily(tuple(combo)) for combo in itertools.product(*per_world)]
 
 
-def _all_order_types(n_worlds: int) -> list[TotalPreOrder]:
-    """Every ranking shape on a small world set (ranks are order types)."""
+def _all_order_types(n_worlds: int) -> list[tuple[int, ...]]:
+    """Every ranking shape on a small world set, as rank vectors whose ranks
+    are order types."""
     out = []
     for ranks in itertools.product(range(n_worlds), repeat=n_worlds):
         if min(ranks) != 0:
@@ -103,5 +104,5 @@ def _all_order_types(n_worlds: int) -> list[TotalPreOrder]:
         levels = tuple(sorted(set(ranks)))
         if levels != tuple(range(len(levels))):
             continue
-        out.append(TotalPreOrder(ranks))
+        out.append(ranks)
     return out

@@ -15,7 +15,6 @@ from doxatest.changegen import (
     SUITES,
     ChangeFunctionTable,
     PreOrderFamily,
-    TotalPreOrder,
     WorldContext,
     audit_function,
     build_canonical_model,
@@ -43,9 +42,8 @@ CTX2 = WorldContext(("p", "q"))
 
 
 def total_update_table_family():
-    return PreOrderFamily.from_rankings(
-        [(0, 1, 2, 3), (2, 0, 1, 3), (2, 3, 0, 1), (3, 1, 2, 0)]
-    )
+    rankings = [(0, 1, 2, 3), (2, 0, 1, 3), (2, 3, 0, 1), (3, 1, 2, 0)]
+    return PreOrderFamily.pareto([(r, r) for r in rankings])
 
 
 def total_update_table():
@@ -65,7 +63,12 @@ def partial_update_table():
 
 
 def revision_table():
-    return gen_revision(CTX2, 0b0110, TotalPreOrder((2, 0, 0, 1)))
+    return gen_revision(CTX2, 0b0110, (2, 0, 0, 1))
+
+
+def ranking_minima(ranks):
+    # the most plausible worlds of every event under a rank vector's order
+    return changegen._fill_minima(changegen._at_least(ranks))
 
 
 # --- world contexts ---
@@ -95,24 +98,24 @@ def test_truth_worlds_of_formula():
 
 
 def test_total_preorder_minima():
-    order = TotalPreOrder((2, 0, 0, 1))
-    assert order.minima()[-1] == 0b0110
-    assert order.minima()[0b1001] == 0b1000
-    assert order.minima()[0] == 0
+    minima = ranking_minima((2, 0, 0, 1))
+    assert minima[-1] == 0b0110
+    assert minima[0b1001] == 0b1000
+    assert minima[0] == 0
     # every ranking shape up to 4 worlds and seeded rankings up to 16, at
     # every event: the members of lowest rank
-    orders = [order for n in (1, 2, 3, 4) for order in _all_order_types(n)]
+    rankings = [ranks for n in (1, 2, 3, 4) for ranks in _all_order_types(n)]
     rng = Random(13)
     for k, count in ((3, 3), (4, 1)):
         ctx = WorldContext(("p", "q", "r", "s")[:k])
-        orders += [random_total_order(rng, ctx, random_k(rng, ctx)) for _ in range(count)]
-    for order in orders:
-        minima = order.minima()
-        assert len(minima) == 1 << order.n_worlds
-        for event in range(1, 1 << order.n_worlds):
-            lowest = min(order.ranks[x] for x in bits(event))
-            assert minima[event] == mask_of(x for x in bits(event) if order.ranks[x] == lowest)
-    assert len(orders) > 80
+        rankings += [random_total_order(rng, ctx, random_k(rng, ctx)) for _ in range(count)]
+    for ranks in rankings:
+        minima = ranking_minima(ranks)
+        assert len(minima) == 1 << len(ranks)
+        for event in range(1, 1 << len(ranks)):
+            lowest = min(ranks[x] for x in bits(event))
+            assert minima[event] == mask_of(x for x in bits(event) if ranks[x] == lowest)
+    assert len(rankings) > 80
 
 
 def test_family_validation_rejects_broken_orders():
@@ -153,8 +156,8 @@ def test_pareto_builds_genuinely_partial_orders():
     assert _total_at(family, 1)
     assert not _leq(family, 0, 1, 2) and not _leq(family, 0, 2, 1)
     # with every pair above the center incomparable, nothing gets pruned
-    assert family.minima(0)[0b1110] == 0b1110
-    assert family.minima(0)[0b1111] == 0b0001
+    assert changegen._fill_minima(family.le[0])[0b1110] == 0b1110
+    assert changegen._fill_minima(family.le[0])[0b1111] == 0b0001
 
 
 def _leq(family, w, x, y):
@@ -181,7 +184,7 @@ def _literal_minima(le):
 
 
 def test_min_of_matches_the_literal_order_definition():
-    # the filled minima(w)[E] at every (w, E): every family up to 3 worlds,
+    # the filled minima of le[w] at every (w, E): every family up to 3 worlds,
     # seeded partial and total ones at 2-4 atoms
     families = [f for n in (1, 2, 3) for f in _all_centered_families(n)]
     rng = Random(12)
@@ -193,7 +196,7 @@ def test_min_of_matches_the_literal_order_definition():
     for family in families:
         for w in range(family.n_worlds):
             partial += not _total_at(family, w)
-            assert family.minima(w) == _literal_minima(family.le[w]), (family.le, w)
+            assert changegen._fill_minima(family.le[w]) == _literal_minima(family.le[w]), (family.le, w)
     assert len(families) > 60 and partial > 40
 
 
@@ -222,7 +225,7 @@ def test_fill_minima_matches_the_definition_on_every_small_preorder():
 def test_fill_minima_matches_the_definition_at_both_field_widths():
     # The fill packs 8-bit fields up to 8 worlds and 16-bit fields up to 16:
     # seeded pareto and total orders at 8 and 16 worlds, at several of their
-    # worlds, and seeded rankings at 16 worlds through `TotalPreOrder.minima`.
+    # worlds, and seeded rankings at 16 worlds through their `_at_least` rows.
     rng = Random(21)
     for k in (3, 4):
         ctx = WorldContext(("p", "q", "r", "s")[:k])
@@ -232,9 +235,9 @@ def test_fill_minima_matches_the_definition_at_both_field_widths():
                 assert changegen._fill_minima(family.le[w]) == _literal_minima(family.le[w])
     ctx = WorldContext(("p", "q", "r", "s"))
     for _ in range(3):
-        order = random_total_order(rng, ctx, random_k(rng, ctx))
-        up = [mask_of(y for y, r in enumerate(order.ranks) if rank <= r) for rank in order.ranks]
-        assert order.minima() == _literal_minima(up)
+        ranks = random_total_order(rng, ctx, random_k(rng, ctx))
+        up = [mask_of(y for y, r in enumerate(ranks) if rank <= r) for rank in ranks]
+        assert ranking_minima(ranks) == _literal_minima(up)
 
 
 def test_transpose_matches_the_per_bit_definition():
@@ -250,8 +253,8 @@ def test_transpose_matches_the_per_bit_definition():
 
 def test_pareto_matches_the_literal_definition():
     # x is at least as plausible as y when both rank vectors agree; seeded
-    # rank pairs on 1-16 worlds with many ties, and from_rankings, whose
-    # pairs hold one vector twice
+    # rank pairs on 1-16 worlds with many ties, and pairs that hold one
+    # vector twice, whose rows are that vector's `_at_least` rows
     rng = Random(23)
     for n in range(1, 17):
         for _ in range(4):
@@ -272,7 +275,8 @@ def test_pareto_matches_the_literal_definition():
                 tuple(mask_of(y for y in range(n) if a[x] <= a[y]) for x in range(n))
                 for a in rankings
             )
-            assert PreOrderFamily.from_rankings(rankings).le == same
+            assert PreOrderFamily.pareto([(a, a) for a in rankings]).le == same
+            assert tuple(map(changegen._at_least, rankings)) == same
             assert PreOrderFamily.pareto([(a, list(a)) for a in rankings]).le == same
 
 
@@ -421,7 +425,9 @@ def test_revision_frozen_values_and_audits():
     # this ranking's revision happens to clear the update suite as well
     assert audit_function(table, "KM").ok
     with pytest.raises(UnfaithfulOrderError, match="not faithful"):
-        gen_revision(CTX2, 0b0110, TotalPreOrder((0, 0, 1, 1)))
+        gen_revision(CTX2, 0b0110, (0, 0, 1, 1))
+    with pytest.raises(InputFormatError, match="^ranking covers 3 worlds, context has 4$"):
+        gen_revision(CTX2, 0b0110, (1, 0, 0))
 
 
 def test_audit_rejects_unknown_suite():
@@ -908,7 +914,7 @@ def test_generator_outputs_are_frozen():
         record([ctx.atom_worlds(i) for i in range(k)])
         for _ in range(4):
             record(random_family(rng, ctx, total=True).le)
-            record(random_total_order(rng, ctx, rng.randrange(1, ctx.full + 1)).minima()[-1])
+            record(ranking_minima(random_total_order(rng, ctx, rng.randrange(1, ctx.full + 1)))[-1])
             for table, frame_class in (
                 (random_update_table(rng, ctx), FrameClass.UPDATE),
                 (random_update_table(rng, ctx, total=True), FrameClass.STRONG_UPDATE),
@@ -947,7 +953,7 @@ def test_generator_outputs_are_frozen():
     for n in (1, 2, 3):
         record([_valid_single_orders(n, w) for w in range(n)])
     for n in (1, 2, 3, 4):
-        record([[order.ranks, order.minima()[-1]] for order in _all_order_types(n)])
+        record([[ranks, ranking_minima(ranks)[-1]] for ranks in _all_order_types(n)])
     assert digest.hexdigest() == (
         "a1859904775a0db3c987244c3de2a2a4be5bba73a1c5e597e40e7917cc7237a2"
     )

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 
 import doxatest
 from doxatest import cli
+from doxatest.changegen import ChangeFunctionTable, random_update_table
 from doxatest.cli import main
 from doxatest.frames import Frame, Model, complete_selection, frame_to_obj, model_to_obj
+from doxatest.properties import FrameClass
 
 SEPARATION = "tests/data/pd57_separation.json"
 ROOT = Path(__file__).resolve().parent.parent
@@ -458,6 +461,49 @@ def test_roundtrip_usage_errors(runner):
     assert runner.invoke(
         main, ["roundtrip", "--atoms", "2", "--kind", "update", "--trials", "0"]
     ).exit_code == 2
+
+
+def _broken_update_draw():
+    # trial 1 draws a hand-built table whose one row (world 00's default
+    # choices) differs from its results at {01, 10}, where the result, {11},
+    # leaves the event and fails D1; every other trial draws as `update` does
+    trials = itertools.count()
+
+    def draw(rng, ctx):
+        if next(trials) != 1:
+            return random_update_table(rng, ctx)
+        row = [0] + [1 if e & 1 else e & -e for e in range(1, 16)]
+        results = list(row)
+        results[0b0110] = 0b1000
+        return ChangeFunctionTable(ctx, 0b0001, results, {0: row})
+
+    return draw
+
+
+def test_roundtrip_reports_each_failing_trial_in_both_formats(runner, monkeypatch):
+    out = {}
+    for fmt in ("json", "text"):
+        monkeypatch.setitem(cli.KIND_SETTINGS, "UPDATE", (FrameClass.UPDATE, _broken_update_draw()))
+        result = runner.invoke(main, ["roundtrip", "--atoms", "2", "--kind", "update",
+                                      "--trials", "3", "--format", fmt])
+        assert result.exit_code == 1, fmt
+        out[fmt] = result.stdout
+    report = json.loads(out["json"])
+    assert report["passed"] == 2
+    [failure] = report["failures"]
+    assert failure["trial"] == 1
+    assert failure["roundtrip"]["ok"] is False
+    assert failure["roundtrip"]["mismatchedEvents"] == [["01", "10"]]
+    assert failure["audit"]["ok"] is False
+    assert {"axiom": "D1", "holds": False, "applicable": True,
+            "witness": {"E": ["01", "10"]}} in failure["audit"]["axioms"]
+    # the same facts in text; a list of lists renders each inner list as
+    # "- " and its first item, then its other items beneath
+    text = out["text"]
+    assert "passed: 2\nfailures:\n  - trial: 1\n    roundtrip:\n" in text
+    assert "      ok: no\n" in text
+    assert "      mismatchedEvents:\n        - - 01\n          - 10\n" in text
+    assert "    audit:\n      suite: KM\n      ok: no\n" in text
 
 
 def test_roundtrip_repeat_is_deterministic(runner):

@@ -447,6 +447,26 @@ def test_an_unpointed_d7_decides_every_partition():
     }
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_seeded_sample_decides_beyond_the_exhaustive_bits(seed):
+    # 5 states x 3 atoms is past EXHAUSTIVE_VALUATION_BITS, and at all
+    # states a fat belief set makes lo = 1 < 5 for D7 and D9, so neither the
+    # partitions nor the discrete shortcut decide: the seeded sample does
+    frame = frame_from_obj(json.loads((DATA / "census_5state_centered.json").read_text()))
+    assert 5 * 3 > EXHAUSTIVE_VALUATION_BITS
+    assert any(b.bit_count() > 1 for b in frame.belief)
+    pd7, pd9 = UNPOINTED
+    held = correspondence_verdict(frame, pd7, atom_budget=3, seed=seed)
+    assert (held.property_holds, held.agrees, held.models_checked) == (True, True, VALUATION_SAMPLES)
+    assert held.counterexample is None
+    failed = correspondence_verdict(frame, pd9, atom_budget=3, seed=seed)
+    assert (failed.property_holds, failed.agrees) == (True, False)
+    assert (failed.models_checked, failed.counterexample) == {
+        0: (24, ({"p": 8, "q": 9, "r": 2}, 1)),
+        1: (33, ({"p": 21, "q": 29, "r": 1}, 1)),
+    }[seed]
+
+
 def _stirling2(n, k):
     if n == k:
         return 1

@@ -116,6 +116,25 @@ def test_base_failure_reports_clause():
     assert verdict.to_obj(broken)["witness"]["s"] == "s1"
 
 
+def test_base_recheck_confirms_only_the_frames_violations():
+    # the only violation is success at (a, {b}): f(a, {b}) = {a}
+    frame = Frame(("a", "b"), (1, 2), {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 1): 1, (1, 2): 2, (1, 3): 2})
+    verdict = check_property(frame, PropertyId.BASE)
+    assert verdict.witness == PropertyWitness(PropertyId.BASE, s=0, e=0b10, clause="success")
+    assert recheck_witness(frame, verdict.witness)
+    for wrong in (
+        PropertyWitness(PropertyId.BASE, s=1, e=0b11, clause="consistency"),
+        PropertyWitness(PropertyId.BASE, s=0, e=0b10, clause="consistency"),
+        PropertyWitness(PropertyId.BASE, s=1, e=0b10, clause="success"),
+        PropertyWitness(PropertyId.BASE, s=0, clause="seriality"),
+    ):
+        assert not recheck_witness(frame, wrong), wrong
+    # a seriality violation names no event
+    broken = frame_of(2, [0b10, 0b00], complete=True)
+    assert recheck_witness(broken, PropertyWitness(PropertyId.BASE, s=1, clause="seriality"))
+    assert not recheck_witness(broken, PropertyWitness(PropertyId.BASE, s=0, clause="seriality"))
+
+
 def test_pd2_violation():
     fr = frame_of(2, [0b01, 0b10], {(0, 0b11): 0b11}, complete=True)
     verdict = check_property(fr, PropertyId.PD2)
