@@ -30,17 +30,14 @@ Lemma.  At b, let R(E) = cl(Sup(b, E)) on the definable events.  For F
 definable, cl(X∩F) = cl(X)∩F (a cell meets X∩F iff it meets X and lies in
 F), and Sup(b, E) ⊆ F iff R(E) ⊆ F.  So an instance fails iff: D1,
 R(E) ⊄ E; D5, R(E)∩F ⊄ R(E∩F); D6, R(E) ⊆ F, R(F) ⊆ E, R(E) ≠ R(F); D7,
-R(E∪F) ⊄ R(E) ∪ R(F); D9/R8, R(E)∩F ≠ ∅ and R(E∩F) ⊄ R(E)∩F.  Under D1
-the one-step rules of KLM (1990) decide these, with cells for worlds, at
-each G = E∖c, c a cell of E (`_holds_by_steps`; G = ∅ passes every rule):
-- D5: R(E)∖c ⊆ R(G).  Down a chain of steps from E to F ⊆ E each cell of
-  R(E)∩F survives; under D1, (E, F) is the pair (E, E∩F).  D7 follows from
-  D5 at (E∪F, E) and (E∪F, F), and D1.
-- D6: c ∩ R(E) = ∅ implies R(G) = R(E).  Chained, R(F) = R(E) if
-  R(E) ⊆ F ⊆ E; if R(E) ⊆ F and R(F) ⊆ E, D1 puts both in E∩F, so both
-  equal R(E∩F), or are empty with it.
-- D9/R8 from D5 and "R(E)∩G ≠ ∅ implies R(G) ⊆ R(E)∩G": down the chain to
-  F, R(Eᵢ) = R(E)∩Eᵢ while R(E)∩F ≠ ∅.  The steps alone are not enough.
+R(E∪F) ⊄ R(E) ∪ R(F); D9/R8, R(E)∩F ≠ ∅ and R(E∩F) ⊄ R(E)∩F.  R is a row
+table over cells, R(E) ⊆ E under D1, and the properties' kernels decide it
+(`_holds_test`), with cells for states and G = E∩F:
+- D5: PD57's inside shape, no G ⊆ E with R(E)∩G ⊄ R(G).  D7 is the same
+  shape, as PD7 is at B = {i} (`properties` has the proof).
+- D6: PD6's cumulative shape: under D1, reciprocity is cumulativity.
+- D9/R8: PR8's gated shape, no G ⊆ E with R(E) meeting G and
+  R(G) ⊄ R(E), since R(G) ⊆ G.
 
 `axiom_status_via_formulas` re-decides each postulate by direct
 quantification over a formula pool, as an independent cross-check.  It
@@ -66,8 +63,10 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .formulas import Formula, semantic_pool
-from .frames import Frame, Model, bits, cell_closure, cells, definable_events, subsets_of, truth_set
+from .frames import (Frame, Model, bits, cell_closure, cells, definable_events, grid, pack,
+                     subsets_of, truth_set)
 from .limits import DEFAULT_MAX_CELLS
+from .properties import _cumulative, _gated, _inside
 
 
 class AxiomId(str, Enum):
@@ -148,9 +147,10 @@ class AxiomVerdict:
 @dataclass
 class ModelContext:
     """Shared per-model precomputation: cells and definable events, the
-    first witness (None when it holds) per (belief set, resolved postulate)
-    that `axiom_holds` has found, and per belief set the closure table of
-    `_holds_by_steps`.  Supports come from the frame's memoized `Frame.sup`."""
+    first witness (None when it holds) per (belief set, memo key) that
+    `axiom_holds` has found, and per belief set the closure table R of
+    `_holds_test`: R is a row table over cells; the properties' kernels
+    decide it.  Supports come from the frame's memoized `Frame.sup`."""
 
     model: Model
     cell_masks: tuple[int, ...]
@@ -275,33 +275,28 @@ def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitn
                     yield AxiomWitness(e=e, f=f, g=g)
 
 
-@functools.lru_cache(maxsize=None)
-def _cell_steps(m: int) -> tuple[tuple[int, int], ...]:
-    """(E, E∖c) for each choice E of m cells and cell c of E."""
-    return tuple((e, e ^ 1 << i) for e in range(1, 1 << m) for i in range(m) if e >> i & 1)
+# the properties' kernel deciding each pair postulate's table shape on R
+_KERNELS: dict[AxiomId, Callable[[int, int], bool]] = {
+    AxiomId.D5: _inside, AxiomId.D7: _inside, AxiomId.D6: _cumulative,
+    AxiomId.D9: _gated, AxiomId.R8: _gated,
+}
 
 
-def _holds_by_steps(ctx: ModelContext, axiom: AxiomId, b: int) -> bool:
-    """Whether a pair postulate passes the lemma's holds test at b.  R is kept
-    as cell choices, r[j] the cells meeting Sup(b, ctx.definable[j - 1]), or
-    None where the gate fails.  D5's verdict is read from `ctx.found` if known."""
+def _holds_test(ctx: ModelContext, axiom: AxiomId, b: int) -> bool:
+    """Whether a pair postulate passes the lemma's holds test at b.  R is
+    packed over `grid(m)` for m cells, field j the cells meeting
+    Sup(b, ctx.definable[j - 1]), or None where the gate fails."""
     if b not in ctx.closures:
-        sups, r = ctx.model.frame.sup_table(b), [0]
+        sups, r = ctx.model.frame.sup_table(b), []
         for e in ctx.definable:
             if sups[e] & ~e:  # a missing row reads -1, which leaves every event
                 r = None
                 break
             r.append(sum([1 << i for i, c in enumerate(ctx.cell_masks) if c & sups[e]]))
-        ctx.closures[b] = r
-    r, steps = ctx.closures[b], _cell_steps(len(ctx.cell_masks))
-    if r is None:
-        return False
-    if axiom is AxiomId.D6:
-        return all(r[e] & (e ^ g) or r[e] == r[g] for e, g in steps)
-    key = (b, AxiomId.D5)
-    d5 = ctx.found[key] is None if key in ctx.found else all(not r[e] & g & ~r[g] for e, g in steps)
-    return d5 and (axiom is AxiomId.D5 or axiom is AxiomId.D7 or all(
-        not r[e] & g or not r[g] & ~(r[e] & g) for e, g in steps))
+        w = grid(len(ctx.cell_masks))[0]
+        ctx.closures[b] = None if r is None else pack(r, w) << w
+    r = ctx.closures[b]
+    return r is not None and _KERNELS[axiom](r, len(ctx.cell_masks))
 
 
 _COMPLETE_ONLY = frozenset({AxiomId.D7, AxiomId.D9})
@@ -365,7 +360,7 @@ def axiom_holds(
     witness = ctx.found.get(key, _UNDECIDED)
     if witness is _UNDECIDED:
         resolved = plan.resolved
-        if _INSTANCES[resolved][0] != _NO_F and _holds_by_steps(ctx, resolved, key[0]):
+        if resolved in _KERNELS and _holds_test(ctx, resolved, key[0]):
             witness = ctx.found[key] = None
         else:
             witness = ctx.found[key] = next(_violations(ctx, resolved, key[0]), None)

@@ -325,10 +325,9 @@ def _verdict(frame: Frame, pair: CorrespondencePair, verdict_of: Callable,
     its first model), which a caller may share across a frame's pairs with
     no report or first error changed: `found` is keyed by (belief set, memo
     key) and `closures` by belief set, so no postulate's entry answers
-    another's but the plans' cross-reads (D7, D9 and R8 read D5's verdict,
-    R8 shares D9's key); errors are never memoized; and a context's
-    valuation differs from a later one of its partition only inside cells,
-    as within one pair's ordered scan."""
+    another's but R8's, which shares D9's key; errors are never memoized;
+    and a context's valuation differs from a later one of its partition
+    only inside cells, as within one pair's ordered scan."""
     if not 1 <= atom_budget <= VALUATION_ATOM_LIMIT:
         raise ValueError(f"atom budget must be between 1 and {VALUATION_ATOM_LIMIT}")
     verdict = verdict_of(pair.property)

@@ -312,16 +312,21 @@ def _gated(p: int, n: int) -> bool:
     # Per state x: field G of the union is that of ¬r(E) over E ⊇ G with x
     # in r(E), and it must miss r(G) wherever x is in G.
     w, _, ones, outs = grid(n)
-    lifts = ((p >> x & ones) * ((1 << n) - 1) for x in range(n))  # fields with x in r(E)
-    return not any(_up(lift & ~p, w, outs) & p & ~out for lift, out in zip(lifts, outs))
+    for x, out in enumerate(outs):  # the lift fills the fields with x in r(E)
+        if _up((p >> x & ones) * ((1 << n) - 1) & ~p, w, outs) & p & ~out:
+            return False
+    return True
 
 
 def _cumulative(p: int, n: int) -> bool:
     # One-step cumulativity: r(E \ {x}) = r(E) at each x in E outside r(E);
     # at E = {x} both are empty.
     w, ev, ones, _ = grid(n)
-    full = (1 << n) - 1
-    return not any((p ^ p << (w << x)) & ((ev & ~p) >> x & ones) * full for x in range(n))
+    full, outside = (1 << n) - 1, ev & ~p
+    for x in range(n):
+        if (p ^ p << (w << x)) & (outside >> x & ones) * full:
+            return False
+    return True
 
 
 def _kept(p: int, b: int, n: int) -> bool:

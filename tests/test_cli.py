@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import doxatest
-from doxatest import cli
+from doxatest import cli, correspondence
+from doxatest.axioms import AxiomId
 from doxatest.changegen import ChangeFunctionTable, random_update_table
 from doxatest.cli import main
 from doxatest.frames import Frame, Model, complete_selection, frame_to_obj, model_to_obj
@@ -397,6 +399,25 @@ def test_correspond_single_frame_with_pair_filter(runner, files):
     assert pairs[0]["agrees"] is True
 
 
+def test_correspond_counts_a_disagreement_and_exits_1(runner, files, monkeypatch):
+    # one pair's report flipped to disagree: the census counts it once, in
+    # both formats, and the command exits 1
+    real = correspondence._verdict
+
+    def flipped(frame, pair, *args):
+        report = real(frame, pair, *args)
+        return dataclasses.replace(report, agrees=False) if pair.axiom is AxiomId.R4 else report
+
+    monkeypatch.setattr(correspondence, "_verdict", flipped)
+    as_json = runner.invoke(main, ["correspond", files["model2"], "--format", "json"])
+    as_text = runner.invoke(main, ["correspond", files["model2"]])
+    assert (as_json.exit_code, as_text.exit_code) == (1, 1)
+    report = json.loads(as_json.output)
+    assert report["summary"] == {"frameCount": 1, "disagreements": 1}
+    assert [p["agrees"] for p in report["frames"][0]["pairs"]].count(False) == 1
+    assert as_text.output.endswith("summary:\n  frameCount: 1\n  disagreements: 1\n")
+
+
 def test_correspond_usage_errors(runner, files):
     cases = [
         ["correspond"],
@@ -619,9 +640,15 @@ def test_ri_deep_formula_exits_two_without_traceback(files, option, deep):
 # --- exit contract ---
 
 
-DATA_FILES = sorted(
-    os.path.join("tests", "data", name) for name in os.listdir("tests/data") if name.endswith(".json")
-)
+# a fixed list, so that a new fixture does not re-draw the examples
+DATA_FILES = [
+    os.path.join("tests", "data", name + ".json") for name in (
+        "bad_selection_event", "bad_valuation_state", "census_5state_centered",
+        "census_7state_centered", "centered_8state_partial", "def12_gap", "demo_model",
+        "pd57_fails_unpointed", "pd57_gate_closed_12state", "pd57_separation", "pd6_failure",
+        "pd7_failure", "pd9_failure", "unsuccessful_unbelieved_row", "validate_violations",
+    )
+]
 JUNK = ["", " ", "abc", "-", "--", "1.5", "0x3", "1e3", "\u00e9", "nope", "None", "[]"]
 ANY_VALUE = st.integers(-2, 20).map(str) | st.sampled_from(JUNK + DATA_FILES) | st.text(max_size=4)
 # values each option accepts, drawn three times in four so that the runs
@@ -758,6 +785,17 @@ def test_text_output_renders_the_same_report(runner, files):
     for entry in report["properties"]:
         assert entry["property"] in as_text.output
     assert "holds: yes" in as_text.output
+
+
+def test_text_lines_of_empty_containers_and_bare_scalars():
+    # shapes no command's report has today: empty containers nested in a
+    # list, a bare top-level scalar, None and an empty dict
+    assert cli._text_lines([{}, [], [[]], 3, None]) == ["-", "-", "- -", "- 3", "- -"]
+    assert cli._text_lines(7) == ["7"]
+    assert cli._text_lines(None, indent=1) == ["  -"]
+    assert cli._text_lines({"a": {}, "b": None, "c": [], "d": [None, False, 2]}) == [
+        "a: {}", "b: -", "c: []", "d: [-, no, 2]",
+    ]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
