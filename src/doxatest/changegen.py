@@ -15,12 +15,15 @@ A ranking is its rank vector, one rank per world, lower meaning more
 plausible, and `_at_least` alone turns one into the rows of its order.
 Orders are built, validated and filled as whole-int bit operations: a
 revision ranking is filled from its rows, and each row of an update order is
-one vector's row or the AND of two (`PreOrderFamily.pareto`).  A family is
-validated by a packed test per world (`_is_centred_preorder`); only a
-failing test walks the rows literally, to name the first fault.  Every
+one vector's row or the AND of two (`_pareto`).  An update order family is
+its rows ``le``, one row tuple per world: ``le[w][x]`` is the mask of worlds
+y such that x is at least as plausible as y from world w.  Each world's order
+is validated by a packed test (`_is_centred_preorder`); only a failing test
+walks the rows literally, to name the first fault (`_family_fault`).  Every
 table is filled once, when it is built: one packed fill per order
-(`_fill_minima`) gives the most plausible worlds of every event in one int,
-read out with one `frames.unpack`.
+(`_packed_minima`) gives the most plausible worlds of every event in one
+int, read out with one `frames.unpack`; an update table ORs its believed
+worlds' ints before reading its results out.
 
 ``audit_function`` then checks the produced table against the change
 postulates by direct set arithmetic on the table, deliberately sharing no
@@ -49,7 +52,7 @@ from random import Random
 
 from .axioms import AxiomId, Status
 from .errors import InputFormatError, UnfaithfulOrderError
-from .formulas import Atom, truth_vector
+from .formulas import ATOM_RE, Atom, truth_vector
 from .frames import Event, Frame, Model, bits, grid, pack, unpack
 from .limits import ATOM_LIMIT, SCAN_INSTANCE_LIMIT, refuse_beyond
 from .properties import FrameClass, check_class
@@ -73,6 +76,9 @@ class WorldContext:
         refuse_beyond(len(self.atoms), ATOM_LIMIT, "atoms in a world context")
         if len(set(self.atoms)) != len(self.atoms):
             raise InputFormatError("duplicate atom in world context")
+        for atom in self.atoms:
+            if not isinstance(atom, str) or not ATOM_RE.match(atom):
+                raise InputFormatError(f"bad atom name {atom!r}")
 
     @property
     def k(self) -> int:
@@ -132,7 +138,12 @@ def _transpose(rows: Sequence[int]) -> list[int]:
 def _fill_minima(le: Sequence[int]) -> list[Event]:
     """The most plausible worlds of every event under one order, indexed by
     the event's mask (entry 0 is 0); ``le[x]`` is the mask of worlds y with
-    x at least as plausible as y.
+    x at least as plausible as y.  `_packed_minima` fills them."""
+    return unpack(_packed_minima(le), grid(len(le))[0], 1 << len(le))
+
+
+def _packed_minima(le: Sequence[int]) -> int:
+    """The minima of every event under the order with rows ``le``, packed.
 
     One transposition gives ``ge[x]``, the worlds at least as plausible as
     x; then under(x) = ge[x] ∖ le[x] holds the worlds strictly more
@@ -149,8 +160,7 @@ def _fill_minima(le: Sequence[int]) -> list[Event]:
     int with above(x) cleared in every field, OR bit x in the fields G with
     G ∩ under(x) = ∅.  Those fields (``fresh``) start as field 0 alone and
     double at each world y < x, copied when y ∉ under(x) and left empty
-    when y ∈ under(x), since then every G with y meets under(x).  One
-    `unpack` reads all the fields out.
+    when y ∈ under(x), since then every G with y meets under(x).
     """
     n = len(le)
     full = (1 << n) - 1
@@ -163,7 +173,7 @@ def _fill_minima(le: Sequence[int]) -> list[Event]:
             if not under >> y & 1:
                 fresh |= fresh << (w << y)
         minima |= (minima & keep * ones | fresh << x) << (w << x)
-    return unpack(minima, w, 1 << n)
+    return minima
 
 
 def _at_least(ranks: Sequence[int]) -> tuple[int, ...]:
@@ -230,48 +240,19 @@ def _order_fault(rows: Sequence[int], w: int, n: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class PreOrderFamily:
-    """One plausibility preorder per world, each centered on its own world.
+def _family_fault(le: Sequence[Sequence[int]]) -> str | None:
+    """Why the rows ``le`` are not an order family, naming the first world
+    whose order is not centred on it (`_order_fault`), or None."""
+    for w, rows in enumerate(le):
+        if (fault := _order_fault(rows, w, len(le))) is not None:
+            return f"order at world {w} {fault}"
+    return None
 
-    ``le[w][x]`` is the mask of worlds y with x at least as plausible as y
-    from the standpoint of world w.  Orders may be genuinely partial; each
-    must be reflexive and transitive and have w as its strict minimum.
-    """
 
-    le: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "le", tuple(tuple(row) for row in self.le))
-
-    @property
-    def n_worlds(self) -> int:
-        return len(self.le)
-
-    def validate(self) -> None:
-        """Raise `UnfaithfulOrderError` naming the first world whose order is
-        not a preorder with that world strictly lowest.  Every world's order
-        is checked, believed or not, so a family is valid or not whatever
-        belief set it later serves."""
-        for w, rows in enumerate(self.le):
-            fault = _order_fault(rows, w, self.n_worlds)
-            if fault is not None:
-                raise UnfaithfulOrderError(f"order at world {w} {fault}")
-
-    @classmethod
-    def pareto(
-        cls, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
-    ) -> "PreOrderFamily":
-        """Partial orders: x is below y only when both rank vectors agree, so
-        row x is the worlds ranked at least first[x] in the first vector and
-        at least second[x] in the second (`_at_least`)."""
-        le = []
-        for first, second in pairs:
-            row = _at_least(first)
-            if second is not first:
-                row = tuple(map(operator.and_, row, _at_least(second)))
-            le.append(row)
-        return cls(tuple(le))
+def _pareto(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """Partial orders: x is below y only when both rank vectors of a pair
+    agree, so row x is the AND of the two vectors' `_at_least` rows."""
+    return tuple(tuple(map(operator.and_, _at_least(a), _at_least(b))) for a, b in pairs)
 
 
 class ChangeFunctionTable:
@@ -281,7 +262,9 @@ class ChangeFunctionTable:
     every nonempty event E (entry 0 is unused).  ``rows[w]``, laid out the
     same way, is believed world w's own contribution, used when rebuilding a
     pointed structure; without ``rows`` (revision and hand-built tables)
-    every believed world's row is the full result.
+    every believed world's row is the full result.  A table whose results or
+    rows are not full + 1 world sets, or whose rows are not keyed by exactly
+    K's worlds, is refused with `ValueError`.
     """
 
     def __init__(
@@ -293,8 +276,11 @@ class ChangeFunctionTable:
     ):
         if not 0 < k_mask <= ctx.full:
             raise InputFormatError("K must be a nonempty set of worlds")
-        if len(results) != ctx.full + 1 or not 0 <= min(results) <= max(results) <= ctx.full:
-            raise ValueError(f"a table over {ctx.k} atoms needs {ctx.full + 1} world sets")
+        for sets in (results, *(rows or {}).values()):
+            if len(sets) != ctx.full + 1 or not 0 <= min(sets) <= max(sets) <= ctx.full:
+                raise ValueError(f"a table over {ctx.k} atoms needs {ctx.full + 1} world sets")
+        if rows is not None and set(rows) != set(bits(k_mask)):
+            raise ValueError("a table's rows must be keyed by exactly the worlds of K")
         self.ctx = ctx
         self.k_mask = k_mask
         self.results = tuple(results)
@@ -305,21 +291,22 @@ class ChangeFunctionTable:
         return range(1, self.ctx.full + 1)
 
 
-def gen_update(ctx: WorldContext, k_mask: Event, family: PreOrderFamily) -> ChangeFunctionTable:
-    """Update K by pooling each believed world's closest input-worlds.
+def gen_update(ctx: WorldContext, k_mask: Event, le: Sequence[Sequence[int]]) -> ChangeFunctionTable:
+    """Update K by pooling each believed world's closest input-worlds.  The
+    order family is its rows, one row tuple per world: ``le[w][x]`` is the
+    mask of worlds y such that x is at least as plausible as y from world w.
 
     Minima are filled only for the believed worlds, but the whole family is
     validated first: an order that is not centred raises
     `UnfaithfulOrderError` at any world, believed or not."""
-    if family.n_worlds != ctx.n_worlds:
-        raise InputFormatError(
-            f"order family covers {family.n_worlds} worlds, context has {ctx.n_worlds}"
-        )
-    family.validate()
-    rows = {w: _fill_minima(family.le[w]) for w in bits(k_mask)}
-    results = [0] * (ctx.full + 1)
-    for row in rows.values():
-        results = list(map(operator.or_, results, row))
+    if len(le) != ctx.n_worlds:
+        raise InputFormatError(f"order family covers {len(le)} worlds, context has {ctx.n_worlds}")
+    if (fault := _family_fault(le)) is not None:
+        raise UnfaithfulOrderError(fault)
+    w = grid(ctx.n_worlds)[0]
+    packed = {x: _packed_minima(le[x]) for x in bits(k_mask)}
+    rows = {x: unpack(p, w, ctx.full + 1) for x, p in packed.items()}
+    results = unpack(functools.reduce(operator.or_, packed.values()), w, ctx.full + 1)
     return ChangeFunctionTable(ctx, k_mask, results, rows)
 
 
@@ -674,17 +661,17 @@ def random_total_order(rng: Random, ctx: WorldContext, k_mask: Event) -> tuple[i
     return tuple(0 if (k_mask >> w) & 1 else rng.randrange(1, n + 1) for w in range(n))
 
 
-def random_family(rng: Random, ctx: WorldContext, total: bool = False) -> PreOrderFamily:
-    """A world-centered order family: one rank vector per world makes total
-    orders, a pair of them partial orders."""
+def random_family(rng: Random, ctx: WorldContext, total: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The rows of a world-centered order family: one rank vector per world
+    makes total orders, a pair of them partial orders."""
     n = ctx.n_worlds
 
     def vector(w: int) -> list[int]:
         return [0 if x == w else rng.randrange(1, n + 1) for x in range(n)]
 
     if total:
-        return PreOrderFamily.pareto([(v, v) for v in map(vector, range(n))])
-    return PreOrderFamily.pareto([(vector(w), vector(w)) for w in range(n)])
+        return tuple(_at_least(vector(w)) for w in range(n))
+    return _pareto([(vector(w), vector(w)) for w in range(n)])
 
 
 def random_update_table(

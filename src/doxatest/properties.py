@@ -459,16 +459,26 @@ def check_pd57_literal(
 def recheck_witness(frame: Frame, witness: PropertyWitness) -> bool:
     """Confirm that a witness describes a genuine violation of its property:
     the instance breaks it, at the named s' in B(s) where one is reported.
-    A BASE witness must be one of the frame's violations, clause included."""
+    A BASE witness must be one of the frame's violations, clause included.
+    A witness that names no instance (s not a state, E or a pair property's
+    F not a nonempty event, a reported s' outside B(s)) confirms nothing."""
     pid = witness.property
     if pid is PropertyId.BASE:
         return witness in _base_witnesses(frame)
-    factory, _, reports_s_prime = _CONDITIONS[pid]
-    violators = factory(frame, frame.belief[witness.s])
+    factory, second, reports_s_prime = _CONDITIONS[pid]
+    s, i, events = witness.s, witness.s_prime, range(1, frame.full + 1)
+    if s not in range(frame.n) or witness.e not in events:
+        return False
+    b = frame.belief[s]
+    if second is not _Second.SINGLE and witness.f not in events:
+        return False
+    if reports_s_prime and i not in bits(b):
+        return False
+    violators = factory(frame, b)
     if violators is None:
         return False
     m = violators(witness.e, witness.f)
-    return bool(m >> witness.s_prime & 1 if reports_s_prime else m)
+    return bool(m >> i & 1 if reports_s_prime else m)
 
 
 def check_class(

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 import pytest
 
-from doxatest.changegen import PreOrderFamily, _order_fault
+from doxatest.changegen import _order_fault
 from doxatest.frames import Frame, Model, bits, complete_selection
 
 
@@ -88,10 +88,11 @@ def _valid_single_orders(n_worlds: int, w: int) -> list[tuple[int, ...]]:
     return [rows for rows in candidates if _order_fault(rows, w, n_worlds) is None]
 
 
-def _all_centered_families(n_worlds: int) -> list[PreOrderFamily]:
-    """Every valid order family on very small world sets, by brute force."""
+def _all_centered_families(n_worlds: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every valid order family on very small world sets, by
+    brute force."""
     per_world = [_valid_single_orders(n_worlds, w) for w in range(n_worlds)]
-    return [PreOrderFamily(tuple(combo)) for combo in itertools.product(*per_world)]
+    return list(itertools.product(*per_world))
 
 
 def _all_order_types(n_worlds: int) -> list[tuple[int, ...]]:

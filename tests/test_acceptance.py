@@ -451,7 +451,7 @@ def _pointed_uniform_frames(n: int):
 
 def test_06_class_inclusions_and_recipe_gap_probe(census_corpus, census):
     strict = strong_of_strict = row_conj = priority = conjunction = 0
-    pointed = strong_only = 0
+    pointed = strong_only = pd2_pr8 = pr4_small = 0
     for frame, row in zip(census_corpus, census["frames"]):
         classes = row["classes"]
         holds_by_property = {p["property"]: p["propertyHolds"] for p in row["pairs"]}
@@ -476,8 +476,18 @@ def test_06_class_inclusions_and_recipe_gap_probe(census_corpus, census):
         if holds_by_property["PR8"]:
             conjunction += 1
             assert holds_by_property["PD9"], row
+        if holds_by_property["PD2"] and holds_by_property["PR8"]:
+            # BASE + PD2 + PR8 imply PR4 (README "Revision vs update")
+            pd2_pr8 += 1
+            assert holds_by_property["PR4"], row
+        if holds_by_property["PR4"] and frame.n <= 3:
+            # every corpus frame keeps BASE, and each belief set leaves at
+            # most two states out: too few for PR8 to fail where PR4 holds
+            pr4_small += 1
+            assert holds_by_property["PR8"], row
     # no inclusion may pass vacuously
     assert strict and row_conj and priority and conjunction and pointed and strong_only
+    assert pd2_pr8 and pr4_small
     assert strict == strong_of_strict
 
     # the table side at every singleton K on 2 atoms: KM_STRONG and AGM

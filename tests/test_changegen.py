@@ -14,7 +14,6 @@ from doxatest.axioms import AxiomId, Status
 from doxatest.changegen import (
     SUITES,
     ChangeFunctionTable,
-    PreOrderFamily,
     WorldContext,
     audit_function,
     build_canonical_model,
@@ -43,7 +42,7 @@ CTX2 = WorldContext(("p", "q"))
 
 def total_update_table_family():
     rankings = [(0, 1, 2, 3), (2, 0, 1, 3), (2, 3, 0, 1), (3, 1, 2, 0)]
-    return PreOrderFamily.pareto([(r, r) for r in rankings])
+    return tuple(map(changegen._at_least, rankings))
 
 
 def total_update_table():
@@ -59,7 +58,7 @@ def partial_update_table():
         ((1, 1, 0, 1), (1, 1, 0, 1)),
         ((1, 1, 1, 0), (1, 1, 1, 0)),
     ]
-    return gen_update(CTX2, 0b0001, PreOrderFamily.pareto(pairs))
+    return gen_update(CTX2, 0b0001, changegen._pareto(pairs))
 
 
 def revision_table():
@@ -83,6 +82,25 @@ def test_world_labels_follow_atom_order():
         WorldContext(("p", "p"))
     with pytest.raises(SizeLimitError):
         WorldContext(("a", "b", "c", "d", "e"))
+
+
+def test_world_context_refuses_bad_atom_names():
+    # names a formula could not mention are refused when the context is
+    # built, not later by the canonical model's valuation
+    for atoms in (("P",), ("true",), ("p", "false"), ("p", "2q"), ("p", "")):
+        with pytest.raises(InputFormatError, match="bad atom name"):
+            WorldContext(atoms)
+
+
+def test_table_refuses_rows_that_do_not_fit_k():
+    # rows must be keyed by exactly K's worlds, each full + 1 world sets in
+    # the context, or the canonical model would index past its states
+    ctx = WorldContext(("p",))
+    table = [0, 1, 2, 1]
+    for rows in ({5: table}, {}, {0: table, 1: table}, {0: table[:3]}, {0: [0, 1, 4, 1]}):
+        with pytest.raises(ValueError, match="rows must be keyed|needs 4 world sets"):
+            ChangeFunctionTable(ctx, 1, table, rows=rows)
+    assert ChangeFunctionTable(ctx, 1, table, rows={0: table}).rows == {0: table}
 
 
 def test_truth_worlds_of_formula():
@@ -119,31 +137,27 @@ def test_total_preorder_minima():
 
 
 def test_family_validation_rejects_broken_orders():
-    with pytest.raises(UnfaithfulOrderError, match="not reflexive"):
-        PreOrderFamily(((3, 0), (2, 3))).validate()
-    with pytest.raises(UnfaithfulOrderError, match="tie"):
-        PreOrderFamily(((3, 3), (2, 3))).validate()
-    with pytest.raises(UnfaithfulOrderError, match="not transitive"):
-        PreOrderFamily(((7, 6, 5), (5, 7, 4), (3, 2, 7))).validate()
-    with pytest.raises(UnfaithfulOrderError, match="rows"):
-        PreOrderFamily(((3, 2),)).validate()
-    with pytest.raises(UnfaithfulOrderError, match="below every other"):
-        PreOrderFamily(((1, 2), (1, 3))).validate()
+    fault = changegen._family_fault
+    assert "not reflexive" in fault(((3, 0), (2, 3)))
+    assert "tie" in fault(((3, 3), (2, 3)))
+    assert "not transitive" in fault(((7, 6, 5), (5, 7, 4), (3, 2, 7)))
+    assert "rows" in fault(((3, 2),))
+    assert "below every other" in fault(((1, 2), (1, 3)))
+    assert fault(((3, 2), (1, 3))) is None
 
 
 def test_update_validates_the_orders_of_unbelieved_worlds():
     # only believed worlds' minima are filled, but every world's order is
     # validated: a family broken at world 3 alone fails for K = {00}
-    le = list(total_update_table_family().le)
+    le = list(total_update_table_family())
     le[3] = (le[3][0], le[3][1], le[3][2] & ~0b0100, le[3][3])  # 10 is no longer reflexive
-    family = PreOrderFamily(tuple(le))
     with pytest.raises(UnfaithfulOrderError, match="order at world 3 is not reflexive at world 2"):
-        gen_update(CTX2, 0b0001, family)
+        gen_update(CTX2, 0b0001, le)
     gen_update(CTX2, 0b0001, total_update_table_family())
 
 
 def test_pareto_builds_genuinely_partial_orders():
-    family = PreOrderFamily.pareto(
+    family = changegen._pareto(
         [
             ((0, 1, 2, 3), (0, 3, 2, 1)),
             ((1, 0, 1, 1), (1, 0, 1, 1)),
@@ -151,22 +165,22 @@ def test_pareto_builds_genuinely_partial_orders():
             ((1, 1, 1, 0), (1, 1, 1, 0)),
         ]
     )
-    family.validate()
+    assert changegen._family_fault(family) is None
     assert not _total_at(family, 0)
     assert _total_at(family, 1)
     assert not _leq(family, 0, 1, 2) and not _leq(family, 0, 2, 1)
     # with every pair above the center incomparable, nothing gets pruned
-    assert changegen._fill_minima(family.le[0])[0b1110] == 0b1110
-    assert changegen._fill_minima(family.le[0])[0b1111] == 0b0001
+    assert changegen._fill_minima(family[0])[0b1110] == 0b1110
+    assert changegen._fill_minima(family[0])[0b1111] == 0b0001
 
 
 def _leq(family, w, x, y):
     # x is at least as plausible as y from the standpoint of w
-    return bool((family.le[w][x] >> y) & 1)
+    return bool((family[w][x] >> y) & 1)
 
 
 def _total_at(family, w):
-    n = family.n_worlds
+    n = len(family)
     return all(_leq(family, w, x, y) or _leq(family, w, y, x) for x in range(n) for y in range(x + 1, n))
 
 
@@ -194,9 +208,9 @@ def test_min_of_matches_the_literal_order_definition():
             families += [random_family(rng, ctx), random_family(rng, ctx, total=True)]
     partial = 0
     for family in families:
-        for w in range(family.n_worlds):
+        for w in range(len(family)):
             partial += not _total_at(family, w)
-            assert changegen._fill_minima(family.le[w]) == _literal_minima(family.le[w]), (family.le, w)
+            assert changegen._fill_minima(family[w]) == _literal_minima(family[w]), (family, w)
     assert len(families) > 60 and partial > 40
 
 
@@ -231,8 +245,8 @@ def test_fill_minima_matches_the_definition_at_both_field_widths():
         ctx = WorldContext(("p", "q", "r", "s")[:k])
         for total in (False, True, False):
             family = random_family(rng, ctx, total=total)
-            for w in range(0, family.n_worlds, k - 1):
-                assert changegen._fill_minima(family.le[w]) == _literal_minima(family.le[w])
+            for w in range(0, len(family), k - 1):
+                assert changegen._fill_minima(family[w]) == _literal_minima(family[w])
     ctx = WorldContext(("p", "q", "r", "s"))
     for _ in range(3):
         ranks = random_total_order(rng, ctx, random_k(rng, ctx))
@@ -269,15 +283,14 @@ def test_pareto_matches_the_literal_definition():
                 )
                 for a, b in pairs
             )
-            assert PreOrderFamily.pareto(pairs).le == want
+            assert changegen._pareto(pairs) == want
             rankings = [a for a, _ in pairs]
             same = tuple(
                 tuple(mask_of(y for y in range(n) if a[x] <= a[y]) for x in range(n))
                 for a in rankings
             )
-            assert PreOrderFamily.pareto([(a, a) for a in rankings]).le == same
+            assert changegen._pareto([(a, a) for a in rankings]) == same
             assert tuple(map(changegen._at_least, rankings)) == same
-            assert PreOrderFamily.pareto([(a, list(a)) for a in rankings]).le == same
 
 
 def _planted_faults(rows, w, rng):
@@ -323,8 +336,8 @@ def test_packed_order_test_matches_the_literal_walk(monkeypatch):
         for total in (False, True) * 3:
             family = random_family(rng, ctx, total=total)
             w = rng.randrange(ctx.n_worlds)
-            cases.append((family.le[w], w, ctx.n_worlds))
-            for kind, rows in _planted_faults(family.le[w], w, rng).items():
+            cases.append((family[w], w, ctx.n_worlds))
+            for kind, rows in _planted_faults(family[w], w, rng).items():
                 cases.append((tuple(rows), w, ctx.n_worlds))
                 kinds.setdefault(kind, []).append(cases[-1])
     packed = [changegen._order_fault(*case) for case in cases]
@@ -902,18 +915,14 @@ def test_generator_outputs_are_frozen():
         digest.update(json.dumps(out, sort_keys=True).encode())
 
     def validation(le):
-        try:
-            PreOrderFamily(le).validate()
-        except UnfaithfulOrderError as exc:
-            return str(exc)
-        return None
+        return changegen._family_fault(le)
 
     for k in range(1, 4):
         ctx = WorldContext(("p", "q", "r")[:k])
         rng = Random(k)
         record([ctx.atom_worlds(i) for i in range(k)])
         for _ in range(4):
-            record(random_family(rng, ctx, total=True).le)
+            record(random_family(rng, ctx, total=True))
             record(ranking_minima(random_total_order(rng, ctx, rng.randrange(1, ctx.full + 1)))[-1])
             for table, frame_class in (
                 (random_update_table(rng, ctx), FrameClass.UPDATE),
@@ -938,7 +947,7 @@ def test_generator_outputs_are_frozen():
         for _ in range(300):
             if n == 4 and rng.random() < 0.5:
                 # a valid partial family with one bit flipped
-                le = [list(row) for row in random_family(rng, CTX2).le]
+                le = [list(row) for row in random_family(rng, CTX2)]
                 w, x = rng.randrange(n), rng.randrange(n)
                 le[w][x] ^= 1 << rng.randrange(n + 1)
             else:

@@ -198,6 +198,30 @@ def test_disjoint_pd57_witness_rejected():
         build_witness_model(pointed, pair_for(PropertyId.PD57), outside)
 
 
+def test_witness_naming_no_instance_is_rejected():
+    # a state outside the frame, an E outside 1..full, a pair property's F
+    # missing or outside it, an s' missing or outside B(s): each names no
+    # instance, so it rechecks False before any predicate reads it, and the
+    # countermodel builder refuses it instead of passing an error up
+    frame = complete_selection(Frame(("a", "b", "c"), (3, 3, 4), {}))
+    bad = [
+        PropertyWitness(PropertyId.PD2, s=7, s_prime=0, e=3),
+        PropertyWitness(PropertyId.PD2, s=-1, s_prime=0, e=3),
+        PropertyWitness(PropertyId.PD57, s=0, s_prime=None, e=3, f=1),
+        PropertyWitness(PropertyId.PD57, s=0, s_prime=-1, e=3, f=1),
+        PropertyWitness(PropertyId.PD57, s=0, s_prime=2, e=7, f=4),
+        PropertyWitness(PropertyId.PD2, s=0, s_prime=0, e=None),
+        PropertyWitness(PropertyId.PD2, s=0, s_prime=0, e=-1),
+        PropertyWitness(PropertyId.PD2, s=0, s_prime=0, e=8),
+        PropertyWitness(PropertyId.PR8, s=0, s_prime=0, e=3, f=None),
+        PropertyWitness(PropertyId.PR8, s=0, s_prime=0, e=3, f=0),
+    ]
+    for w in bad:
+        assert recheck_witness(frame, w) is False, w
+        with pytest.raises(InvalidWitnessError):
+            build_witness_model(frame, pair_for(w.property), w)
+
+
 # --- two-directional verdicts ---------------------------------------------
 
 
