@@ -372,14 +372,19 @@ def axiom_holds(
 def replay_witness(model: Model, s: int, axiom: AxiomId, witness: AxiomWitness) -> bool:
     """Reproduce a violation at state index s from its witness using only
     the membership primitives: Sup for the change operation,
-    intersection-with-belief for expansion.  No cell closures are consulted."""
+    intersection-with-belief for expansion.  No cell closures are consulted.
+    A witness that names no instance (s not a state, E or a pair postulate's
+    F not a nonempty event, G missing or not an event) replays nothing."""
     resolved = ALIASES.get(axiom, axiom)
     if resolved not in _INSTANCES:
         raise ValueError(f"no replay for {axiom}")
     walk, instance = _INSTANCES[resolved]
-    if walk != _NO_F and witness.f is None:
-        return False  # a one-event witness names no instance of a pair postulate
     frame, g = model.frame, witness.g
+    events = range(1, frame.full + 1)
+    if s not in range(frame.n) or witness.e not in events or g not in range(frame.full + 1):
+        return False
+    if walk != _NO_F and witness.f not in events:
+        return False
     found = instance(frame.sup, frame.belief[s], witness.e, witness.f)
     if found is None:
         return False

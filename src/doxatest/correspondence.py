@@ -159,18 +159,6 @@ def count_base_tables(n: int) -> int:
 # --- witness-to-countermodel construction ---------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessModel:
-    """Countermodel produced from a property violation: the postulate fails
-    at `state`, and `instance` replays the failure via the membership
-    primitives."""
-
-    model: Model
-    state: int
-    axiom: AxiomId
-    instance: AxiomWitness
-
-
 def _pd6_third(frame, b, i, e, f):
     sup_e, sup_f = frame.sup(b, e), frame.sup(b, f)
     return sup_f if sup_e & ~sup_f else sup_e
@@ -187,16 +175,14 @@ _THIRD_EVENT = {
 _THIRD_EVENT[PropertyId.PD9] = _THIRD_EVENT[PropertyId.PR8]  # at B = {i}, Sup(B, E) = f(i, E)
 
 
-def build_witness_model(
-    frame: Frame, pair: CorrespondencePair, witness: PropertyWitness
-) -> WitnessModel:
-    if witness.property is not pair.property or not recheck_witness(frame, witness):
-        raise InvalidWitnessError(
-            f"witness does not violate {pair.property.value} on this frame"
-        )
+def build_witness_model(frame: Frame, witness: PropertyWitness) -> tuple[Model, AxiomWitness]:
+    """The countermodel of a property violation, and the instance of the
+    paired postulate that fails on it at state `witness.s`."""
+    prop = witness.property
+    if not recheck_witness(frame, witness):
+        raise InvalidWitnessError(f"witness does not violate {prop.value} on this frame")
     s, i, e, f = witness.s, witness.s_prime, witness.e, witness.f
     b = frame.belief[s]
-    prop = pair.property
     if prop is PropertyId.PD2:
         valuation = {"p": e, "q": b}
         instance = AxiomWitness(e=e, g=b)
@@ -210,7 +196,7 @@ def build_witness_model(
         instance = AxiomWitness(e=e, f=f, g=r)
     else:
         raise InvalidWitnessError(f"no countermodel recipe for {prop}")
-    return WitnessModel(Model(frame, valuation), s, pair.axiom, instance)
+    return Model(frame, valuation), instance
 
 
 # --- the two-directional verdict ------------------------------------------
@@ -286,6 +272,9 @@ def correspondence_verdict(
     pair: CorrespondencePair,
     atom_budget: int = 2,
     seed: int = 0,
+    *,
+    verdict_of: Callable | None = None,
+    contexts: dict | None = None,
 ) -> CorrespondenceReport:
     """Play both directions of one pairing on one frame.
 
@@ -314,37 +303,30 @@ def correspondence_verdict(
 
     Property fails: the witness must convert to a countermodel on which the
     postulate demonstrably fails.
+
+    `verdict_of` (property -> verdict on this frame, `check_property` by
+    default) and `contexts` (partition -> `ModelContext` on its first
+    model) are memo handles a caller may share across a frame's pairs, as
+    `build_census` does, with no report or first error changed: `found` is
+    keyed by (belief set, memo key) and `closures` by belief set, so no
+    postulate's entry answers another's but R8's, which shares D9's key;
+    errors are never memoized; and a context's valuation differs from a
+    later one of its partition only inside cells, as within one pair's
+    ordered scan.
     """
-    return _verdict(frame, pair, functools.partial(check_property, frame), atom_budget, seed, {})
-
-
-def _verdict(frame: Frame, pair: CorrespondencePair, verdict_of: Callable,
-             atom_budget: int, seed: int, contexts: dict) -> CorrespondenceReport:
-    """`correspondence_verdict`, reading property verdicts from `verdict_of`
-    and decided partitions from `contexts` (partition -> `ModelContext` on
-    its first model), which a caller may share across a frame's pairs with
-    no report or first error changed: `found` is keyed by (belief set, memo
-    key) and `closures` by belief set, so no postulate's entry answers
-    another's but R8's, which shares D9's key; errors are never memoized;
-    and a context's valuation differs from a later one of its partition
-    only inside cells, as within one pair's ordered scan."""
     if not 1 <= atom_budget <= VALUATION_ATOM_LIMIT:
         raise ValueError(f"atom budget must be between 1 and {VALUATION_ATOM_LIMIT}")
-    verdict = verdict_of(pair.property)
+    verdict = verdict_of(pair.property) if verdict_of else check_property(frame, pair.property)
+    contexts = {} if contexts is None else contexts
     scope_states = _in_scope_states(frame, pair)
     if not verdict.holds:
-        witness_model = build_witness_model(frame, pair, verdict.witness)
-        at = axiom_holds(witness_model.model, witness_model.state, pair.axiom)
-        confirmed = at.status is Status.FAILS and replay_witness(
-            witness_model.model,
-            witness_model.state,
-            witness_model.axiom,
-            witness_model.instance,
-        )
+        model, instance = build_witness_model(frame, verdict.witness)
+        s = verdict.witness.s
+        fails = axiom_holds(model, s, pair.axiom).status is Status.FAILS
         return CorrespondenceReport(
             pair,
             property_holds=False,
-            agrees=confirmed,
+            agrees=fails and replay_witness(model, s, pair.axiom, instance),
             models_checked=1,
             property_witness=verdict.witness,
         )
@@ -425,7 +407,9 @@ def build_census(
         }
         pair_objs, contexts = [], {}
         for pair in pairs:
-            report = _verdict(frame, pair, verdict_of, atom_budget, seed, contexts)
+            report = correspondence_verdict(
+                frame, pair, atom_budget, seed, verdict_of=verdict_of, contexts=contexts
+            )
             if not report.agrees:
                 disagreements += 1
             pair_objs.append(report.to_obj(frame))

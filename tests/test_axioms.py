@@ -15,6 +15,7 @@ from doxatest.axioms import (
     ALIASES,
     AxiomId,
     AxiomVerdict,
+    AxiomWitness,
     ModelContext,
     Status,
     axiom_holds,
@@ -209,6 +210,38 @@ def test_d9_failure_at_pointed_state():
     assert replay_witness(m, 0, AxiomId.D9, w)
     # R8 shares the event shape and fails here too
     assert axiom_holds(m, 0, AxiomId.R8).status is Status.FAILS
+
+
+def test_a_witness_naming_no_instance_replays_nothing(monkeypatch):
+    # a state outside the frame, an E outside 1..full, a pair postulate's F
+    # outside it, a G missing or outside 0..full: each names no instance, so
+    # the replay answers False before it reads any Sup (s = -1 is not the
+    # last state)
+    m = Model(complete_selection(Frame(("a", "b", "c"), (3, 3, 4), {})), {"p": 1, "q": 2})
+    bad = [
+        (0, AxiomId.D1, AxiomWitness(e=1)),
+        (7, AxiomId.D1, AxiomWitness(e=1, g=1)),
+        (-1, AxiomId.D2, AxiomWitness(e=4, g=0)),
+        (0, AxiomId.D1, AxiomWitness(e=0, g=1)),
+        (0, AxiomId.D1, AxiomWitness(e=-1, g=1)),
+        (0, AxiomId.R2, AxiomWitness(e=8, g=1)),
+        (0, AxiomId.D5, AxiomWitness(e=3, f=0, g=1)),
+        (0, AxiomId.D6, AxiomWitness(e=3, g=1)),
+        (0, AxiomId.R8, AxiomWitness(e=3, f=8, g=1)),
+        (0, AxiomId.D1, AxiomWitness(e=1, g=-1)),
+        (0, AxiomId.R4, AxiomWitness(e=1, g=8)),
+    ]
+    reads = []
+    sup = Frame.sup
+    monkeypatch.setattr(Frame, "sup", lambda frame, b, e: reads.append((b, e)) or sup(frame, b, e))
+    for s, axiom, w in bad:
+        assert replay_witness(m, s, axiom, w) is False, (s, axiom, w)
+    assert reads == []
+    with pytest.raises(ValueError, match="no replay"):
+        replay_witness(m, 7, AxiomId.D3, AxiomWitness(e=1))
+    # G = 0 is an event, so this witness names an instance and is read
+    assert replay_witness(m, 2, AxiomId.D1, AxiomWitness(e=7, g=0)) is False
+    assert set(reads) == {(4, 7)}
 
 
 def test_axiom_verdicts_are_frozen():

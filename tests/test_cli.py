@@ -402,13 +402,13 @@ def test_correspond_single_frame_with_pair_filter(runner, files):
 def test_correspond_counts_a_disagreement_and_exits_1(runner, files, monkeypatch):
     # one pair's report flipped to disagree: the census counts it once, in
     # both formats, and the command exits 1
-    real = correspondence._verdict
+    real = correspondence.correspondence_verdict
 
-    def flipped(frame, pair, *args):
-        report = real(frame, pair, *args)
+    def flipped(frame, pair, *args, **kwargs):
+        report = real(frame, pair, *args, **kwargs)
         return dataclasses.replace(report, agrees=False) if pair.axiom is AxiomId.R4 else report
 
-    monkeypatch.setattr(correspondence, "_verdict", flipped)
+    monkeypatch.setattr(correspondence, "correspondence_verdict", flipped)
     as_json = runner.invoke(main, ["correspond", files["model2"], "--format", "json"])
     as_text = runner.invoke(main, ["correspond", files["model2"]])
     assert (as_json.exit_code, as_text.exit_code) == (1, 1)

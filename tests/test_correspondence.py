@@ -7,7 +7,7 @@ import pytest
 from conftest import frame_of, relabel_frame
 
 from doxatest import correspondence
-from doxatest.axioms import AxiomId, ModelContext, Status, axiom_holds, replay_witness
+from doxatest.axioms import AxiomId, AxiomWitness, ModelContext, Status, axiom_holds, replay_witness
 from doxatest.correspondence import (
     ATOM_NAMES,
     PAIRS,
@@ -153,17 +153,17 @@ def test_every_pair_witness_converts_to_countermodel(pair):
     frame = violating_frame(pair.property)
     verdict = check_property(frame, pair.property)
     assert not verdict.holds
-    wm = build_witness_model(frame, pair, verdict.witness)
-    assert wm.axiom is pair.axiom
-    assert axiom_holds(wm.model, wm.state, pair.axiom).status is Status.FAILS
-    assert replay_witness(wm.model, wm.state, wm.axiom, wm.instance)
+    model, instance = build_witness_model(frame, verdict.witness)
+    assert axiom_holds(model, verdict.witness.s, pair.axiom).status is Status.FAILS
+    assert replay_witness(model, verdict.witness.s, pair.axiom, instance)
 
 
 def test_witness_model_atoms_follow_the_events():
     frame = violating_frame(PropertyId.PD2)
     w = check_property(frame, PropertyId.PD2).witness
-    wm = build_witness_model(frame, pair_for(PropertyId.PD2), w)
-    assert wm.model.valuation == {"p": w.e, "q": frame.belief[w.s]}
+    model, instance = build_witness_model(frame, w)
+    assert model.valuation == {"p": w.e, "q": frame.belief[w.s]}
+    assert instance == AxiomWitness(e=w.e, g=frame.belief[w.s])
 
 
 def test_stale_witness_rejected():
@@ -171,9 +171,7 @@ def test_stale_witness_rejected():
     w = check_property(frame, PropertyId.PD2).witness
     clean = frame_of(2, [0b01, 0b10], complete=True)
     with pytest.raises(InvalidWitnessError):
-        build_witness_model(clean, pair_for(PropertyId.PD2), w)
-    with pytest.raises(InvalidWitnessError):
-        build_witness_model(frame, pair_for(PropertyId.PR4), w)
+        build_witness_model(clean, w)
 
 
 def test_disjoint_pd57_witness_rejected():
@@ -183,11 +181,7 @@ def test_disjoint_pd57_witness_rejected():
     for pid in (PropertyId.PD57, PropertyId.PD57_STRONG):
         assert recheck_witness(frame, PropertyWitness(pid, 0, 0, 0b01, 0b10)) is False
     with pytest.raises(InvalidWitnessError):
-        build_witness_model(
-            frame,
-            pair_for(PropertyId.PD57),
-            PropertyWitness(PropertyId.PD57, 0, 0, 0b01, 0b10),
-        )
+        build_witness_model(frame, PropertyWitness(PropertyId.PD57, 0, 0, 0b01, 0b10))
     # s' must lie in B(s): s1 breaks the instance for its own belief set, but
     # s0 believes only s0, where PD57 holds
     pointed = frame_of(3, [0b001, 0b010, 0b100], complete=True)
@@ -195,7 +189,7 @@ def test_disjoint_pd57_witness_rejected():
     outside = PropertyWitness(PropertyId.PD57, s=0, s_prime=1, e=0b011, f=0b011)
     assert recheck_witness(pointed, outside) is False
     with pytest.raises(InvalidWitnessError):
-        build_witness_model(pointed, pair_for(PropertyId.PD57), outside)
+        build_witness_model(pointed, outside)
 
 
 def test_witness_naming_no_instance_is_rejected():
@@ -219,7 +213,7 @@ def test_witness_naming_no_instance_is_rejected():
     for w in bad:
         assert recheck_witness(frame, w) is False, w
         with pytest.raises(InvalidWitnessError):
-            build_witness_model(frame, pair_for(w.property), w)
+            build_witness_model(frame, w)
 
 
 # --- two-directional verdicts ---------------------------------------------
@@ -299,9 +293,9 @@ def literal_verdict(frame, pair, atom_budget, seed=0):
     must fail the postulate and replay the converted instance."""
     verdict = check_property(frame, pair.property)
     if not verdict.holds:
-        wm = build_witness_model(frame, pair, verdict.witness)
-        fails = axiom_holds(wm.model, wm.state, pair.axiom).status is Status.FAILS
-        agrees = fails and replay_witness(wm.model, wm.state, wm.axiom, wm.instance)
+        model, instance = build_witness_model(frame, verdict.witness)
+        fails = axiom_holds(model, verdict.witness.s, pair.axiom).status is Status.FAILS
+        agrees = fails and replay_witness(model, verdict.witness.s, pair.axiom, instance)
         return CorrespondenceReport(pair, False, agrees, 1, property_witness=verdict.witness)
     atoms = ATOM_NAMES[:atom_budget]
     n = frame.n
@@ -425,9 +419,10 @@ def test_a_one_event_witness_never_replays_a_pair_postulate():
             report = correspondence_verdict(frame, pair)
             assert not report.property_holds and not report.agrees
             assert report.property_witness.f is None
-            wm = build_witness_model(frame, pair, report.property_witness)
-            postulate_fails += axiom_holds(wm.model, wm.state, pair.axiom).status is Status.FAILS
-            assert not replay_witness(wm.model, wm.state, wm.axiom, wm.instance)
+            s = report.property_witness.s
+            model, instance = build_witness_model(frame, report.property_witness)
+            postulate_fails += axiom_holds(model, s, pair.axiom).status is Status.FAILS
+            assert not replay_witness(model, s, pair.axiom, instance)
     assert postulate_fails >= 8, postulate_fails
 
 
@@ -560,6 +555,24 @@ def test_census_shape_and_counts():
     assert second["classes"]["UPDATE"] is False
     pd2_report = second["pairs"][0]
     assert pd2_report["propertyHolds"] is False and pd2_report["agrees"] is True
+
+
+def test_the_census_decides_every_pair_through_correspondence_verdict(monkeypatch):
+    # the public verdict is the census's only path to a pair's report, so a
+    # caller that wraps it (the bench's trace) sees every pair
+    frame = violating_frame(PropertyId.PR8)
+    want = build_census([frame])
+    calls = []
+    real = correspondence.correspondence_verdict
+
+    def spy(frame, pair, *args, **kwargs):
+        calls.append(pair)
+        return real(frame, pair, *args, **kwargs)
+
+    monkeypatch.setattr(correspondence, "correspondence_verdict", spy)
+    assert build_census([frame]) == want
+    assert calls == list(PAIRS)
+    assert {p["propertyHolds"] for p in want["frames"][0]["pairs"]} == {True, False}
 
 
 def census_class_by_class(frames, atom_budget, pairs):

@@ -8,6 +8,7 @@ import pytest
 from conftest import frame_of, random_frame, relabel_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from revision_sweep import FRAME_COUNT, frame_at, verdicts
 
 from doxatest import properties
 from doxatest.correspondence import FrameGenSpec, enumerate_frames
@@ -924,3 +925,23 @@ def test_pd9_through_pr8_matches_its_own_predicate(monkeypatch):
     assert rechecks == [recheck_witness(fr, w) for fr, w in checked] == [True] * len(checked)
     raises = sum(isinstance(v, tuple) for v in got)
     assert len(checked) >= 300 and raises >= 100, (len(checked), raises)
+
+
+def test_revision_vs_update_on_a_slice_of_the_3_state_sweep():
+    # a seeded 2,000 of the 110,592 3-state frames with B = {s0, s1} at every
+    # state; `tests/revision_sweep.py` decides all of them in CI
+    assert FRAME_COUNT == 110_592
+    sample = sorted(random.Random(18).sample(range(FRAME_COUNT), 2000))
+    seen = []
+    for k in sample:
+        frame = frame_at(k)
+        assert check_property(frame, PropertyId.BASE).holds, k
+        v = verdicts(frame)
+        assert v.pr8 or not v.pr4, k
+        assert v.pr4 or not (v.pd2 and v.pr8), k
+        assert not v.strong or v.pr4 == v.pr8, k
+        seen.append(v)
+    # the slice reaches each case the implications speak of
+    assert any(v.pr4 for v in seen)
+    assert any(v.pr8 and not v.pr4 for v in seen)
+    assert any(v.strong and not v.pr4 for v in seen)
