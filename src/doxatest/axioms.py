@@ -26,13 +26,24 @@ and predicates.  `axiom_holds` hands out one shared frozen verdict per
 postulate for "holds" and for "not applicable", and builds a verdict only
 for a failure.
 
-Lemma.  At b, let R(E) = cl(Sup(b, E)) on the definable events.  For F
-definable, cl(X∩F) = cl(X)∩F (a cell meets X∩F iff it meets X and lies in
-F), and Sup(b, E) ⊆ F iff R(E) ⊆ F.  So an instance fails iff: D1,
-R(E) ⊄ E; D5, R(E)∩F ⊄ R(E∩F); D6, R(E) ⊆ F, R(F) ⊆ E, R(E) ≠ R(F); D7,
-R(E∪F) ⊄ R(E) ∪ R(F); D9/R8, R(E)∩F ≠ ∅ and R(E∩F) ⊄ R(E)∩F.  R is a row
-table over cells, R(E) ⊆ E under D1, and the properties' kernels decide it
-(`_holds_test`), with cells for states and G = E∩F:
+Lemma.  At b, let R(E) = cl(Sup(b, E)) on the definable events, and Bc
+the cells meeting b.  The cells partition the states, so for F definable,
+cl(X∩F) = cl(X)∩F (a cell meets X∩F iff it meets X and lies in F),
+Sup(b, E) ⊆ F iff R(E) ⊆ F, and with J the cells of E: b meets E iff Bc
+meets J, b ⊆ E iff Bc ⊆ J, and the cells meeting b∩E are Bc∩J.  So an
+instance fails iff: D1, R(E) ⊄ E; D2, b ⊆ E and R(E) ≠ Bc; R3,
+Bc∩J ⊄ R(E); R4, b meets E and R(E) ⊄ Bc; D5, R(E)∩F ⊄ R(E∩F); D6,
+R(E) ⊆ F, R(F) ⊆ E, R(E) ≠ R(F); D7, R(E∪F) ⊄ R(E) ∪ R(F); D9/R8,
+R(E)∩F ≠ ∅ and R(E∩F) ⊄ R(E)∩F.  R is a row table over cells, R(J) =
+R(E) in field J, with R(J) ⊆ J past the gate (every definable row present,
+Sup(b, E) ⊆ E), and kernels decide it (`_holds_test`), the properties'
+ones with cells for states, Bc for B and G = E∩F:
+- D1/R2: the gate itself, as Sup(b, E) ⊄ E is D1's failure.
+- D2: R(J) = Bc at every J ⊇ Bc: PD2's kept shape (R(J) ⊆ Bc) and R3's
+  cover on those fields, where Bc∩J = Bc.
+- R3: no J with Bc∩J ⊄ R(J), one AND with Bc in every field.
+- R4: PR4's narrowed shape, R(J) ⊆ J∩Bc wherever J meets Bc, which is
+  R(J) ⊆ Bc there past the gate.
 - D5: PD57's inside shape, no G ⊆ E with R(E)∩G ⊄ R(G).  D7 is the same
   shape, as PD7 is at B = {i} (`properties` has the proof).
 - D6: PD6's cumulative shape: under D1, reciprocity is cumulativity.
@@ -66,7 +77,7 @@ from .formulas import Formula, semantic_pool
 from .frames import (Frame, Model, bits, cell_closure, cells, definable_events, grid, pack,
                      subsets_of, truth_set)
 from .limits import DEFAULT_MAX_CELLS
-from .properties import _cumulative, _gated, _inside
+from .properties import _cumulative, _gated, _inside, _narrowed, _supersets
 
 
 class AxiomId(str, Enum):
@@ -148,15 +159,18 @@ class AxiomVerdict:
 class ModelContext:
     """Shared per-model precomputation: cells and definable events, the
     first witness (None when it holds) per (belief set, memo key) that
-    `axiom_holds` has found, and per belief set the closure table R of
-    `_holds_test`: R is a row table over cells; the properties' kernels
-    decide it.  Supports come from the frame's memoized `Frame.sup`."""
+    `axiom_holds` has found, per belief set the closures (R, Bc) of
+    `_holds_test` (R a row table over cells, Bc the cells meeting b), and
+    the lift both are read through, built on the first holds test: for
+    every state set X, the cells meeting X (2ⁿ entries for n states).
+    Supports come from the frame's memoized `Frame.sup`."""
 
     model: Model
     cell_masks: tuple[int, ...]
     definable: tuple[int, ...]  # nonempty definable events, ascending
     found: dict = field(default_factory=dict, compare=False, repr=False)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
+    lift: list = field(default_factory=list, compare=False, repr=False)
 
     @classmethod
     def of(
@@ -233,9 +247,9 @@ def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitn
     F runs only over the pairs that can hold the first failing instance, so
     for a pair postulate the first witness, and on a partial frame the first
     missing row, are those of the scan over every pair; the later witnesses
-    are some of that scan's, not all.  `axiom_holds` runs it on a pair
-    postulate only on a failing holds test, whose gate is D1 and every
-    definable row: past it, the scan reads no other Sup and cannot raise.
+    are some of that scan's, not all.  `axiom_holds` runs it only on a
+    failing holds test, whose gate is D1 and every definable row: past it,
+    the scan reads no other Sup and cannot raise.
 
     - F >= E (D6, D7): both instances are symmetric in (E, F), so a failing
       (E, F) with F < E comes after the failing (F, E).  The first E's row is
@@ -275,28 +289,53 @@ def _violations(ctx: ModelContext, axiom: AxiomId, b: int) -> Iterator[AxiomWitn
                     yield AxiomWitness(e=e, f=f, g=g)
 
 
-# the properties' kernel deciding each pair postulate's table shape on R
-_KERNELS: dict[AxiomId, Callable[[int, int], bool]] = {
-    AxiomId.D5: _inside, AxiomId.D7: _inside, AxiomId.D6: _cumulative,
-    AxiomId.D9: _gated, AxiomId.R8: _gated,
+# the kernel deciding each searched postulate on (R, Bc, m cells), the
+# properties' where the shape is one of theirs; the gate is D1 itself
+_KERNELS: dict[AxiomId, Callable[[int, int, int], bool]] = {
+    AxiomId.D1: lambda r, bc, m: True,
+    AxiomId.D2: lambda r, bc, m: not (r ^ grid(m)[2] * bc) & _supersets(bc, m),
+    AxiomId.R3: lambda r, bc, m: not grid(m)[1] & grid(m)[2] * bc & ~r,
+    AxiomId.R4: _narrowed,
+    AxiomId.D5: lambda r, bc, m: _inside(r, m),
+    AxiomId.D7: lambda r, bc, m: _inside(r, m),
+    AxiomId.D6: lambda r, bc, m: _cumulative(r, m),
+    AxiomId.D9: lambda r, bc, m: _gated(r, m),
+    AxiomId.R8: lambda r, bc, m: _gated(r, m),
 }
 
 
+def _lift(ctx: ModelContext) -> list[int]:
+    """lift[X], for every state set X, the cells meeting X as a set of cell
+    indices: the list doubles once per state x, OR-ing x's cells into the
+    new half, so overlapping cells lift as the per-cell test does."""
+    lift = [0]
+    for x in range(ctx.model.frame.n):
+        cell_bits = sum([1 << i for i, c in enumerate(ctx.cell_masks) if c >> x & 1])
+        lift += [cs | cell_bits for cs in lift]
+    return lift
+
+
 def _holds_test(ctx: ModelContext, axiom: AxiomId, b: int) -> bool:
-    """Whether a pair postulate passes the lemma's holds test at b.  R is
-    packed over `grid(m)` for m cells, field j the cells meeting
-    Sup(b, ctx.definable[j - 1]), or None where the gate fails."""
+    """Whether a searched postulate passes the lemma's holds test at b.  R
+    is packed over `grid(m)` for m cells, field j the cells meeting
+    Sup(b, ctx.definable[j - 1]); Bc is the cells meeting b.  Both are read
+    through the context's lift; the closure at b is (R, Bc), or None where
+    the gate fails."""
     if b not in ctx.closures:
-        sups, r = ctx.model.frame.sup_table(b), []
+        if not ctx.lift:
+            ctx.lift = _lift(ctx)
+        sups, lift, r = ctx.model.frame.sup_table(b), ctx.lift, []
         for e in ctx.definable:
-            if sups[e] & ~e:  # a missing row reads -1, which leaves every event
+            sup_e = sups[e]
+            if sup_e & ~e:  # a missing row reads -1, which leaves every event
                 r = None
                 break
-            r.append(sum([1 << i for i, c in enumerate(ctx.cell_masks) if c & sups[e]]))
+            r.append(lift[sup_e])
         w = grid(len(ctx.cell_masks))[0]
-        ctx.closures[b] = None if r is None else pack(r, w) << w
-    r = ctx.closures[b]
-    return r is not None and _KERNELS[axiom](r, len(ctx.cell_masks))
+        # past the gate b has no bit beyond the frame: Sup(b, ·) would read -1
+        ctx.closures[b] = None if r is None else (pack(r, w) << w, lift[b])
+    closure = ctx.closures[b]
+    return closure is not None and _KERNELS[axiom](*closure, len(ctx.cell_masks))
 
 
 _COMPLETE_ONLY = frozenset({AxiomId.D7, AxiomId.D9})
@@ -345,22 +384,27 @@ def axiom_holds(
     D3/R5 only bite for formulas with no worlds at all, which never denote an
     event inside a model, so they are reported not-applicable here (the
     extension layer owns them).  D7 and D9 are conditions on complete belief
-    states and are not-applicable elsewhere.  A pair postulate scans only
-    on a failing holds test (the module's lemma): witnesses are the scan's.
-    A holding or not-applicable verdict is the postulate's shared one.
+    states and are not-applicable elsewhere.  Every other postulate runs
+    the module lemma's holds test first and scans only when it fails:
+    witnesses are the scan's.  A holding or not-applicable verdict is the
+    postulate's shared one.  An s outside the frame's states raises
+    `ValueError` before any work.
     """
+    belief = model.frame.belief  # one entry per state
+    if not 0 <= s < len(belief):
+        raise ValueError(f"state index {s} is not a state of the frame")
     plan = _PLANS[axiom]
-    if plan.fixed is Status.NOT_APPLICABLE or plan.complete_only and not is_complete_at(model, s):
-        return plan.not_applicable
-    if plan.fixed is Status.HOLDS:
-        return plan.holds
+    # fixed and complete-only postulates are disjoint; a searched postulate
+    # reads no `Status` member here, each read an enum class lookup
+    if plan.fixed is not None or plan.complete_only and not is_complete_at(model, s):
+        return plan.holds if plan.fixed is Status.HOLDS else plan.not_applicable
     if ctx is None:
         ctx = ModelContext.of(model, max_cells=max_cells)
-    key = (model.frame.belief[s], plan.key)
+    key = (belief[s], plan.key)
     witness = ctx.found.get(key, _UNDECIDED)
     if witness is _UNDECIDED:
         resolved = plan.resolved
-        if resolved in _KERNELS and _holds_test(ctx, resolved, key[0]):
+        if _holds_test(ctx, resolved, key[0]):
             witness = ctx.found[key] = None
         else:
             witness = ctx.found[key] = next(_violations(ctx, resolved, key[0]), None)
@@ -461,13 +505,17 @@ def axiom_status_via_formulas(
     one formula per truth function.  One context per (frame, pool, truth-set
     family) keeps the truth sets and one verdict per (belief set,
     postulate), so states with equal beliefs, the aliases R2, R7 and the
-    frame's models with equal truth sets cost a lookup.
+    frame's models with equal truth sets cost a lookup.  An s outside the
+    frame's states raises `ValueError` before any work.
     """
+    belief = model.frame.belief  # one entry per state
+    if not 0 <= s < len(belief):
+        raise ValueError(f"state index {s} is not a state of the frame")
     # a plain string equal to an axiom id hashes like it but has no branch,
     # and `ALIASES` would turn "R2" into a real id, so it is refused first
     if not isinstance(axiom, AxiomId):
         raise ValueError(f"no formula-level check for {axiom}")
-    b = model.frame.belief[s]
+    b = belief[s]
     plan = _PLANS[axiom]
     if plan.fixed is Status.NOT_APPLICABLE or plan.complete_only and not is_complete_at(model, s):
         return Status.NOT_APPLICABLE

@@ -329,14 +329,20 @@ def _cumulative(p: int, n: int) -> bool:
     return True
 
 
-def _kept(p: int, b: int, n: int) -> bool:
-    # PD2: r(E) ⊆ B at every E ⊇ B.  The fields holding each x ∈ B (every
-    # field when B is empty), filled, hold no state outside B.
+def _supersets(b: int, n: int) -> int:
+    # The fields E ⊇ B (every field when B is empty), filled: those holding
+    # each x ∈ B.
     w, ev, ones, _ = grid(n)
     supersets = ones
     for x in bits(b):
         supersets &= ev >> x & ones
-    return not p & supersets * ((1 << w) - 1) & ~(ones * b)
+    return supersets * ((1 << w) - 1)
+
+
+def _kept(p: int, b: int, n: int) -> bool:
+    # PD2: r(E) ⊆ B at every E ⊇ B, so the fields E ⊇ B hold no state
+    # outside B.
+    return not p & _supersets(b, n) & ~(grid(n)[2] * b)
 
 
 def _narrowed(p: int, b: int, n: int) -> bool:
